@@ -157,9 +157,13 @@ struct GasData {
 
 class SumProgram : public gas::GasProgram<GasData, double> {
  public:
-  double Gather(const gas::Graph<GasData>::Vertex&,
-                const gas::Graph<GasData>::Vertex& nbr) override {
-    return nbr.data.value;
+  void GatherBatch(const gas::Graph<GasData>::Vertex&,
+                   const gas::Graph<GasData>& graph,
+                   const std::size_t* neighbors, std::size_t count,
+                   double* out) override {
+    for (std::size_t j = 0; j < count; ++j) {
+      out[j] = graph.vertex(neighbors[j]).data.value;
+    }
   }
   double Merge(double a, const double& b) override { return a + b; }
   void Apply(gas::Graph<GasData>::Vertex& v, const double& total) override {

@@ -41,12 +41,11 @@ struct VData {
 /// Gather value: model pieces flowing to data vertices, statistics flowing
 /// to cluster vertices, counts flowing to the mixture vertex.
 struct Gathered {
-  std::vector<std::pair<std::size_t, std::pair<Vector, Matrix>>> model;
   Vector pi;
   GmmSuffStats stats;
   Vector counts;
-  // Batched-gather borrow slots: elements of a CSR span reference the
-  // neighbor's exported state instead of copying it. Safe because the
+  // Borrow slots: elements of a CSR span reference the neighbor's
+  // exported state instead of copying it. Safe because the
   // engine consumes a vertex's gathered values within that vertex's own
   // turn (no other vertex mutates in between), and the fold reads all
   // span elements after the accumulator const (engine.h mutates only the
@@ -66,40 +65,7 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
         iteration_(iteration),
         flops_per_point_(flops_per_point) {}
 
-  Gathered Gather(const gas::Graph<VData>::Vertex& center,
-                  const gas::Graph<VData>::Vertex& nbr) override {
-    Gathered g;
-    switch (center.data.kind) {
-      case VData::Kind::kData:
-        // Data vertices pull the model.
-        if (nbr.data.kind == VData::Kind::kCluster) {
-          g.model.push_back({nbr.data.cluster_id,
-                             {nbr.data.mu, nbr.data.sigma}});
-        } else if (nbr.data.kind == VData::Kind::kMixture) {
-          g.pi = nbr.data.pi;
-        }
-        break;
-      case VData::Kind::kCluster:
-        // Cluster vertices pull their per-cluster statistics.
-        if (nbr.data.kind == VData::Kind::kData &&
-            !nbr.data.stats.empty()) {
-          g.stats = nbr.data.stats[center.data.cluster_id];
-        }
-        break;
-      case VData::Kind::kMixture:
-        if (nbr.data.kind == VData::Kind::kData &&
-            !nbr.data.stats.empty()) {
-          g.counts = Vector(hyper_.k);
-          for (std::size_t c = 0; c < hyper_.k; ++c) {
-            g.counts[c] = nbr.data.stats[c].n;
-          }
-        }
-        break;
-    }
-    return g;
-  }
-
-  // Batched gather over one CSR span. Model pieces and pi fold by
+  // Gather over one CSR span. Model pieces and pi fold by
   // placement (push_back concatenation / last-writer overwrite), so the
   // data-vertex case collapses a whole chunk into its first element —
   // edge order preserved, later elements stay Merge identities. The
@@ -169,11 +135,10 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
   }
 
   Gathered Merge(Gathered a, const Gathered& b) override {
-    for (const auto& m : b.model) a.model.push_back(m);
     for (const auto& m : b.model_src) a.model_src.push_back(m);
     if (!b.pi.empty()) a.pi = b.pi;
-    // Borrowed stats carry the same numbers the scalar gather would have
-    // copied; the fold arithmetic and its order are unchanged.
+    // Borrowed stats carry the same numbers an owned copy would; the fold
+    // arithmetic and its order are the same either way.
     a.stats.Merge(b.stats_src != nullptr ? *b.stats_src : b.stats);
     if (b.counts_src != nullptr) {
       if (a.counts.empty()) a.counts = Vector(hyper_.k);
@@ -200,12 +165,7 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
         params.pi = g.pi.empty() ? Vector(hyper_.k, 1.0 / hyper_.k) : g.pi;
         params.mu.assign(hyper_.k, Vector(hyper_.dim));
         params.sigma.assign(hyper_.k, Matrix::Identity(hyper_.dim));
-        for (const auto& [cid, ms] : g.model) {
-          params.mu[cid] = ms.first;
-          params.sigma[cid] = ms.second;
-        }
-        // Borrowed rows carry the same values the scalar gather copied;
-        // distinct cluster ids make the assignment order immaterial.
+        // Distinct cluster ids make the assignment order immaterial.
         for (const auto& [cid, src] : g.model_src) {
           params.mu[cid] = src->mu;
           params.sigma[cid] = src->sigma;

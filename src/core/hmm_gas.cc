@@ -40,34 +40,13 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
       : hyper_(hyper), seed_(seed), iteration_(iteration),
         flops_per_word_(flops_per_word), words_per_super_(words_per_super) {}
 
-  Gathered Gather(const gas::Graph<VData>::Vertex& center,
-                  const gas::Graph<VData>::Vertex& nbr) override {
-    Gathered g;
-    if (center.data.kind == VData::Kind::kData &&
-        nbr.data.kind == VData::Kind::kState) {
-      g.model = std::make_shared<HmmParams>();
-      g.model->delta0 = Vector(hyper_.states);
-      g.model->delta.assign(hyper_.states, Vector(hyper_.states));
-      g.model->psi.assign(hyper_.states, Vector(hyper_.vocab));
-      g.model->psi[nbr.data.s] = nbr.data.psi;
-      g.model->delta[nbr.data.s] = nbr.data.delta;
-      g.model->delta0[nbr.data.s] = nbr.data.delta0;
-    } else if (center.data.kind == VData::Kind::kState &&
-               nbr.data.kind == VData::Kind::kData && nbr.data.partial) {
-      g.counts = std::make_shared<HmmCounts>(hyper_.states, hyper_.vocab);
-      g.counts->Merge(*nbr.data.partial);
-    }
-    return g;
-  }
-
-  // Batched gather over one CSR span. A data vertex's per-edge gathers
-  // each allocate a full K x V HmmParams only for the fold to copy single
-  // rows out of them; the batch builds one model per chunk directly, in
-  // edge order and under the same row-copy rule as Merge. A state
-  // vertex's gathers are additive counts and must stay per-edge, but the
-  // engine fold only mutates the accumulator it moves out of the span's
-  // first element and reads the rest const — so later elements share the
-  // neighbor's exported partial instead of copying K x V counts per edge.
+  // Gather over one CSR span. A data vertex builds one K x V model per
+  // span, in edge order and under the same row-copy rule as Merge, rather
+  // than one per edge. A state vertex's gathers are additive counts and
+  // must stay per-edge, but the engine fold only mutates the accumulator
+  // it moves out of the span's first element and reads the rest const —
+  // so later elements share the neighbor's exported partial instead of
+  // copying K x V counts per edge.
   void GatherBatch(const gas::Graph<VData>::Vertex& center,
                    const gas::Graph<VData>& graph,
                    const std::size_t* neighbors, std::size_t count,
@@ -105,8 +84,8 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
         if (first) {
           // The span's first counts element seeds the fold accumulator,
           // which later merges mutate: it must be a fresh copy.
-          // Zero-init + Merge reproduces the scalar gather bit-for-bit
-          // (0 + x is x for these non-negative counts).
+          // Zero-init + Merge copies the partial bit-for-bit (0 + x is x
+          // for these non-negative counts).
           out[j].counts =
               std::make_shared<HmmCounts>(hyper_.states, hyper_.vocab);
           out[j].counts->Merge(*nbr.data.partial);

@@ -74,16 +74,20 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
   // moves the p^2 combined (i,j)-keyed partials per partition.
   LassoSuffStats stats;
   {
-    auto acc = std::make_shared<LassoSuffStats>();
-    auto marker = data.Map(
-        [acc, y_avg](const LabeledPoint& d) {
-          models::AccumulateLasso(d.x, d.y - y_avg, acc.get());
-          return 0;
-        },
-        gram_cost, 8);
+    // The job charges the map side. The statistics themselves are folded
+    // on the host, serially in partition and record order from the same
+    // generator: partitions run concurrently, and a shared accumulator
+    // would sum in whatever order the host threads happened to run them.
+    auto marker =
+        data.Map([](const LabeledPoint&) { return 0; }, gram_cost, 8);
     auto forced = marker.CountActual();
     if (!forced.ok()) return RunResult::Fail(forced.status());
-    stats = *acc;
+    for (int part = 0; part < data.num_partitions(); ++part) {
+      for (long long i = 0; i < exp.config.data.actual_per_machine; ++i) {
+        auto [x, y] = gen.Sample(part, i);
+        models::AccumulateLasso(x, y - y_avg, &stats);
+      }
+    }
     // Shuffle of the combined pair partials: p^2 entries per partition.
     double entry_bytes =
         exp.language == sim::Language::kPython ? 64.0 : 24.0;

@@ -44,31 +44,12 @@ class LassoProgram : public gas::GasProgram<VData, Gathered> {
       : hyper_(hyper), stats_(stats), seed_(seed), iteration_(iteration),
         y_avg_(y_avg) {}
 
-  Gathered Gather(const gas::Graph<VData>::Vertex& center,
-                  const gas::Graph<VData>::Vertex& nbr) override {
-    Gathered g;
-    g.inv_tau2 = Vector(hyper_.p);
-    if (center.data.kind == VData::Kind::kCenter) {
-      if (nbr.data.kind == VData::Kind::kModel) {
-        g.inv_tau2[nbr.data.j] = nbr.data.inv_tau2;
-      } else if (nbr.data.kind == VData::Kind::kData) {
-        g.sse = nbr.data.sse_partial;
-      }
-    } else if (nbr.data.kind == VData::Kind::kCenter) {
-      g.beta = nbr.data.state->beta;
-      g.sigma2 = nbr.data.state->sigma2;
-      g.has_center = true;
-    }
-    return g;
-  }
-
-  // Batched gather over one CSR span. The scalar path allocates a length-p
-  // inv_tau2 vector per *edge* only for the fold to add one-hot scatters
-  // and zeros elementwise; the batch allocates one per chunk and scatters
-  // the chunk's model contributions into it directly — each position is
-  // written at most once across the whole neighborhood (model j appears on
-  // exactly one edge), and 0 + x is bitwise x for these non-negative
-  // precisions, so the fold result is unchanged. Residual partials are
+  // Gather over one CSR span. One length-p inv_tau2 vector per span (not
+  // per edge) receives the span's model contributions as one-hot scatters
+  // — each position is written at most once across the whole neighborhood
+  // (model j appears on exactly one edge), and 0 + x is bitwise x for
+  // these non-negative precisions, so the fold result does not depend on
+  // where span boundaries fall. Residual partials are
   // additive and stay per-edge; later elements' inv_tau2 stay empty (a
   // Merge identity). Center-view placement (beta/sigma2) follows the same
   // last-wins overwrite rule as the fold.

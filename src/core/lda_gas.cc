@@ -41,27 +41,7 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
       : hyper_(hyper), seed_(seed), iteration_(iteration),
         flops_per_word_(flops_per_word), words_per_super_(words_per_super) {}
 
-  Gathered Gather(const gas::Graph<VData>::Vertex& center,
-                  const gas::Graph<VData>::Vertex& nbr) override {
-    Gathered g;
-    if (center.data.kind == VData::Kind::kData &&
-        nbr.data.kind == VData::Kind::kTopic) {
-      g.model = std::make_shared<LdaParams>();
-      g.model->phi.assign(hyper_.topics, Vector());
-      g.model->phi[nbr.data.t] = nbr.data.phi;
-    } else if (center.data.kind == VData::Kind::kTopic &&
-               nbr.data.kind == VData::Kind::kData && nbr.data.partial) {
-      g.row = Vector(hyper_.vocab);
-      auto lo = static_cast<std::uint32_t>(center.data.t * hyper_.vocab);
-      auto hi = static_cast<std::uint32_t>((center.data.t + 1) * hyper_.vocab);
-      for (const auto& [key, count] : *nbr.data.partial) {
-        if (key >= lo && key < hi) g.row[key - lo] += count;
-      }
-    }
-    return g;
-  }
-
-  // Batched gather over one CSR span. A data vertex's model rows fold by
+  // Gather over one CSR span. A data vertex's model rows fold by
   // placement, so the chunk collapses into one LdaParams in its first
   // element (edge order and the fold's non-empty row rule preserved). A
   // topic vertex's row partials are additive and stay per-edge so the

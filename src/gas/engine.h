@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,20 +34,6 @@
 
 namespace mlbench::gas {
 
-/// Process-wide default for batched gather dispatch (DESIGN.md §14).
-/// Batched is on unless MLBENCH_GAS_SCALAR is set in the environment;
-/// tests and benches flip it programmatically via SetDefaultBatchedGather.
-/// Inline-function statics are a single instance across TUs, mirroring
-/// the reldb Database knob pattern.
-inline bool& BatchedGatherDefaultFlag() {
-  static bool flag = std::getenv("MLBENCH_GAS_SCALAR") == nullptr;
-  return flag;
-}
-inline bool DefaultBatchedGather() { return BatchedGatherDefaultFlag(); }
-inline void SetDefaultBatchedGather(bool on) {
-  BatchedGatherDefaultFlag() = on;
-}
-
 /// User program: gather a value from each neighbor, fold, apply.
 ///
 /// `VData` is the vertex payload (typically a variant over the model's
@@ -58,26 +43,20 @@ class GasProgram {
  public:
   virtual ~GasProgram() = default;
 
-  /// Extracts the neighbor's contribution to `center`'s gather.
-  virtual GatherT Gather(const typename Graph<VData>::Vertex& center,
-                         const typename Graph<VData>::Vertex& neighbor) = 0;
-
-  /// Folds two gather values (commutative + associative).
-  virtual GatherT Merge(GatherT a, const GatherT& b) = 0;
-
-  /// Batched gather: fill `out[0..count)` for one contiguous span of
-  /// `center`'s edges (`neighbors` points into the graph's CSR image, in
-  /// edge order). The engine left-folds the filled elements with `Merge`
-  /// in edge order exactly as it folds per-edge `Gather` results, so the
-  /// contract is: the fold over `out` must be bit-identical to the fold
-  /// over per-edge gathers. The default keeps programs working unported.
+  /// Gather over one contiguous span of `center`'s edges: fill
+  /// `out[0..count)`, where `neighbors` points into the graph's CSR image
+  /// in edge order. The engine may split a neighborhood into several spans
+  /// (host-parallel chunks) and then left-folds all filled elements with
+  /// `Merge` in edge order, so the contract is: the fold must not depend
+  /// on where the span boundaries fall. Writing each edge's contribution
+  /// to its own element satisfies it trivially.
   ///
-  /// Overrides may pre-aggregate a span's content into its first element
-  /// and leave the rest as `Merge` identities — but only content whose
-  /// fold is placement/overwrite (model rows) or touches each position at
-  /// most once over the whole neighborhood (one-hot scatters): 0 + x is
-  /// bitwise x for the non-negative values flowing here. Additive content
-  /// (counts, sufficient statistics, residuals) must stay per-edge, since
+  /// A span may also pre-aggregate content into its first element and
+  /// leave the rest as `Merge` identities — but only content whose fold is
+  /// placement/overwrite (model rows) or touches each position at most
+  /// once over the whole neighborhood (one-hot scatters): 0 + x is bitwise
+  /// x for the non-negative values flowing here. Additive content (counts,
+  /// sufficient statistics, residuals) must stay per-edge, since
   /// pre-folding a chunk changes the FP association of the global fold.
   /// Elements past the first may also *share* immutable state (e.g. a
   /// neighbor's exported shared_ptr): the engine fold only ever mutates
@@ -89,11 +68,10 @@ class GasProgram {
   virtual void GatherBatch(const typename Graph<VData>::Vertex& center,
                            const Graph<VData>& graph,
                            const std::size_t* neighbors, std::size_t count,
-                           GatherT* out) {
-    for (std::size_t j = 0; j < count; ++j) {
-      out[j] = Gather(center, graph.vertex(neighbors[j]));
-    }
-  }
+                           GatherT* out) = 0;
+
+  /// Folds two gather values (commutative + associative).
+  virtual GatherT Merge(GatherT a, const GatherT& b) = 0;
 
   /// Updates the center vertex from its folded gather.
   virtual void Apply(typename Graph<VData>::Vertex& center,
@@ -114,11 +92,6 @@ class GasEngine {
   sim::ClusterSim& sim() { return *sim_; }
   Graph<VData>& graph() { return *graph_; }
   const sim::GasCosts& costs() const { return costs_; }
-
-  /// Whether sweeps dispatch gathers in chunks (GatherBatch) or per edge
-  /// (Gather). Defaults from the process-wide MLBENCH_GAS_SCALAR knob.
-  bool batched() const { return batched_; }
-  void set_batched(bool on) { batched_ = on; }
 
   /// GraphLab-style snapshotting: every `n` sweeps each machine writes its
   /// graph partition to distributed storage. On a machine crash the job
@@ -368,16 +341,11 @@ class GasEngine {
     // sweep order. Host parallelism goes *inside* a vertex instead: when a
     // vertex has many edges (the super-vertex / hub layouts that dominate
     // sweep time), its gathers — pure reads of two vertices — are
-    // materialized across the pool into an edge-indexed buffer, then folded
-    // serially in edge order. The fold order matches the streaming serial
-    // loop exactly, so results are bit-identical at any thread count.
-    //
-    // Dispatch granularity is the only difference between the two host
-    // paths: batched (the default) issues one GatherBatch virtual call per
-    // edge chunk over the graph's CSR spans; scalar (MLBENCH_GAS_SCALAR=1
-    // or set_batched(false)) issues one Gather virtual call per edge. The
-    // GatherBatch contract (see GasProgram) makes the folded results
-    // bit-identical between the two.
+    // materialized across the pool into an edge-indexed buffer, one
+    // GatherBatch call per edge chunk over the graph's CSR spans, then
+    // folded serially in edge order. The GatherBatch contract (see
+    // GasProgram) makes the fold independent of the chunking, so results
+    // are bit-identical at any thread count.
     double flops = 0;
     // The per-vertex gather buffer is leased from the thread-local scratch
     // pool: it grows to the widest neighborhood once and is reused across
@@ -390,58 +358,27 @@ class GasEngine {
       if (v.out.empty()) continue;
       const typename Graph<VData>::NeighborSpan nbrs = graph_->Neighbors(i);
       const std::int64_t n_edges = static_cast<std::int64_t>(nbrs.count);
-      // Edge-chunk grain via the deterministic policy (pure in the edge
-      // count). Grain changes cannot perturb results here: the scalar
-      // path folds individual `gathered` elements in edge order whatever
-      // the chunking, and GatherBatch's contract (see GasProgram) makes
-      // any span decomposition fold bit-identically to the per-edge one
-      // (vertex_batch_test pins that equivalence).
-      const std::int64_t edge_grain =
-          exec::GrainFor(n_edges, exec::CostHint::kNormal);
-      GatherT acc{};
+      gathered.clear();
+      gathered.resize(static_cast<std::size_t>(n_edges));
       if (n_edges >= kEdgeParallelThreshold) {
-        gathered.clear();
-        gathered.resize(static_cast<std::size_t>(n_edges));
-        exec::ParallelFor(n_edges, edge_grain, [&](const exec::Chunk& chunk) {
-          if (batched_) {
-            program.GatherBatch(
-                v, *graph_, nbrs.idx + chunk.begin,
-                static_cast<std::size_t>(chunk.end - chunk.begin),
-                gathered.data() + chunk.begin);
-          } else {
-            for (std::int64_t e = chunk.begin; e < chunk.end; ++e) {
-              std::size_t j = static_cast<std::size_t>(e);
-              gathered[j] = program.Gather(v, graph_->vertex(nbrs.idx[j]));
-            }
-          }
-        });
-        acc = std::move(gathered[0]);
-        for (std::size_t j = 1; j < gathered.size(); ++j) {
-          acc = program.Merge(std::move(acc), gathered[j]);
-        }
-      } else if (batched_) {
-        // One batch spanning the whole (small) neighborhood; materialize
-        // then fold — identical order to the streaming loop below because
-        // gathers are pure and the fold is the same left fold.
-        gathered.clear();
-        gathered.resize(static_cast<std::size_t>(n_edges));
+        // Edge-chunk grain via the deterministic policy (pure in the edge
+        // count); the GatherBatch contract makes any grain fold the same.
+        exec::ParallelFor(
+            n_edges, exec::GrainFor(n_edges, exec::CostHint::kNormal),
+            [&](const exec::Chunk& chunk) {
+              program.GatherBatch(
+                  v, *graph_, nbrs.idx + chunk.begin,
+                  static_cast<std::size_t>(chunk.end - chunk.begin),
+                  gathered.data() + chunk.begin);
+            });
+      } else {
+        // One span covering the whole (small) neighborhood.
         program.GatherBatch(v, *graph_, nbrs.idx, nbrs.count,
                             gathered.data());
-        acc = std::move(gathered[0]);
-        for (std::size_t j = 1; j < gathered.size(); ++j) {
-          acc = program.Merge(std::move(acc), gathered[j]);
-        }
-      } else {
-        bool first = true;
-        for (std::size_t nidx : v.out) {
-          GatherT g = program.Gather(v, graph_->vertex(nidx));
-          if (first) {
-            acc = std::move(g);
-            first = false;
-          } else {
-            acc = program.Merge(std::move(acc), g);
-          }
-        }
+      }
+      GatherT acc = std::move(gathered[0]);
+      for (std::size_t j = 1; j < gathered.size(); ++j) {
+        acc = program.Merge(std::move(acc), gathered[j]);
       }
       program.Apply(v, acc);
       // Flops accounting streams the CSR scale array instead of re-walking
@@ -567,13 +504,12 @@ class GasEngine {
   static constexpr std::int64_t kVertexGrain = 256;
   /// Minimum edge count before a vertex's gathers fan out across the
   /// pool. The edge-chunk grain itself comes from exec::GrainFor (safe:
-  /// see the sweep loop comment).
+  /// see the GatherBatch contract).
   static constexpr std::int64_t kEdgeParallelThreshold = 512;
 
   sim::ClusterSim* sim_;
   Graph<VData>* graph_;
   sim::GasCosts costs_;
-  bool batched_ = DefaultBatchedGather();
   bool booted_ = false;
   double graph_bytes_ = 0;
   /// Sweeps between snapshot writes; <= 0 disables snapshotting.

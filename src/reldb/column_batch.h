@@ -21,10 +21,10 @@
 /// operators can run selection-vector filters, index-gather projects, and
 /// joins/group-bys keyed on packed fixed-width keys with zero per-row
 /// allocation. Conversion to/from the row Table is exact (values keep
-/// their variant alternative bit-for-bit), which is what lets the columnar
-/// engine promise bit-identical results to the row engine; a column that
-/// mixes int and double values cannot be typed and signals the caller to
-/// fall back to the row path.
+/// their variant alternative bit-for-bit), which is what lets operators
+/// switch forms without changing a result bit; a column that mixes int and
+/// double values cannot be typed and signals the caller to fall back to
+/// the row path.
 
 namespace mlbench::reldb {
 

@@ -22,12 +22,10 @@
 /// no per-row Tuple materialization.
 ///
 /// Parity contract: every opcode applies the same IEEE operation in the
-/// same order as the tree-walking interpreter, element by element, so the
-/// compiled path is bit-identical to the interpreted path — results,
-/// simulated charges, RNG streams, and selection orders — at any
-/// MLBENCH_THREADS. The interpreter remains reachable via
-/// MLBENCH_RELDB_INTERP=1 (see Database::DefaultExprVm) and is the parity
-/// baseline for tests.
+/// same order as the row interpreter (EvalRow), element by element, so a
+/// batch result is bit-identical to interpreting each row — which is what
+/// the row fallback for untypable relations does. Selection orders keep
+/// row order at any MLBENCH_THREADS.
 
 namespace mlbench::reldb {
 
@@ -162,8 +160,9 @@ class ExprProgram {
   const std::vector<std::vector<std::int64_t>>& sets() const { return sets_; }
   std::size_t num_regs() const { return num_regs_; }
 
-  /// Interprets the program over one row Tuple (the row-engine fallback
-  /// and the MLBENCH_RELDB_INTERP parity baseline).
+  /// Interprets the program over one row Tuple (the row fallback for
+  /// relations that cannot be typed, and the reference the batch
+  /// evaluator is tested against).
   double EvalRow(const Tuple& t) const;
   bool EvalRowPred(const Tuple& t) const { return EvalRow(t) != 0.0; }
 

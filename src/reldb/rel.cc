@@ -84,10 +84,10 @@ bool Rel::EnsureBatch() const {
 }
 
 Rel Rel::Scan(Database& db, const std::string& name) {
-  std::shared_ptr<const ColumnBatch> batch;
-  if (db.columnar()) batch = db.GetColumnar(name);
-  Rel r = batch != nullptr ? Rel(&db, std::move(batch)) : Rel(&db, db.Get(name));
-  if (r.batch_ == nullptr && db.columnar()) r.batch_failed_ = true;
+  std::shared_ptr<const ColumnBatch> batch = db.GetColumnar(name);
+  Rel r = batch != nullptr ? Rel(&db, std::move(batch))
+                            : Rel(&db, db.Get(name));
+  if (r.batch_ == nullptr) r.batch_failed_ = true;
   // Map phase reads the stored table from replicated storage.
   r.ChargeIo(r.SelfBytes());
   r.ChargeTuples(r.logical_rows(), db.costs().per_tuple_s);
@@ -115,7 +115,28 @@ void Rel::ChargeShuffle(double bytes) const {
   for (int i = 0; i < m; ++i) db_->sim().ChargeNetwork(i, per_machine);
 }
 
-Rel Rel::RowFilter(const std::function<bool(const Tuple&)>& pred) const {
+Rel Rel::Filter(const ScalarExpr& pred) const {
+  ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
+  const ExprProgram prog = ExprProgram::Compile(pred);
+  if (EnsureBatch()) {
+    const ColumnBatch& in = *batch_;
+    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
+    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
+    exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
+    std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
+    sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
+    for (auto& keep : sel) keep.clear();
+    // Batch-fused VM: one dispatch per opcode per chunk, straight off the
+    // typed arrays.
+    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
+      ExprProgram::Scratch scratch;
+      prog.SelectBatch(in, chunk.begin, chunk.end,
+                       &sel[static_cast<std::size_t>(chunk.index)], &scratch);
+    });
+    return Rel(db_, std::make_shared<const ColumnBatch>(
+                        in.schema(), GatherColumns(in, sel), in.scale()));
+  }
+  // Untypable relation: interpret the program row by row.
   const Table& in = *EnsureTable();
   const auto& rows = in.rows();
   const std::int64_t n = static_cast<std::int64_t>(rows.size());
@@ -128,7 +149,7 @@ Rel Rel::RowFilter(const std::function<bool(const Tuple&)>& pred) const {
     auto& out = parts[static_cast<std::size_t>(chunk.index)];
     for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
       const auto& row = rows[static_cast<std::size_t>(i)];
-      if (pred(row)) out.push_back(row);
+      if (prog.EvalRowPred(row)) out.push_back(row);
     }
   });
   Table out(in.schema(), in.scale());
@@ -138,188 +159,28 @@ Rel Rel::RowFilter(const std::function<bool(const Tuple&)>& pred) const {
   return Rel(db_, std::make_shared<Table>(std::move(out)));
 }
 
-Rel Rel::Filter(const std::function<bool(const Tuple&)>& pred) const {
-  ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
-    const ColumnBatch& in = *batch_;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
-    std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
-    sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& keep : sel) keep.clear();
-    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-      auto& keep = sel[static_cast<std::size_t>(chunk.index)];
-      Tuple scratch;
-      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        in.MaterializeRow(static_cast<std::size_t>(i), &scratch);
-        if (pred(scratch)) keep.push_back(static_cast<std::uint32_t>(i));
-      }
-    });
-    return Rel(db_, std::make_shared<const ColumnBatch>(
-                        in.schema(), GatherColumns(in, sel), in.scale()));
-  }
-  return RowFilter(pred);
-}
-
-Rel Rel::Filter(const ScalarExpr& pred) const {
-  ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  const ExprProgram prog = ExprProgram::Compile(pred);
-  if (UseColumnar()) {
-    const ColumnBatch& in = *batch_;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
-    std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
-    sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& keep : sel) keep.clear();
-    if (db_->expr_vm()) {
-      // Batch-fused VM: one dispatch per opcode per chunk, straight off
-      // the typed arrays.
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        ExprProgram::Scratch scratch;
-        prog.SelectBatch(in, chunk.begin, chunk.end,
-                         &sel[static_cast<std::size_t>(chunk.index)],
-                         &scratch);
-      });
-    } else {
-      // MLBENCH_RELDB_INTERP parity baseline: the pre-VM shape — a Tuple
-      // materialized per row and the program interpreted over it.
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        auto& keep = sel[static_cast<std::size_t>(chunk.index)];
-        Tuple scratch;
-        for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-          in.MaterializeRow(static_cast<std::size_t>(i), &scratch);
-          if (prog.EvalRowPred(scratch)) {
-            keep.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
-      });
-    }
-    return Rel(db_, std::make_shared<const ColumnBatch>(
-                        in.schema(), GatherColumns(in, sel), in.scale()));
-  }
-  return RowFilter(
-      [&prog](const Tuple& t) { return prog.EvalRowPred(t); });
-}
-
 Rel Rel::FilterAll() const {
   // Same charge as a Filter that keeps everything; the output is the
-  // input relation, so both engines share its representation zero-copy
+  // input relation, shared zero-copy in whichever form it is held
   // (operators never mutate their inputs).
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) return Rel(db_, batch_);
+  if (EnsureBatch()) return Rel(db_, batch_);
   EnsureTable();
   return Rel(db_, table_);
 }
 
 Rel Rel::FilterIntIn(const std::string& col,
                      const std::vector<std::int64_t>& values) const {
-  ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  const std::size_t c = schema().IndexOf(col);
-  if (UseColumnar() && batch_->col(c).type == ColType::kInt) {
-    const ColumnBatch& in = *batch_;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
-    std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
-    sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& keep : sel) keep.clear();
-    if (db_->expr_vm()) {
-      const ExprProgram prog =
-          ExprProgram::Compile(ScalarExpr::IntIn(c, values));
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        ExprProgram::Scratch scratch;
-        prog.SelectBatch(in, chunk.begin, chunk.end,
-                         &sel[static_cast<std::size_t>(chunk.index)],
-                         &scratch);
-      });
-    } else {
-      const auto& ints = in.col(c).ints;
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        auto& keep = sel[static_cast<std::size_t>(chunk.index)];
-        for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-          const std::int64_t v = ints[static_cast<std::size_t>(i)];
-          for (std::int64_t want : values) {
-            if (v == want) {
-              keep.push_back(static_cast<std::uint32_t>(i));
-              break;
-            }
-          }
-        }
-      });
-    }
-    return Rel(db_, std::make_shared<const ColumnBatch>(
-                        in.schema(), GatherColumns(in, sel), in.scale()));
-  }
-  return RowFilter([c, &values](const Tuple& t) {
-    const std::int64_t v = AsInt(t[c]);
-    for (std::int64_t want : values) {
-      if (v == want) return true;
-    }
-    return false;
-  });
-}
-
-Rel Rel::Project(Schema out_schema,
-                 const std::function<Tuple(const Tuple&)>& fn) const {
-  ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
-    // Generic projects compute arbitrary tuples, so the output is row-form;
-    // rows bridge through a per-chunk scratch tuple without materializing
-    // the whole input table. The next operator re-types the output.
-    const ColumnBatch& in = *batch_;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<Tuple>> parts_lease;
-    std::vector<std::vector<Tuple>>& parts = *parts_lease;
-    parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& part : parts) part.clear();
-    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-      auto& out = parts[static_cast<std::size_t>(chunk.index)];
-      out.reserve(static_cast<std::size_t>(chunk.end - chunk.begin));
-      Tuple scratch;
-      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        in.MaterializeRow(static_cast<std::size_t>(i), &scratch);
-        out.push_back(fn(scratch));
-      }
-    });
-    Table out(std::move(out_schema), in.scale());
-    out.Reserve(static_cast<std::size_t>(n));
-    for (auto& part : parts) {
-      for (auto& row : part) out.Append(std::move(row));
-    }
-    return Rel(db_, std::make_shared<Table>(std::move(out)));
-  }
-  const Table& tin = *EnsureTable();
-  const auto& rows = tin.rows();
-  const std::int64_t n = static_cast<std::int64_t>(rows.size());
-  const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-  exec::ScratchVec<std::vector<Tuple>> parts_lease;
-  std::vector<std::vector<Tuple>>& parts = *parts_lease;
-  parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-  for (auto& part : parts) part.clear();
-  exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-    auto& out = parts[static_cast<std::size_t>(chunk.index)];
-    out.reserve(static_cast<std::size_t>(chunk.end - chunk.begin));
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      out.push_back(fn(rows[static_cast<std::size_t>(i)]));
-    }
-  });
-  Table out(std::move(out_schema), tin.scale());
-  for (auto& part : parts) {
-    for (auto& row : part) out.Append(std::move(row));
-  }
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  return Filter(ScalarExpr::IntIn(schema().IndexOf(col), values));
 }
 
 Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     const ColumnBatch& in = *batch_;
     const std::size_t n = in.num_rows();
     std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
-    std::vector<std::size_t> fn_slots;
+    std::vector<std::size_t> prog_slots;
     for (std::size_t e = 0; e < exprs.size(); ++e) {
       if (exprs[e].src >= 0) {
         out_cols[e] = in.col_ptr(static_cast<std::size_t>(exprs[e].src));
@@ -332,49 +193,28 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
                              std::vector<double>(n, std::get<double>(v)));
         out_cols[e] = std::make_shared<const Column>(std::move(c));
       } else {
-        fn_slots.push_back(e);
+        prog_slots.push_back(e);
       }
     }
-    if (!fn_slots.empty()) {
-      std::vector<std::vector<double>> computed(fn_slots.size(),
+    if (!prog_slots.empty()) {
+      // Compiled slots run batch-fused through the VM.
+      std::vector<std::vector<double>> computed(prog_slots.size(),
                                                 std::vector<double>(n));
-      // Compiled slots run batch-fused through the VM; opaque lambda slots
-      // (and compiled slots under MLBENCH_RELDB_INTERP) share one
-      // materialized scratch Tuple per row, exactly the pre-VM shape.
-      const bool vm = db_->expr_vm();
-      std::vector<std::size_t> row_slots;
-      for (std::size_t s = 0; s < fn_slots.size(); ++s) {
-        if (!(vm && exprs[fn_slots[s]].prog != nullptr)) row_slots.push_back(s);
-      }
       exec::ParallelFor(
           static_cast<std::int64_t>(n),
           exec::GrainFor(static_cast<std::int64_t>(n),
                          exec::CostHint::kNormal),
           [&](const exec::Chunk& chunk) {
             ExprProgram::Scratch scratch;
-            for (std::size_t s = 0; s < fn_slots.size(); ++s) {
-              const ColExpr& e = exprs[fn_slots[s]];
-              if (vm && e.prog != nullptr) {
-                e.prog->EvalBatch(
-                    in, chunk.begin, chunk.end,
-                    computed[s].data() + static_cast<std::size_t>(chunk.begin),
-                    &scratch);
-              }
-            }
-            if (!row_slots.empty()) {
-              Tuple row;
-              for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-                in.MaterializeRow(static_cast<std::size_t>(i), &row);
-                for (std::size_t s : row_slots) {
-                  const ColExpr& e = exprs[fn_slots[s]];
-                  computed[s][static_cast<std::size_t>(i)] =
-                      e.prog != nullptr ? e.prog->EvalRow(row) : e.fn(row);
-                }
-              }
+            for (std::size_t s = 0; s < prog_slots.size(); ++s) {
+              exprs[prog_slots[s]].prog->EvalBatch(
+                  in, chunk.begin, chunk.end,
+                  computed[s].data() + static_cast<std::size_t>(chunk.begin),
+                  &scratch);
             }
           });
-      for (std::size_t s = 0; s < fn_slots.size(); ++s) {
-        out_cols[fn_slots[s]] = std::make_shared<const Column>(
+      for (std::size_t s = 0; s < prog_slots.size(); ++s) {
+        out_cols[prog_slots[s]] = std::make_shared<const Column>(
             Column::Doubles(std::move(computed[s])));
       }
     }
@@ -402,10 +242,8 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
           out_row.push_back(row[static_cast<std::size_t>(e.src)]);
         } else if (e.is_const) {
           out_row.push_back(e.constant);
-        } else if (e.prog != nullptr) {
-          out_row.emplace_back(e.prog->EvalRow(row));
         } else {
-          out_row.emplace_back(e.fn(row));
+          out_row.emplace_back(e.prog->EvalRow(row));
         }
       }
       out.push_back(std::move(out_row));
@@ -421,7 +259,7 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
 
 Rel Rel::Renamed(Schema out_schema) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     return Rel(db_, std::make_shared<const ColumnBatch>(batch_->WithSchema(
                         std::move(out_schema), batch_->scale())));
   }
@@ -458,7 +296,7 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   Schema out_schema(std::move(out_cols));
 
-  const bool packed = UseColumnar() && right.UseColumnar() &&
+  const bool packed = EnsureBatch() && right.EnsureBatch() &&
                       CanPackKeys(*batch_, lidx) &&
                       CanPackKeys(*right.batch_, ridx);
   Rel result(db_, std::shared_ptr<Table>(nullptr));
@@ -466,7 +304,7 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
     const ColumnBatch& lb = *batch_;
     const ColumnBatch& rb = *right.batch_;
     // Build over the left in scan order: match lists keep left insertion
-    // order, exactly like the row engine's pointer lists.
+    // order, exactly like the row branch's pointer lists.
     std::unordered_map<PackedKey, std::vector<std::uint32_t>, PackedKeyHash>
         build;
     build.reserve(lb.num_rows());
@@ -611,7 +449,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   // accumulators and the output's key order are identical at any thread
   // count — and identical between the packed and row paths, because chunks
   // are contiguous row ranges in both.
-  if (UseColumnar() && CanPackKeys(*batch_, kidx)) {
+  if (EnsureBatch() && CanPackKeys(*batch_, kidx)) {
     const ColumnBatch& in = *batch_;
     struct ChunkGroups {
       std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
@@ -806,105 +644,78 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
   Table out(vg.output_schema(), out_scale);
   std::shared_ptr<const ColumnBatch> out_batch;
-  if (UseColumnar() && CanPackKeys(*batch_, gidx)) {
+  if (EnsureBatch() && CanPackKeys(*batch_, gidx)) {
     const ColumnBatch& in = *batch_;
-    if (db_->vg_batch()) {
-      // Columnar VG dispatch: every invocation group must be one
-      // contiguous column span, groups in first-seen order, rows in
-      // original order, so the function consumes the shared RNG exactly
-      // as the per-group tuple loop below does. Inputs produced
-      // group-major (member lists, doc-major word tables, an empty key
-      // over the whole input) already satisfy that: one adjacent-key scan
-      // verifies it — one hash insert per *group* rejects keys that
-      // reappear in a later run — and the spans then alias the input
-      // columns outright. Otherwise group-sort into fresh columns with
-      // the same first-seen hash grouping the tuple path uses.
-      const std::size_t n_rows = in.num_rows();
-      std::vector<std::uint32_t> group_offsets{0};
-      bool pre_grouped = true;
-      {
-        std::unordered_set<PackedKey, PackedKeyHash> seen;
-        PackedKey prev{};
-        for (std::size_t r = 0; r < n_rows; ++r) {
-          PackedKey key = PackRowKey(in, gidx, r);
-          if (r == 0 || !(key == prev)) {
-            if (!seen.insert(key).second) {
-              pre_grouped = false;
-              break;
-            }
-            if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
-            prev = key;
+    // Columnar VG dispatch: every invocation group must be one contiguous
+    // column span, groups in first-seen order, rows in original order, so
+    // the function consumes the shared RNG exactly as the per-group tuple
+    // loop of the row branch below does. Inputs produced group-major
+    // (member lists, doc-major word tables, an empty key over the whole
+    // input) already satisfy that: one adjacent-key scan verifies it — one
+    // hash insert per *group* rejects keys that reappear in a later run —
+    // and the spans then alias the input columns outright. Otherwise
+    // group-sort into fresh columns with the same first-seen hash grouping
+    // the row branch uses.
+    const std::size_t n_rows = in.num_rows();
+    std::vector<std::uint32_t> group_offsets{0};
+    bool pre_grouped = true;
+    {
+      std::unordered_set<PackedKey, PackedKeyHash> seen;
+      PackedKey prev{};
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        PackedKey key = PackRowKey(in, gidx, r);
+        if (r == 0 || !(key == prev)) {
+          if (!seen.insert(key).second) {
+            pre_grouped = false;
+            break;
           }
+          if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
+          prev = key;
         }
       }
-      ColumnBatch grouped;
-      if (pre_grouped) {
-        if (n_rows > 0) {
-          group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
-        }
-        std::vector<std::shared_ptr<const Column>> cols;
-        cols.reserve(in.num_cols());
-        for (std::size_t c = 0; c < in.num_cols(); ++c) {
-          cols.push_back(in.col_ptr(c));
-        }
-        grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
-      } else {
-        std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
-        std::vector<std::vector<std::uint32_t>> group_rows;
-        for (std::size_t r = 0; r < n_rows; ++r) {
-          auto [it, inserted] = slots.try_emplace(
-              PackRowKey(in, gidx, r),
-              static_cast<std::uint32_t>(group_rows.size()));
-          if (inserted) group_rows.emplace_back();
-          group_rows[it->second].push_back(static_cast<std::uint32_t>(r));
-        }
-        group_offsets.assign(group_rows.size() + 1, 0);
-        for (std::size_t g = 0; g < group_rows.size(); ++g) {
-          group_offsets[g + 1] =
-              group_offsets[g] +
-              static_cast<std::uint32_t>(group_rows[g].size());
-        }
-        grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
-                              in.scale());
+    }
+    ColumnBatch grouped;
+    if (pre_grouped) {
+      if (n_rows > 0) {
+        group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
       }
-      const std::size_t n_groups = group_offsets.size() - 1;
-      const std::size_t hint =
-          n_groups == 0 ? 0 : n_groups * vg.OutRowsHint(n_rows / n_groups);
-      VgBatchOut vout;
-      vout.rows.reserve(hint);
-      vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
-      if (vout.columnar) {
-        out_batch = std::make_shared<const ColumnBatch>(
-            vg.output_schema(), std::move(vout.cols), out_scale);
-      } else {
-        // Fallback default went through Sample: adopt its rows wholesale.
-        out.rows() = std::move(vout.rows);
+      std::vector<std::shared_ptr<const Column>> cols;
+      cols.reserve(in.num_cols());
+      for (std::size_t c = 0; c < in.num_cols(); ++c) {
+        cols.push_back(in.col_ptr(c));
       }
+      grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
     } else {
-      // Group row indices by packed key in first-seen order (an empty key
-      // packs as n = 0, one group over the whole input — same as the row
-      // engine's empty-Tuple key).
       std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
       std::vector<std::vector<std::uint32_t>> group_rows;
-      for (std::size_t r = 0; r < in.num_rows(); ++r) {
+      for (std::size_t r = 0; r < n_rows; ++r) {
         auto [it, inserted] = slots.try_emplace(
             PackRowKey(in, gidx, r),
             static_cast<std::uint32_t>(group_rows.size()));
         if (inserted) group_rows.emplace_back();
         group_rows[it->second].push_back(static_cast<std::uint32_t>(r));
       }
-      const std::size_t n_groups = group_rows.size();
-      out.Reserve(n_groups == 0
-                      ? 0
-                      : n_groups * vg.OutRowsHint(in.num_rows() / n_groups));
-      std::vector<Tuple> params;
-      for (const auto& rows_in_group : group_rows) {
-        params.resize(rows_in_group.size());
-        for (std::size_t j = 0; j < rows_in_group.size(); ++j) {
-          in.MaterializeRow(rows_in_group[j], &params[j]);
-        }
-        vg.Sample(params, schema(), db_->rng(), &out.rows());
+      group_offsets.assign(group_rows.size() + 1, 0);
+      for (std::size_t g = 0; g < group_rows.size(); ++g) {
+        group_offsets[g + 1] =
+            group_offsets[g] +
+            static_cast<std::uint32_t>(group_rows[g].size());
       }
+      grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
+                            in.scale());
+    }
+    const std::size_t n_groups = group_offsets.size() - 1;
+    const std::size_t hint =
+        n_groups == 0 ? 0 : n_groups * vg.OutRowsHint(n_rows / n_groups);
+    VgBatchOut vout;
+    vout.rows.reserve(hint);
+    vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
+    if (vout.columnar) {
+      out_batch = std::make_shared<const ColumnBatch>(
+          vg.output_schema(), std::move(vout.cols), out_scale);
+    } else {
+      // Fallback default went through Sample: adopt its rows wholesale.
+      out.rows() = std::move(vout.rows);
     }
   } else {
     // Partition parameter rows into invocation groups (stable order).
@@ -947,13 +758,13 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
 Rel Rel::Union(const Rel& other) const {
   MLBENCH_CHECK(schema().size() == other.schema().size());
-  if (UseColumnar() && other.UseColumnar()) {
+  if (EnsureBatch() && other.EnsureBatch()) {
     const ColumnBatch& a = *batch_;
     const ColumnBatch& b = *other.batch_;
     if (b.num_rows() == 0) return Rel(db_, batch_);
     if (a.num_rows() == 0) {
       // Adopt the right side's columns under the left schema and scale
-      // (Union keeps the left's, like the row engine).
+      // (Union keeps the left's, like the row branch).
       return Rel(db_, std::make_shared<const ColumnBatch>(
                           b.WithSchema(a.schema(), a.scale())));
     }
@@ -996,7 +807,7 @@ Rel Rel::Union(const Rel& other) const {
 void Rel::Materialize(const std::string& name) const {
   ChargeIo(SelfBytes());
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     db_->PutBatch(name, batch_, table_);
   } else {
     db_->Put(name, *table_);

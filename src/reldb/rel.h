@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,18 +21,24 @@
 /// storage I/O for every materialization boundary — the cost structure of
 /// SimSQL-on-Hadoop the paper measures.
 ///
-/// Host execution has two interchangeable engines. The row engine walks
-/// vector<Tuple> directly; the columnar engine (default, see
-/// Database::columnar()) runs the same operators over ColumnBatch — typed
-/// contiguous arrays, selection-vector filters, index-gather projects, and
-/// join/group-by hash tables keyed on packed fixed-width integers. Both
-/// engines charge the simulator from logical row counts and schema widths
-/// only (never from the host representation), commit host-parallel chunks
-/// in chunk-index order, and invoke VG functions serially in first-seen
-/// group order against the shared RNG stream — so results, draw streams
-/// and simulated charges are bit-identical between engines and across
-/// MLBENCH_THREADS settings. A relation whose column mixes int and double
-/// values cannot be typed; those operators fall back to the row engine.
+/// Operators run over ColumnBatch — typed contiguous arrays,
+/// selection-vector filters evaluated by the expression VM (expr_vm.h),
+/// index-gather projects, and join/group-by hash tables keyed on packed
+/// fixed-width integers. Two kinds of input take a row-tuple branch
+/// instead (DESIGN.md §10):
+///
+///  * HashJoin, GroupBy and VgApply keys that cannot be packed — a double
+///    key column, or more than four key columns. SQL reaches these, e.g.
+///    `GROUP BY val` over a double column.
+///  * A relation whose column mixes int and double values cannot be typed
+///    at all; every operator on it runs on rows.
+///
+/// Every branch charges the simulator from logical row counts and schema
+/// widths only (never from the host representation), commits host-parallel
+/// chunks in chunk-index order, and invokes VG functions serially in
+/// first-seen group order against the shared RNG stream — so results, draw
+/// streams and simulated charges are bit-identical across MLBENCH_THREADS
+/// settings.
 ///
 /// Usage follows the SQL structure of the paper's codes:
 ///
@@ -57,21 +62,16 @@ struct Agg {
   std::string out_name;  ///< output column name
 };
 
-/// One output column of a structured Project: a passthrough of an input
-/// column, a constant, a compiled ScalarExpr, or an opaque computed double
-/// lambda. Structured projects let the columnar engine share passthrough
-/// columns zero-copy and fill constant/computed columns without touching
-/// row storage; the row engine evaluates them per row with identical
-/// results. Prefer ColExpr::Expr for computed columns — compiled programs
-/// run batch-fused through the bytecode VM (expr_vm.h); ColExpr::Fn stays
-/// as the fallback for expressions outside the ScalarExpr vocabulary and
-/// always pays the per-row interpretation price.
+/// One output column of a Project: a passthrough of an input column, a
+/// constant, or a compiled ScalarExpr. Passthrough columns are shared
+/// zero-copy, constants fill without touching row storage, and compiled
+/// columns run batch-fused through the bytecode VM (expr_vm.h); the row
+/// fallback evaluates the same program per row with identical results.
 struct ColExpr {
   int src = -1;           ///< passthrough input column (when >= 0)
   bool is_const = false;  ///< emit `constant` for every row
   Value constant = std::int64_t{0};
   std::shared_ptr<const ExprProgram> prog;  ///< compiled double column
-  std::function<double(const Tuple&)> fn;   ///< opaque computed column
 
   static ColExpr Col(std::size_t idx) {
     ColExpr e;
@@ -87,11 +87,6 @@ struct ColExpr {
   static ColExpr Expr(const ScalarExpr& expr) {
     ColExpr e;
     e.prog = std::make_shared<const ExprProgram>(ExprProgram::Compile(expr));
-    return e;
-  }
-  static ColExpr Fn(std::function<double(const Tuple&)> f) {
-    ColExpr e;
-    e.fn = std::move(f);
     return e;
   }
 };
@@ -115,40 +110,27 @@ class Rel {
   double logical_rows() const {
     return batch_ ? batch_->logical_rows() : table_->logical_rows();
   }
-  /// True when this relation currently holds a columnar batch (parity
-  /// tests assert the columnar engine actually engaged).
-  bool columnar() const { return batch_ != nullptr; }
-
-  /// Keeps rows satisfying `pred` (narrow, pipelined).
-  Rel Filter(const std::function<bool(const Tuple&)>& pred) const;
-
-  /// Keeps rows where the compiled predicate is non-zero. Same semantics
-  /// and charges as the lambda form, but the columnar engine runs the
-  /// bytecode VM batch-fused over the typed arrays (one dispatch per
-  /// opcode per chunk) instead of materializing a Tuple per row.
+  /// Keeps rows where the compiled predicate is non-zero (narrow,
+  /// pipelined). The bytecode VM runs batch-fused over the typed arrays:
+  /// one dispatch per opcode per chunk.
   Rel Filter(const ScalarExpr& pred) const;
 
   /// The identity filter: keeps every row, charging exactly what a
-  /// Filter whose predicate returns true charges. Used where the paper's
-  /// plan scans a relation without dropping anything; shares the input
-  /// representation zero-copy on both engines.
+  /// Filter whose predicate is always true charges. Used where the
+  /// paper's plan scans a relation without dropping anything; shares the
+  /// input representation zero-copy.
   Rel FilterAll() const;
 
-  /// Keeps rows whose integer column `col` is one of `values`. Same
-  /// semantics and charges as Filter with an AsInt membership predicate,
-  /// but the columnar engine scans the typed array directly.
+  /// Keeps rows whose integer column `col` is one of `values`; shorthand
+  /// for Filter(ScalarExpr::IntIn(...)).
   Rel FilterIntIn(const std::string& col,
                   const std::vector<std::int64_t>& values) const;
 
-  /// Rewrites every row through `fn` into `out_schema` (narrow, pipelined).
-  Rel Project(Schema out_schema,
-              const std::function<Tuple(const Tuple&)>& fn) const;
-
-  /// Structured project: one ColExpr per output column (narrow, pipelined).
+  /// One ColExpr per output column (narrow, pipelined).
   Rel Project(Schema out_schema, const std::vector<ColExpr>& exprs) const;
 
   /// Renames columns without touching data (an identity Project; same
-  /// charges). The columnar engine shares all column storage zero-copy.
+  /// charges). Shares all column storage zero-copy.
   Rel Renamed(Schema out_schema) const;
 
   /// Hash equi-join. Output columns are the left schema followed by the
@@ -187,13 +169,10 @@ class Rel {
   /// Lazily materializes (and caches) the row form.
   const Table* EnsureTable() const;
   /// Lazily converts (and caches) the columnar form; false when a column
-  /// mixes value types (the failure is cached too).
+  /// mixes value types (the failure is cached too), and the operator runs
+  /// on rows.
   bool EnsureBatch() const;
-  /// Whether this operator invocation should run columnar.
-  bool UseColumnar() const { return db_->columnar() && EnsureBatch(); }
 
-  /// Row-engine filter body shared by Filter and fallbacks (no charges).
-  Rel RowFilter(const std::function<bool(const Tuple&)>& pred) const;
 
   /// Charges per-tuple CPU across the cluster for `logical` tuples.
   void ChargeTuples(double logical, double per_tuple_s) const;
@@ -204,7 +183,7 @@ class Rel {
 
   /// Logical stored bytes of this relation — a function of logical rows
   /// and schema width only, never of the host representation, so charges
-  /// match between engines.
+  /// match between the columnar and row branches.
   double SelfBytes() const {
     return logical_rows() * db_->TupleBytes(schema().size());
   }

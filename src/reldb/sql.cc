@@ -651,7 +651,7 @@ Result<ScalarExpr> LowerExpr(const Expr& e, const Schema& schema) {
 
 /// Lowers a WHERE predicate: both sides lower as expressions and the
 /// comparison operator resolves to its opcode once, at plan time — there
-/// is no per-row string comparison on either engine.
+/// is no per-row string comparison.
 Result<ScalarExpr> LowerPred(const Pred& p, const Schema& schema) {
   MLBENCH_ASSIGN_OR_RETURN(ScalarExpr lhs, LowerExpr(p.lhs, schema));
   MLBENCH_ASSIGN_OR_RETURN(ScalarExpr rhs, LowerExpr(p.rhs, schema));
@@ -791,7 +791,7 @@ class Evaluator {
  private:
   Result<Rel> EvalProjection(const SelectStmt& s, const Rel& in) {
     // Structured project: column references pass through (preserving
-    // integer values and, on the columnar engine, sharing their storage);
+    // integer values and sharing their column storage);
     // everything else compiles to a computed double column.
     std::vector<ColExpr> exprs;
     std::vector<std::string> names;
@@ -901,48 +901,44 @@ class Evaluator {
     Rel grouped = pre.GroupBy(key_names, final_aggs, out_scale);
     if (post_fixes.empty()) return grouped;
     // Fold the hidden post-arithmetic columns into their aggregates and
-    // drop them from the output.
-    std::size_t n_keys = key_names.size();
-    std::vector<std::string> final_names = key_names;
-    std::vector<bool> hidden(final_aggs.size(), false);
-    for (const auto& fix : post_fixes) hidden[fix.hidden_index] = true;
-    for (std::size_t a = 0; a < final_aggs.size(); ++a) {
-      if (!hidden[a]) final_names.push_back(final_aggs[a].out_name);
+    // drop them from the output: keys and plain aggregates pass through,
+    // each post-arithmetic aggregate compiles to `agg op hidden`.
+    const std::size_t n_keys = key_names.size();
+    std::vector<const PostFix*> fix_of(final_aggs.size(), nullptr);
+    for (const auto& fix : post_fixes) {
+      fix_of[fix.agg_index] = &fix;
+      fix_of[fix.hidden_index] = &fix;
     }
-    auto fixes = post_fixes;
-    return grouped.Project(
-        Schema(std::move(final_names)),
-        [fixes, n_keys, hidden](const Tuple& t) {
-          // Apply the arithmetic in place, then drop hidden columns.
-          std::vector<double> vals;
-          for (std::size_t a = n_keys; a < t.size(); ++a) {
-            vals.push_back(AsDouble(t[a]));
-          }
-          for (const auto& fix : fixes) {
-            double& v = vals[fix.agg_index];
-            double w = vals[fix.hidden_index];
-            switch (fix.op) {
-              case '+':
-                v += w;
-                break;
-              case '-':
-                v -= w;
-                break;
-              case '*':
-                v *= w;
-                break;
-              default:
-                v /= w;
-                break;
-            }
-          }
-          Tuple out;
-          for (std::size_t k = 0; k < n_keys; ++k) out.push_back(t[k]);
-          for (std::size_t a = 0; a < vals.size(); ++a) {
-            if (!hidden[a]) out.push_back(vals[a]);
-          }
-          return out;
-        });
+    std::vector<std::string> final_names = key_names;
+    std::vector<ColExpr> final_exprs;
+    for (std::size_t k = 0; k < n_keys; ++k) {
+      final_exprs.push_back(ColExpr::Col(k));
+    }
+    for (std::size_t a = 0; a < final_aggs.size(); ++a) {
+      const PostFix* fix = fix_of[a];
+      if (fix != nullptr && fix->hidden_index == a) continue;
+      final_names.push_back(final_aggs[a].out_name);
+      if (fix == nullptr) {
+        final_exprs.push_back(ColExpr::Col(n_keys + a));
+        continue;
+      }
+      ScalarExpr::BinOp op = ScalarExpr::BinOp::kDiv;
+      switch (fix->op) {
+        case '+':
+          op = ScalarExpr::BinOp::kAdd;
+          break;
+        case '-':
+          op = ScalarExpr::BinOp::kSub;
+          break;
+        case '*':
+          op = ScalarExpr::BinOp::kMul;
+          break;
+      }
+      final_exprs.push_back(ColExpr::Expr(
+          ScalarExpr::Bin(op, ScalarExpr::Col(n_keys + a),
+                          ScalarExpr::Col(n_keys + fix->hidden_index))));
+    }
+    return grouped.Project(Schema(std::move(final_names)), final_exprs);
   }
 
   SqlContext* ctx_;

@@ -16,13 +16,13 @@
 /// C++ and called from the Java engine — the per-tuple boundary-crossing
 /// cost is modeled in RelDbCosts::vg_tuple_s.
 ///
-/// Two execution surfaces (DESIGN.md §14): the tuple-at-a-time Sample and
-/// the columnar SampleBatch, which receives every invocation group of one
-/// VgApply as contiguous column spans of a group-sorted ColumnBatch. The
-/// SampleBatch default falls back to Sample per group, so functions opt in
-/// incrementally; ported functions must consume the shared RNG in exactly
-/// the per-group order the tuple path does, which is what keeps batched
-/// and scalar runs bit-identical.
+/// Two execution surfaces (DESIGN.md §14): the columnar SampleBatch, which
+/// receives every invocation group of one VgApply as contiguous column
+/// spans of a group-sorted ColumnBatch, and the tuple-at-a-time Sample,
+/// which VgApply calls when the group key cannot be packed (a double or
+/// more than four key columns). The SampleBatch default falls back to
+/// Sample per group. Both must consume the shared RNG in the same
+/// per-group order, so a group's draws do not depend on its key's type.
 
 namespace mlbench::reldb {
 

@@ -173,6 +173,16 @@ TEST(AdmissionControllerTest, TwoSessionsRaceForTheLastBytes) {
       int seen = max_holding.load();
       while (now > seen && !max_holding.compare_exchange_weak(seen, now)) {
       }
+      // The first winner keeps the bytes until the other racer has
+      // queued behind it (bounded), so the race happens even when a
+      // loaded host starts the second thread late.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (ctl.stats().admitted < 3 && ctl.stats().peak_queue_depth == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        // mlint: allow(raw-thread) — polls for the other racer to queue
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       // mlint: allow(raw-thread) — widens the hold window
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       concurrently_holding.fetch_sub(1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "core/gmm_bsp.h"
 #include "core/gmm_dataflow.h"
@@ -52,6 +53,10 @@ struct PlatformCase {
   Runner runner;
   bool super;
 };
+
+// Prints the case by name so the test's listed GetParam() is stable across
+// runs; the default printer dumps raw bytes, which include pointers.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 class GmmPlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 

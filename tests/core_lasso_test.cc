@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/lasso_bsp.h"
 #include "core/lasso_dataflow.h"
@@ -44,6 +45,10 @@ struct PlatformCase {
   Runner runner;
   bool super;
 };
+
+// Prints the case by name so the test's listed GetParam() is stable across
+// runs; the default printer dumps raw bytes, which include pointers.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 class LassoPlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 

@@ -5,43 +5,26 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <random>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/gmm_reldb.h"
-#include "core/hmm_reldb.h"
-#include "core/lasso_reldb.h"
-#include "core/lda_reldb.h"
-#include "exec/thread_pool.h"
-#include "reldb/database.h"
-#include "reldb/rel.h"
-#include "reldb/sql.h"
-#include "sim/cluster_sim.h"
-#include "sim/machine.h"
+#include "reldb/column_batch.h"
 
 namespace mlbench {
 namespace {
 
-using core::RunResult;
-using reldb::ColExpr;
 using reldb::ColumnBatch;
-using reldb::Database;
 using reldb::ExprProgram;
-using reldb::Rel;
 using reldb::ScalarExpr;
 using reldb::Schema;
-using reldb::SqlContext;
-using reldb::Table;
 using reldb::Tuple;
 
 using Column = ColumnBatch::Column;
 
 /// Bitwise double comparison: NaN == NaN, and -0.0 != 0.0 — exactly the
-/// "bit-identical" contract the VM promises against the interpreter.
+/// "bit-identical" contract the VM promises against the row interpreter.
 std::uint64_t Bits(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof(u));
@@ -259,325 +242,6 @@ TEST_F(ExprVmTest, RandomExpressionsMatchBitForBit) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectRowBatchParity(e);
   }
-}
-
-// ---- Operator- and SQL-level VM vs interpreter parity ---------------------
-//
-// Two columnar Databases differing only in the expr_vm flag run the same
-// plan; tuples (typed variant equality), simulated time, and the RNG
-// stream must match bit-for-bit — the MLBENCH_RELDB_INTERP contract.
-
-void ExpectSameTable(const Table& a, const Table& b) {
-  ASSERT_EQ(a.schema().columns(), b.schema().columns());
-  EXPECT_EQ(a.scale(), b.scale());
-  ASSERT_EQ(a.rows().size(), b.rows().size());
-  for (std::size_t r = 0; r < a.rows().size(); ++r) {
-    EXPECT_TRUE(a.rows()[r] == b.rows()[r]) << "row " << r;
-  }
-}
-
-class VmInterpParity : public ::testing::Test {
- protected:
-  VmInterpParity()
-      : sim_vm_(sim::Ec2M2XLargeCluster(5)),
-        sim_interp_(sim::Ec2M2XLargeCluster(5)),
-        vm_(&sim_vm_, sim::RelDbCosts{}, 42),
-        interp_(&sim_interp_, sim::RelDbCosts{}, 42) {
-    vm_.set_columnar(true);
-    vm_.set_expr_vm(true);
-    interp_.set_columnar(true);
-    interp_.set_expr_vm(false);
-
-    Table data(Schema{"data_id", "dim_id", "data_val"}, 1e6);
-    for (std::int64_t p = 0; p < 40; ++p) {
-      for (std::int64_t d = 0; d < 3; ++d) {
-        data.Append(Tuple{p, d, static_cast<double>(10 * p + d + 1) * 0.25});
-      }
-    }
-    Load("data", data);
-
-    Table members(Schema{"data_id", "clus_id"}, 1e6);
-    for (std::int64_t p = 0; p < 40; ++p) members.Append(Tuple{p, p % 7});
-    Load("membership[0]", members);
-  }
-
-  void Load(const std::string& name, const Table& t) {
-    vm_.Put(name, t);
-    interp_.Put(name, t);
-  }
-
-  void ExpectParity(const std::function<Rel(Database&)>& plan) {
-    vm_.BeginQuery("q");
-    Rel v = plan(vm_);
-    vm_.EndQuery();
-    interp_.BeginQuery("q");
-    Rel t = plan(interp_);
-    interp_.EndQuery();
-    ExpectSameTable(v.table(), t.table());
-    EXPECT_EQ(sim_vm_.elapsed_seconds(), sim_interp_.elapsed_seconds());
-    EXPECT_EQ(vm_.rng().NextU64(), interp_.rng().NextU64());
-  }
-
-  void ExpectSqlParity(const std::string& sql) {
-    SqlContext vm_ctx(&vm_);
-    SqlContext interp_ctx(&interp_);
-    auto v = vm_ctx.Execute(sql);
-    auto t = interp_ctx.Execute(sql);
-    ASSERT_TRUE(v.ok()) << v.status().ToString();
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-    ExpectSameTable(*v, *t);
-    EXPECT_EQ(sim_vm_.elapsed_seconds(), sim_interp_.elapsed_seconds());
-    EXPECT_EQ(vm_.rng().NextU64(), interp_.rng().NextU64());
-  }
-
-  sim::ClusterSim sim_vm_, sim_interp_;
-  Database vm_, interp_;
-};
-
-TEST_F(VmInterpParity, CompiledFilter) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Filter(ScalarExpr::Compare(
-        ScalarExpr::CmpOp::kGt, ScalarExpr::Col(2), ScalarExpr::Const(17.0)));
-  });
-}
-
-TEST_F(VmInterpParity, CompiledFilterOnRowEngineFallsBack) {
-  vm_.set_columnar(false);
-  interp_.set_columnar(false);
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Filter(ScalarExpr::Compare(
-        ScalarExpr::CmpOp::kLe, ScalarExpr::Col(2), ScalarExpr::Const(40.0)));
-  });
-}
-
-TEST_F(VmInterpParity, FilterIntIn) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").FilterIntIn("dim_id", {0, 2});
-  });
-}
-
-TEST_F(VmInterpParity, FilterAllKeepsEverythingAndChargesLikeFilter) {
-  ExpectParity([](Database& db) { return Rel::Scan(db, "data").FilterAll(); });
-  // FilterAll must charge exactly what a keep-everything Filter charges
-  // and return the same relation. The two clocks are bit-equal here, so
-  // running one form on each database keeps the comparison exact.
-  vm_.BeginQuery("all");
-  Rel all = Rel::Scan(vm_, "data").FilterAll();
-  vm_.EndQuery();
-  interp_.BeginQuery("lambda");
-  Rel keep =
-      Rel::Scan(interp_, "data").Filter([](const Tuple&) { return true; });
-  interp_.EndQuery();
-  EXPECT_EQ(sim_vm_.elapsed_seconds(), sim_interp_.elapsed_seconds());
-  ExpectSameTable(all.table(), keep.table());
-  EXPECT_TRUE(all.columnar());
-}
-
-TEST_F(VmInterpParity, StructuredProjectCompiledColumns) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Project(
-        Schema{"data_id", "kind", "unit", "twice", "root"},
-        {ColExpr::Col(0), ColExpr::Const(std::int64_t{3}), ColExpr::Const(1.5),
-         ColExpr::Expr(ScalarExpr::Mul(ScalarExpr::Col(2),
-                                       ScalarExpr::Const(2.0))),
-         ColExpr::Expr(ScalarExpr::Call(ScalarExpr::Fn1::kSqrt,
-                                        ScalarExpr::Col(2)))});
-  });
-}
-
-TEST_F(VmInterpParity, StructuredProjectMixesCompiledAndLambdaSlots) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Project(
-        Schema{"compiled", "opaque"},
-        {ColExpr::Expr(ScalarExpr::Add(ScalarExpr::Col(2),
-                                       ScalarExpr::Const(1.0))),
-         ColExpr::Fn([](const Tuple& t) {
-           return reldb::AsDouble(t[2]) * reldb::AsDouble(t[2]);
-         })});
-  });
-}
-
-TEST_F(VmInterpParity, SqlResidualWhereEveryComparison) {
-  for (const char* cmp : {"=", "<", ">", "<=", ">=", "<>"}) {
-    ExpectSqlParity(std::string("SELECT data_id, data_val FROM data "
-                                "WHERE data_val * 2 ") +
-                    cmp + " data_id + 20");
-  }
-}
-
-TEST_F(VmInterpParity, SqlArithmeticProjection) {
-  ExpectSqlParity(
-      "SELECT data_val * 2 + 1 AS scaled, sqrt(data_val) AS root, "
-      "log(data_val) AS lg, exp(data_val / 100) AS ex, abs(0 - data_val) "
-      "AS mag FROM data WHERE dim_id = 1");
-}
-
-TEST_F(VmInterpParity, SqlAggregateWithGroupBy) {
-  ExpectSqlParity(
-      "SELECT dim_id, AVG(data_val) AS m, SUM(data_val * data_val) AS s, "
-      "COUNT(*) AS n FROM data GROUP BY dim_id");
-}
-
-TEST_F(VmInterpParity, SqlJoinThenResidualFilter) {
-  ExpectSqlParity(
-      "SELECT d.data_id, d.data_val, m.clus_id "
-      "FROM data d, membership[0] m "
-      "WHERE d.data_id = m.data_id AND d.data_val > 25 AND m.clus_id <> 3");
-}
-
-// ---- Whole-driver parity at 1 and 4 threads -------------------------------
-//
-// Each reldb model driver runs once with the interpreter (the baseline,
-// 1 thread) and then with the VM at 1 and 4 host threads; every
-// observable — simulated init/iteration times, peak RAM, and the final
-// model — must be bit-identical.
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  ASSERT_TRUE(a.ok()) << a.status.ToString();
-  ASSERT_TRUE(b.ok()) << b.status.ToString();
-  EXPECT_EQ(a.init_seconds, b.init_seconds);
-  ASSERT_EQ(a.iteration_seconds.size(), b.iteration_seconds.size());
-  for (std::size_t i = 0; i < a.iteration_seconds.size(); ++i) {
-    EXPECT_EQ(a.iteration_seconds[i], b.iteration_seconds[i]) << "iter " << i;
-  }
-  EXPECT_EQ(a.peak_machine_bytes, b.peak_machine_bytes);
-}
-
-class VmDriverParity : public ::testing::Test {
- protected:
-  void SetUp() override { Database::SetDefaultColumnar(true); }
-
-  void TearDown() override {
-    exec::ThreadPool::SetGlobalThreads(1);
-    Database::SetDefaultColumnar(saved_columnar_);
-    Database::SetDefaultExprVm(saved_vm_);
-  }
-
-  /// Runs `runner` with the interpreter at 1 thread (the baseline), then
-  /// with the VM at 1 and 4 threads, comparing each run to the baseline
-  /// with `same_model`.
-  template <typename Model, typename Runner>
-  void ExpectVmParity(
-      Runner runner,
-      const std::function<void(const Model&, const Model&)>& same_model) {
-    exec::ThreadPool::SetGlobalThreads(1);
-    Database::SetDefaultExprVm(false);
-    Model base_model;
-    RunResult base = runner(&base_model);
-
-    for (int threads : {1, 4}) {
-      exec::ThreadPool::SetGlobalThreads(threads);
-      Database::SetDefaultExprVm(true);
-      Model model;
-      RunResult run = runner(&model);
-      ExpectSameRun(base, run);
-      same_model(base_model, model);
-    }
-  }
-
- private:
-  bool saved_columnar_ = Database::DefaultColumnar();
-  bool saved_vm_ = Database::DefaultExprVm();
-};
-
-void ExpectSameGmm(const models::GmmParams& a, const models::GmmParams& b) {
-  EXPECT_EQ(a.pi.raw(), b.pi.raw());
-  ASSERT_EQ(a.mu.size(), b.mu.size());
-  for (std::size_t k = 0; k < a.mu.size(); ++k) {
-    EXPECT_EQ(a.mu[k].raw(), b.mu[k].raw()) << "mu " << k;
-    for (std::size_t r = 0; r < a.sigma[k].rows(); ++r) {
-      for (std::size_t c = 0; c < a.sigma[k].cols(); ++c) {
-        EXPECT_EQ(a.sigma[k](r, c), b.sigma[k](r, c)) << "sigma " << k;
-      }
-    }
-  }
-}
-
-core::GmmExperiment SmallGmm(bool imputation) {
-  core::GmmExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 3;
-  exp.dim = 3;
-  exp.k = 2;
-  exp.config.data.logical_per_machine = 1e6;
-  exp.config.data.actual_per_machine = 200;
-  exp.config.seed = 77;
-  exp.imputation = imputation;
-  return exp;
-}
-
-TEST_F(VmDriverParity, Gmm) {
-  core::GmmExperiment exp = SmallGmm(false);
-  ExpectVmParity<models::GmmParams>(
-      [&](models::GmmParams* m) { return core::RunGmmRelDb(exp, m); },
-      ExpectSameGmm);
-}
-
-TEST_F(VmDriverParity, GmmImputation) {
-  core::GmmExperiment exp = SmallGmm(true);
-  ExpectVmParity<models::GmmParams>(
-      [&](models::GmmParams* m) { return core::RunGmmRelDb(exp, m); },
-      ExpectSameGmm);
-}
-
-TEST_F(VmDriverParity, HmmWordBased) {
-  core::HmmExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 2;
-  exp.states = 3;
-  exp.vocab = 50;
-  exp.mean_doc_len = 12;
-  exp.granularity = core::TextGranularity::kWord;
-  exp.config.data.logical_per_machine = 1e5;
-  exp.config.data.actual_per_machine = 20;
-  exp.config.seed = 19;
-  ExpectVmParity<models::HmmParams>(
-      [&](models::HmmParams* m) { return core::RunHmmRelDb(exp, m); },
-      [](const models::HmmParams& a, const models::HmmParams& b) {
-        EXPECT_EQ(a.delta0.raw(), b.delta0.raw());
-        ASSERT_EQ(a.delta.size(), b.delta.size());
-        for (std::size_t s = 0; s < a.delta.size(); ++s) {
-          EXPECT_EQ(a.delta[s].raw(), b.delta[s].raw()) << "delta " << s;
-          EXPECT_EQ(a.psi[s].raw(), b.psi[s].raw()) << "psi " << s;
-        }
-      });
-}
-
-TEST_F(VmDriverParity, LdaDocumentBased) {
-  core::LdaExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 2;
-  exp.topics = 4;
-  exp.vocab = 60;
-  exp.mean_doc_len = 15;
-  exp.granularity = core::TextGranularity::kDocument;
-  exp.config.data.logical_per_machine = 1e5;
-  exp.config.data.actual_per_machine = 20;
-  exp.config.seed = 31;
-  ExpectVmParity<models::LdaParams>(
-      [&](models::LdaParams* m) { return core::RunLdaRelDb(exp, m); },
-      [](const models::LdaParams& a, const models::LdaParams& b) {
-        ASSERT_EQ(a.phi.size(), b.phi.size());
-        for (std::size_t t = 0; t < a.phi.size(); ++t) {
-          EXPECT_EQ(a.phi[t].raw(), b.phi[t].raw()) << "topic " << t;
-        }
-      });
-}
-
-TEST_F(VmDriverParity, Lasso) {
-  core::LassoExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 3;
-  exp.p = 8;
-  exp.config.data.actual_per_machine = 100;
-  exp.config.seed = 7;
-  ExpectVmParity<models::LassoState>(
-      [&](models::LassoState* m) { return core::RunLassoRelDb(exp, m); },
-      [](const models::LassoState& a, const models::LassoState& b) {
-        EXPECT_EQ(a.beta.raw(), b.beta.raw());
-        EXPECT_EQ(a.inv_tau2.raw(), b.inv_tau2.raw());
-        EXPECT_EQ(a.sigma2, b.sigma2);
-      });
 }
 
 }  // namespace

@@ -68,9 +68,13 @@ TEST(FailureInjection, GasSweepFreesViewsAfterOom) {
   ASSERT_TRUE(engine.Boot().ok());
   double pinned = sim.used_bytes(0) + sim.used_bytes(1);
   class Prog : public gas::GasProgram<VData, double> {
-    double Gather(const gas::Graph<VData>::Vertex&,
-                  const gas::Graph<VData>::Vertex& n) override {
-      return n.data.v;
+    void GatherBatch(const gas::Graph<VData>::Vertex&,
+                     const gas::Graph<VData>& graph,
+                     const std::size_t* neighbors, std::size_t count,
+                     double* out) override {
+      for (std::size_t j = 0; j < count; ++j) {
+        out[j] = graph.vertex(neighbors[j]).data.v;
+      }
     }
     double Merge(double a, const double& b) override { return a + b; }
     void Apply(gas::Graph<VData>::Vertex&, const double&) override {}
@@ -218,9 +222,10 @@ TEST(FaultRecovery, BspPermanentFailureReturnsUnavailable) {
 
 template <typename VData>
 struct NoopGasProgram : gas::GasProgram<VData, double> {
-  double Gather(const typename gas::Graph<VData>::Vertex&,
-                const typename gas::Graph<VData>::Vertex&) override {
-    return 0.0;
+  void GatherBatch(const typename gas::Graph<VData>::Vertex&,
+                   const gas::Graph<VData>&, const std::size_t*,
+                   std::size_t count, double* out) override {
+    for (std::size_t j = 0; j < count; ++j) out[j] = 0.0;
   }
   double Merge(double a, const double&) override { return a; }
   void Apply(typename gas::Graph<VData>::Vertex&, const double&) override {}

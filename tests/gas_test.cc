@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
 #include "gas/engine.h"
 #include "gas/graph.h"
 #include "sim/cluster_sim.h"
@@ -17,10 +18,12 @@ struct VData {
 
 class SumProgram : public GasProgram<VData, double> {
  public:
-  double Gather(const Graph<VData>::Vertex& center,
-                const Graph<VData>::Vertex& nbr) override {
-    (void)center;
-    return nbr.data.value;
+  void GatherBatch(const Graph<VData>::Vertex&, const Graph<VData>& graph,
+                   const std::size_t* neighbors, std::size_t count,
+                   double* out) override {
+    for (std::size_t j = 0; j < count; ++j) {
+      out[j] = graph.vertex(neighbors[j]).data.value;
+    }
   }
   double Merge(double a, const double& b) override { return a + b; }
   void Apply(Graph<VData>::Vertex& center, const double& total) override {
@@ -163,6 +166,67 @@ TEST(GasEngineTest, TransformVertices) {
   eng.TransformVertices(
       [](Graph<VData>::Vertex& v) { v.data.value *= 2; });
   EXPECT_DOUBLE_EQ(g.vertex(3).data.value, 6.0);
+}
+
+// ---- Frozen sweep outputs --------------------------------------------------
+//
+// A hub gathering 0.125 * i from each of its leaves, swept at 1 and 4 host
+// threads. 600 hub edges take the parallel chunked gather, 8 take the
+// single-span one; an isolated vertex neither gathers nor applies. The
+// expected clocks and sums were recorded while the engine still had a
+// per-edge Gather path beside GatherBatch, and both paths produced them.
+
+Graph<VData> ToyStar(int n_data, bool with_isolated) {
+  Graph<VData> g;
+  std::size_t hub = g.AddVertex(0, VData{true, 0, -1}, 1.0, 1024, 128);
+  for (int i = 1; i <= n_data; ++i) {
+    std::size_t v = g.AddVertex(
+        i, VData{false, 0.125 * static_cast<double>(i), -1}, 1.0, 64, 64);
+    g.AddEdge(hub, v);
+  }
+  if (with_isolated) {
+    g.AddVertex(n_data + 1, VData{false, 99.0, -1}, 1.0, 64, 64);
+  }
+  return g;
+}
+
+/// One SumProgram sweep over `g` at `threads` host threads; returns the
+/// simulated clock afterwards.
+double SweepToy(int threads, Graph<VData>* g) {
+  exec::ThreadPool::SetGlobalThreads(threads);
+  sim::ClusterSim sim(sim::Ec2M2XLargeCluster(2));
+  GasEngine<VData> eng(&sim, g);
+  EXPECT_TRUE(eng.Boot().ok());
+  SumProgram prog;
+  EXPECT_TRUE(eng.RunSweep(prog).ok());
+  exec::ThreadPool::SetGlobalThreads(1);
+  return sim.elapsed_seconds();
+}
+
+TEST(GasBatchFallback, DefaultGatherBatchMatchesScalarBothPaths) {
+  struct Frozen {
+    int n_data;
+    double seconds;
+    double hub_sum;
+  };
+  for (const Frozen& f : {Frozen{600, 2.0048719498227583, 22537.5},
+                         Frozen{8, 2.0021194234254178, 4.5}}) {
+    for (int threads : {1, 4}) {
+      Graph<VData> g = ToyStar(f.n_data, false);
+      EXPECT_EQ(SweepToy(threads, &g), f.seconds)
+          << f.n_data << " edges at " << threads << " threads";
+      EXPECT_EQ(g.vertex(0).data.gathered, f.hub_sum)
+          << f.n_data << " edges at " << threads << " threads";
+      // Every leaf gathered the hub's value.
+      EXPECT_EQ(g.vertex(1).data.gathered, 0.0);
+    }
+  }
+}
+
+TEST(GasBatchFallback, ZeroEdgeVertexIsSkippedIdentically) {
+  Graph<VData> g = ToyStar(12, true);
+  EXPECT_EQ(SweepToy(1, &g), 2.002142825160186);
+  EXPECT_EQ(g.vertex(13).data.gathered, -1.0);
 }
 
 }  // namespace

@@ -149,30 +149,17 @@ TEST(MlintChargeInParallel, ChargesOutsideTheLoopAreFine) {
   EXPECT_EQ(CountRule(r, "charge-in-parallel"), 0) << mlint::TextReport(r);
 }
 
-TEST(MlintChargeInParallel, RelOperatorLambdasAreParallelRegions) {
-  // Rel::Filter/Project/RowFilter run their row callbacks inside the
-  // engine's chunked ParallelFor; charges in those lambdas interleave.
+TEST(MlintChargeInParallel, FreeFunctionsNamedLikeOperatorsAreFine) {
+  // Only ParallelFor/ParallelReduce hand lambdas to worker chunks; a
+  // helper or member named Filter and a foreign Fn factory run theirs
+  // synchronously.
   auto r = LintContent("src/core/x.cc", R"cc(
-    void Sweep(sim::ClusterSim* sim, Rel rel) {
-      rel.Filter([&](const Tuple& t) {
+    void Sweep(sim::ClusterSim* sim, Table table) {
+      Filter([&](const Tuple& t) {
         sim->ChargeParallelCpu(1e-9);
         return true;
       });
-      rel.Project(Schema{"v"}, {ColExpr::Fn([&](const Tuple& t) {
-        sim->ChargeCpu(0, 1e-9);
-        return 0.0;
-      })});
-    }
-  )cc");
-  EXPECT_EQ(CountRule(r, "charge-in-parallel"), 2) << mlint::TextReport(r);
-}
-
-TEST(MlintChargeInParallel, FreeFunctionsNamedLikeOperatorsAreFine) {
-  // Only member-call forms are engine operators; a local helper named
-  // Filter and a foreign Fn factory take their lambdas synchronously.
-  auto r = LintContent("src/core/x.cc", R"cc(
-    void Sweep(sim::ClusterSim* sim) {
-      Filter([&](const Tuple& t) {
+      table.Filter([&](const Tuple& t) {
         sim->ChargeParallelCpu(1e-9);
         return true;
       });
@@ -368,22 +355,6 @@ TEST(MlintNaiveReduction, PerChunkSlotWritesAreFine) {
   // vector, but the root is subscripted by chunk identity; the rule walks
   // to the root and flags it — the suppression path documents why this one
   // stays. Here we just pin the current (conservative) behavior.
-  EXPECT_EQ(CountRule(r, "naive-reduction"), 1) << mlint::TextReport(r);
-}
-
-TEST(MlintNaiveReduction, CapturedAccumulatorInRelCallbackFlagged) {
-  // Row callbacks handed to the Rel operators execute under the engine's
-  // ParallelFor, so captured accumulation there is the same hazard.
-  auto r = LintContent("src/core/x.cc", R"cc(
-    double Total(Rel rel) {
-      double total = 0;
-      rel.RowFilter([&](const Tuple& t) {
-        total += AsDouble(t[0]);
-        return true;
-      });
-      return total;
-    }
-  )cc");
   EXPECT_EQ(CountRule(r, "naive-reduction"), 1) << mlint::TextReport(r);
 }
 

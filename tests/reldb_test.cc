@@ -59,9 +59,9 @@ TEST_F(RelDbTest, DropVersionsBefore) {
 
 TEST_F(RelDbTest, ScanAndFilter) {
   db_.BeginQuery("q");
-  auto r = Rel::Scan(db_, "data").Filter([](const Tuple& t) {
-    return AsInt(t[1]) == 0;  // dim_id == 0
-  });
+  auto r = Rel::Scan(db_, "data").Filter(ScalarExpr::Compare(
+      ScalarExpr::CmpOp::kEq, ScalarExpr::Col(1),  // dim_id == 0
+      ScalarExpr::Const(0.0)));
   db_.EndQuery();
   EXPECT_EQ(r.table().actual_rows(), 4u);
   EXPECT_DOUBLE_EQ(r.logical_rows(), 4e6);
@@ -70,9 +70,9 @@ TEST_F(RelDbTest, ScanAndFilter) {
 TEST_F(RelDbTest, ProjectRewritesRows) {
   db_.BeginQuery("q");
   auto r = Rel::Scan(db_, "data").Project(
-      Schema{"data_id", "doubled"}, [](const Tuple& t) {
-        return Tuple{t[0], AsDouble(t[2]) * 2.0};
-      });
+      Schema{"data_id", "doubled"},
+      {ColExpr::Col(0), ColExpr::Expr(ScalarExpr::Mul(
+                            ScalarExpr::Col(2), ScalarExpr::Const(2.0)))});
   db_.EndQuery();
   ASSERT_EQ(r.schema().size(), 2u);
   EXPECT_DOUBLE_EQ(AsDouble(r.table().rows()[1][1]), 2.0);

@@ -69,6 +69,26 @@ TEST_F(SqlTest, GroupByAggregates) {
   }
 }
 
+TEST_F(SqlTest, AggregatePostArithmetic) {
+  // `agg op expr` folds a per-group expression into the aggregate; the
+  // helper column carrying `expr` does not reach the output.
+  auto t = Run(
+      "SELECT dim_id, SUM(data_val) * dim_id AS scaled, "
+      "AVG(data_val) - dim_id AS centered, COUNT(*) AS n "
+      "FROM data GROUP BY dim_id");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->schema().columns(),
+            (std::vector<std::string>{"dim_id", "scaled", "centered", "n"}));
+  ASSERT_EQ(t->actual_rows(), 2u);
+  for (const auto& row : t->rows()) {
+    const std::int64_t dim = AsInt(row[0]);
+    // dim 0 sums 0+10+20+30, dim 1 sums 1+11+21+31.
+    EXPECT_EQ(AsDouble(row[1]), dim == 0 ? 0.0 : 64.0);
+    EXPECT_EQ(AsDouble(row[2]), 15.0);
+    EXPECT_EQ(AsDouble(row[3]), 4000.0);
+  }
+}
+
 TEST_F(SqlTest, CountStarIsLogical) {
   auto t = Run("SELECT dim_id, COUNT(*) AS n FROM data GROUP BY dim_id");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
@@ -106,6 +126,84 @@ TEST_F(SqlTest, JoinThenGroupBy) {
   // cluster 0: points 0 and 2 -> 0+1+20+21 = 42; cluster 1: 10+11+30+31.
   EXPECT_DOUBLE_EQ(sum0, 42.0);
   EXPECT_DOUBLE_EQ(sum1, 82.0);
+}
+
+// Double-typed keys and keys wider than four columns cannot be packed into
+// the fixed-width hash keys, so these statements run GroupBy and HashJoin
+// on their row-tuple branches.
+
+void PutObs(Database* db) {
+  // obs(id, val): val cycles 0.0, 0.5, 1.0.
+  Table obs(Schema{"id", "val"}, 1.0);
+  for (std::int64_t i = 0; i < 9; ++i) {
+    obs.Append(Tuple{i, static_cast<double>(i % 3) * 0.5});
+  }
+  db->Put("obs", std::move(obs));
+}
+
+void PutWide(Database* db) {
+  // wide(a, b, c, d, e, v): row i has key (i%2, i%3, 10*(i%2), 10*(i%3), 7),
+  // so rows i and i + 6 share a key.
+  Table wide(Schema{"a", "b", "c", "d", "e", "v"}, 1.0);
+  for (std::int64_t i = 0; i < 12; ++i) {
+    wide.Append(Tuple{i % 2, i % 3, 10 * (i % 2), 10 * (i % 3), std::int64_t{7},
+                      static_cast<double>(i)});
+  }
+  db->Put("wide", std::move(wide));
+}
+
+TEST_F(SqlTest, GroupByDoubleKey) {
+  PutObs(&db_);
+  auto t = Run("SELECT val, COUNT(id) AS n FROM obs GROUP BY val");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 3u);
+  for (std::size_t g = 0; g < 3; ++g) {
+    const Tuple& row = t->rows()[g];
+    ASSERT_TRUE(std::holds_alternative<double>(row[0]));
+    EXPECT_EQ(std::get<double>(row[0]), 0.5 * static_cast<double>(g));
+    EXPECT_EQ(AsDouble(row[1]), 3.0);
+  }
+}
+
+TEST_F(SqlTest, JoinOnDoubleKey) {
+  PutObs(&db_);
+  auto t = Run("SELECT a.id, b.id AS other FROM obs a, obs b "
+               "WHERE a.val = b.val");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 27u);
+  const std::size_t other = t->schema().IndexOf("other");
+  for (const auto& row : t->rows()) {
+    EXPECT_EQ(AsInt(row[0]) % 3, AsInt(row[other]) % 3);
+  }
+}
+
+TEST_F(SqlTest, GroupByFiveColumnKey) {
+  PutWide(&db_);
+  auto t = Run("SELECT a, b, c, d, e, SUM(v) AS s FROM wide "
+               "GROUP BY a, b, c, d, e");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 6u);
+  for (std::int64_t g = 0; g < 6; ++g) {
+    const Tuple& row = t->rows()[static_cast<std::size_t>(g)];
+    EXPECT_EQ(AsInt(row[0]), g % 2);
+    EXPECT_EQ(AsInt(row[1]), g % 3);
+    EXPECT_EQ(AsInt(row[4]), 7);
+    EXPECT_EQ(AsDouble(row[5]), static_cast<double>(2 * g + 6));
+  }
+}
+
+TEST_F(SqlTest, JoinOnFiveColumnKey) {
+  PutWide(&db_);
+  auto t = Run("SELECT x.v, y.v AS w FROM wide x, wide y "
+               "WHERE x.a = y.a AND x.b = y.b AND x.c = y.c AND x.d = y.d "
+               "AND x.e = y.e");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 24u);
+  const std::size_t w = t->schema().IndexOf("w");
+  for (const auto& row : t->rows()) {
+    EXPECT_EQ(static_cast<std::int64_t>(AsDouble(row[0])) % 6,
+              static_cast<std::int64_t>(AsDouble(row[w])) % 6);
+  }
 }
 
 TEST_F(SqlTest, VgInvocationMatchesThePaperSnippet) {
@@ -161,6 +259,26 @@ TEST_F(SqlTest, VgPerGroupInvocation) {
       "SELECT draw.out_id FROM draw");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   ASSERT_EQ(t->actual_rows(), 4u);
+}
+
+TEST_F(SqlTest, VgPerDoubleKeyGroup) {
+  // A double PER key cannot be packed: VgApply groups row tuples.
+  CategoricalVg cat("clus_id", "w");
+  ctx_.RegisterVg("Categorical", &cat);
+  Table probs(Schema{"key", "clus_id", "w"}, 1.0);
+  for (std::int64_t p = 0; p < 6; ++p) {
+    for (std::int64_t k = 0; k < 3; ++k) {
+      probs.Append(Tuple{0.5 * static_cast<double>(p % 3), k,
+                         k == p % 3 ? 1e9 : 1e-9});
+    }
+  }
+  db_.Put("probs", std::move(probs));
+  auto t = Run(
+      "WITH draw AS Categorical (SELECT key, clus_id, w FROM probs) "
+      "PER (key) "
+      "SELECT draw.out_id FROM draw");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 3u);
 }
 
 TEST_F(SqlTest, ScaleHintControlsLogicalRows) {

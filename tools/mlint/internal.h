@@ -150,22 +150,12 @@ inline std::vector<LambdaBody> FindLambdas(const Tokens& t, std::size_t from,
 // ---------------------------------------------------------------------------
 
 /// True when the call at `i` hands its callback arguments to a parallel
-/// region: the exec entry points themselves, the Rel operators whose
-/// row callbacks run inside the engine's chunked loop (member-call forms
-/// only, so a local helper named Filter is not matched), and the ColExpr
-/// factories whose payloads the columnar Project executes per chunk
-/// (Fn lambdas; Expr takes a compiled program, matched for uniformity).
+/// region: the exec entry points ParallelFor and ParallelReduce. (Rel
+/// operators take compiled ScalarExpr programs, not callbacks.)
 inline bool IsParallelCallee(const Tokens& t, std::size_t i) {
   if (t[i].kind != Token::Kind::kIdent) return false;
   const std::string& x = t[i].text;
-  if (x == "ParallelFor" || x == "ParallelReduce") return true;
-  if (x == "Filter" || x == "Project" || x == "RowFilter") {
-    return i > 0 && (IsPunct(t, i - 1, ".") || IsPunct(t, i - 1, "->"));
-  }
-  if (x == "Fn" || x == "Expr") {
-    return i >= 2 && IsPunct(t, i - 1, "::") && IsIdent(t, i - 2, "ColExpr");
-  }
-  return false;
+  return x == "ParallelFor" || x == "ParallelReduce";
 }
 
 /// One parallel-region body: a lambda handed to a parallel callee, or a
@@ -186,9 +176,7 @@ inline std::vector<ParallelRegion> ParallelRegions(const Tokens& t) {
   std::vector<ParallelRegion> regions;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (!IsParallelCallee(t, i)) continue;
-    std::string desc = t[i].text == "Fn" || t[i].text == "Expr"
-                           ? "ColExpr payload"
-                           : t[i].text + " body";
+    std::string desc = t[i].text + " body";
     std::size_t j = i + 1;
     if (IsPunct(t, j, "<")) {
       j = SkipAngles(t, j, t.size());

@@ -24,8 +24,7 @@
 ///   (entropy sources, simulator charges, ledger commits, raw threading,
 ///   non-local `+=` roots, shared-RNG draws, unordered iterations), the
 ///   include edges, and the parallel-region roots (ParallelFor /
-///   ParallelReduce / Rel-operator / ColExpr lambdas and GatherBatch /
-///   SampleBatch overrides).
+///   ParallelReduce lambdas and GatherBatch / SampleBatch overrides).
 ///
 ///   Pass 2 — whole program: link the facts into a conservative call graph,
 ///   compute transitive reachability from every parallel-region root, and
@@ -162,8 +161,8 @@ struct FunctionFacts {
   std::vector<HazardSite> hazards;
 };
 
-/// A parallel-region root: the body handed to ParallelFor/ParallelReduce/
-/// a Rel operator/ColExpr factory, or a GatherBatch/SampleBatch override.
+/// A parallel-region root: the body handed to ParallelFor/ParallelReduce,
+/// or a GatherBatch/SampleBatch override.
 struct RootFacts {
   std::string desc;  // e.g. "ParallelFor body", "GatherBatch override"
   int line = 0;
