@@ -132,7 +132,7 @@ void BM_BspSuperstep(benchmark::State& state) {
   for (long long i = 1; i <= state.range(0); ++i) {
     engine.AddVertex(i, 0, 1.0, 64);
   }
-  engine.SetCombiner([](const double& a, const double& b) { return a + b; });
+  engine.SetCombiner([](double* acc, const double& in) { *acc += in; });
   if (!engine.Boot().ok()) state.SkipWithError("boot failed");
   auto compute = [](bsp::BspEngine<int, double>::Vertex& v,
                     const std::vector<double>&,

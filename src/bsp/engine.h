@@ -141,7 +141,11 @@ class BspEngine {
 
   using ComputeFn =
       std::function<void(Vertex&, const std::vector<Msg>&, Context&)>;
-  using CombinerFn = std::function<Msg(const Msg&, const Msg&)>;
+  /// Folds `in` into `*acc` in place. A combiner whose payload sits behind
+  /// a shared pointer must copy it once before the first mutation when
+  /// it is shared (`use_count() > 1`): a sender may have handed the same
+  /// payload to several destinations, and it must reach each unchanged.
+  using CombinerFn = std::function<void(Msg* acc, const Msg& in)>;
 
   BspEngine(sim::ClusterSim* sim, sim::BspCosts costs = {},
             sim::Language lang = sim::Language::kJava)
@@ -588,7 +592,7 @@ class BspEngine {
               e.has_replicate = true;
               e.replicate_out = std::max(e.replicate_out, p.logical);
             }
-            e.msg.msg = combiner_(e.msg.msg, p.msg);
+            combiner_(&e.msg.msg, p.msg);
           }
         }
       }

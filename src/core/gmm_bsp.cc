@@ -55,26 +55,24 @@ double ModelPartBytes(std::size_t dim) {
   return (d * d + d + 2.0) * 8.0 + 40.0;
 }
 
-GmmMsg CombineMsgs(const GmmMsg& a, const GmmMsg& b) {
-  GmmMsg out = a;
-  switch (a.kind) {
+void CombineMsgs(GmmMsg* acc, const GmmMsg& b) {
+  switch (acc->kind) {
     case GmmMsg::Kind::kModelPart:
-      for (const auto& p : b.parts) out.parts.push_back(p);
+      acc->parts.insert(acc->parts.end(), b.parts.begin(), b.parts.end());
       break;
     case GmmMsg::Kind::kStats:
-      out.stats.Merge(b.stats);
+      acc->stats.Merge(b.stats);
       break;
     case GmmMsg::Kind::kCounts:
-      if (out.counts.empty()) {
-        out.counts = b.counts;
+      if (acc->counts.empty()) {
+        acc->counts = b.counts;
       } else if (!b.counts.empty()) {
-        out.counts += b.counts;
+        acc->counts += b.counts;
       }
       break;
     case GmmMsg::Kind::kPi:
       break;
   }
-  return out;
 }
 
 }  // namespace

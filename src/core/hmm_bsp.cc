@@ -1,5 +1,7 @@
 #include "core/hmm_bsp.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,11 +18,18 @@ using models::HmmDocument;
 using models::HmmParams;
 using models::Vector;
 
+/// One state vertex's share of a data vertex's counts: its emission row
+/// f[s] as (word, count) pairs and its transition row h[s]. Counts are
+/// integer-valued, so folding slices in any order gives the same bits as
+/// merging whole dense tables.
+struct StateSlice {
+  std::vector<std::pair<std::uint32_t, double>> f;
+  Vector h;
+};
+
 struct HmmMsg {
-  /// Model rows flowing to data vertices (appended by the combiner) or
-  /// count partials flowing to state vertices (merged by the combiner).
-  std::shared_ptr<HmmParams> model;
-  std::shared_ptr<HmmCounts> counts;
+  /// Count slice flowing to a state vertex (appended by the combiner).
+  std::shared_ptr<StateSlice> counts;
 };
 
 struct VData {
@@ -106,22 +115,21 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
         .data.docs.push_back(std::move(doc));
   }
 
-  engine.SetCombiner([](const HmmMsg& a, const HmmMsg& b) {
-    HmmMsg m = a;
-    if (b.model) m.model = b.model;  // identical broadcast content
-    if (b.counts) {
-      if (!m.counts) {
-        m.counts = b.counts;
-      } else {
-        auto merged = std::make_shared<HmmCounts>(*m.counts);
-        merged->Merge(*b.counts);
-        m.counts = merged;
-      }
+  engine.SetCombiner([](HmmMsg* acc, const HmmMsg& in) {
+    if (!in.counts) return;
+    if (!acc->counts) {
+      acc->counts = in.counts;
+      return;
     }
-    return m;
+    // Copy-on-write: the first payload may still be the sender's.
+    if (acc->counts.use_count() > 1) {
+      acc->counts = std::make_shared<StateSlice>(*acc->counts);
+    }
+    acc->counts->f.insert(acc->counts->f.end(), in.counts->f.begin(),
+                          in.counts->f.end());
+    acc->counts->h += in.counts->h;
   });
   engine.SetMessageSize([&](const HmmMsg& m) {
-    if (m.model) return model_bytes;
     if (m.counts) return std::min(words_per_vertex, k * v) * 24.0 + 64.0;
     return 24.0;  // word-based neighbor state message
   });
@@ -185,21 +193,24 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
         [&](Engine::Vertex& vx, const std::vector<HmmMsg>& inbox,
             Engine::Context& ctx) {
           if (vx.data.kind != VData::Kind::kState) return;
-          HmmCounts total(exp.states, exp.vocab);
+          // Fold this state's count slices: its emission and transition
+          // rows, never the whole table.
+          Vector f_conc(exp.vocab);
+          Vector h_conc(exp.states);
           bool have = false;
           for (const auto& m : inbox) {
-            if (m.counts) {
-              total.Merge(*m.counts);
-              have = true;
+            if (!m.counts) continue;
+            have = true;
+            for (const auto& [word, count] : m.counts->f) {
+              f_conc[word] += count;
             }
+            h_conc += m.counts->h;
           }
           if (have) {
             stats::Rng srng =
                 stats::Rng(iter_seed ^ 0x51u).Split(vx.data.s + 1);
-            Vector f_conc = total.f[vx.data.s];
             for (auto& c : f_conc) c += hyper.beta;
             vx.data.psi = stats::SampleDirichlet(srng, f_conc);
-            Vector h_conc = total.h[vx.data.s];
             for (auto& c : h_conc) c += hyper.alpha;
             vx.data.delta = stats::SampleDirichlet(srng, h_conc);
           }
@@ -224,34 +235,62 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
             Engine::Context& ctx) {
           (void)inbox;
           if (vx.data.kind != VData::Kind::kData) return;
-          HmmParams local = params;
+          // The rows published last superstep; a state without one keeps
+          // the prior's rows.
+          HmmParams local;
+          local.delta0 = params.delta0;
           for (std::size_t s = 0; s < exp.states; ++s) {
             const auto& row =
                 ctx.GetAggregate("model_" + std::to_string(s));
             if (row.size() >= exp.vocab + exp.states) {
-              local.psi[s] =
-                  Vector(std::vector<double>(row.begin(),
-                                             row.begin() + exp.vocab));
-              local.delta[s] = Vector(std::vector<double>(
+              local.psi.emplace_back(std::vector<double>(
+                  row.begin(), row.begin() + exp.vocab));
+              local.delta.emplace_back(std::vector<double>(
                   row.begin() + exp.vocab, row.end()));
+            } else {
+              local.psi.push_back(params.psi[s]);
+              local.delta.push_back(params.delta[s]);
             }
           }
           stats::Rng vrng = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(vx.id) + 1);
-          auto counts = std::make_shared<HmmCounts>(exp.states, exp.vocab);
           std::size_t expected = 0;
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::HmmSampler sampler;
           sampler.Prepare(local, expected);
+          // Emission keys state * vocab + word, sorted below so each
+          // state's (word, count) run is contiguous.
+          std::vector<std::uint32_t> keys;
+          keys.reserve(expected);
+          std::vector<std::shared_ptr<StateSlice>> slices(exp.states);
+          for (auto& slice : slices) {
+            slice = std::make_shared<StateSlice>();
+            slice->h = Vector(exp.states);
+          }
           for (auto& doc : vx.data.docs) {
             sampler.Resample(vrng, iter, &doc);
-            models::AccumulateHmmCounts(doc, counts.get());
+            for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
+              keys.push_back(static_cast<std::uint32_t>(
+                  doc.states[pos] * exp.vocab + doc.words[pos]));
+              if (pos + 1 < doc.words.size()) {
+                slices[doc.states[pos]]->h[doc.states[pos + 1]] += 1;
+              }
+            }
           }
-          HmmMsg msg;
-          msg.counts = counts;
-          // One combined partial reaches each state vertex.
+          std::sort(keys.begin(), keys.end());
+          for (std::size_t i = 0; i < keys.size();) {
+            std::size_t j = i + 1;
+            while (j < keys.size() && keys[j] == keys[i]) ++j;
+            slices[keys[i] / exp.vocab]->f.emplace_back(
+                static_cast<std::uint32_t>(keys[i] % exp.vocab),
+                static_cast<double>(j - i));
+            i = j;
+          }
+          // Each state vertex receives only its own slice.
           for (std::size_t s = 0; s < exp.states; ++s) {
-            ctx.Send(static_cast<bsp::VertexId>(s), msg,
+            HmmMsg msg;
+            msg.counts = std::move(slices[s]);
+            ctx.Send(static_cast<bsp::VertexId>(s), std::move(msg),
                      std::min(words_per_vertex, k * v) * 24.0 / k + 64.0);
           }
         },

@@ -87,32 +87,37 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   double y_avg = 0;
   {
     long long total_points = n_act * machines;
-    std::vector<std::pair<Vector, double>> pts;
     double y_sum = 0;
     for (long long j = 0; j < total_points; ++j) {
       int m = static_cast<int>(j / n_act);
       auto [x, y] = gen.Sample(m, j % n_act);
       y_sum += y;
       auto& vd = engine.vertex(data_slots[j % data_slots.size()]).data;
-      vd.xs.push_back(x);
+      vd.xs.push_back(std::move(x));
       vd.ys.push_back(y);
-      pts.emplace_back(std::move(x), y);
     }
     y_avg = y_sum / static_cast<double>(total_points);
-    for (auto& [x, y] : pts) models::AccumulateLasso(x, y - y_avg, &stats);
+    // Gram statistics in point order: point j is the (j / slots)-th point
+    // of data vertex j % slots.
+    models::LassoGram gram(exp.p);
+    for (long long j = 0; j < total_points; ++j) {
+      const std::size_t jj = static_cast<std::size_t>(j);
+      const auto& vd = engine.vertex(data_slots[jj % data_slots.size()]).data;
+      gram.Add(vd.xs[jj / data_slots.size()],
+               vd.ys[jj / data_slots.size()] - y_avg);
+    }
+    stats = gram.Finish();
   }
 
-  engine.SetCombiner([](const LassoMsg& a, const LassoMsg& b) {
-    LassoMsg m = a;
+  engine.SetCombiner([](LassoMsg* acc, const LassoMsg& b) {
     if (!b.payload.empty()) {
-      if (m.payload.empty()) {
-        m.payload = b.payload;
+      if (acc->payload.empty()) {
+        acc->payload = b.payload;
       } else {
-        m.payload += b.payload;
+        acc->payload += b.payload;
       }
     }
-    m.scalar += b.scalar;
-    return m;
+    acc->scalar += b.scalar;
   });
 
   Status boot = engine.Boot();

@@ -82,12 +82,14 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
         data.Map([](const LabeledPoint&) { return 0; }, gram_cost, 8);
     auto forced = marker.CountActual();
     if (!forced.ok()) return RunResult::Fail(forced.status());
+    models::LassoGram gram(exp.p);
     for (int part = 0; part < data.num_partitions(); ++part) {
       for (long long i = 0; i < exp.config.data.actual_per_machine; ++i) {
         auto [x, y] = gen.Sample(part, i);
-        models::AccumulateLasso(x, y - y_avg, &stats);
+        gram.Add(x, y - y_avg);
       }
     }
+    stats = gram.Finish();
     // Shuffle of the combined pair partials: p^2 entries per partition.
     double entry_bytes =
         exp.language == sim::Language::kPython ? 64.0 : 24.0;

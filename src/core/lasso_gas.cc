@@ -192,22 +192,25 @@ RunResult RunLassoGas(const LassoExperiment& exp,
   }
   double y_sum = 0;
   long long total_points = n_act * machines;
-  LassoSuffStats stats;
-  {
-    std::vector<std::pair<Vector, double>> pts;
-    for (long long j = 0; j < total_points; ++j) {
-      int m = static_cast<int>(j / n_act);
-      auto [x, y] = gen.Sample(m, j % n_act);
-      y_sum += y;
-      auto& vd = graph.vertex(data_slots[j % data_slots.size()]).data;
-      vd.xs.push_back(x);
-      vd.ys.push_back(y);
-      pts.emplace_back(std::move(x), y);
-    }
-    double y_avg = y_sum / static_cast<double>(total_points);
-    for (auto& [x, y] : pts) models::AccumulateLasso(x, y - y_avg, &stats);
+  for (long long j = 0; j < total_points; ++j) {
+    int m = static_cast<int>(j / n_act);
+    auto [x, y] = gen.Sample(m, j % n_act);
+    y_sum += y;
+    auto& vd = graph.vertex(data_slots[j % data_slots.size()]).data;
+    vd.xs.push_back(std::move(x));
+    vd.ys.push_back(y);
   }
   double y_avg = y_sum / static_cast<double>(total_points);
+  // Gram statistics in point order: point j is the (j / slots)-th point of
+  // data vertex j % slots.
+  models::LassoGram gram(exp.p);
+  for (long long j = 0; j < total_points; ++j) {
+    const std::size_t jj = static_cast<std::size_t>(j);
+    const auto& vd = graph.vertex(data_slots[jj % data_slots.size()]).data;
+    gram.Add(vd.xs[jj / data_slots.size()],
+             vd.ys[jj / data_slots.size()] - y_avg);
+  }
+  LassoSuffStats stats = gram.Finish();
 
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);

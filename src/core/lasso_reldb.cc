@@ -127,13 +127,12 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
   // Gram matrix: one group per (d1, d2) entry -- n x p^2 logical tuples
   // through the aggregate. The native accumulation below computes the
   // actual values; the simulated charge covers the logical plan.
-  LassoSuffStats stats;
   double y_sum = 0;
   for (const auto& [x, y] : points) y_sum += y;
   double y_avg = y_sum / static_cast<double>(points.size());
-  for (const auto& [x, y] : points) {
-    models::AccumulateLasso(x, y - y_avg, &stats);
-  }
+  models::LassoGram gram(exp.p);
+  for (const auto& [x, y] : points) gram.Add(x, y - y_avg);
+  LassoSuffStats stats = gram.Finish();
   db.BeginQuery("gram matrix view");
   {
     double gram_tuples = n_logical * p * p;

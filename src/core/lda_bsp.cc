@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,7 +17,8 @@ using models::LdaDocument;
 using models::LdaParams;
 using models::Vector;
 
-/// Sparse count partial: key = topic * vocab + word.
+/// One topic's count partial: (word, count) pairs. Counts are
+/// integer-valued, so folding partials in any order gives the same bits.
 using SparseCounts = std::vector<std::pair<std::uint32_t, float>>;
 
 struct LdaMsg {
@@ -98,18 +98,18 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
         .data.docs.push_back(std::move(doc));
   }
 
-  engine.SetCombiner([](const LdaMsg& a, const LdaMsg& b) {
-    LdaMsg m = a;
-    if (b.counts) {
-      if (!m.counts) {
-        m.counts = b.counts;
-      } else {
-        auto merged = std::make_shared<SparseCounts>(*m.counts);
-        merged->insert(merged->end(), b.counts->begin(), b.counts->end());
-        m.counts = merged;
-      }
+  engine.SetCombiner([](LdaMsg* acc, const LdaMsg& in) {
+    if (!in.counts) return;
+    if (!acc->counts) {
+      acc->counts = in.counts;
+      return;
     }
-    return m;
+    // Copy-on-write: the first payload may still be the sender's.
+    if (acc->counts.use_count() > 1) {
+      acc->counts = std::make_shared<SparseCounts>(*acc->counts);
+    }
+    acc->counts->insert(acc->counts->end(), in.counts->begin(),
+                        in.counts->end());
   });
   double count_msg_bytes = std::min(words_per_vertex, t * v) * 24.0 + 64.0;
   engine.SetMessageSize([count_msg_bytes](const LdaMsg& m) {
@@ -149,21 +149,16 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
           if (vx.data.kind != VData::Kind::kTopic) return;
           Vector row(exp.vocab);
           bool have = false;
-          auto lo = static_cast<std::uint32_t>(vx.data.t * exp.vocab);
-          auto hi = static_cast<std::uint32_t>((vx.data.t + 1) * exp.vocab);
           for (const auto& m : inbox) {
             if (!m.counts) continue;
             have = true;
-            for (const auto& [key, count] : *m.counts) {
-              if (key >= lo && key < hi) row[key - lo] += count;
-            }
+            for (const auto& [word, count] : *m.counts) row[word] += count;
           }
           if (have) {
             stats::Rng srng =
                 stats::Rng(iter_seed ^ 0x52u).Split(vx.data.t + 1);
-            Vector conc = row;
-            for (auto& c : conc) c += hyper.beta;
-            vx.data.phi = stats::SampleDirichlet(srng, conc);
+            for (auto& c : row) c += hyper.beta;
+            vx.data.phi = stats::SampleDirichlet(srng, row);
           }
           ctx.Aggregate("phi_" + std::to_string(vx.data.t),
                         std::vector<double>(vx.data.phi.begin(),
@@ -187,38 +182,48 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
             Engine::Context& ctx) {
           (void)inbox;
           if (vx.data.kind != VData::Kind::kData) return;
-          LdaParams local = params;
+          // The rows published last superstep; a topic without one keeps
+          // the prior's row.
+          LdaParams local;
+          local.phi.reserve(exp.topics);
           for (std::size_t tt = 0; tt < exp.topics; ++tt) {
             const auto& row = ctx.GetAggregate("phi_" + std::to_string(tt));
-            if (row.size() == exp.vocab) {
-              local.phi[tt] = Vector(row);
-            }
+            local.phi.push_back(row.size() == exp.vocab ? Vector(row)
+                                                        : params.phi[tt]);
           }
           stats::Rng vrng = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(vx.id) + 1);
-          std::unordered_map<std::uint32_t, float> sparse;
           std::size_t expected = 0;
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::LdaDocSampler sampler;
           sampler.Prepare(hyper, local, expected);
+          // Keys topic * vocab + word, sorted so each topic's (word, count)
+          // run is contiguous.
+          std::vector<std::uint32_t> keys;
+          keys.reserve(expected);
           for (auto& doc : vx.data.docs) {
             sampler.Resample(vrng, &doc, nullptr);
             for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-              sparse[static_cast<std::uint32_t>(
-                  doc.topics[pos] * exp.vocab + doc.words[pos])] += 1.0f;
+              keys.push_back(static_cast<std::uint32_t>(
+                  doc.topics[pos] * exp.vocab + doc.words[pos]));
             }
           }
-          LdaMsg msg;
-          // mlint: allow(unordered-iter) — bucket order is erased by the
-          // key sort below; the map is pure accumulation scratch
-          msg.counts = std::make_shared<SparseCounts>(sparse.begin(),
-                                                      sparse.end());
-          std::sort(msg.counts->begin(), msg.counts->end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
+          std::sort(keys.begin(), keys.end());
+          std::vector<std::shared_ptr<SparseCounts>> slices(exp.topics);
+          for (auto& slice : slices) slice = std::make_shared<SparseCounts>();
+          for (std::size_t i = 0; i < keys.size();) {
+            std::size_t j = i + 1;
+            while (j < keys.size() && keys[j] == keys[i]) ++j;
+            slices[keys[i] / exp.vocab]->emplace_back(
+                static_cast<std::uint32_t>(keys[i] % exp.vocab),
+                static_cast<float>(j - i));
+            i = j;
+          }
+          // Each topic vertex receives only its own key range.
           for (std::size_t tt = 0; tt < exp.topics; ++tt) {
-            ctx.Send(static_cast<bsp::VertexId>(tt), msg,
+            LdaMsg msg;
+            msg.counts = std::move(slices[tt]);
+            ctx.Send(static_cast<bsp::VertexId>(tt), std::move(msg),
                      count_msg_bytes / t + 64.0);
           }
         },

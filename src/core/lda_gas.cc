@@ -108,15 +108,23 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
     stats::Rng rng = stats::Rng(seed_ ^ (0x7DC0u + iteration_))
                          .Split(static_cast<std::uint64_t>(v.id) + 1);
     if (v.data.kind == VData::Kind::kData && g.model) {
-      LdaParams local = *g.model;
-      for (auto& row : local.phi) {
-        if (row.empty()) row = Vector(hyper_.vocab, 1.0 / hyper_.vocab);
+      // Sample from the gathered rows in place; only a model with a
+      // missing row is copied to fill it with the uniform row.
+      const LdaParams* model = g.model.get();
+      LdaParams filled;
+      if (std::any_of(model->phi.begin(), model->phi.end(),
+                      [](const Vector& row) { return row.empty(); })) {
+        filled = *model;
+        for (auto& row : filled.phi) {
+          if (row.empty()) row = Vector(hyper_.vocab, 1.0 / hyper_.vocab);
+        }
+        model = &filled;
       }
       std::unordered_map<std::uint32_t, float> sparse;
       std::size_t expected = 0;
       for (const auto& doc : v.data.docs) expected += doc.words.size();
       models::LdaDocSampler sampler;
-      sampler.Prepare(hyper_, local, expected);
+      sampler.Prepare(hyper_, *model, expected);
       for (auto& doc : v.data.docs) {
         sampler.Resample(rng, &doc, nullptr);
         for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {

@@ -1,27 +1,143 @@
 #include "models/lasso.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "linalg/blocked.h"
+#include "common/logging.h"
 #include "stats/distributions.h"
 
 namespace mlbench::models {
 
-void AccumulateLasso(const Vector& x, double y, LassoSuffStats* stats) {
-  const std::size_t p = x.size();
+namespace {
+
+/// Gram register tile: kTileRows x kTileCols accumulators stay in
+/// registers while a block's points stream past.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 8;
+/// Side of the square of X^T X that is tiled and then mirrored while it is
+/// still in cache.
+constexpr std::size_t kSquare = 64;
+/// Bytes of point rows per cache block: a block stays cache-resident while
+/// every tile of the triangle streams it.
+constexpr std::size_t kBlockBytes = 256 * 1024;
+
+/// Adds x_k[i] * x_k[j] over the `count` row-major points of `x` to the
+/// tile [i0, i0 + ni) x [j0, j0 + nj) of the p x p `xtx`, each element in
+/// point order. `kFull` tiles have compile-time extents, so the
+/// accumulators unroll into registers; edge tiles take `ni` and `nj`.
+template <bool kFull>
+void GramTile(const double* x, std::size_t count, std::size_t i0,
+              std::size_t ni, std::size_t j0, std::size_t nj, std::size_t p,
+              double* xtx) {
+  const std::size_t rows = kFull ? kTileRows : ni;
+  const std::size_t cols = kFull ? kTileCols : nj;
+  double acc[kTileRows][kTileCols];
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      acc[r][c] = xtx[(i0 + r) * p + j0 + c];
+    }
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* xi = x + k * p + i0;
+    const double* xj = x + k * p + j0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double a = xi[r];
+      for (std::size_t c = 0; c < cols; ++c) acc[r][c] += a * xj[c];
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      xtx[(i0 + r) * p + j0 + c] = acc[r][c];
+    }
+  }
+}
+
+/// Accumulates the points into the square [bi, bi + kSquare) x [bj, bj +
+/// kSquare) of the upper triangle (bj >= bi), then copies its upper part
+/// into the mirror square of the lower triangle. In a diagonal square the
+/// tiles that straddle the diagonal also sum a few lower elements; the
+/// copy overwrites them, so no result ever reads the lower triangle.
+void GramSquare(const double* x, std::size_t count, std::size_t bi,
+                std::size_t bj, std::size_t p, double* xtx) {
+  const std::size_t ie = std::min(p, bi + kSquare);
+  const std::size_t je = std::min(p, bj + kSquare);
+  for (std::size_t i0 = bi; i0 < ie; i0 += kTileRows) {
+    const std::size_t ni = std::min(kTileRows, ie - i0);
+    for (std::size_t j0 = bj; j0 < je; j0 += kTileCols) {
+      if (j0 + kTileCols <= i0) continue;  // wholly below the diagonal
+      const std::size_t nj = std::min(kTileCols, je - j0);
+      if (ni == kTileRows && nj == kTileCols) {
+        GramTile<true>(x, count, i0, ni, j0, nj, p, xtx);
+      } else {
+        GramTile<false>(x, count, i0, ni, j0, nj, p, xtx);
+      }
+    }
+  }
+  for (std::size_t j = bj; j < je; ++j) {
+    for (std::size_t i = bi; i < std::min(ie, j); ++i) {
+      xtx[j * p + i] = xtx[i * p + j];
+    }
+  }
+}
+
+std::size_t BlockPoints(std::size_t p) {
+  return std::max(kTileRows,
+                  kBlockBytes / (sizeof(double) * std::max<std::size_t>(p, 1)));
+}
+
+}  // namespace
+
+void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
+                          std::size_t p, LassoSuffStats* stats) {
   if (stats->xtx.rows() == 0) {
     stats->xtx = Matrix(p, p);
     stats->xty = Vector(p);
   }
-  for (std::size_t i = 0; i < p; ++i) {
-    if (x[i] == 0.0) continue;
-    // Rank-1 row update: an elementwise axpy on row i of X^T X,
-    // bit-identical to the scalar j-loop.
-    linalg::blocked::AddScaled(stats->xtx.data() + i * p, x.data(), x[i], p);
-    stats->xty[i] += x[i] * y;
+  MLBENCH_CHECK(stats->xtx.rows() == p && stats->xty.size() == p);
+  double* xtx = stats->xtx.data();
+  const std::size_t block = BlockPoints(p);
+  for (std::size_t k0 = 0; k0 < count; k0 += block) {
+    const std::size_t nk = std::min(block, count - k0);
+    for (std::size_t bi = 0; bi < p; bi += kSquare) {
+      for (std::size_t bj = bi; bj < p; bj += kSquare) {
+        GramSquare(x + k0 * p, nk, bi, bj, p, xtx);
+      }
+    }
   }
-  stats->n += 1;
-  stats->yty += y * y;
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t i = 0; i < p; ++i) stats->xty[i] += x[k * p + i] * y[k];
+    stats->n += 1;
+    stats->yty += y[k] * y[k];
+  }
+}
+
+void AccumulateLasso(const Vector& x, double y, LassoSuffStats* stats) {
+  AccumulateLassoBlock(x.data(), &y, 1, x.size(), stats);
+}
+
+LassoGram::LassoGram(std::size_t p) : p_(p), block_(BlockPoints(p)) {
+  xs_.reserve(block_ * p_);
+  ys_.reserve(block_);
+}
+
+void LassoGram::Add(const Vector& x, double y) {
+  MLBENCH_CHECK(x.size() == p_);
+  xs_.insert(xs_.end(), x.begin(), x.end());
+  ys_.push_back(y);
+  if (ys_.size() == block_) Flush();
+}
+
+void LassoGram::Flush() {
+  if (ys_.empty()) return;
+  AccumulateLassoBlock(xs_.data(), ys_.data(), ys_.size(), p_, &stats_);
+  xs_.clear();
+  ys_.clear();
+}
+
+LassoSuffStats LassoGram::Finish() {
+  Flush();
+  return std::move(stats_);
 }
 
 Result<LassoState> InitLasso(stats::Rng& rng, const LassoHyper& hyper) {

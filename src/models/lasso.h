@@ -39,8 +39,39 @@ struct LassoSuffStats {
   double yty = 0;  ///< sum of squared centered responses
 };
 
-/// Accumulates one (x, y) pair into the invariant statistics.
+/// Accumulates `count` points into the invariant statistics, in order:
+/// point k is x[k * p, k * p + p) with response y[k]. Only the upper
+/// triangle of X^T X is computed, in register tiles that stream the
+/// points a cache block at a time, and each square of it is mirrored into
+/// the lower triangle while it is in cache. The result is bit-identical
+/// to `count` full p x p rank-1 updates, one per point: every element
+/// sums the same products in point order, and x_i * x_j == x_j * x_i
+/// exactly. Entries must be finite (an exact-zero x_i then adds +-0,
+/// which never changes an accumulator).
+void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
+                          std::size_t p, LassoSuffStats* stats);
+
+/// Accumulates one (x, y) pair: AccumulateLassoBlock on a single point.
 void AccumulateLasso(const Vector& x, double y, LassoSuffStats* stats);
+
+/// Streams points into the Gram kernel: Add copies each point into a
+/// cache block, which is accumulated once full; Finish accumulates the
+/// rest. Same bits as AccumulateLasso on every point in order.
+class LassoGram {
+ public:
+  explicit LassoGram(std::size_t p);
+  void Add(const Vector& x, double y);
+  LassoSuffStats Finish();
+
+ private:
+  void Flush();
+
+  std::size_t p_;
+  std::size_t block_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  LassoSuffStats stats_;
+};
 
 /// Draws the initial state (tau from the prior, beta at ridge estimate).
 Result<LassoState> InitLasso(stats::Rng& rng, const LassoHyper& hyper);

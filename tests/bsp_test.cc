@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "bsp/engine.h"
+#include "exec/thread_pool.h"
 #include "sim/cluster_sim.h"
 
 namespace mlbench::bsp {
@@ -67,7 +72,7 @@ TEST(BspEngineTest, CombinerFoldsPerMachine) {
   sim::ClusterSim sim(sim::Ec2M2XLargeCluster(2));
   Engine eng(&sim);
   BuildStar(eng, 8, 1.0);
-  eng.SetCombiner([](const double& a, const double& b) { return a + b; });
+  eng.SetCombiner([](double* acc, const double& in) { *acc += in; });
   ASSERT_TRUE(eng.Boot().ok());
   auto send = [](Engine::Vertex& v, const std::vector<double>&,
                  Engine::Context& ctx) {
@@ -89,6 +94,109 @@ TEST(BspEngineTest, CombinerFoldsPerMachine) {
   EXPECT_DOUBLE_EQ(sum, 36.0);
   // At most one combined message per machine.
   EXPECT_LE(arrivals, 2);
+}
+
+// One payload per sender, shared by every destination it is sent to.
+using Payload = std::shared_ptr<std::vector<double>>;
+
+struct SharedSender {
+  Payload sent;
+  std::vector<double> received;
+  std::size_t messages = 0;
+};
+
+using SharedEngine = BspEngine<SharedSender, Payload>;
+
+struct SharedCombineRun {
+  std::vector<double> at0, at1;  // payload values in delivery order
+  std::size_t messages0 = 0, messages1 = 0;
+  std::size_t machines0 = 0, machines1 = 0;  // machines holding senders
+  bool senders_unchanged = true;
+};
+
+// Senders 2.. share one payload {id} between destination 0 (every
+// sender) and destination 1 (odd senders only); enough senders that the
+// compute loop splits into parallel chunks. The combiner appends in
+// place, copying a shared accumulator first.
+SharedCombineRun RunSharedPayloadCombine(int threads) {
+  exec::ThreadPool::SetGlobalThreads(threads);
+  sim::ClusterSim sim(sim::Ec2M2XLargeCluster(2));
+  SharedEngine eng(&sim);
+  const int kSenders = 4000;
+  for (int i = 0; i < 2 + kSenders; ++i) eng.AddVertex(i, {}, 1.0, 64);
+  eng.SetCombiner([](Payload* acc, const Payload& in) {
+    if (acc->use_count() > 1) {
+      *acc = std::make_shared<std::vector<double>>(**acc);
+    }
+    (*acc)->insert((*acc)->end(), in->begin(), in->end());
+  });
+  EXPECT_TRUE(eng.Boot().ok());
+  auto send = [](SharedEngine::Vertex& v, const std::vector<Payload>&,
+                 SharedEngine::Context& ctx) {
+    if (v.id < 2) return;
+    v.data.sent = std::make_shared<std::vector<double>>(
+        1, static_cast<double>(v.id));
+    ctx.Send(0, v.data.sent, 8);
+    if (v.id % 2 == 1) ctx.Send(1, v.data.sent, 8);
+  };
+  EXPECT_TRUE(eng.RunSuperstep(send, {}).ok());
+  auto recv = [](SharedEngine::Vertex& v, const std::vector<Payload>& inbox,
+                 SharedEngine::Context&) {
+    if (v.id >= 2) return;
+    for (const Payload& m : inbox) {
+      v.data.received.insert(v.data.received.end(), m->begin(), m->end());
+    }
+    v.data.messages = inbox.size();
+  };
+  EXPECT_TRUE(eng.RunSuperstep(recv, {}).ok());
+
+  SharedCombineRun run;
+  run.at0 = eng.vertex(0).data.received;
+  run.at1 = eng.vertex(1).data.received;
+  run.messages0 = eng.vertex(0).data.messages;
+  run.messages1 = eng.vertex(1).data.messages;
+  std::vector<bool> used0(2, false), used1(2, false);
+  for (std::size_t s = 2; s < eng.size(); ++s) {
+    const auto& v = eng.vertex(s);
+    used0[static_cast<std::size_t>(eng.MachineOf(s))] = true;
+    if (v.id % 2 == 1) {
+      used1[static_cast<std::size_t>(eng.MachineOf(s))] = true;
+    }
+    run.senders_unchanged =
+        run.senders_unchanged && v.data.sent->size() == 1 &&
+        (*v.data.sent)[0] == static_cast<double>(v.id);
+  }
+  run.machines0 = static_cast<std::size_t>(used0[0]) + used0[1];
+  run.machines1 = static_cast<std::size_t>(used1[0]) + used1[1];
+  exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+  return run;
+}
+
+TEST(BspEngineTest, InPlaceCombinerCopiesSharedPayloadsOnWrite) {
+  SharedCombineRun one = RunSharedPayloadCombine(1);
+  SharedCombineRun four = RunSharedPayloadCombine(4);
+  for (const SharedCombineRun* run : {&one, &four}) {
+    // One combined message per sending machine and destination.
+    EXPECT_EQ(run->messages0, run->machines0);
+    EXPECT_EQ(run->messages1, run->machines1);
+    EXPECT_EQ(run->machines0, 2u);
+    // Each destination holds exactly its own senders' payloads.
+    std::vector<double> want0, want1;
+    for (int id = 2; id < 2 + 4000; ++id) {
+      want0.push_back(id);
+      if (id % 2 == 1) want1.push_back(id);
+    }
+    std::vector<double> got0 = run->at0, got1 = run->at1;
+    std::sort(got0.begin(), got0.end());
+    std::sort(got1.begin(), got1.end());
+    EXPECT_EQ(got0, want0);
+    EXPECT_EQ(got1, want1);
+    // No sender's payload was mutated by a combine.
+    EXPECT_TRUE(run->senders_unchanged);
+  }
+  // Delivery order does not depend on the host thread count.
+  EXPECT_EQ(one.at0, four.at0);
+  EXPECT_EQ(one.at1, four.at1);
 }
 
 TEST(BspEngineTest, AggregatorsSumAndBroadcast) {

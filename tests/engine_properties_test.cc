@@ -196,8 +196,7 @@ TEST(BspConservation, CombinedSumsEqualUncombinedSums) {
     engine.AddVertex(0, 0, 1.0, 64);
     for (int i = 1; i <= 40; ++i) engine.AddVertex(i, i, 1.0, 64);
     if (combine) {
-      engine.SetCombiner(
-          [](const double& a, const double& b) { return a + b; });
+      engine.SetCombiner([](double* acc, const double& in) { *acc += in; });
     }
     EXPECT_TRUE(engine.Boot().ok());
     auto send = [](bsp::BspEngine<int, double>::Vertex& v,
@@ -230,8 +229,7 @@ TEST(BspConservation, CombiningNeverSlowsTheSuperstep) {
       engine.AddVertex(i, i, /*scale=*/1e5, 64);
     }
     if (combine) {
-      engine.SetCombiner(
-          [](const double& a, const double& b) { return a + b; });
+      engine.SetCombiner([](double* acc, const double& in) { *acc += in; });
     }
     EXPECT_TRUE(engine.Boot().ok());
     auto send = [](bsp::BspEngine<int, double>::Vertex& v,

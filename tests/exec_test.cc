@@ -4,6 +4,7 @@
 // needs atomics to observe the pool from outside
 #include <atomic>
 #include <cstdint>
+#include <ostream>
 // mlint: allow(raw-thread) — thread ids identify the inline fast path
 #include <thread>
 #include <vector>
@@ -391,6 +392,10 @@ struct GmmDeterminismCase {
   GmmRunner runner;
   bool super;
 };
+
+// Prints the case by name so the test's listed GetParam() is stable across
+// runs; the default printer dumps raw bytes, which include pointers.
+void PrintTo(const GmmDeterminismCase& c, std::ostream* os) { *os << c.name; }
 
 class GmmThreadDeterminism
     : public ::testing::TestWithParam<GmmDeterminismCase> {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "models/gmm.h"
 #include "models/hmm.h"
@@ -121,6 +123,101 @@ TEST(LassoTest, AccumulateBuildsGramMatrix) {
   EXPECT_DOUBLE_EQ(stats.xtx(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(stats.xty[1], 5.0);
   EXPECT_DOUBLE_EQ(stats.yty, 10.0);
+}
+
+// The per-point rank-1 update the block kernel replaced: every row of
+// X^T X whose x_i is nonzero gets x_i * x over all p columns. Point k is
+// xs[k * p, k * p + p).
+void ReferenceGram(const std::vector<double>& xs, const std::vector<double>& ys,
+                   std::size_t p, LassoSuffStats* stats) {
+  stats->xtx = Matrix(p, p);
+  stats->xty = Vector(p);
+  for (std::size_t k = 0; k < ys.size(); ++k) {
+    const double* x = xs.data() + k * p;
+    for (std::size_t i = 0; i < p; ++i) {
+      if (x[i] == 0.0) continue;
+      for (std::size_t j = 0; j < p; ++j) stats->xtx(i, j) += x[i] * x[j];
+      stats->xty[i] += x[i] * ys[k];
+    }
+    stats->n += 1;
+    stats->yty += ys[k] * ys[k];
+  }
+}
+
+bool SameBits(const LassoSuffStats& a, const LassoSuffStats& b,
+              std::size_t p) {
+  return a.xtx.rows() == p && b.xtx.rows() == p &&
+         std::memcmp(a.xtx.data(), b.xtx.data(), p * p * sizeof(double)) ==
+             0 &&
+         std::memcmp(a.xty.data(), b.xty.data(), p * sizeof(double)) == 0 &&
+         std::memcmp(&a.yty, &b.yty, sizeof(double)) == 0 &&
+         std::memcmp(&a.n, &b.n, sizeof(double)) == 0;
+}
+
+bool Symmetric(const LassoSuffStats& s, std::size_t p) {
+  const double* xtx = s.xtx.data();
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (std::memcmp(xtx + i * p + j, xtx + j * p + i, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(LassoGramKernel, BlockCallsMatchScalarReferenceBitForBit) {
+  // p values whose tile edges do not divide p, and call schedules that
+  // split n unevenly, one point at a time included.
+  for (std::size_t p : {1u, 7u, 37u, 1003u}) {
+    const std::size_t n = p > 100 ? 70 : 150;
+    stats::Rng rng(11 + p);
+    std::vector<double> xs(n * p);
+    std::vector<double> ys(n);
+    for (auto& v : xs) {
+      // Exact zeros of both signs, negatives and positives.
+      double u = rng.NextDouble();
+      v = u < 0.15  ? 0.0
+          : u < 0.2 ? -0.0
+                    : stats::SampleNormal(rng, 0.0, 2.0);
+    }
+    for (auto& y : ys) y = stats::SampleNormal(rng, 0.0, 3.0);
+    LassoSuffStats want;
+    ReferenceGram(xs, ys, p, &want);
+
+    const std::vector<std::vector<std::size_t>> schedules = {
+        {n}, {1, 5, 33, 2, n - 41}, {13, 13, 13, 13, n - 52},
+        std::vector<std::size_t>(n, 1)};
+    for (const auto& schedule : schedules) {
+      LassoSuffStats got;
+      std::size_t k0 = 0;
+      for (std::size_t len : schedule) {
+        AccumulateLassoBlock(xs.data() + k0 * p, ys.data() + k0, len, p,
+                             &got);
+        k0 += len;
+      }
+      ASSERT_EQ(k0, n);
+      EXPECT_TRUE(SameBits(got, want, p))
+          << "p=" << p << " calls=" << schedule.size();
+      EXPECT_TRUE(Symmetric(got, p))
+          << "p=" << p << " calls=" << schedule.size();
+    }
+
+    // The one-point Vector entry and the streaming builder are the same
+    // kernel.
+    LassoSuffStats one;
+    LassoGram gram(p);
+    for (std::size_t k = 0; k < n; ++k) {
+      Vector x(std::vector<double>(xs.begin() + k * p,
+                                   xs.begin() + (k + 1) * p));
+      AccumulateLasso(x, ys[k], &one);
+      gram.Add(x, ys[k]);
+    }
+    EXPECT_TRUE(SameBits(one, want, p)) << "p=" << p;
+    LassoSuffStats streamed = gram.Finish();
+    EXPECT_TRUE(SameBits(streamed, want, p)) << "p=" << p;
+    EXPECT_TRUE(Symmetric(streamed, p)) << "p=" << p;
+  }
 }
 
 TEST(LassoTest, ResidualSumOfSquaresMatchesDirect) {

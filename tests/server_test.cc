@@ -306,7 +306,7 @@ TEST(ServerTest, DrainCancelsInflightWithWellFormedResponse) {
   slow.workload = "hmm";
   slow.platform = "bsp";
   slow.machines = 4;
-  slow.iterations = 3;
+  slow.iterations = 60;
   slow.seed = 2014;
   slow.actual_per_machine = 20;
 

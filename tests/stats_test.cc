@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "stats/distributions.h"
 #include "stats/rng.h"
@@ -60,6 +61,10 @@ struct MomentParams {
   double tol_var;
   double (*draw)(Rng&);
 };
+
+// Prints the case by name so the test's listed GetParam() is stable across
+// runs; the default printer dumps raw bytes, which include pointers.
+void PrintTo(const MomentParams& p, std::ostream* os) { *os << p.name; }
 
 class MomentSweep : public ::testing::TestWithParam<MomentParams> {};
 
