@@ -76,14 +76,21 @@ void PrintRow(std::FILE* f, const Row& r, bool last, bool with_interval) {
                "\"straggler_rate\": %g, ",
                r.platform.c_str(), r.crash_rate, r.straggler_rate);
   if (with_interval) std::fprintf(f, "\"interval\": %d, ", r.interval);
-  double overhead = r.baseline_seconds > 0
-                        ? (r.total_seconds / r.baseline_seconds - 1.0) * 100.0
-                        : 0.0;
+  std::fprintf(f, "\"completed\": %s, \"total_seconds\": %.6f, ",
+               r.completed ? "true" : "false", r.total_seconds);
+  // An abandoned run stopped early, so a ratio against a full run means
+  // nothing.
+  if (r.completed) {
+    double overhead =
+        r.baseline_seconds > 0
+            ? (r.total_seconds / r.baseline_seconds - 1.0) * 100.0
+            : 0.0;
+    std::fprintf(f, "\"overhead_pct\": %.3f, ", overhead);
+  } else {
+    std::fputs("\"overhead_pct\": null, ", f);
+  }
   std::fprintf(f,
-               "\"completed\": %s, \"total_seconds\": %.6f, "
-               "\"overhead_pct\": %.3f, \"recovery_events\": %d, "
-               "\"recovery_seconds\": %.6f}%s\n",
-               r.completed ? "true" : "false", r.total_seconds, overhead,
+               "\"recovery_events\": %d, \"recovery_seconds\": %.6f}%s\n",
                r.recovery_events, r.recovery_seconds, last ? "" : ",");
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "exec/cancel.h"
-#include "sim/cluster_sim.h"
 #include "sim/cost_profile.h"
 #include "sim/faults.h"
 #include "sim/machine.h"
@@ -45,22 +44,11 @@ struct ExperimentConfig {
     return sim::Ec2M2XLargeCluster(machines);
   }
 
-  /// Applies the configured run-to-run noise to a simulator.
-  void ApplyNoise(sim::ClusterSim* sim) const {
-    if (noise_seed != 0) sim->SetNoise(noise_fraction, noise_seed);
-  }
-
   /// Fault schedule and recovery knobs (DESIGN.md §12). Defaults to the
   /// ambient MLBENCH_FAULT_* environment (disabled when unset); a
   /// disabled spec never touches the simulator, so runs stay
   /// bit-identical to a build without the fault subsystem.
   sim::FaultSpec faults = sim::FaultSpec::FromEnv();
-
-  /// Installs the configured fault schedule on a simulator. Call after
-  /// ApplyNoise, before any engine work.
-  void ApplyFaults(sim::ClusterSim* sim) const {
-    if (faults.Enabled()) sim->SetFaultInjector(faults.MakeInjector());
-  }
 
   // ---- Session hooks (experiment server) -----------------------------------
   //
@@ -77,16 +65,6 @@ struct ExperimentConfig {
   /// Progress notification, invoked with (completed_iterations, total)
   /// from the run's own thread at each iteration boundary. May be empty.
   std::function<void(int, int)> progress;
-
-  /// Drivers call this at the top of every iteration: reports progress
-  /// and returns the cancellation status (OK to continue). Non-OK means
-  /// the driver must abandon the run and return RunResult::Fail with this
-  /// status — the iteration boundary is the only cancellation point.
-  Status IterationBoundary(int completed_iterations) const {
-    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
-    if (progress) progress(completed_iterations, iterations);
-    return Status::OK();
-  }
 };
 
 /// Outcome of one run, in the shape of the paper's table cells.
@@ -103,15 +81,6 @@ struct RunResult {
 
   bool ok() const { return status.ok(); }
 
-  /// Copies recovery accounting out of a simulator's fault injector (a
-  /// no-op when no injector is installed).
-  void CaptureFaultStats(const sim::ClusterSim& sim) {
-    const sim::FaultInjector* inj = sim.faults();
-    if (inj == nullptr) return;
-    recovery_events = static_cast<int>(inj->recoveries().size());
-    recovery_seconds = inj->total_recovery_seconds();
-  }
-
   double avg_iteration_seconds() const {
     if (iteration_seconds.empty()) return -1;
     double s = 0;
@@ -120,10 +89,9 @@ struct RunResult {
   }
 
   /// A failed run with the failure recorded.
-  static RunResult Fail(Status st, double init_seconds = -1) {
+  static RunResult Fail(Status st) {
     RunResult r;
     r.status = std::move(st);
-    r.init_seconds = init_seconds;
     return r;
   }
 };

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
 #include "models/gmm.h"
@@ -52,9 +53,8 @@ double ClosureModelBytes(const GmmExperiment& exp) {
 
 RunResult RunGmmDataflow(const GmmExperiment& exp,
                          models::GmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   dataflow::ContextOptions opts;
   opts.evict_cache_on_pressure = exp.config.faults.evict_cache_on_pressure;
   opts.language = exp.language;
@@ -113,7 +113,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
 
   // num = data.count(); hyper mean / covariance via two reductions.
   auto count = data.CountActual();
-  if (!count.ok()) return RunResult::Fail(count.status());
+  if (!count.ok()) return harness.Fail(count.status());
   // hyper_mean = data.reduce(add)/num; per-dimension variance likewise
   // (two reductions; only d-sized results reach the driver).
   OpCost scan_cost;
@@ -130,7 +130,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
   auto sum = chunk_sum.Reduce([](const Vector& a, const Vector& b) {
     return a + b;
   });
-  if (!sum.ok()) return RunResult::Fail(sum.status());
+  if (!sum.ok()) return harness.Fail(sum.status());
   double n_actual = static_cast<double>(chunks_per_machine * chunk *
                                         exp.config.machines);
   Vector mean = *sum * (1.0 / n_actual);
@@ -149,7 +149,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
   auto sq = chunk_sq.Reduce([](const Vector& a, const Vector& b) {
     return a + b;
   });
-  if (!sq.ok()) return RunResult::Fail(sq.status());
+  if (!sq.ok()) return harness.Fail(sq.status());
   Vector var = *sq * (1.0 / n_actual);
 
   GmmHyper hyper;
@@ -167,16 +167,12 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
   // c_model = sc.parallelize(range(K)).map(... mvnrnd/invWishart ...)
   stats::Rng rng(exp.config.seed ^ 0x6A11);
   auto params_r = models::SamplePrior(rng, hyper);
-  if (!params_r.ok()) return RunResult::Fail(params_r.status());
+  if (!params_r.ok()) return harness.Fail(params_r.status());
   GmmParams params = std::move(*params_r);
 
   if (!ctx.lifetime_status().ok()) {
-    return RunResult::Fail(ctx.lifetime_status());
+    return harness.Fail(ctx.lifetime_status());
   }
-
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
 
   // ---- Main loop: three jobs per iteration (paper Section 5.1) ----------
   OpCost sample_cost;
@@ -197,13 +193,9 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
       (exp.dim * exp.dim + exp.dim + 2.0) * 8.0 +
       (exp.language == sim::Language::kPython ? 160.0 : 48.0);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     auto sampler_r = models::GmmMembershipSampler::Build(params);
-    if (!sampler_r.ok()) return RunResult::Fail(sampler_r.status());
+    if (!sampler_r.ok()) return sampler_r.status();
     auto sampler = std::make_shared<models::GmmMembershipSampler>(
         std::move(*sampler_r));
     std::uint64_t iter_seed = exp.config.seed ^ (0xA0 + iter);
@@ -251,13 +243,11 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
     Status bc = ctx.BroadcastClosure(ClosureModelBytes(exp));
     if (!bc.ok()) {
       ctx.EndJob();
-      return RunResult::Fail(bc, result.init_seconds);
+      return bc;
     }
     auto agg_rows = reduced.CollectNoJob();
     ctx.EndJob();
-    if (!agg_rows.ok()) {
-      return RunResult::Fail(agg_rows.status(), result.init_seconds);
-    }
+    if (!agg_rows.ok()) return agg_rows.status();
 
     // Job 2 (map-only in the paper): driver updates the model.
     ctx.BeginJob("gmm:update_model", exp.config.machines);
@@ -274,7 +264,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
       auto post = models::SampleClusterPosterior(rng, hyper, stats[k]);
       if (!post.ok()) {
         ctx.EndJob();
-        return RunResult::Fail(post.status(), result.init_seconds);
+        return post.status();
       }
       params.mu[k] = post->first;
       params.sigma[k] = post->second;
@@ -289,16 +279,12 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
     params.pi = models::SampleMixingProportions(rng, hyper, counts);
     ctx.EndJob();
 
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!ctx.fault_status().ok()) {
-      return RunResult::Fail(ctx.fault_status(), result.init_seconds);
-    }
-  }
+    return ctx.fault_status();
+  });
+  if (!result.ok()) return result;
 
   if (final_model != nullptr) *final_model = params;
   result.peak_machine_bytes = sim.peak_bytes();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "models/imputation.h"
 #include "gas/engine.h"
@@ -233,9 +234,8 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunGmmGas(const GmmExperiment& exp,
                     models::GmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   GmmDataGen gen(exp.config.seed, exp.k, exp.dim);
   const double d = static_cast<double>(exp.dim);
   const long long n_act = exp.config.data.actual_per_machine;
@@ -317,7 +317,7 @@ RunResult RunGmmGas(const GmmExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return harness.Fail(boot);
 
   // Hyperparameters via map_reduce_vertices; prior draw via
   // transform_vertices on the model vertices.
@@ -338,7 +338,7 @@ RunResult RunGmmGas(const GmmExperiment& exp,
 
   stats::Rng init_rng(exp.config.seed ^ 0x6A5);
   auto prior = models::SamplePrior(init_rng, hyper);
-  if (!prior.ok()) return RunResult::Fail(prior.status());
+  if (!prior.ok()) return harness.Fail(prior.status());
   engine.TransformVertices(
       [&](gas::Graph<VData>::Vertex& v) {
         if (v.data.kind == VData::Kind::kCluster) {
@@ -350,10 +350,6 @@ RunResult RunGmmGas(const GmmExperiment& exp,
       },
       0, "init model");
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
   // ---- Iterations: one gather-apply-scatter sweep each ---------------------
   double flops_per_point = PaperMembershipCppFlops(exp.k, exp.dim) +
                            models::SuffStatFlops(exp.dim);
@@ -361,19 +357,14 @@ RunResult RunGmmGas(const GmmExperiment& exp,
     flops_per_point += PaperImputeFlops(exp.dim) +
                        CppCallEquivalentFlops(PaperImputeCalls());
   }
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     GmmProgram program(hyper, exp.config.seed, iter,
                        flops_per_point * points_per_vertex_logical);
     program.set_count_scale(logical_points * machines /
                             static_cast<double>(total_points));
-    Status st = engine.RunSweep<Gathered>(program, "gmm iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return engine.RunSweep<Gathered>(program, "gmm iteration");
+  });
+  if (!result.ok()) return result;
 
   if (final_model != nullptr) {
     GmmParams params;
@@ -388,8 +379,6 @@ RunResult RunGmmGas(const GmmExperiment& exp,
     *final_model = params;
   }
   result.peak_machine_bytes = sim.peak_bytes();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

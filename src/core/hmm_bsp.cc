@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/harness.h"
 #include "core/workloads.h"
 
 namespace mlbench::core {
@@ -47,9 +48,8 @@ using Engine = bsp::BspEngine<VData, HmmMsg>;
 
 RunResult RunHmmBsp(const HmmExperiment& exp,
                     models::HmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
@@ -135,7 +135,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
   });
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return harness.Fail(boot);
 
   HmmParams params = models::SampleHmmPrior(init_rng, hyper);
   for (std::size_t s = 0; s < exp.states; ++s) {
@@ -144,18 +144,10 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
     vd.delta = params.delta[s];
   }
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
   WordCost wc =
       HmmWordCost(sim::Language::kJava, exp.granularity, exp.states);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x4A60u + iter);
 
     if (word_based) {
@@ -174,15 +166,13 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
             ctx.SendReplicated(vx.id, HmmMsg{}, 24.0, 2.0 * vx.scale);
           },
           cost, "word states");
-      if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+      if (!st.ok()) return st;
       st = engine.RunSuperstep(
           [](Engine::Vertex&, const std::vector<HmmMsg>&, Engine::Context&) {
           },
           {}, "word states consume");
-      if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-      return RunResult::Fail(
-          Status::Internal("word-based Giraph HMM unexpectedly survived"),
-          result.init_seconds);
+      if (!st.ok()) return st;
+      return Status::Internal("word-based Giraph HMM unexpectedly survived");
     }
 
     // S0: state vertices re-draw their rows from last superstep's count
@@ -220,7 +210,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
                         model_bytes / k);
         },
         {}, "model publish");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
 
     // S1: data vertices re-sample and send combined count partials.
     bsp::ComputeCost cost;
@@ -295,10 +285,9 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
           }
         },
         cost, "resample + counts");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!result.ok()) return result;
 
   // Final fold of the last counts into the returned model.
   if (final_model != nullptr) {
@@ -312,8 +301,6 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
     *final_model = models::SampleHmmPosterior(frng, hyper, counts);
   }
   engine.Shutdown();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/harness.h"
 #include "core/workloads.h"
 
 namespace mlbench::core {
@@ -35,9 +36,8 @@ using Engine = bsp::BspEngine<VData, LassoMsg>;
 
 RunResult RunLassoBsp(const LassoExperiment& exp,
                       models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   LassoDataGen gen(exp.config.seed, exp.p);
@@ -121,7 +121,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   });
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return harness.Fail(boot);
 
   // ---- Initialization: Gram matrix collection ------------------------------
   // Naive: every data vertex materializes x x^T (p^2 doubles = 8 MB of
@@ -147,18 +147,14 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           ctx.Send(1, std::move(msg), p * 8.0 + 32.0);
         },
         cost, "gram collection");
-    if (!st.ok()) return RunResult::Fail(st);
+    if (!st.ok()) return harness.Fail(st);
   }
 
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A53);
   auto init = models::InitLasso(rng, hyper);
-  if (!init.ok()) return RunResult::Fail(init.status());
+  if (!init.ok()) return harness.Fail(init.status());
   *model_state = std::move(*init);
-
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
 
   // ---- Iterations: two supersteps each --------------------------------------
   // S0: model vertex broadcasts beta to data vertices.
@@ -167,11 +163,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   // The chain runs at actual-sample scale, matching the Gram statistics.
   double sse_scale = 1.0;
   (void)n_logical;
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x1A54u + iter);
 
     bsp::ComputeCost model_cost;
@@ -204,7 +196,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           }
         },
         model_cost, "model update + broadcast");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
     // The model vertex's tau draws + p^3 solve run single-threaded on its
     // machine at Java speed.
     sim.BeginPhase("bsp:lasso model linalg");
@@ -237,14 +229,11 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           ctx.Send(kModelId, std::move(msg), 16.0);
         },
         resid_cost, "residual partials");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!result.ok()) return result;
 
   if (final_state != nullptr) *final_state = *model_state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
 
@@ -27,9 +28,8 @@ struct LabeledPoint {
 
 RunResult RunLassoDataflow(const LassoExperiment& exp,
                            models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   dataflow::ContextOptions opts;
   opts.evict_cache_on_pressure = exp.config.faults.evict_cache_on_pressure;
   opts.language = exp.language;
@@ -57,9 +57,9 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
   sum_cost.flops_per_record = 2.0;
   auto y_sum = data.Map([](const LabeledPoint& d) { return d.y; }, sum_cost, 8)
                    .Reduce([](double a, double b) { return a + b; });
-  if (!y_sum.ok()) return RunResult::Fail(y_sum.status());
+  if (!y_sum.ok()) return harness.Fail(y_sum.status());
   auto n = data.CountActual();
-  if (!n.ok()) return RunResult::Fail(n.status());
+  if (!n.ok()) return harness.Fail(n.status());
   double y_avg = *y_sum / static_cast<double>(*n);
 
   // XX / XY: per-point pair contributions through reduceByKey. The Python
@@ -81,7 +81,7 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
     auto marker =
         data.Map([](const LabeledPoint&) { return 0; }, gram_cost, 8);
     auto forced = marker.CountActual();
-    if (!forced.ok()) return RunResult::Fail(forced.status());
+    if (!forced.ok()) return harness.Fail(forced.status());
     models::LassoGram gram(exp.p);
     for (int part = 0; part < data.num_partitions(); ++part) {
       for (long long i = 0; i < exp.config.data.actual_per_machine; ++i) {
@@ -105,25 +105,16 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
     sim.EndPhase();
   }
   if (!ctx.lifetime_status().ok()) {
-    return RunResult::Fail(ctx.lifetime_status());
+    return harness.Fail(ctx.lifetime_status());
   }
 
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A50);
   auto state = models::InitLasso(rng, hyper);
-  if (!state.ok()) return RunResult::Fail(state.status());
-
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  if (!state.ok()) return harness.Fail(state.status());
 
   // ---- Iterations -----------------------------------------------------------
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
-
+  RunResult result = harness.Run([&](int /*iter*/) -> Status {
     // Driver: tau and beta updates (local linalg at driver language cost).
     ctx.BeginJob("lasso:driver", exp.config.machines);
     for (std::size_t j = 0; j < exp.p; ++j) {
@@ -133,7 +124,7 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
     auto beta = models::SampleBeta(rng, stats, state->inv_tau2, state->sigma2);
     if (!beta.ok()) {
       ctx.EndJob();
-      return RunResult::Fail(beta.status(), result.init_seconds);
+      return beta.status();
     }
     state->beta = *beta;
     // Driver-side cost: p InvGaussian draws + the p^3 solve.
@@ -160,14 +151,14 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
                         exp.language == sim::Language::kPython ? 20.0 : 10.0));
     if (!bc.ok()) {
       ctx.EndJob();
-      return RunResult::Fail(bc, result.init_seconds);
+      return bc;
     }
     double sse = 0;
     {
       auto rows = sq.CollectNoJob();
       if (!rows.ok()) {
         ctx.EndJob();
-        return RunResult::Fail(rows.status(), result.init_seconds);
+        return rows.status();
       }
       for (double v : *rows) sse += v;
     }
@@ -177,15 +168,11 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
 
     state->sigma2 = models::SampleSigma2(rng, hyper, stats, state->beta,
                                          state->inv_tau2, sse);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!ctx.fault_status().ok()) {
-      return RunResult::Fail(ctx.fault_status(), result.init_seconds);
-    }
-  }
+    return ctx.fault_status();
+  });
+  if (!result.ok()) return result;
 
   if (final_state != nullptr) *final_state = *state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
 
@@ -146,9 +147,8 @@ class LassoProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunLassoGas(const LassoExperiment& exp,
                       models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   LassoDataGen gen(exp.config.seed, exp.p);
   const double p = static_cast<double>(exp.p);
   const long long n_act = exp.config.data.actual_per_machine;
@@ -215,7 +215,7 @@ RunResult RunLassoGas(const LassoExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return harness.Fail(boot);
 
   // Two map_reduce_vertices passes for the invariant statistics: each
   // super multiplies its block locally (fast C++ matrix math), partials
@@ -234,26 +234,18 @@ RunResult RunLassoGas(const LassoExperiment& exp,
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A52);
   auto init = models::InitLasso(rng, hyper);
-  if (!init.ok()) return RunResult::Fail(init.status());
+  if (!init.ok()) return harness.Fail(init.status());
   *center_state = std::move(*init);
   for (std::size_t j = 0; j < exp.p; ++j) {
     graph.vertex(model_slots[j]).data.inv_tau2 = center_state->inv_tau2[j];
   }
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     LassoProgram program(hyper, &stats, exp.config.seed, iter, y_avg);
     // The chain runs at actual-sample scale, matching the Gram statistics.
     program.set_sse_scale(1.0);
     Status st = engine.RunSweep<Gathered>(program, "lasso iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
     // Residual pass (parallel streaming) + the p x p solve, which runs
     // single-threaded at the center vertex and dominates the iteration.
     sim.BeginPhase("gas:lasso linalg");
@@ -262,12 +254,11 @@ RunResult RunLassoGas(const LassoExperiment& exp,
                   sim::CppModel().LinalgSeconds(
                       models::BetaUpdateFlops(exp.p), p + 6.0, exp.p));
     sim.EndPhase();
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return Status::OK();
+  });
+  if (!result.ok()) return result;
 
   if (final_state != nullptr) *final_state = *center_state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

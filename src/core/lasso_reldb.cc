@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
@@ -84,9 +85,8 @@ class BetaVg : public reldb::VgFunction {
 
 RunResult RunLassoRelDb(const LassoExperiment& exp,
                         models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   Database db(&sim, sim::RelDbCosts{}, exp.config.seed);
   LassoDataGen gen(exp.config.seed, exp.p);
 
@@ -157,7 +157,7 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A51);
   auto state = models::InitLasso(rng, hyper);
-  if (!state.ok()) return RunResult::Fail(state.status());
+  if (!state.ok()) return harness.Fail(state.status());
 
   // prior / sigma / beta tables.
   db.Put("prior", [] {
@@ -166,16 +166,9 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
     return t;
   }());
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
   // ---- Iterations -----------------------------------------------------------
-  for (int i = 1; i <= exp.config.iterations; ++i) {
-    if (Status hs = exp.config.IterationBoundary(i - 1); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
+    const int i = iter + 1;
 
     // tau[i]: one InvGaussian draw per regressor (paper's CREATE TABLE
     // tau[i] with the beta[i-1] |x| sigma[i-1] |x| prior join).
@@ -252,15 +245,11 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
     db.DropVersionsBefore("beta", i - 1);
     db.DropVersionsBefore("tau", i);
     db.DropVersionsBefore("sigma", i);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!db.fault_status().ok()) {
-      return RunResult::Fail(db.fault_status(), result.init_seconds);
-    }
-  }
+    return db.fault_status();
+  });
+  if (!result.ok()) return result;
 
   if (final_state != nullptr) *final_state = *state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
 
@@ -164,9 +165,8 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunLdaGas(const LdaExperiment& exp,
                     models::LdaParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
   models::LdaHyper hyper{exp.topics, exp.vocab, 0.5, 0.1};
   const int machines = exp.config.machines;
@@ -223,7 +223,7 @@ RunResult RunLdaGas(const LdaExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return harness.Fail(boot);
 
   LdaParams params = models::SampleLdaPrior(init_rng, hyper);
   engine.TransformVertices(
@@ -234,27 +234,18 @@ RunResult RunLdaGas(const LdaExperiment& exp,
       },
       0, "init model");
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
   WordCost wc = LdaWordCost(sim::Language::kCpp, exp.granularity,
                             exp.topics);
   // The "small and elegant" GraphLab code rebuilds a gsl_ran_discrete
   // table per word (~6 gsl calls; calibrated to the paper's 39:27 cell).
   double word_flops = wc.flops + CppCallEquivalentFlops(6.0);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
     LdaProgram program(hyper, exp.config.seed, iter, word_flops,
                        words_per_super);
-    Status st = engine.RunSweep<Gathered>(program, "lda iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return engine.RunSweep<Gathered>(program, "lda iteration");
+  });
+  if (!result.ok()) return result;
 
   if (final_model != nullptr) {
     LdaParams out = params;
@@ -264,8 +255,6 @@ RunResult RunLdaGas(const LdaExperiment& exp,
     }
     *final_model = out;
   }
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/harness.h"
 #include "core/workloads.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
@@ -117,9 +118,8 @@ class TopicVg : public reldb::VgFunction {
 
 RunResult RunLdaRelDb(const LdaExperiment& exp,
                       models::LdaParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  RunHarness harness(exp.config);
+  sim::ClusterSim& sim = harness.sim();
   Database db(&sim, sim::RelDbCosts{}, exp.config.seed);
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
   models::LdaHyper hyper{exp.topics, exp.vocab, 0.5, 0.1};
@@ -190,19 +190,12 @@ RunResult RunLdaRelDb(const LdaExperiment& exp,
 
   LdaParams params = models::SampleLdaPrior(init_rng, hyper);
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
-
   WordCost wc = LdaWordCost(sim::Language::kCpp, exp.granularity,
                             exp.topics);
   double word_flops = wc.flops + CppCallEquivalentFlops(wc.calls);
 
-  for (int i = 1; i <= exp.config.iterations; ++i) {
-    if (Status hs = exp.config.IterationBoundary(i - 1); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  RunResult result = harness.Run([&](int iter) -> Status {
+    const int i = iter + 1;
     auto params_ptr = std::make_shared<LdaParams>(params);
 
     // Query 1: topics[i].
@@ -288,16 +281,11 @@ RunResult RunLdaRelDb(const LdaExperiment& exp,
       sim.EndPhase();
     }
     db.DropVersionsBefore("topics", i);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!db.fault_status().ok()) {
-      return RunResult::Fail(db.fault_status(), result.init_seconds);
-    }
-    (void)logical_words;
-  }
+    return db.fault_status();
+  });
+  if (!result.ok()) return result;
 
   if (final_model != nullptr) *final_model = params;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

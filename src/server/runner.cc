@@ -1,5 +1,6 @@
 #include "server/runner.h"
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -65,21 +66,6 @@ long long DefaultActualPerMachine(Workload w) {
   return 500;
 }
 
-// Applies the request's shared knobs onto a config.
-void ApplyConfig(const ExperimentRequest& req, Workload w,
-                 const exec::CancelToken* cancel,
-                 std::function<void(int, int)> progress,
-                 core::ExperimentConfig* config) {
-  config->machines = req.machines;
-  config->iterations = req.iterations;
-  config->seed = req.seed;
-  config->data.actual_per_machine = req.actual_per_machine > 0
-                                        ? req.actual_per_machine
-                                        : DefaultActualPerMachine(w);
-  config->cancel = cancel;
-  config->progress = std::move(progress);
-}
-
 }  // namespace
 
 std::uint64_t DigestBytes(std::uint64_t h, const void* data, std::size_t n) {
@@ -114,140 +100,137 @@ std::uint64_t DigestRunResult(std::uint64_t h, const core::RunResult& r) {
 }
 
 // ---- Per-workload dispatch -------------------------------------------------
+//
+// Every request runs through RunCell. A workload states only its driver on
+// each platform, the platform defaults those drivers take beyond the
+// language, and which model bits its digest covers.
 
-RunOutcome RunGmmCell(const ExperimentRequest& req, Workload w,
-                      Platform platform, const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::GmmExperiment exp;
-  ApplyConfig(req, w, cancel, std::move(progress), &exp.config);
-  exp.config.data.logical_per_machine = 10e6;
-  exp.imputation = w == Workload::kImputation;
-  models::GmmParams model;
-  RunOutcome out;
-  switch (platform) {
+/// Each platform's code language in the paper: Spark's is the experiments'
+/// Python default, SimSQL's VG functions and Giraph's code are Java, and
+/// GraphLab's is C++.
+sim::Language PlatformLanguage(Platform p) {
+  switch (p) {
     case Platform::kDataflow:
-      out.result = core::RunGmmDataflow(exp, &model);
-      break;
+      return sim::Language::kPython;
     case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunGmmRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.super_vertex = true;  // naive GraphLab GMM is a paper "Fail"
-      out.result = core::RunGmmGas(exp, &model);
-      break;
     case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunGmmBsp(exp, &model);
-      break;
+      return sim::Language::kJava;
+    case Platform::kGas:
+      return sim::Language::kCpp;
   }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, model.pi);
-  for (const auto& mu : model.mu) h = DigestVector(h, mu);
-  for (const auto& sigma : model.sigma) {
+  return sim::Language::kPython;
+}
+
+template <typename Exp, typename Model>
+struct WorkloadSpec {
+  /// Drivers in Platform order: dataflow, reldb, gas, bsp.
+  std::array<core::RunResult (*)(const Exp&, Model*), 4> drivers;
+  void (*platform_defaults)(Platform, Exp*);
+  std::uint64_t (*digest_model)(std::uint64_t, const Model&);
+};
+
+std::uint64_t DigestGmm(std::uint64_t h, const models::GmmParams& m) {
+  h = DigestVector(h, m.pi);
+  for (const auto& mu : m.mu) h = DigestVector(h, mu);
+  for (const auto& sigma : m.sigma) {
     h = DigestBytes(h, sigma.data(),
                     sigma.rows() * sigma.cols() * sizeof(double));
   }
-  out.digest = h;
-  return out;
+  return h;
 }
 
-RunOutcome RunLassoCell(const ExperimentRequest& req, Platform platform,
-                        const exec::CancelToken* cancel,
-                        std::function<void(int, int)> progress) {
-  core::LassoExperiment exp;
-  ApplyConfig(req, Workload::kLasso, cancel, std::move(progress),
-              &exp.config);
-  models::LassoState state;
-  RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunLassoDataflow(exp, &state);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLassoRelDb(exp, &state);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      out.result = core::RunLassoGas(exp, &state);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      exp.super_vertex = true;  // Giraph ran only with super vertices
-      out.result = core::RunLassoBsp(exp, &state);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, state.beta);
-  h = DigestF64(h, state.sigma2);
-  h = DigestVector(h, state.inv_tau2);
-  out.digest = h;
-  return out;
-}
+constexpr WorkloadSpec<core::GmmExperiment, models::GmmParams> kGmm{
+    .drivers = {&core::RunGmmDataflow, &core::RunGmmRelDb, &core::RunGmmGas,
+                &core::RunGmmBsp},
+    .platform_defaults =
+        [](Platform p, core::GmmExperiment* exp) {
+          // Naive GraphLab GMM is a paper "Fail".
+          exp->super_vertex = p == Platform::kGas;
+        },
+    .digest_model = &DigestGmm,
+};
 
-RunOutcome RunHmmCell(const ExperimentRequest& req, Platform platform,
-                      const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::HmmExperiment exp;
-  ApplyConfig(req, Workload::kHmm, cancel, std::move(progress), &exp.config);
-  models::HmmParams model;
-  RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunHmmDataflow(exp, &model);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunHmmRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.granularity = core::TextGranularity::kSuperVertex;
-      out.result = core::RunHmmGas(exp, &model);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunHmmBsp(exp, &model);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, model.delta0);
-  for (const auto& row : model.delta) h = DigestVector(h, row);
-  for (const auto& row : model.psi) h = DigestVector(h, row);
-  out.digest = h;
-  return out;
-}
+constexpr WorkloadSpec<core::GmmExperiment, models::GmmParams> kImputation{
+    .drivers = kGmm.drivers,
+    .platform_defaults =
+        [](Platform p, core::GmmExperiment* exp) {
+          exp->imputation = true;
+          exp->super_vertex = p == Platform::kGas;
+        },
+    .digest_model = &DigestGmm,
+};
 
-RunOutcome RunLdaCell(const ExperimentRequest& req, Platform platform,
-                      const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::LdaExperiment exp;
-  ApplyConfig(req, Workload::kLda, cancel, std::move(progress), &exp.config);
-  models::LdaParams model;
+constexpr WorkloadSpec<core::LassoExperiment, models::LassoState> kLasso{
+    .drivers = {&core::RunLassoDataflow, &core::RunLassoRelDb,
+                &core::RunLassoGas, &core::RunLassoBsp},
+    .platform_defaults =
+        [](Platform p, core::LassoExperiment* exp) {
+          // Giraph ran only with super vertices.
+          exp->super_vertex = p == Platform::kBsp;
+        },
+    .digest_model =
+        [](std::uint64_t h, const models::LassoState& s) {
+          h = DigestVector(h, s.beta);
+          h = DigestF64(h, s.sigma2);
+          return DigestVector(h, s.inv_tau2);
+        },
+};
+
+constexpr WorkloadSpec<core::HmmExperiment, models::HmmParams> kHmm{
+    .drivers = {&core::RunHmmDataflow, &core::RunHmmRelDb, &core::RunHmmGas,
+                &core::RunHmmBsp},
+    .platform_defaults =
+        [](Platform p, core::HmmExperiment* exp) {
+          if (p == Platform::kGas) {
+            exp->granularity = core::TextGranularity::kSuperVertex;
+          }
+        },
+    .digest_model =
+        [](std::uint64_t h, const models::HmmParams& m) {
+          h = DigestVector(h, m.delta0);
+          for (const auto& row : m.delta) h = DigestVector(h, row);
+          for (const auto& row : m.psi) h = DigestVector(h, row);
+          return h;
+        },
+};
+
+constexpr WorkloadSpec<core::LdaExperiment, models::LdaParams> kLda{
+    .drivers = {&core::RunLdaDataflow, &core::RunLdaRelDb, &core::RunLdaGas,
+                &core::RunLdaBsp},
+    .platform_defaults =
+        [](Platform p, core::LdaExperiment* exp) {
+          if (p == Platform::kGas) {
+            exp->granularity = core::TextGranularity::kSuperVertex;
+          }
+        },
+    .digest_model =
+        [](std::uint64_t h, const models::LdaParams& m) {
+          for (const auto& row : m.phi) h = DigestVector(h, row);
+          return h;
+        },
+};
+
+template <typename Exp, typename Model>
+RunOutcome RunCell(const WorkloadSpec<Exp, Model>& spec,
+                   const ExperimentRequest& req, Workload w, Platform p,
+                   const exec::CancelToken* cancel,
+                   std::function<void(int, int)> progress) {
+  Exp exp;
+  exp.config.machines = req.machines;
+  exp.config.iterations = req.iterations;
+  exp.config.seed = req.seed;
+  exp.config.data.actual_per_machine = req.actual_per_machine > 0
+                                           ? req.actual_per_machine
+                                           : DefaultActualPerMachine(w);
+  exp.config.cancel = cancel;
+  exp.config.progress = std::move(progress);
+  exp.language = PlatformLanguage(p);
+  spec.platform_defaults(p, &exp);
+  Model model;
   RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunLdaDataflow(exp, &model);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLdaRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.granularity = core::TextGranularity::kSuperVertex;
-      out.result = core::RunLdaGas(exp, &model);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLdaBsp(exp, &model);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  for (const auto& row : model.phi) h = DigestVector(h, row);
-  out.digest = h;
+  out.result = spec.drivers[static_cast<std::size_t>(p)](exp, &model);
+  out.digest =
+      spec.digest_model(DigestRunResult(kDigestSeed, out.result), model);
   return out;
 }
 
@@ -332,14 +315,15 @@ RunOutcome ExecuteExperiment(const ExperimentRequest& req,
   }
   switch (*w) {
     case Workload::kGmm:
+      return RunCell(kGmm, req, *w, *p, cancel, std::move(progress));
     case Workload::kImputation:
-      return RunGmmCell(req, *w, *p, cancel, std::move(progress));
+      return RunCell(kImputation, req, *w, *p, cancel, std::move(progress));
     case Workload::kLasso:
-      return RunLassoCell(req, *p, cancel, std::move(progress));
+      return RunCell(kLasso, req, *w, *p, cancel, std::move(progress));
     case Workload::kHmm:
-      return RunHmmCell(req, *p, cancel, std::move(progress));
+      return RunCell(kHmm, req, *w, *p, cancel, std::move(progress));
     case Workload::kLda:
-      return RunLdaCell(req, *p, cancel, std::move(progress));
+      return RunCell(kLda, req, *w, *p, cancel, std::move(progress));
   }
   RunOutcome out;
   out.result = core::RunResult::Fail(

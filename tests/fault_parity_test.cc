@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ const Golden kGoldens[] = {
       309.8188216880842},
      0.024927191082141829, 0.8244399992290683},
 };
+
+// Names the case in ctest listings; gtest would otherwise print the raw
+// bytes of the struct, pointers included, which change on every relink.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 class FaultFreeParity : public ::testing::TestWithParam<Golden> {
  protected:
@@ -213,6 +218,75 @@ TEST(SeededFaultInvariance, DifferentSeedsGiveDifferentSchedules) {
     if (ra.iteration_seconds[i] != rb.iteration_seconds[i]) any_diff = true;
   }
   EXPECT_TRUE(any_diff) << "seeds 99 and 100 produced identical schedules";
+}
+
+// ---- Failure shape ------------------------------------------------------------
+//
+// bench/fault_recovery's crash-0.2 row, where retries run out mid-run on
+// SimSQL, Spark and Giraph. A failed run keeps its init seconds, the
+// timings of the iterations that completed (not the failing one), and the
+// fault injector's recovery stats.
+
+GmmExperiment AbandonedGmm() {
+  GmmExperiment exp;
+  exp.config.machines = 5;
+  exp.config.iterations = 6;
+  exp.dim = 3;
+  exp.k = 2;
+  exp.config.data.logical_per_machine = 1e6;
+  exp.config.data.actual_per_machine = 200;
+  exp.config.seed = 77;
+  exp.config.faults.seed = 4242;
+  exp.config.faults.rates.crash = 0.2;
+  exp.config.faults.rates.straggler = 0.1;
+  exp.config.faults.rates.straggler_factor = 2.0;
+  exp.config.faults.rates.send_failure = 0.1;
+  exp.config.faults.checkpoint_interval = 2;
+  exp.config.faults.snapshot_interval = 2;
+  return exp;
+}
+
+struct Abandoned {
+  const char* name;
+  GmmRunner runner;
+  std::size_t completed;  ///< iterations finished before the failing one
+  int recovery_events;    ///< the injector's log at the failure
+  double recovery_seconds;
+};
+
+const Abandoned kAbandoned[] = {
+    {"simsql", &core::RunGmmRelDb, 0, 25, 23.0},
+    {"spark", &core::RunGmmDataflow, 2, 25, 23.0},
+    {"giraph", &core::RunGmmBsp, 3, 22, 397.72246237630884},
+};
+
+TEST(FailedRunShape, KeepsCompletedIterationsAndRecoveryStats) {
+  for (const Abandoned& c : kAbandoned) {
+    SCOPED_TRACE(c.name);
+    GmmExperiment exp = AbandonedGmm();
+    int steps_started = 0;
+    exp.config.progress = [&](int, int) { ++steps_started; };
+    RunResult r = c.runner(exp, nullptr);
+    EXPECT_EQ(r.status.code(), StatusCode::kUnavailable)
+        << r.status.ToString();
+    ASSERT_GE(steps_started, 1);
+    const std::size_t completed = static_cast<std::size_t>(steps_started - 1);
+    EXPECT_EQ(r.iteration_seconds.size(), completed);
+    EXPECT_EQ(completed, c.completed);
+    EXPECT_EQ(r.recovery_events, c.recovery_events);
+    EXPECT_EQ(r.recovery_seconds, c.recovery_seconds);
+
+    // The kept timings are those of a run that stops before the failing
+    // iteration; recoveries only accumulate from there.
+    GmmExperiment prefix = AbandonedGmm();
+    prefix.config.iterations = static_cast<int>(completed);
+    RunResult p = c.runner(prefix, nullptr);
+    ASSERT_TRUE(p.ok()) << p.status.ToString();
+    EXPECT_EQ(r.init_seconds, p.init_seconds);
+    EXPECT_EQ(r.iteration_seconds, p.iteration_seconds);
+    EXPECT_GE(r.recovery_events, p.recovery_events);
+    EXPECT_GE(r.recovery_seconds, p.recovery_seconds);
+  }
 }
 
 }  // namespace
