@@ -8,12 +8,12 @@
 /// Open-addressing uint64 -> size_t index with O(1) generation clear.
 ///
 /// Built for hot loops that rebuild a key->slot map every iteration (the
-/// BSP combiner does this once per superstep): a node-based unordered_map
-/// pays one allocation per insert and a bucket walk per clear, every
-/// round. FlatIndex stores slots in one flat array, probes linearly, and
-/// "clears" by bumping a generation stamp — stale slots are simply
-/// ignored — so the steady state neither allocates nor touches memory to
-/// reset.
+/// BSP combiner does this once per superstep, reldb's GroupBy once per
+/// 1024-row chunk): a node-based unordered_map pays one allocation per
+/// insert and a bucket walk per clear, every round. FlatIndex stores
+/// slots in one flat array, probes linearly, and "clears" by bumping a
+/// generation stamp — stale slots are simply ignored — so the steady
+/// state neither allocates nor touches memory to reset.
 ///
 /// Determinism: lookup results depend only on the key sequence, never on
 /// iteration order (the table is not iterable), so replacing a hash map
@@ -41,21 +41,15 @@ class FlatIndex {
   /// valid until the next FindOrInsert or Clear.
   std::size_t* FindOrInsert(std::uint64_t key, bool* inserted) {
     if (slots_.empty() || live_ + (live_ >> 2) >= slots_.size()) Grow();
-    for (std::size_t i = Hash(key) & mask_;; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (s.gen != gen_) {
-        s.gen = gen_;
-        s.key = key;
-        s.value = 0;
-        ++live_;
-        *inserted = true;
-        return &s.value;
-      }
-      if (s.key == key) {
-        *inserted = false;
-        return &s.value;
-      }
+    Slot& s = Probe(key);
+    *inserted = s.gen != gen_;
+    if (*inserted) {
+      s.gen = gen_;
+      s.key = key;
+      s.value = 0;
+      ++live_;
     }
+    return &s.value;
   }
 
   /// Returns the value slot for `key`, or nullptr if absent.
@@ -91,6 +85,16 @@ class FlatIndex {
     return x ^ (x >> 31);
   }
 
+  /// The slot holding `key`, or the stale slot where it would go. Never
+  /// grows the table, so Rehash can use it without recursing into
+  /// FindOrInsert (which keeps FindOrInsert small enough to inline).
+  Slot& Probe(std::uint64_t key) {
+    for (std::size_t i = Hash(key) & mask_;; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.gen != gen_ || s.key == key) return s;
+    }
+  }
+
   void Grow() { Rehash(slots_.empty() ? 16 : slots_.size() * 2); }
 
   void Rehash(std::size_t new_size) {
@@ -102,8 +106,10 @@ class FlatIndex {
     live_ = 0;
     for (const Slot& s : old) {
       if (s.gen != old_gen) continue;
-      bool inserted = false;
-      *FindOrInsert(s.key, &inserted) = s.value;
+      Slot& dst = Probe(s.key);
+      dst = s;
+      dst.gen = gen_;
+      ++live_;
     }
   }
 

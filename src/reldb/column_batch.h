@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -19,7 +18,7 @@
 /// whole Tuples. A ColumnBatch stores the same relation as one typed
 /// contiguous array per column (int64 or double, inferred on load), so
 /// operators can run selection-vector filters, index-gather projects, and
-/// joins/group-bys keyed on packed fixed-width keys with zero per-row
+/// joins/group-bys keyed on 64-bit key codes with zero per-row
 /// allocation. Conversion to/from the row Table is exact (values keep
 /// their variant alternative bit-for-bit), which is what lets operators
 /// switch forms without changing a result bit; a column that mixes int and
@@ -122,72 +121,8 @@ class ColumnBatch {
   double scale_ = 1.0;
 };
 
-// ---------------------------------------------------------------------------
-// Packed fixed-width keys
-// ---------------------------------------------------------------------------
-//
-// Join and group-by keys over int columns pack into a flat fixed-width
-// struct — a single int64_t payload for one-column keys — instead of a heap
-// Tuple, eliminating the per-probe allocation and variant dispatch of
-// TupleHash. Double key columns keep the row path: packing them bitwise
-// would change key equality semantics (-0.0 vs 0.0, NaN), and every key in
-// the paper's plans is an integer identifier anyway.
-
-/// Widest key the packed path handles; wider keys fall back to row keying.
-inline constexpr std::size_t kMaxPackedKeyCols = 4;
-
-struct PackedKey {
-  std::array<std::int64_t, kMaxPackedKeyCols> v{};
-  std::uint32_t n = 0;
-
-  friend bool operator==(const PackedKey& a, const PackedKey& b) {
-    if (a.n != b.n) return false;
-    for (std::uint32_t i = 0; i < a.n; ++i) {
-      if (a.v[i] != b.v[i]) return false;
-    }
-    return true;
-  }
-};
-
-struct PackedKeyHash {
-  std::size_t operator()(const PackedKey& k) const {
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ k.n;
-    for (std::uint32_t i = 0; i < k.n; ++i) {
-      // splitmix64 finalizer per component, folded like TupleHash.
-      std::uint64_t x =
-          static_cast<std::uint64_t>(k.v[i]) + 0x9E3779B97F4A7C15ULL;
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ULL;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBULL;
-      x ^= x >> 31;
-      h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// True iff the key columns `idx` of `batch` can use the packed path:
-/// every key column is kInt and the key is at most kMaxPackedKeyCols wide.
-inline bool CanPackKeys(const ColumnBatch& batch,
-                        const std::vector<std::size_t>& idx) {
-  if (idx.size() > kMaxPackedKeyCols) return false;
-  for (std::size_t c : idx) {
-    if (batch.col(c).type != ColType::kInt) return false;
-  }
-  return true;
-}
-
-/// Packs row `r`'s key columns; requires CanPackKeys.
-inline PackedKey PackRowKey(const ColumnBatch& batch,
-                            const std::vector<std::size_t>& idx,
-                            std::size_t r) {
-  PackedKey k;
-  k.n = static_cast<std::uint32_t>(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    k.v[i] = batch.col(idx[i]).ints[r];
-  }
-  return k;
-}
+// Join, group-by and VG-group keys over int columns are not stored here:
+// rel.cc codes each row's key into one uint64 on the fly (KeyCode there;
+// DESIGN.md §10), so the batch needs no key representation of its own.
 
 }  // namespace mlbench::reldb

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_index.h"
 #include "exec/parallel_for.h"
 
 namespace mlbench::reldb {
@@ -22,6 +22,96 @@ namespace {
 constexpr std::int64_t kRowGrain = 1024;
 
 using Column = ColumnBatch::Column;
+
+// Join, group-by and VG-group keys over int columns code into one uint64
+// instead of a heap Tuple, so a key probe is one common::FlatIndex lookup
+// with no allocation and no variant dispatch. The code is mixed-radix over
+// the key columns' value ranges in one relation: column k's value v is the
+// digit v - lo_k < span_k = hi_k - lo_k + 1, and the code is
+// sum_k digit_k * stride_k with stride_k = span_0 * ... * span_{k-1}.
+// Within the fitted ranges two rows' codes are equal iff their keys are,
+// at any key width. A key cannot be coded — and its operator takes the
+// row branch (DESIGN.md §10) — when a key column is double-typed
+// (bitwise codes would change key equality: -0.0 vs 0.0, NaN) or when the
+// spans' product does not fit in a uint64 (a column spanning the whole
+// int64 range, or several wide ones). Every key in the paper's plans is a
+// small integer identifier.
+
+/// The int arrays of one relation's key columns, in key order.
+using KeyCols = std::vector<const std::int64_t*>;
+
+/// Binds key columns `idx` of `batch` into `*cols`; false when one is
+/// double-typed.
+bool BindIntKeys(const ColumnBatch& batch, const std::vector<std::size_t>& idx,
+                 KeyCols* cols) {
+  cols->clear();
+  for (std::size_t c : idx) {
+    const Column& col = batch.col(c);
+    if (col.type != ColType::kInt) return false;
+    cols->push_back(col.ints.data());
+  }
+  return true;
+}
+
+/// A mixed-radix code fitted to the value ranges of one relation's keys.
+class KeyCode {
+ public:
+  /// Fits the code to rows [0, n) of `cols`; false when the spans'
+  /// product overflows uint64 (the caller takes the row branch). With no
+  /// rows or no key columns every key codes to 0.
+  bool Fit(const KeyCols& cols, std::size_t n) {
+    lo_.assign(cols.size(), 0);
+    hi_.assign(cols.size(), 0);
+    stride_.assign(cols.size(), 1);
+    std::uint64_t product = 1;
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      const std::int64_t* v = cols[k];
+      std::int64_t lo = n > 0 ? v[0] : 0;
+      std::int64_t hi = lo;
+      for (std::size_t r = 1; r < n; ++r) {
+        lo = v[r] < lo ? v[r] : lo;
+        hi = v[r] > hi ? v[r] : hi;
+      }
+      lo_[k] = lo;
+      hi_[k] = hi;
+      stride_[k] = product;
+      // Unsigned arithmetic: hi - lo is exact modulo 2^64, and the span
+      // wraps to 0 exactly when the column covers all 2^64 values.
+      const std::uint64_t span =
+          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+      if (span == 0 || __builtin_mul_overflow(product, span, &product)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Code of row r of `cols`, whose values must lie in the fitted ranges
+  /// (always true for the relation the code was fitted to).
+  std::uint64_t At(const KeyCols& cols, std::size_t r) const {
+    std::uint64_t code = 0;
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      code += (static_cast<std::uint64_t>(cols[k][r]) -
+               static_cast<std::uint64_t>(lo_[k])) *
+              stride_[k];
+    }
+    return code;
+  }
+
+  /// True iff every value of row r of `cols` lies in the fitted ranges. A
+  /// key outside them equals no key of the fitted relation.
+  bool InRange(const KeyCols& cols, std::size_t r) const {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      const std::int64_t v = cols[k][r];
+      if (v < lo_[k] || v > hi_[k]) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<std::int64_t> lo_, hi_;
+  std::vector<std::uint64_t> stride_;
+};
 
 /// Gathers the selected rows of `in` (per-chunk selection vectors, already
 /// in chunk-index order) into fresh typed columns. Each chunk writes a
@@ -296,20 +386,47 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   Schema out_schema(std::move(out_cols));
 
-  const bool packed = EnsureBatch() && right.EnsureBatch() &&
-                      CanPackKeys(*batch_, lidx) &&
-                      CanPackKeys(*right.batch_, ridx);
+  KeyCols lcols;
+  KeyCols rcols;
+  KeyCode code;
+  const bool coded = EnsureBatch() && right.EnsureBatch() &&
+                     BindIntKeys(*batch_, lidx, &lcols) &&
+                     BindIntKeys(*right.batch_, ridx, &rcols) &&
+                     code.Fit(lcols, batch_->num_rows());
   Rel result(db_, std::shared_ptr<Table>(nullptr));
-  if (packed) {
+  if (coded) {
     const ColumnBatch& lb = *batch_;
     const ColumnBatch& rb = *right.batch_;
-    // Build over the left in scan order: match lists keep left insertion
-    // order, exactly like the row branch's pointer lists.
-    std::unordered_map<PackedKey, std::vector<std::uint32_t>, PackedKeyHash>
-        build;
-    build.reserve(lb.num_rows());
-    for (std::size_t r = 0; r < lb.num_rows(); ++r) {
-      build[PackRowKey(lb, lidx, r)].push_back(static_cast<std::uint32_t>(r));
+    // Build over the left in scan order: each distinct key gets a slot in
+    // first-seen order, and the CSR member lists (count, prefix-sum, fill
+    // in scan order) keep left insertion order within a key, exactly like
+    // the row branch's pointer lists.
+    const std::size_t nl = lb.num_rows();
+    common::FlatIndex index;
+    std::vector<std::uint32_t> row_slot(nl);
+    std::vector<std::uint32_t> starts;
+    for (std::size_t r = 0; r < nl; ++r) {
+      bool inserted = false;
+      std::size_t* slot = index.FindOrInsert(code.At(lcols, r), &inserted);
+      if (inserted) {
+        *slot = starts.size();
+        starts.push_back(0);
+      }
+      row_slot[r] = static_cast<std::uint32_t>(*slot);
+      ++starts[*slot];
+    }
+    // Counts become start offsets; `fill` then walks each list forward.
+    std::uint32_t total_members = 0;
+    for (std::uint32_t& start : starts) {
+      const std::uint32_t count = start;
+      start = total_members;
+      total_members += count;
+    }
+    starts.push_back(total_members);
+    std::vector<std::uint32_t> fill(starts.begin(), starts.end() - 1);
+    std::vector<std::uint32_t> members(nl);
+    for (std::size_t r = 0; r < nl; ++r) {
+      members[fill[row_slot[r]]++] = static_cast<std::uint32_t>(r);
     }
     struct Pair {
       std::uint32_t l, r;
@@ -323,10 +440,14 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
     exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
       auto& local = parts[static_cast<std::size_t>(chunk.index)];
       for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        auto it = build.find(PackRowKey(rb, ridx, static_cast<std::size_t>(i)));
-        if (it == build.end()) continue;
-        for (std::uint32_t l : it->second) {
-          local.push_back(Pair{l, static_cast<std::uint32_t>(i)});
+        const std::size_t r = static_cast<std::size_t>(i);
+        // A probe key outside the left's ranges matches nothing, and
+        // coding it in the left's radix could alias a real key.
+        if (!code.InRange(rcols, r)) continue;
+        const std::size_t* slot = index.Find(code.At(rcols, r));
+        if (slot == nullptr) continue;
+        for (std::uint32_t m = starts[*slot]; m < starts[*slot + 1]; ++m) {
+          local.push_back(Pair{members[m], static_cast<std::uint32_t>(r)});
         }
       }
     });
@@ -443,59 +564,90 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   for (const auto& a : aggs) out_cols.push_back(a.out_name);
   Schema out_schema(std::move(out_cols));
 
-  // Each chunk aggregates its row range into a private map (recording key
+  // Each chunk aggregates its row range into private slots (recording key
   // first-occurrence order); chunk partials then fold in chunk-index
   // order. The chunking is a pure function of the row count, so both the
   // accumulators and the output's key order are identical at any thread
-  // count — and identical between the packed and row paths, because chunks
+  // count — and identical between the coded and row paths, because chunks
   // are contiguous row ranges in both.
-  if (EnsureBatch() && CanPackKeys(*batch_, kidx)) {
+  KeyCols kcols;
+  KeyCode code;
+  if (EnsureBatch() && BindIntKeys(*batch_, kidx, &kcols) &&
+      code.Fit(kcols, batch_->num_rows())) {
     const ColumnBatch& in = *batch_;
     struct ChunkGroups {
-      std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
-      std::vector<PackedKey> order;
-      std::vector<Acc> accs;  // slot-major: accs[slot * naggs + a]
+      std::vector<std::uint64_t> codes;  // per local slot, first-seen order
+      std::vector<std::uint32_t> first;  // per local slot: its first row
+      std::vector<Acc> accs;             // slot-major: accs[slot * naggs + a]
     };
+    std::vector<const Column*> acols(naggs, nullptr);  // nullptr: kCount
+    for (std::size_t a = 0; a < naggs; ++a) {
+      if (aggs[a].op != AggOp::kCount) acols[a] = &in.col(aidx[a]);
+    }
+    // Chunks run in waves of kFoldWave, each folded before the next runs,
+    // so only one wave's partials are ever live (and still in cache). The
+    // waves start on chunk boundaries: chunks, and the fold order, are the
+    // same as one ParallelFor over all rows.
+    constexpr std::int64_t kFoldWave = 64;
     const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    std::vector<ChunkGroups> parts(
-        static_cast<std::size_t>(exec::NumChunks(n, kRowGrain)));
-    exec::ParallelFor(n, kRowGrain, [&](const exec::Chunk& chunk) {
-      auto& local = parts[static_cast<std::size_t>(chunk.index)];
-      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        const std::size_t r = static_cast<std::size_t>(i);
-        PackedKey key = PackRowKey(in, kidx, r);
-        auto [it, inserted] = local.slots.try_emplace(
-            key, static_cast<std::uint32_t>(local.order.size()));
-        if (inserted) {
-          local.order.push_back(key);
-          local.accs.resize(local.accs.size() + naggs);
-        }
-        Acc* accs = &local.accs[it->second * naggs];
-        for (std::size_t a = 0; a < naggs; ++a) {
-          double v = aggs[a].op == AggOp::kCount
-                         ? 1.0
-                         : in.col(aidx[a]).AsDoubleAt(r);
-          accs[a].sum += v;
-          accs[a].count += 1;
-          accs[a].min = std::min(accs[a].min, v);
-          accs[a].max = std::max(accs[a].max, v);
-        }
-      }
-    });
-    std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
-    std::vector<PackedKey> order;
+    std::vector<ChunkGroups> parts(static_cast<std::size_t>(
+        std::min(exec::NumChunks(n, kRowGrain), kFoldWave)));
+    // Global slots in first-seen order: code -> slot, each slot's first
+    // row, and its accumulators.
+    common::FlatIndex slots;
+    std::vector<std::uint32_t> order;
     std::vector<Acc> accs;
-    for (auto& part : parts) {
-      for (std::size_t g = 0; g < part.order.size(); ++g) {
-        const PackedKey& key = part.order[g];
-        const Acc* src = &part.accs[part.slots[key] * naggs];
-        auto [it, inserted] =
-            slots.try_emplace(key, static_cast<std::uint32_t>(order.size()));
-        if (inserted) {
-          order.push_back(key);
-          accs.insert(accs.end(), src, src + naggs);
-        } else {
-          Acc* dst = &accs[it->second * naggs];
+    for (std::int64_t wave = 0; wave < n; wave += kFoldWave * kRowGrain) {
+      const std::int64_t wave_rows = std::min(n - wave, kFoldWave * kRowGrain);
+      exec::ParallelFor(wave_rows, kRowGrain, [&](const exec::Chunk& chunk) {
+        // One code -> local slot index per thread, reused by every chunk it
+        // runs; Clear() is a generation bump.
+        thread_local common::FlatIndex index;
+        index.Clear();
+        index.Reserve(static_cast<std::size_t>(kRowGrain));
+        auto& local = parts[static_cast<std::size_t>(chunk.index)];
+        local.codes.clear();
+        local.first.clear();
+        local.accs.clear();
+        for (std::int64_t i = wave + chunk.begin; i < wave + chunk.end; ++i) {
+          const std::size_t r = static_cast<std::size_t>(i);
+          const std::uint64_t key = code.At(kcols, r);
+          bool inserted = false;
+          std::size_t* slot = index.FindOrInsert(key, &inserted);
+          if (inserted) {
+            *slot = local.codes.size();
+            local.codes.push_back(key);
+            local.first.push_back(static_cast<std::uint32_t>(r));
+            local.accs.resize(local.accs.size() + naggs);
+          }
+          Acc* acc = &local.accs[*slot * naggs];
+          for (std::size_t a = 0; a < naggs; ++a) {
+            const double v =
+                acols[a] == nullptr ? 1.0 : acols[a]->AsDoubleAt(r);
+            acc[a].sum += v;
+            acc[a].count += 1;
+            acc[a].min = std::min(acc[a].min, v);
+            acc[a].max = std::max(acc[a].max, v);
+          }
+        }
+      });
+      // Fold the wave's chunks in chunk order, each chunk's slots in slot
+      // order, into the global first-seen order.
+      const std::size_t wave_chunks =
+          static_cast<std::size_t>(exec::NumChunks(wave_rows, kRowGrain));
+      for (std::size_t p = 0; p < wave_chunks; ++p) {
+        const ChunkGroups& part = parts[p];
+        for (std::size_t g = 0; g < part.codes.size(); ++g) {
+          const Acc* src = &part.accs[g * naggs];
+          bool inserted = false;
+          std::size_t* slot = slots.FindOrInsert(part.codes[g], &inserted);
+          if (inserted) {
+            *slot = order.size();
+            order.push_back(part.first[g]);
+            accs.insert(accs.end(), src, src + naggs);
+            continue;
+          }
+          Acc* dst = &accs[*slot * naggs];
           for (std::size_t a = 0; a < naggs; ++a) {
             dst[a].sum += src[a].sum;
             dst[a].count += src[a].count;
@@ -505,12 +657,13 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
         }
       }
     }
+    // A group's key columns are read back from its first row.
     const std::size_t ngroups = order.size();
     std::vector<Column> cols;
     cols.reserve(kidx.size() + naggs);
     for (std::size_t k = 0; k < kidx.size(); ++k) {
       std::vector<std::int64_t> kv(ngroups);
-      for (std::size_t g = 0; g < ngroups; ++g) kv[g] = order[g].v[k];
+      for (std::size_t g = 0; g < ngroups; ++g) kv[g] = kcols[k][order[g]];
       cols.push_back(Column::Ints(std::move(kv)));
     }
     for (std::size_t a = 0; a < naggs; ++a) {
@@ -644,7 +797,10 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
   Table out(vg.output_schema(), out_scale);
   std::shared_ptr<const ColumnBatch> out_batch;
-  if (EnsureBatch() && CanPackKeys(*batch_, gidx)) {
+  KeyCols gcols;
+  KeyCode code;
+  if (EnsureBatch() && BindIntKeys(*batch_, gidx, &gcols) &&
+      code.Fit(gcols, batch_->num_rows())) {
     const ColumnBatch& in = *batch_;
     // Columnar VG dispatch: every invocation group must be one contiguous
     // column span, groups in first-seen order, rows in original order, so
@@ -652,26 +808,26 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
     // loop of the row branch below does. Inputs produced group-major
     // (member lists, doc-major word tables, an empty key over the whole
     // input) already satisfy that: one adjacent-key scan verifies it — one
-    // hash insert per *group* rejects keys that reappear in a later run —
+    // index insert per *group* rejects keys that reappear in a later run —
     // and the spans then alias the input columns outright. Otherwise
-    // group-sort into fresh columns with the same first-seen hash grouping
-    // the row branch uses.
+    // group-sort into fresh columns with the same first-seen grouping the
+    // row branch uses.
     const std::size_t n_rows = in.num_rows();
     std::vector<std::uint32_t> group_offsets{0};
+    common::FlatIndex slots;
     bool pre_grouped = true;
-    {
-      std::unordered_set<PackedKey, PackedKeyHash> seen;
-      PackedKey prev{};
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        PackedKey key = PackRowKey(in, gidx, r);
-        if (r == 0 || !(key == prev)) {
-          if (!seen.insert(key).second) {
-            pre_grouped = false;
-            break;
-          }
-          if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
-          prev = key;
+    std::uint64_t prev = 0;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      const std::uint64_t key = code.At(gcols, r);
+      if (r == 0 || key != prev) {
+        bool inserted = false;
+        slots.FindOrInsert(key, &inserted);
+        if (!inserted) {
+          pre_grouped = false;
+          break;
         }
+        if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
+        prev = key;
       }
     }
     ColumnBatch grouped;
@@ -686,14 +842,16 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
       }
       grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
     } else {
-      std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
+      slots.Clear();
       std::vector<std::vector<std::uint32_t>> group_rows;
       for (std::size_t r = 0; r < n_rows; ++r) {
-        auto [it, inserted] = slots.try_emplace(
-            PackRowKey(in, gidx, r),
-            static_cast<std::uint32_t>(group_rows.size()));
-        if (inserted) group_rows.emplace_back();
-        group_rows[it->second].push_back(static_cast<std::uint32_t>(r));
+        bool inserted = false;
+        std::size_t* slot = slots.FindOrInsert(code.At(gcols, r), &inserted);
+        if (inserted) {
+          *slot = group_rows.size();
+          group_rows.emplace_back();
+        }
+        group_rows[*slot].push_back(static_cast<std::uint32_t>(r));
       }
       group_offsets.assign(group_rows.size() + 1, 0);
       for (std::size_t g = 0; g < group_rows.size(); ++g) {

@@ -23,13 +23,13 @@
 ///
 /// Operators run over ColumnBatch — typed contiguous arrays,
 /// selection-vector filters evaluated by the expression VM (expr_vm.h),
-/// index-gather projects, and join/group-by hash tables keyed on packed
-/// fixed-width integers. Two kinds of input take a row-tuple branch
-/// instead (DESIGN.md §10):
+/// index-gather projects, and join/group-by lookups of one 64-bit key code
+/// per row in a common::FlatIndex (KeyCode, rel.cc). Two kinds of
+/// input take a row-tuple branch instead (DESIGN.md §10):
 ///
-///  * HashJoin, GroupBy and VgApply keys that cannot be packed — a double
-///    key column, or more than four key columns. SQL reaches these, e.g.
-///    `GROUP BY val` over a double column.
+///  * HashJoin, GroupBy and VgApply keys that cannot be coded — a double
+///    key column, or int key columns whose value spans multiply past
+///    2^64. SQL reaches these, e.g. `GROUP BY val` over a double column.
 ///  * A relation whose column mixes int and double values cannot be typed
 ///    at all; every operator on it runs on rows.
 ///
