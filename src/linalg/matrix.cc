@@ -1,7 +1,10 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "exec/parallel_for.h"
 #include "linalg/blocked.h"
 
 namespace mlbench::linalg {
@@ -136,49 +139,226 @@ double QuadraticForm(const Matrix& a, const Vector& x) {
   return Dot(x, MatVec(a, x));
 }
 
-Result<Matrix> Cholesky(const Matrix& a) {
+namespace {
+
+/// Cholesky register tile: kTileRows x kTileCols accumulators of L stay in
+/// registers while a stretch of k streams past.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 6;
+static_assert(kCholeskyBlock % kTileCols == 0);
+/// Finished columns k < j0 are applied to a column block kChunkK at a time,
+/// so a chunk's panel and row segments stay cache-resident across tiles.
+constexpr std::size_t kChunkK = 256;
+/// Multiply-subtracts per ParallelFor chunk, at least: below this a
+/// dispatch costs more than it saves. Rows are independent, so the grain
+/// moves no bit; it only sizes the work per chunk.
+constexpr std::size_t kChunkMadds = std::size_t{1} << 18;
+
+/// The packed columns of one column block [j0, j0 + kCholeskyBlock):
+/// element (t, k, c) holds l(j0 + t * kTileCols + c, k). Tile-major, so the
+/// panel of one column tile over a run of k is contiguous.
+struct Panel {
+  double* data;
+  std::size_t kdim;  ///< k rows held per column tile
+
+  double* At(std::size_t t, std::size_t k) const {
+    return data + (t * kdim + k) * kTileCols;
+  }
+};
+
+/// Copies l(j0 + c, k) for k in [kb, ke) and c in [0, jb) into the panel,
+/// skipping every element on or above the diagonal (k >= j0 + c), which no
+/// tile reads.
+void PackPanel(const double* m, std::size_t n, std::size_t j0, std::size_t jb,
+               std::size_t kb, std::size_t ke, const Panel& panel) {
+  for (std::size_t c = 0; c < jb; ++c) {
+    const double* row = m + (j0 + c) * n;
+    const std::size_t end = std::min(ke, j0 + c);
+    for (std::size_t k = kb; k < end; ++k) {
+      panel.At(c / kTileCols, k)[c % kTileCols] = row[k];
+    }
+  }
+}
+
+/// One register tile of L: rows [i0, i0 + ni), columns [j, j + nj), with
+/// `p` pointing at the panel of those columns at k = kb. Subtracts
+/// l(i, k) * l(j + c, k) for k in [kb, ke), k ascending. With kSolve the
+/// tile then finishes the columns as a forward solve against the tile's own
+/// diagonal triangle of L: column j + c subtracts its already-finished
+/// left neighbours, still k ascending, and divides by l(j + c, j + c).
+/// `kFull` tiles have compile-time extents, so the accumulators unroll
+/// into registers; edge tiles take `ni` and `nj`.
+template <bool kFull, bool kSolve>
+void CholeskyTile(double* m, std::size_t n, std::size_t i0, std::size_t ni,
+                  std::size_t j, std::size_t nj, const double* p,
+                  std::size_t kb, std::size_t ke) {
+  const std::size_t rows = kFull ? kTileRows : ni;
+  const std::size_t cols = kFull ? kTileCols : nj;
+  double acc[kTileRows][kTileCols];
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) acc[r][c] = m[(i0 + r) * n + j + c];
+  }
+  for (std::size_t k = kb; k < ke; ++k, p += kTileCols) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double a = m[(i0 + r) * n + k];
+      for (std::size_t c = 0; c < cols; ++c) acc[r][c] -= a * p[c];
+    }
+  }
+  if (kSolve) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double* lj = m + (j + c) * n + j;  // row j + c of L, from col j
+      for (std::size_t c2 = 0; c2 < c; ++c2) {
+        for (std::size_t r = 0; r < rows; ++r) acc[r][c] -= acc[r][c2] * lj[c2];
+      }
+      for (std::size_t r = 0; r < rows; ++r) acc[r][c] /= lj[c];
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) m[(i0 + r) * n + j + c] = acc[r][c];
+  }
+}
+
+/// Runs CholeskyTile over every column tile of the block [j0, j0 + jb) for
+/// the row tile at i0: over k in [kb, ke), or, with kSolve, over k in
+/// [kb, j) for the tile at column j, followed by its solve.
+template <bool kSolve>
+void CholeskyRowTile(double* m, std::size_t n, std::size_t i0,
+                     std::size_t j0, std::size_t jb, const Panel& panel,
+                     std::size_t kb, std::size_t ke) {
+  const std::size_t ni = std::min(kTileRows, n - i0);
+  for (std::size_t t = 0; t * kTileCols < jb; ++t) {
+    const std::size_t j = j0 + t * kTileCols;
+    const std::size_t nj = std::min(kTileCols, j0 + jb - j);
+    // The solve updates over the block's columns left of the tile only.
+    const std::size_t end = kSolve ? j : ke;
+    const double* p = panel.At(t, kb);
+    if (ni == kTileRows && nj == kTileCols) {
+      CholeskyTile<true, kSolve>(m, n, i0, ni, j, nj, p, kb, end);
+    } else {
+      CholeskyTile<false, kSolve>(m, n, i0, ni, j, nj, p, kb, end);
+    }
+  }
+}
+
+/// Runs `fn(begin, end)` over the rows [r0, n), split across the pool into
+/// runs of whole row tiles (the last one ragged) of at least kChunkMadds,
+/// given the multiply-subtracts of one row tile.
+template <typename Fn>
+void ForRowTiles(std::size_t r0, std::size_t n, std::size_t tile_madds,
+                 Fn&& fn) {
+  const auto tiles =
+      static_cast<std::int64_t>((n - r0 + kTileRows - 1) / kTileRows);
+  const auto grain = static_cast<std::int64_t>(
+      kChunkMadds / std::max<std::size_t>(tile_madds, 1) + 1);
+  exec::ParallelFor(tiles, grain, [&](const exec::Chunk& chunk) {
+    fn(r0 + static_cast<std::size_t>(chunk.begin) * kTileRows,
+       std::min(n, r0 + static_cast<std::size_t>(chunk.end) * kTileRows));
+  });
+}
+
+}  // namespace
+
+Result<Matrix> Cholesky(Matrix a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
   const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-    if (d <= 0.0 || !std::isfinite(d)) {
-      return Status::InvalidArgument("matrix is not positive definite");
+  double* m = a.data();
+  std::vector<double> scratch;
+  if (n > kCholeskyBlock) scratch.resize(n * kCholeskyBlock);
+  for (std::size_t j0 = 0; j0 < n; j0 += kCholeskyBlock) {
+    const std::size_t jb = std::min(kCholeskyBlock, n - j0);
+    const std::size_t below = j0 + jb;
+    const Panel panel{scratch.data(), below};
+    // Step 1: subtract the finished columns k < j0 from rows i >= j0 of
+    // the block, one k chunk after another. Tiles of the block's own rows
+    // also write a few elements above the diagonal; step 2 zeroes them
+    // with the rest of the upper triangle, and nothing reads them.
+    if (j0 > 0) {
+      PackPanel(m, n, j0, jb, 0, j0, panel);
+      const std::size_t madds = kTileRows * j0 * jb;  // per row tile
+      ForRowTiles(j0, n, madds, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t kb = 0; kb < j0; kb += kChunkK) {
+          const std::size_t ke = std::min(j0, kb + kChunkK);
+          for (std::size_t i0 = begin; i0 < end; i0 += kTileRows) {
+            CholeskyRowTile<false>(m, n, i0, j0, jb, panel, kb, ke);
+          }
+        }
+      });
     }
-    l(j, j) = std::sqrt(d);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      l(i, j) = s / l(j, j);
+    // Step 2: factor the block. Its diagonal triangle is the column loop
+    // over the block's own columns; a matrix no wider than one block is
+    // this loop alone.
+    for (std::size_t j = j0; j < below; ++j) {
+      double* lj = m + j * n;
+      double d = lj[j];
+      for (std::size_t k = j0; k < j; ++k) d -= lj[k] * lj[k];
+      if (d <= 0.0 || !std::isfinite(d)) {
+        return Status::InvalidArgument("matrix is not positive definite");
+      }
+      lj[j] = std::sqrt(d);
+      for (std::size_t i = j + 1; i < below; ++i) {
+        double* li = m + i * n;
+        double s = li[j];
+        for (std::size_t k = j0; k < j; ++k) s -= li[k] * lj[k];
+        li[j] = s / lj[j];
+        lj[i] = 0.0;  // the mirror element, above the diagonal
+      }
+    }
+    // The rows below the block solve against it in register tiles: each
+    // column tile updates over the block's columns to its left, then
+    // finishes against its own triangle.
+    if (below < n) {
+      for (std::size_t j = j0; j < below; ++j) {
+        std::fill(m + j * n + below, m + (j + 1) * n, 0.0);
+      }
+      PackPanel(m, n, j0, jb, j0, below, panel);
+      const std::size_t madds = kTileRows * jb * jb / 2;  // per row tile
+      ForRowTiles(below, n, madds, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i0 = begin; i0 < end; i0 += kTileRows) {
+          CholeskyRowTile<true>(m, n, i0, j0, jb, panel, j0, below);
+        }
+      });
     }
   }
-  return l;
+  return a;
 }
 
-Vector ForwardSubstitute(const Matrix& l, const Vector& b) {
+namespace {
+
+/// Solves L y = b in place: x holds b on entry and y on return.
+void ForwardSubstituteInPlace(const Matrix& l, double* x) {
   const std::size_t n = l.rows();
-  MLBENCH_CHECK(b.size() == n);
-  Vector y(n);
   for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
+    double s = x[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
+    x[i] = s / l(i, i);
   }
+}
+
+/// Solves L^T x = y in place: x holds y on entry and x on return.
+void BackSubstituteTransposedInPlace(const Matrix& l, double* x) {
+  const std::size_t n = l.rows();
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = x[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+}
+
+}  // namespace
+
+Vector ForwardSubstitute(const Matrix& l, const Vector& b) {
+  MLBENCH_CHECK(b.size() == l.rows());
+  Vector y = b;
+  ForwardSubstituteInPlace(l, y.data());
   return y;
 }
 
 Vector BackSubstituteTransposed(const Matrix& l, const Vector& y) {
-  const std::size_t n = l.rows();
-  MLBENCH_CHECK(y.size() == n);
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
+  MLBENCH_CHECK(y.size() == l.rows());
+  Vector x = y;
+  BackSubstituteTransposedInPlace(l, x.data());
   return x;
 }
 
@@ -191,10 +371,12 @@ Result<Matrix> InverseSpd(const Matrix& a) {
   MLBENCH_ASSIGN_OR_RETURN(Matrix l, Cholesky(a));
   const std::size_t n = a.rows();
   Matrix inv(n, n);
+  std::vector<double> x(n);
   for (std::size_t c = 0; c < n; ++c) {
-    Vector e(n);
-    e[c] = 1.0;
-    Vector x = BackSubstituteTransposed(l, ForwardSubstitute(l, e));
+    std::fill(x.begin(), x.end(), 0.0);
+    x[c] = 1.0;
+    ForwardSubstituteInPlace(l, x.data());
+    BackSubstituteTransposedInPlace(l, x.data());
     for (std::size_t r = 0; r < n; ++r) inv(r, c) = x[r];
   }
   return inv;

@@ -10,9 +10,13 @@
 /// \file matrix.h
 /// Dense row-major matrix with the factorizations the samplers need.
 ///
-/// Sizes in this benchmark top out around 1000x1000 (the Bayesian Lasso Gram
-/// matrix), so straightforward O(n^3) kernels are appropriate and keep the
-/// code auditable.
+/// Sizes run from d <= 10 (GMM and imputation covariances, factored
+/// millions of times) to 1000x1000 (the Bayesian Lasso's X^T X + D_tau^-1,
+/// factored once per iteration). Cholesky is a blocked, register-tiled
+/// kernel whose row tiles run on the exec pool; it gives the same bits as
+/// the textbook column loop, and a matrix no wider than one column block
+/// runs that loop alone (DESIGN.md, "Cholesky kernel"). The other kernels
+/// are plain loops.
 
 namespace mlbench::linalg {
 
@@ -82,9 +86,19 @@ Vector MatVec(const Matrix& a, const Vector& x);
 /// x^T a x for square a.
 double QuadraticForm(const Matrix& a, const Vector& x);
 
-/// Cholesky factor L (lower triangular, a = L L^T) of an SPD matrix.
-/// Fails with InvalidArgument if the matrix is not (numerically) SPD.
-Result<Matrix> Cholesky(const Matrix& a);
+/// Column-block width of Cholesky. A matrix no wider than this is factored
+/// by the plain column loop, with no scratch and no pool dispatch.
+inline constexpr std::size_t kCholeskyBlock = 60;
+
+/// Cholesky factor L (lower triangular, a = L L^T) of an SPD matrix,
+/// computed in place: `a` is overwritten with L and its upper triangle
+/// zeroed, so callers that are done with `a` should move it in. Only the
+/// lower triangle of `a` is read. Bit-identical to the column loop at any
+/// pool size: every l(i, j) starts from a(i, j), subtracts l(i, k) l(j, k)
+/// for k = 0 .. j-1 in order, then takes sqrt (i == j) or divides by
+/// l(j, j). Fails with InvalidArgument at the first column whose pivot is
+/// not positive and finite, as that loop does.
+Result<Matrix> Cholesky(Matrix a);
 
 /// Solves a x = b for SPD a via Cholesky.
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.h"
+#include "exec/parallel_for.h"
 #include "stats/distributions.h"
 
 namespace mlbench::models {
@@ -97,13 +99,19 @@ void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
   MLBENCH_CHECK(stats->xtx.rows() == p && stats->xty.size() == p);
   double* xtx = stats->xtx.data();
   const std::size_t block = BlockPoints(p);
+  const std::size_t side = (p + kSquare - 1) / kSquare;
+  const auto squares = static_cast<std::int64_t>(side * (side + 1) / 2);
   for (std::size_t k0 = 0; k0 < count; k0 += block) {
     const std::size_t nk = std::min(block, count - k0);
-    for (std::size_t bi = 0; bi < p; bi += kSquare) {
-      for (std::size_t bj = bi; bj < p; bj += kSquare) {
-        GramSquare(x + k0 * p, nk, bi, bj, p, xtx);
-      }
-    }
+    // Squares write disjoint elements (each its own upper square and its
+    // mirror), so they run in any order and on any thread.
+    exec::ParallelFor(squares, 1, [&](const exec::Chunk& chunk) {
+      // Square number chunk.index, counted row by row along the triangle.
+      std::size_t s = static_cast<std::size_t>(chunk.index);
+      std::size_t row = 0;
+      while (s >= side - row) s -= side - row++;
+      GramSquare(x + k0 * p, nk, row * kSquare, (row + s) * kSquare, p, xtx);
+    });
   }
   for (std::size_t k = 0; k < count; ++k) {
     for (std::size_t i = 0; i < p; ++i) stats->xty[i] += x[k * p + i] * y[k];
@@ -166,7 +174,7 @@ Result<Vector> SampleBeta(stats::Rng& rng, const LassoSuffStats& stats,
   const std::size_t p = inv_tau2.size();
   Matrix a = stats.xtx;
   for (std::size_t j = 0; j < p; ++j) a(j, j) += inv_tau2[j];
-  MLBENCH_ASSIGN_OR_RETURN(Matrix l, linalg::Cholesky(a));
+  MLBENCH_ASSIGN_OR_RETURN(Matrix l, linalg::Cholesky(std::move(a)));
   // Mean: A^-1 X^T y.
   Vector mean = linalg::BackSubstituteTransposed(
       l, linalg::ForwardSubstitute(l, stats.xty));

@@ -73,7 +73,7 @@ class LassoGram {
   LassoSuffStats stats_;
 };
 
-/// Draws the initial state (tau from the prior, beta at ridge estimate).
+/// Draws the initial state: 1/tau^2 from the prior, beta = 0, sigma^2 = 1.
 Result<LassoState> InitLasso(stats::Rng& rng, const LassoHyper& hyper);
 
 /// 1/tau_j^2 ~ InvGaussian(sqrt(lambda^2 sigma^2 / beta_j^2), lambda^2).

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "exec/thread_pool.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "stats/rng.h"
@@ -138,6 +142,148 @@ TEST(MatrixTest, CholeskyRejectsNonSpd) {
   EXPECT_FALSE(Cholesky(a).ok());
   Matrix rect(2, 3);
   EXPECT_FALSE(Cholesky(rect).ok());
+}
+
+// The textbook column loop the blocked kernel must reproduce bit for bit.
+Result<Matrix> ReferenceCholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    if (d <= 0.0 || !std::isfinite(d)) {
+      return Status::InvalidArgument("matrix is not positive definite");
+    }
+    l(j, j) = std::sqrt(d);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / l(j, j);
+    }
+  }
+  return l;
+}
+
+// The lower triangle of a diagonally dominant, so SPD, symmetric matrix,
+// with garbage above the diagonal: the kernel must read only the lower
+// triangle. Cheap to build at n = 1000, unlike RandomSpd's product.
+Matrix DominantSpd(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) a(i, j) = rng.NextDouble() - 0.5;
+    a(i, i) = static_cast<double>(n) * (0.5 + rng.NextDouble());
+    for (std::size_t j = i + 1; j < n; ++j) a(i, j) = -1e300 * (j - i);
+  }
+  return a;
+}
+
+Matrix Leading(const Matrix& a, std::size_t n) { return a.Block(0, 0, n, n); }
+
+// Same ok-ness, and on success the same bits, as the reference.
+::testing::AssertionResult SameAsReference(const Matrix& a) {
+  Result<Matrix> want = ReferenceCholesky(a);
+  Result<Matrix> got = Cholesky(a);
+  if (want.ok() != got.ok()) {
+    return ::testing::AssertionFailure()
+           << "n=" << a.rows() << ": reference ok=" << want.ok()
+           << ", kernel ok=" << got.ok();
+  }
+  if (!want.ok()) return ::testing::AssertionSuccess();
+  const std::size_t n = a.rows();
+  if (got->rows() != n || got->cols() != n) {
+    return ::testing::AssertionFailure() << "n=" << n << ": wrong shape";
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double w = (*want)(i, j);
+      const double g = (*got)(i, j);
+      if (std::memcmp(&w, &g, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "n=" << n << ": l(" << i << ", " << j << ") = " << g
+               << ", reference " << w;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CholeskyKernel, MatchesScalarReferenceBitForBit) {
+  const std::size_t w = kCholeskyBlock;
+  for (int threads : {1, 4}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{5}, std::size_t{10}, w - 1, w, w + 1,
+                          2 * w + 3, std::size_t{257}, std::size_t{1000}}) {
+      EXPECT_TRUE(SameAsReference(DominantSpd(n, 31 + n)));
+    }
+    // A product matrix: off-diagonal mass comparable to the diagonal, so
+    // every column's sums matter.
+    EXPECT_TRUE(SameAsReference(RandomSpd(2 * w + 3, 5)));
+
+    // A non-positive pivot in a later block, at a column that is neither
+    // a block edge nor a tile edge: the kernel fails exactly where the
+    // reference does, and agrees with it on every leading matrix.
+    const std::size_t q = 2 * w + 7;
+    Matrix bad = DominantSpd(257, 3);
+    bad(q, q) = -1.0;
+    EXPECT_FALSE(Cholesky(bad).ok());
+    EXPECT_TRUE(SameAsReference(bad));
+    EXPECT_TRUE(SameAsReference(Leading(bad, q)));
+    ASSERT_TRUE(Cholesky(Leading(bad, q)).ok());
+    EXPECT_FALSE(Cholesky(Leading(bad, q + 1)).ok());
+
+    // A NaN below the diagonal in a later block poisons row r, which
+    // first reaches a pivot at column r.
+    const std::size_t r = 3 * w + 2;
+    Matrix nan = DominantSpd(257, 4);
+    nan(r, 5) = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(Cholesky(nan).ok());
+    EXPECT_TRUE(SameAsReference(nan));
+    ASSERT_TRUE(Cholesky(Leading(nan, r)).ok());
+    EXPECT_TRUE(SameAsReference(Leading(nan, r)));
+    EXPECT_FALSE(Cholesky(Leading(nan, r + 1)).ok());
+  }
+  exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+}
+
+// Column c of L^-T L^-1 by the textbook substitutions, into fresh vectors.
+Vector ReferenceInverseColumn(const Matrix& l, std::size_t c) {
+  const std::size_t n = l.rows();
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = i == c ? 1.0 : 0.0;
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+  return x;
+}
+
+TEST(CholeskyKernel, InverseSpdMatchesPerColumnSolves) {
+  // InverseSpd solves every unit column in one reused buffer; the bits
+  // must equal solving each column into fresh vectors.
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, 2 * kCholeskyBlock}) {
+    Matrix a = RandomSpd(n, 50 + n);
+    auto inv = InverseSpd(a);
+    auto l = Cholesky(a);
+    ASSERT_TRUE(inv.ok() && l.ok());
+    for (std::size_t c = 0; c < n; ++c) {
+      Vector x = ReferenceInverseColumn(*l, c);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = x[i];
+        const double got = (*inv)(i, c);
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+            << "n=" << n << " inv(" << i << ", " << c << ")";
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, TriangularSubstitution) {

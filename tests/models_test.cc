@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "models/gmm.h"
 #include "models/hmm.h"
 #include "models/imputation.h"
@@ -167,57 +169,64 @@ bool Symmetric(const LassoSuffStats& s, std::size_t p) {
 }
 
 TEST(LassoGramKernel, BlockCallsMatchScalarReferenceBitForBit) {
-  // p values whose tile edges do not divide p, and call schedules that
-  // split n unevenly, one point at a time included.
-  for (std::size_t p : {1u, 7u, 37u, 1003u}) {
-    const std::size_t n = p > 100 ? 70 : 150;
-    stats::Rng rng(11 + p);
-    std::vector<double> xs(n * p);
-    std::vector<double> ys(n);
-    for (auto& v : xs) {
-      // Exact zeros of both signs, negatives and positives.
-      double u = rng.NextDouble();
-      v = u < 0.15  ? 0.0
-          : u < 0.2 ? -0.0
-                    : stats::SampleNormal(rng, 0.0, 2.0);
-    }
-    for (auto& y : ys) y = stats::SampleNormal(rng, 0.0, 3.0);
-    LassoSuffStats want;
-    ReferenceGram(xs, ys, p, &want);
-
-    const std::vector<std::vector<std::size_t>> schedules = {
-        {n}, {1, 5, 33, 2, n - 41}, {13, 13, 13, 13, n - 52},
-        std::vector<std::size_t>(n, 1)};
-    for (const auto& schedule : schedules) {
-      LassoSuffStats got;
-      std::size_t k0 = 0;
-      for (std::size_t len : schedule) {
-        AccumulateLassoBlock(xs.data() + k0 * p, ys.data() + k0, len, p,
-                             &got);
-        k0 += len;
+  // The Gram squares run on the pool; their bits must not depend on its
+  // size.
+  for (int threads : {1, 4}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    // p values whose tile edges do not divide p, and call schedules that
+    // split n unevenly, one point at a time included.
+    for (std::size_t p : {1u, 7u, 37u, 1003u}) {
+      const std::size_t n = p > 100 ? 70 : 150;
+      stats::Rng rng(11 + p);
+      std::vector<double> xs(n * p);
+      std::vector<double> ys(n);
+      for (auto& v : xs) {
+        // Exact zeros of both signs, negatives and positives.
+        double u = rng.NextDouble();
+        v = u < 0.15  ? 0.0
+            : u < 0.2 ? -0.0
+                      : stats::SampleNormal(rng, 0.0, 2.0);
       }
-      ASSERT_EQ(k0, n);
-      EXPECT_TRUE(SameBits(got, want, p))
-          << "p=" << p << " calls=" << schedule.size();
-      EXPECT_TRUE(Symmetric(got, p))
-          << "p=" << p << " calls=" << schedule.size();
-    }
+      for (auto& y : ys) y = stats::SampleNormal(rng, 0.0, 3.0);
+      LassoSuffStats want;
+      ReferenceGram(xs, ys, p, &want);
 
-    // The one-point Vector entry and the streaming builder are the same
-    // kernel.
-    LassoSuffStats one;
-    LassoGram gram(p);
-    for (std::size_t k = 0; k < n; ++k) {
-      Vector x(std::vector<double>(xs.begin() + k * p,
-                                   xs.begin() + (k + 1) * p));
-      AccumulateLasso(x, ys[k], &one);
-      gram.Add(x, ys[k]);
+      const std::vector<std::vector<std::size_t>> schedules = {
+          {n}, {1, 5, 33, 2, n - 41}, {13, 13, 13, 13, n - 52},
+          std::vector<std::size_t>(n, 1)};
+      for (const auto& schedule : schedules) {
+        LassoSuffStats got;
+        std::size_t k0 = 0;
+        for (std::size_t len : schedule) {
+          AccumulateLassoBlock(xs.data() + k0 * p, ys.data() + k0, len, p,
+                               &got);
+          k0 += len;
+        }
+        ASSERT_EQ(k0, n);
+        EXPECT_TRUE(SameBits(got, want, p))
+            << "p=" << p << " calls=" << schedule.size();
+        EXPECT_TRUE(Symmetric(got, p))
+            << "p=" << p << " calls=" << schedule.size();
+      }
+
+      // The one-point Vector entry and the streaming builder are the same
+      // kernel.
+      LassoSuffStats one;
+      LassoGram gram(p);
+      for (std::size_t k = 0; k < n; ++k) {
+        Vector x(std::vector<double>(xs.begin() + k * p,
+                                     xs.begin() + (k + 1) * p));
+        AccumulateLasso(x, ys[k], &one);
+        gram.Add(x, ys[k]);
+      }
+      EXPECT_TRUE(SameBits(one, want, p)) << "p=" << p;
+      LassoSuffStats streamed = gram.Finish();
+      EXPECT_TRUE(SameBits(streamed, want, p)) << "p=" << p;
+      EXPECT_TRUE(Symmetric(streamed, p)) << "p=" << p;
     }
-    EXPECT_TRUE(SameBits(one, want, p)) << "p=" << p;
-    LassoSuffStats streamed = gram.Finish();
-    EXPECT_TRUE(SameBits(streamed, want, p)) << "p=" << p;
-    EXPECT_TRUE(Symmetric(streamed, p)) << "p=" << p;
   }
+  exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
 }
 
 TEST(LassoTest, ResidualSumOfSquaresMatchesDirect) {
