@@ -79,7 +79,6 @@ class MembershipVg : public reldb::VgFunction {
     const ColumnBatch::Column& dimc = params.col(dim_c_);
     const ColumnBatch::Column& valc = params.col(val_c_);
     const std::size_t n_groups = group_offsets.size() - 1;
-    out->columnar = true;
     // One output row per group: the point's id (input storage type) and
     // the sampled cluster.
     out->cols.push_back(ColumnBatch::Column::Sized(idc.type, n_groups));
@@ -200,7 +199,6 @@ class ClusterPosteriorVg : public reldb::VgFunction {
     const std::size_t n_groups = group_offsets.size() - 1;
     const std::size_t per = hyper_.dim + hyper_.dim * hyper_.dim;
     const std::size_t n_out = n_groups * per;
-    out->columnar = true;
     out->cols.push_back(ColumnBatch::Column::Sized(clusc.type, n_out));
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kInt, n_out));
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kInt, n_out));
@@ -324,7 +322,6 @@ class SuperVertexVg : public reldb::VgFunction {
     const std::size_t n_groups = group_offsets.size() - 1;
     const std::size_t per = k_ * (1 + dim_ + dim_ * dim_);
     const std::size_t n_out = n_groups * per;
-    out->columnar = true;
     // All five output columns are freshly generated int64/double values
     // (no passthrough), matching the tuple path's emitted alternatives.
     for (int c = 0; c < 4; ++c) {
@@ -571,15 +568,23 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
               .VgApply(vg, {"data_id"}, scale, vg_flops);
       membership.Materialize(Database::Versioned("membership", i));
       if (exp.imputation) {
-        // The imputed data table is rewritten for the next iteration.
-        auto fresh = db.Get("data");
-        std::size_t row = 0;
-        for (auto& tup : fresh->rows()) {
-          auto id = static_cast<std::size_t>(AsInt(tup[0]));
-          auto dd = static_cast<std::size_t>(AsInt(tup[1]));
-          tup[2] = censored[id].x[dd];
-          ++row;
+        // The imputed data table is rewritten for the next iteration: a
+        // fresh data_val column, with data_id and dim_id shared zero-copy.
+        auto data = db.GetColumnar("data");
+        const std::vector<std::int64_t>& ids = data->col(0).ints;
+        const std::vector<std::int64_t>& dims = data->col(1).ints;
+        std::vector<double> vals(data->num_rows());
+        for (std::size_t r = 0; r < vals.size(); ++r) {
+          vals[r] = censored[static_cast<std::size_t>(ids[r])]
+                        .x[static_cast<std::size_t>(dims[r])];
         }
+        std::vector<std::shared_ptr<const ColumnBatch::Column>> cols = {
+            data->col_ptr(0), data->col_ptr(1),
+            std::make_shared<const ColumnBatch::Column>(
+                ColumnBatch::Column::Doubles(std::move(vals)))};
+        db.PutBatch("data",
+                    std::make_shared<const ColumnBatch>(
+                        data->schema(), std::move(cols), data->scale()));
         Rel::Scan(db, "data").Materialize("data");
       }
       db.EndQuery();

@@ -103,7 +103,6 @@ class StateVg : public reldb::VgFunction {
         state_col.push_back(static_cast<std::int64_t>(doc.states[pos]));
       }
     }
-    out->columnar = true;
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(doc_col)));
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(pos_col)));
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(word_col)));

@@ -67,7 +67,6 @@ class BetaVg : public reldb::VgFunction {
         beta_col.push_back((*beta)[j]);
       }
     }
-    out->columnar = true;
     out->cols.push_back(
         reldb::ColumnBatch::Column::Ints(std::move(rigid)));
     out->cols.push_back(

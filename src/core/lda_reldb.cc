@@ -97,7 +97,6 @@ class TopicVg : public reldb::VgFunction {
         topic_col.push_back(static_cast<std::int64_t>(doc.topics[pos]));
       }
     }
-    out->columnar = true;
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(doc_col)));
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(pos_col)));
     out->cols.push_back(ColumnBatch::Column::Ints(std::move(word_col)));

@@ -17,11 +17,12 @@
 /// \file rdd.h
 /// A lazy, lineage-tracked Resilient Distributed Dataset (paper Section 4.1).
 ///
-/// Semantics follow Spark: transformations (Map, FlatMap, Filter,
-/// ReduceByKey, ...) build a lineage graph; actions (Collect, Reduce, Count,
-/// CollectAsMap) run a *job* that evaluates the graph. Narrow chains stream
-/// with O(1) simulated memory; shuffles and caches materialize and are
-/// charged against the simulated cluster's per-machine RAM at logical scale.
+/// Semantics follow Spark: transformations (Map, FlatMap, ReduceByKey,
+/// Join) build a lineage graph; actions (Collect, Reduce, CountActual) run
+/// a *job* that evaluates the graph. Narrow chains stream with O(1)
+/// simulated memory; shuffles and caches materialize and are charged
+/// against the simulated cluster's per-machine RAM at logical scale.
+/// Only the operators the drivers use are defined.
 ///
 /// Each RDD carries a `scale` (logical records per actual record) and a
 /// `record_bytes` estimate; together they convert the laptop-scale execution
@@ -226,25 +227,6 @@ class Rdd {
     return *this;
   }
 
-  /// Releases the cached partitions and their simulated memory.
-  void Unpersist() {
-    if (node_->cached && !node_->cache_filled.empty()) {
-      for (int p = 0; p < node_->num_partitions; ++p) {
-        if (!node_->cache_filled[p]) continue;
-        double bytes = static_cast<double>(node_->cache_store[p].size()) *
-                       node_->scale * node_->record_bytes;
-        ctx_->sim().Free(ctx_->MachineOf(p, node_->num_partitions), bytes);
-      }
-      node_->cache_store.clear();
-    }
-    node_->cached = false;
-    node_->cache_filled.clear();
-    if (node_->cache_id >= 0) {
-      ctx_->UnregisterCache(node_->cache_id);
-      node_->cache_id = -1;
-    }
-  }
-
   /// Element-wise transformation. `out_bytes` < 0 inherits this RDD's
   /// record size estimate.
   template <typename F>
@@ -302,32 +284,6 @@ class Rdd {
     return Rdd<U>(ctx, node);
   }
 
-  /// Keeps records satisfying the predicate.
-  template <typename F>
-  Rdd<T> Filter(F pred, OpCost cost = {}) const {
-    auto parent = node_;
-    auto* ctx = ctx_;
-    auto node = std::make_shared<detail::RddNode<T>>();
-    node->ctx = ctx;
-    node->num_partitions = parent->num_partitions;
-    node->record_bytes = parent->record_bytes;
-    node->scale = parent->scale;
-    node->compute = [parent, ctx, pred = std::move(pred),
-                     cost](int p) -> Result<std::vector<T>> {
-      auto in = parent->Materialize(p);
-      if (!in.ok()) return in.status();
-      ctx->ChargeClosureScaled(ctx->MachineOf(p, parent->num_partitions),
-                               static_cast<double>(in->size()), parent->scale,
-                               cost);
-      std::vector<T> out;
-      for (const auto& x : *in) {
-        if (pred(x)) out.push_back(x);
-      }
-      return out;
-    };
-    return Rdd<T>(ctx, node);
-  }
-
   // ---- Actions (each runs one simulated job) -------------------------------
 
   /// Returns all records at the driver. Driver memory is charged
@@ -358,13 +314,6 @@ class Rdd {
     long long n = 0;
     for (long long c : counts) n += c;
     return n;
-  }
-
-  /// Paper-scale (logical) record count.
-  Result<double> CountLogical() const {
-    auto n = CountActual();
-    if (!n.ok()) return n.status();
-    return static_cast<double>(*n) * node_->scale;
   }
 
   /// Folds all records with a commutative, associative combiner. Partitions
@@ -437,28 +386,6 @@ class Rdd {
 // ---------------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------------
-
-/// Distributes `data` from the driver (Spark's sc.parallelize). Model-sized:
-/// scale is 1 and no storage read is charged.
-template <typename T>
-Rdd<T> Parallelize(Context& ctx, std::vector<T> data, double record_bytes) {
-  auto node = std::make_shared<detail::RddNode<T>>();
-  node->ctx = &ctx;
-  node->num_partitions = ctx.machines();
-  node->record_bytes = record_bytes;
-  node->scale = 1.0;
-  int parts = node->num_partitions;
-  node->compute = [data = std::move(data),
-                   parts](int p) -> Result<std::vector<T>> {
-    std::vector<T> out;
-    for (std::size_t i = p; i < data.size();
-         i += static_cast<std::size_t>(parts)) {
-      out.push_back(data[i]);
-    }
-    return out;
-  };
-  return Rdd<T>(&ctx, node);
-}
 
 /// Data-scaled source (Spark's sc.textFile + parse): partition p holds
 /// `actual_per_partition` records generated by `gen(p, i)`; each stands for
@@ -651,88 +578,6 @@ Rdd<std::pair<K, V>> ReduceByKey(const Rdd<std::pair<K, V>>& in, Merge merge,
     return (*state)[p];
   };
   return Rdd<std::pair<K, V>>(ctx, node);
-}
-
-/// Applies `f` to each value, keeping keys and partitioning.
-template <typename K, typename V, typename F>
-auto MapValues(const Rdd<std::pair<K, V>>& in, F f, OpCost cost = {},
-               double out_bytes = -1)
-    -> Rdd<std::pair<K, std::invoke_result_t<F, const V&>>> {
-  using W = std::invoke_result_t<F, const V&>;
-  return in.Map(
-      [f = std::move(f)](const std::pair<K, V>& kv) {
-        return std::pair<K, W>(kv.first, f(kv.second));
-      },
-      cost, out_bytes);
-}
-
-/// Collects a pair RDD into a driver-side hash map (Spark collectAsMap).
-template <typename K, typename V>
-Result<std::unordered_map<K, V, detail::HashOf<K>>> CollectAsMap(
-    const Rdd<std::pair<K, V>>& in) {
-  auto rows = in.Collect();
-  if (!rows.ok()) return rows.status();
-  std::unordered_map<K, V, detail::HashOf<K>> out;
-  for (auto& kv : *rows) out[kv.first] = std::move(kv.second);
-  return out;
-}
-
-/// Groups values by key, materializing full value lists on the reduce side
-/// (Spark's groupByKey: no combiner, maximal shuffle and memory).
-template <typename K, typename V>
-Rdd<std::pair<K, std::vector<V>>> GroupByKey(const Rdd<std::pair<K, V>>& in,
-                                             OpCost map_cost = {},
-                                             double out_scale = -1) {
-  auto parent = in.node();
-  Context* ctx = in.context();
-  using Out = std::pair<K, std::vector<V>>;
-  auto node = std::make_shared<detail::RddNode<Out>>();
-  node->ctx = ctx;
-  node->num_partitions = parent->num_partitions;
-  node->record_bytes = parent->record_bytes;  // per grouped value
-  node->scale = out_scale < 0 ? parent->scale : out_scale;
-  double value_scale = parent->scale;
-  auto state = std::make_shared<std::vector<std::vector<Out>>>();
-  auto done = std::make_shared<bool>(false);
-  std::weak_ptr<detail::RddNode<Out>> node_w(node);
-  node->compute = [parent, ctx, map_cost, state, done, value_scale,
-                   node_w](int p) -> Result<std::vector<Out>> {
-    auto self = node_w.lock();
-    if (!*done) {
-      using MergeFn = V (*)(const V&, const V&);
-      auto buckets = detail::ShuffleByKey<K, V>(
-          ctx, parent, static_cast<MergeFn*>(nullptr), map_cost,
-          self->record_bytes);
-      if (!buckets.ok()) return buckets.status();
-      const int parts = parent->num_partitions;
-      state->resize(parts);
-      MLBENCH_RETURN_NOT_OK(
-          detail::ParallelPartitions(ctx, parts, [&](int q) -> Status {
-            int machine = ctx->MachineOf(q, parts);
-            // Group into first-seen key order; the map only resolves keys
-            // to output slots, so bucket order cannot leak into results.
-            std::unordered_map<K, std::size_t, detail::HashOf<K>> slot;
-            std::vector<Out> grouped;
-            double n_in = static_cast<double>((*buckets)[q].size());
-            for (auto& kv : (*buckets)[q]) {
-              auto [it, inserted] = slot.emplace(kv.first, grouped.size());
-              if (inserted) grouped.push_back(Out{kv.first, {}});
-              grouped[it->second].second.push_back(std::move(kv.second));
-            }
-            // All grouped values are resident on the reduce machine.
-            MLBENCH_RETURN_NOT_OK(ctx->AllocateTransient(
-                machine, n_in * value_scale * self->record_bytes,
-                "groupByKey buffer"));
-            ctx->sim().ChargeParallelCpuOnMachine(
-                machine, n_in * value_scale * ctx->lang().per_record_s);
-            (*state)[q] = std::move(grouped);
-            return Status::OK();
-          }));
-      *done = true;
-    }
-    return (*state)[p];
-  };
-  return Rdd<Out>(ctx, node);
 }
 
 /// Inner equi-join of two pair RDDs (cogroup-based hash join). Both sides'

@@ -1,5 +1,8 @@
 #include "reldb/column_batch.h"
 
+#include <cstdlib>
+#include <string>
+
 #include "common/logging.h"
 
 namespace mlbench::reldb {
@@ -23,7 +26,18 @@ ColumnBatch::ColumnBatch(Schema schema,
   for (const auto& c : cols_) MLBENCH_CHECK(c->size() == rows_);
 }
 
-std::optional<ColumnBatch> ColumnBatch::FromTable(const Table& t) {
+namespace {
+
+[[noreturn]] void AbortMixedColumn(const Table& t, std::size_t c) {
+  const std::string msg =
+      "column '" + t.schema().name(c) + "' mixes int and double values";
+  MLBENCH_CHECK_MSG(false, msg.c_str());
+  std::abort();
+}
+
+}  // namespace
+
+ColumnBatch ColumnBatch::FromTable(const Table& t) {
   const std::size_t ncols = t.schema().size();
   const auto& rows = t.rows();
   std::vector<Column> cols(ncols);
@@ -34,17 +48,17 @@ std::optional<ColumnBatch> ColumnBatch::FromTable(const Table& t) {
       col.type = ColType::kInt;
       col.ints.reserve(rows.size());
       for (const auto& row : rows) {
-        if (!std::holds_alternative<std::int64_t>(row[c])) {
-          return std::nullopt;
-        }
-        col.ints.push_back(std::get<std::int64_t>(row[c]));
+        const std::int64_t* v = std::get_if<std::int64_t>(&row[c]);
+        if (v == nullptr) AbortMixedColumn(t, c);
+        col.ints.push_back(*v);
       }
     } else {
       col.type = ColType::kDouble;
       col.doubles.reserve(rows.size());
       for (const auto& row : rows) {
-        if (!std::holds_alternative<double>(row[c])) return std::nullopt;
-        col.doubles.push_back(std::get<double>(row[c]));
+        const double* v = std::get_if<double>(&row[c]);
+        if (v == nullptr) AbortMixedColumn(t, c);
+        col.doubles.push_back(*v);
       }
     }
   }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,20 +9,17 @@
 #include "reldb/value.h"
 
 /// \file column_batch.h
-/// Columnar batch representation of a relation.
+/// Columnar batch representation of a relation — the one form every
+/// reldb operator runs on.
 ///
-/// The row engine (table.h) pays SimSQL's per-tuple interpretation price
-/// for real on the host: every Tuple is a heap-allocated
-/// vector<variant<int64_t, double>>, and join/group-by hash tables key on
-/// whole Tuples. A ColumnBatch stores the same relation as one typed
-/// contiguous array per column (int64 or double, inferred on load), so
-/// operators can run selection-vector filters, index-gather projects, and
-/// joins/group-bys keyed on 64-bit key codes with zero per-row
-/// allocation. Conversion to/from the row Table is exact (values keep
-/// their variant alternative bit-for-bit), which is what lets operators
-/// switch forms without changing a result bit; a column that mixes int and
-/// double values cannot be typed and signals the caller to fall back to
-/// the row path.
+/// A ColumnBatch stores a relation as one typed contiguous array per
+/// column (int64 or double, inferred on load), so operators can run
+/// selection-vector filters, index-gather projects, and joins/group-bys
+/// keyed on 64-bit key codes with zero per-row allocation. The row Table
+/// (table.h) is only a load and read-back format: FromTable types it, and
+/// ToTable rebuilds it exactly (values keep their variant alternative
+/// bit-for-bit). Every relation is typed on load: a column that mixes int
+/// and double values is a programming error and aborts in FromTable.
 
 namespace mlbench::reldb {
 
@@ -80,11 +76,10 @@ class ColumnBatch {
   ColumnBatch(Schema schema,
               std::vector<std::shared_ptr<const Column>> cols, double scale);
 
-  /// Types each column off the rows and packs it contiguously. Returns
-  /// nullopt when any column mixes int and double values — the caller must
-  /// stay on the row path. Empty tables convert trivially (all columns
-  /// default to kInt with zero rows).
-  static std::optional<ColumnBatch> FromTable(const Table& t);
+  /// Types each column off the rows and packs it contiguously. A column
+  /// that mixes int and double values aborts, naming the column. Empty
+  /// tables convert trivially (all columns default to kInt with zero rows).
+  static ColumnBatch FromTable(const Table& t);
 
   /// Exact inverse of FromTable: rebuilds the row form, preserving each
   /// value's variant alternative.

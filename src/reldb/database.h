@@ -25,12 +25,12 @@
 /// replicated storage between jobs, and nothing is pinned in RAM — which is
 /// why this engine can be slow but never runs out of memory.
 ///
-/// Each stored table keeps up to two host representations of the same
-/// logical relation: the row form (Table) and the columnar form
-/// (ColumnBatch). Operators scan the cached batch and never touch rows
-/// unless the table cannot be typed (see GetColumnar); the forms are
-/// converted lazily and the conversion is exact, so simulated charges and
-/// query results do not depend on which representation executes.
+/// Every stored table holds its columnar form (ColumnBatch), which is what
+/// operators scan; the row form (Table) is only a read-back cache, built
+/// from the columns on the first Get (or kept from Put). Tables are typed
+/// on load: Put of a table whose column mixes int and double values aborts
+/// (ColumnBatch::FromTable). The conversion is exact, so simulated charges
+/// and query results do not depend on which form a table was stored in.
 
 namespace mlbench::reldb {
 
@@ -53,48 +53,37 @@ class Database {
     return tables_.contains(name);
   }
 
-  /// Registers (or replaces) a stored table from its row form.
+  /// Registers (or replaces) a stored table from its row form: types it on
+  /// load and keeps the rows as the read-back cache.
   void Put(const std::string& name, Table table) {
-    tables_[name] =
-        StoredTable{std::make_shared<Table>(std::move(table)), nullptr, false};
+    auto cols =
+        std::make_shared<const ColumnBatch>(ColumnBatch::FromTable(table));
+    PutBatch(name, std::move(cols),
+             std::make_shared<const Table>(std::move(table)));
   }
 
   /// Registers (or replaces) a stored table from its columnar form; the row
   /// form (if supplied) is kept so a later Get needs no conversion.
   void PutBatch(const std::string& name,
                 std::shared_ptr<const ColumnBatch> cols,
-                std::shared_ptr<Table> rows = nullptr) {
-    tables_[name] = StoredTable{std::move(rows), std::move(cols), false};
+                std::shared_ptr<const Table> rows = nullptr) {
+    MLBENCH_CHECK(cols != nullptr);
+    tables_[name] = StoredTable{std::move(cols), std::move(rows)};
   }
 
-  /// Fetches a stored table's row form; the table must exist. The caller
-  /// may mutate the rows in place (the imputation driver rewrites stored
-  /// values), so any cached columnar form is dropped here and rebuilt from
-  /// the rows on the next columnar scan.
-  std::shared_ptr<Table> Get(const std::string& name) {
+  /// Read-only row view of a stored table (built from the columns and
+  /// cached on first use); the table must exist.
+  std::shared_ptr<const Table> Get(const std::string& name) {
     StoredTable& st = Lookup(name);
     if (st.rows == nullptr) {
-      st.rows = std::make_shared<Table>(st.cols->ToTable());
+      st.rows = std::make_shared<const Table>(st.cols->ToTable());
     }
-    st.cols = nullptr;
-    st.cols_failed = false;
     return st.rows;
   }
 
-  /// Fetches (converting and caching if needed) a stored table's columnar
-  /// form. Returns nullptr when the table cannot be typed (a column mixes
-  /// int and double values) — the caller must stay on the row path.
+  /// A stored table's columnar form; the table must exist.
   std::shared_ptr<const ColumnBatch> GetColumnar(const std::string& name) {
-    StoredTable& st = Lookup(name);
-    if (st.cols == nullptr && !st.cols_failed) {
-      auto batch = ColumnBatch::FromTable(*st.rows);
-      if (batch.has_value()) {
-        st.cols = std::make_shared<const ColumnBatch>(std::move(*batch));
-      } else {
-        st.cols_failed = true;
-      }
-    }
-    return st.cols;
+    return Lookup(name).cols;
   }
 
   void Drop(const std::string& name) { tables_.erase(name); }
@@ -196,13 +185,10 @@ class Database {
     }
   }
 
-  /// One stored relation in up to two host forms. Invariant: at least one
-  /// of rows/cols is non-null; cols_failed records that a conversion from
-  /// the current rows was attempted and the table is type-mixed.
+  /// One stored relation: its columns, plus the row form once built.
   struct StoredTable {
-    std::shared_ptr<Table> rows;
     std::shared_ptr<const ColumnBatch> cols;
-    bool cols_failed = false;
+    std::shared_ptr<const Table> rows;
   };
 
   StoredTable& Lookup(const std::string& name) {

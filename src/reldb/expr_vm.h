@@ -23,9 +23,10 @@
 ///
 /// Parity contract: every opcode applies the same IEEE operation in the
 /// same order as the row interpreter (EvalRow), element by element, so a
-/// batch result is bit-identical to interpreting each row — which is what
-/// the row fallback for untypable relations does. Selection orders keep
-/// row order at any MLBENCH_THREADS.
+/// batch result is bit-identical to interpreting each row. No operator
+/// runs EvalRow (every relation is typed); it is the reference the batch
+/// VM is tested against. Selection orders keep row order at any
+/// MLBENCH_THREADS.
 
 namespace mlbench::reldb {
 
@@ -160,9 +161,8 @@ class ExprProgram {
   const std::vector<std::vector<std::int64_t>>& sets() const { return sets_; }
   std::size_t num_regs() const { return num_regs_; }
 
-  /// Interprets the program over one row Tuple (the row fallback for
-  /// relations that cannot be typed, and the reference the batch
-  /// evaluator is tested against).
+  /// Interprets the program over one row Tuple: the reference the batch
+  /// evaluator is tested against (expr_vm_test).
   double EvalRow(const Tuple& t) const;
   bool EvalRowPred(const Tuple& t) const { return EvalRow(t) != 0.0; }
 

@@ -31,7 +31,7 @@ using Column = ColumnBatch::Column;
 // sum_k digit_k * stride_k with stride_k = span_0 * ... * span_{k-1}.
 // Within the fitted ranges two rows' codes are equal iff their keys are,
 // at any key width. A key cannot be coded — and its operator takes the
-// row branch (DESIGN.md §10) — when a key column is double-typed
+// row-key branch (DESIGN.md §10) — when a key column is double-typed
 // (bitwise codes would change key equality: -0.0 vs 0.0, NaN) or when the
 // spans' product does not fit in a uint64 (a column spanning the whole
 // int64 range, or several wide ones). Every key in the paper's plans is a
@@ -154,30 +154,20 @@ std::vector<Column> GatherColumns(
 
 }  // namespace
 
+Rel::Rel(Database* db, Table t)
+    : db_(db),
+      batch_(std::make_shared<const ColumnBatch>(ColumnBatch::FromTable(t))),
+      table_(std::make_shared<const Table>(std::move(t))) {}
+
 const Table* Rel::EnsureTable() const {
   if (table_ == nullptr) {
-    table_ = std::make_shared<Table>(batch_->ToTable());
+    table_ = std::make_shared<const Table>(batch_->ToTable());
   }
   return table_.get();
 }
 
-bool Rel::EnsureBatch() const {
-  if (batch_ != nullptr) return true;
-  if (batch_failed_) return false;
-  auto batch = ColumnBatch::FromTable(*table_);
-  if (!batch.has_value()) {
-    batch_failed_ = true;
-    return false;
-  }
-  batch_ = std::make_shared<const ColumnBatch>(std::move(*batch));
-  return true;
-}
-
 Rel Rel::Scan(Database& db, const std::string& name) {
-  std::shared_ptr<const ColumnBatch> batch = db.GetColumnar(name);
-  Rel r = batch != nullptr ? Rel(&db, std::move(batch))
-                            : Rel(&db, db.Get(name));
-  if (r.batch_ == nullptr) r.batch_failed_ = true;
+  Rel r(&db, db.GetColumnar(name));
   // Map phase reads the stored table from replicated storage.
   r.ChargeIo(r.SelfBytes());
   r.ChargeTuples(r.logical_rows(), db.costs().per_tuple_s);
@@ -185,7 +175,7 @@ Rel Rel::Scan(Database& db, const std::string& name) {
 }
 
 Rel Rel::FromTable(Database& db, Table table) {
-  return Rel(&db, std::make_shared<Table>(std::move(table)));
+  return Rel(&db, std::move(table));
 }
 
 void Rel::ChargeTuples(double logical, double per_tuple_s) const {
@@ -208,55 +198,29 @@ void Rel::ChargeShuffle(double bytes) const {
 Rel Rel::Filter(const ScalarExpr& pred) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
   const ExprProgram prog = ExprProgram::Compile(pred);
-  if (EnsureBatch()) {
-    const ColumnBatch& in = *batch_;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
-    std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
-    sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& keep : sel) keep.clear();
-    // Batch-fused VM: one dispatch per opcode per chunk, straight off the
-    // typed arrays.
-    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-      ExprProgram::Scratch scratch;
-      prog.SelectBatch(in, chunk.begin, chunk.end,
-                       &sel[static_cast<std::size_t>(chunk.index)], &scratch);
-    });
-    return Rel(db_, std::make_shared<const ColumnBatch>(
-                        in.schema(), GatherColumns(in, sel), in.scale()));
-  }
-  // Untypable relation: interpret the program row by row.
-  const Table& in = *EnsureTable();
-  const auto& rows = in.rows();
-  const std::int64_t n = static_cast<std::int64_t>(rows.size());
+  const ColumnBatch& in = *batch_;
+  const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
   const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-  exec::ScratchVec<std::vector<Tuple>> parts_lease;
-  std::vector<std::vector<Tuple>>& parts = *parts_lease;
-  parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-  for (auto& part : parts) part.clear();
+  exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
+  std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
+  sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
+  for (auto& keep : sel) keep.clear();
+  // Batch-fused VM: one dispatch per opcode per chunk, straight off the
+  // typed arrays.
   exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-    auto& out = parts[static_cast<std::size_t>(chunk.index)];
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      const auto& row = rows[static_cast<std::size_t>(i)];
-      if (prog.EvalRowPred(row)) out.push_back(row);
-    }
+    ExprProgram::Scratch scratch;
+    prog.SelectBatch(in, chunk.begin, chunk.end,
+                     &sel[static_cast<std::size_t>(chunk.index)], &scratch);
   });
-  Table out(in.schema(), in.scale());
-  for (auto& part : parts) {
-    for (auto& row : part) out.Append(std::move(row));
-  }
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  return Rel(db_, std::make_shared<const ColumnBatch>(
+                      in.schema(), GatherColumns(in, sel), in.scale()));
 }
 
 Rel Rel::FilterAll() const {
   // Same charge as a Filter that keeps everything; the output is the
-  // input relation, shared zero-copy in whichever form it is held
-  // (operators never mutate their inputs).
+  // input relation, shared zero-copy (operators never mutate their inputs).
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (EnsureBatch()) return Rel(db_, batch_);
-  EnsureTable();
-  return Rel(db_, table_);
+  return Rel(db_, batch_, table_);
 }
 
 Rel Rel::FilterIntIn(const std::string& col,
@@ -266,97 +230,55 @@ Rel Rel::FilterIntIn(const std::string& col,
 
 Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (EnsureBatch()) {
-    const ColumnBatch& in = *batch_;
-    const std::size_t n = in.num_rows();
-    std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
-    std::vector<std::size_t> prog_slots;
-    for (std::size_t e = 0; e < exprs.size(); ++e) {
-      if (exprs[e].src >= 0) {
-        out_cols[e] = in.col_ptr(static_cast<std::size_t>(exprs[e].src));
-      } else if (exprs[e].is_const) {
-        const Value& v = exprs[e].constant;
-        Column c = std::holds_alternative<std::int64_t>(v)
-                       ? Column::Ints(std::vector<std::int64_t>(
-                             n, std::get<std::int64_t>(v)))
-                       : Column::Doubles(
-                             std::vector<double>(n, std::get<double>(v)));
-        out_cols[e] = std::make_shared<const Column>(std::move(c));
-      } else {
-        prog_slots.push_back(e);
-      }
+  const ColumnBatch& in = *batch_;
+  const std::size_t n = in.num_rows();
+  std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
+  std::vector<std::size_t> prog_slots;
+  for (std::size_t e = 0; e < exprs.size(); ++e) {
+    if (exprs[e].src >= 0) {
+      out_cols[e] = in.col_ptr(static_cast<std::size_t>(exprs[e].src));
+    } else if (exprs[e].is_const) {
+      const Value& v = exprs[e].constant;
+      Column c = std::holds_alternative<std::int64_t>(v)
+                     ? Column::Ints(std::vector<std::int64_t>(
+                           n, std::get<std::int64_t>(v)))
+                     : Column::Doubles(
+                           std::vector<double>(n, std::get<double>(v)));
+      out_cols[e] = std::make_shared<const Column>(std::move(c));
+    } else {
+      prog_slots.push_back(e);
     }
-    if (!prog_slots.empty()) {
-      // Compiled slots run batch-fused through the VM.
-      std::vector<std::vector<double>> computed(prog_slots.size(),
-                                                std::vector<double>(n));
-      exec::ParallelFor(
-          static_cast<std::int64_t>(n),
-          exec::GrainFor(static_cast<std::int64_t>(n),
-                         exec::CostHint::kNormal),
-          [&](const exec::Chunk& chunk) {
-            ExprProgram::Scratch scratch;
-            for (std::size_t s = 0; s < prog_slots.size(); ++s) {
-              exprs[prog_slots[s]].prog->EvalBatch(
-                  in, chunk.begin, chunk.end,
-                  computed[s].data() + static_cast<std::size_t>(chunk.begin),
-                  &scratch);
-            }
-          });
-      for (std::size_t s = 0; s < prog_slots.size(); ++s) {
-        out_cols[prog_slots[s]] = std::make_shared<const Column>(
-            Column::Doubles(std::move(computed[s])));
-      }
-    }
-    return Rel(db_, std::make_shared<const ColumnBatch>(
-                        std::move(out_schema), std::move(out_cols),
-                        in.scale()));
   }
-  const Table& tin = *EnsureTable();
-  const auto& rows = tin.rows();
-  const std::int64_t n = static_cast<std::int64_t>(rows.size());
-  const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-  exec::ScratchVec<std::vector<Tuple>> parts_lease;
-  std::vector<std::vector<Tuple>>& parts = *parts_lease;
-  parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-  for (auto& part : parts) part.clear();
-  exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-    auto& out = parts[static_cast<std::size_t>(chunk.index)];
-    out.reserve(static_cast<std::size_t>(chunk.end - chunk.begin));
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      const Tuple& row = rows[static_cast<std::size_t>(i)];
-      Tuple out_row;
-      out_row.reserve(exprs.size());
-      for (const auto& e : exprs) {
-        if (e.src >= 0) {
-          out_row.push_back(row[static_cast<std::size_t>(e.src)]);
-        } else if (e.is_const) {
-          out_row.push_back(e.constant);
-        } else {
-          out_row.emplace_back(e.prog->EvalRow(row));
-        }
-      }
-      out.push_back(std::move(out_row));
+  if (!prog_slots.empty()) {
+    // Compiled slots run batch-fused through the VM.
+    std::vector<std::vector<double>> computed(prog_slots.size(),
+                                              std::vector<double>(n));
+    exec::ParallelFor(
+        static_cast<std::int64_t>(n),
+        exec::GrainFor(static_cast<std::int64_t>(n), exec::CostHint::kNormal),
+        [&](const exec::Chunk& chunk) {
+          ExprProgram::Scratch scratch;
+          for (std::size_t s = 0; s < prog_slots.size(); ++s) {
+            exprs[prog_slots[s]].prog->EvalBatch(
+                in, chunk.begin, chunk.end,
+                computed[s].data() + static_cast<std::size_t>(chunk.begin),
+                &scratch);
+          }
+        });
+    for (std::size_t s = 0; s < prog_slots.size(); ++s) {
+      out_cols[prog_slots[s]] = std::make_shared<const Column>(
+          Column::Doubles(std::move(computed[s])));
     }
-  });
-  Table out(std::move(out_schema), tin.scale());
-  out.Reserve(static_cast<std::size_t>(n));
-  for (auto& part : parts) {
-    for (auto& row : part) out.Append(std::move(row));
   }
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  return Rel(db_,
+             std::make_shared<const ColumnBatch>(
+                 std::move(out_schema), std::move(out_cols), in.scale()));
 }
 
 Rel Rel::Renamed(Schema out_schema) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (EnsureBatch()) {
-    return Rel(db_, std::make_shared<const ColumnBatch>(batch_->WithSchema(
-                        std::move(out_schema), batch_->scale())));
-  }
-  const Table& tin = *EnsureTable();
-  Table out(std::move(out_schema), tin.scale());
-  out.rows() = tin.rows();
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  return Rel(db_, std::make_shared<const ColumnBatch>(batch_->WithSchema(
+                      std::move(out_schema), batch_->scale())));
 }
 
 Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
@@ -386,15 +308,17 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   Schema out_schema(std::move(out_cols));
 
+  // A non-co-partitioned join's output is written and read back.
+  auto finish = [&](Rel result) {
+    if (!co_partitioned) result.ChargeIo(result.SelfBytes() * 2.0);
+    return result;
+  };
   KeyCols lcols;
   KeyCols rcols;
   KeyCode code;
-  const bool coded = EnsureBatch() && right.EnsureBatch() &&
-                     BindIntKeys(*batch_, lidx, &lcols) &&
-                     BindIntKeys(*right.batch_, ridx, &rcols) &&
-                     code.Fit(lcols, batch_->num_rows());
-  Rel result(db_, std::shared_ptr<Table>(nullptr));
-  if (coded) {
+  if (BindIntKeys(*batch_, lidx, &lcols) &&
+      BindIntKeys(*right.batch_, ridx, &rcols) &&
+      code.Fit(lcols, batch_->num_rows())) {
     const ColumnBatch& lb = *batch_;
     const ColumnBatch& rb = *right.batch_;
     // Build over the left in scan order: each distinct key gets a slot in
@@ -498,47 +422,43 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
             }
           }
         });
-    result = Rel(db_, std::make_shared<const ColumnBatch>(
-                          std::move(out_schema), std::move(cols), out_scale));
-  } else {
-    Table out(std::move(out_schema), out_scale);
-    std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq>
-        build;
-    for (const auto& row : EnsureTable()->rows()) {
-      build[KeyOf(row, lidx)].push_back(&row);
-    }
-    // Probe side fans out across the host pool: the build map is read-only
-    // here, and per-chunk outputs concatenate in chunk order, matching the
-    // serial probe's row order exactly.
-    const auto& rrows = right.table().rows();
-    const std::int64_t n = static_cast<std::int64_t>(rrows.size());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<Tuple>> parts_lease;
-    std::vector<std::vector<Tuple>>& parts = *parts_lease;
-    parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& part : parts) part.clear();
-    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-      auto& local = parts[static_cast<std::size_t>(chunk.index)];
-      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        const auto& rrow = rrows[static_cast<std::size_t>(i)];
-        auto it = build.find(KeyOf(rrow, ridx));
-        if (it == build.end()) continue;
-        for (const Tuple* lrow : it->second) {
-          Tuple joined = *lrow;
-          for (std::size_t c : right_keep) joined.push_back(rrow[c]);
-          local.push_back(std::move(joined));
-        }
+    return finish(Rel(db_, std::make_shared<const ColumnBatch>(
+                               std::move(out_schema), std::move(cols),
+                               out_scale)));
+  }
+  Table out(std::move(out_schema), out_scale);
+  std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq>
+      build;
+  for (const auto& row : EnsureTable()->rows()) {
+    build[KeyOf(row, lidx)].push_back(&row);
+  }
+  // Probe side fans out across the host pool: the build map is read-only
+  // here, and per-chunk outputs concatenate in chunk order, matching the
+  // serial probe's row order exactly.
+  const auto& rrows = right.table().rows();
+  const std::int64_t n = static_cast<std::int64_t>(rrows.size());
+  const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
+  exec::ScratchVec<std::vector<Tuple>> parts_lease;
+  std::vector<std::vector<Tuple>>& parts = *parts_lease;
+  parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
+  for (auto& part : parts) part.clear();
+  exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
+    auto& local = parts[static_cast<std::size_t>(chunk.index)];
+    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+      const auto& rrow = rrows[static_cast<std::size_t>(i)];
+      auto it = build.find(KeyOf(rrow, ridx));
+      if (it == build.end()) continue;
+      for (const Tuple* lrow : it->second) {
+        Tuple joined = *lrow;
+        for (std::size_t c : right_keep) joined.push_back(rrow[c]);
+        local.push_back(std::move(joined));
       }
-    });
-    for (auto& part : parts) {
-      for (auto& row : part) out.Append(std::move(row));
     }
-    result = Rel(db_, std::make_shared<Table>(std::move(out)));
+  });
+  for (auto& part : parts) {
+    for (auto& row : part) out.Append(std::move(row));
   }
-  if (!co_partitioned) {
-    result.ChargeIo(result.SelfBytes() * 2.0);  // write+read
-  }
-  return result;
+  return finish(Rel(db_, std::move(out)));
 }
 
 Rel Rel::GroupBy(const std::vector<std::string>& keys,
@@ -572,7 +492,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   // are contiguous row ranges in both.
   KeyCols kcols;
   KeyCode code;
-  if (EnsureBatch() && BindIntKeys(*batch_, kidx, &kcols) &&
+  if (BindIntKeys(*batch_, kidx, &kcols) &&
       code.Fit(kcols, batch_->num_rows())) {
     const ColumnBatch& in = *batch_;
     struct ChunkGroups {
@@ -778,7 +698,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
     }
     out.Append(std::move(row));
   }
-  Rel result(db_, std::make_shared<Table>(std::move(out)));
+  Rel result(db_, std::move(out));
   // Shuffle the map-side-combined groups, then write the aggregate.
   double combined_bytes =
       std::min(SelfBytes(), result.logical_rows() * db_->sim().machines() *
@@ -795,23 +715,33 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
   auto gidx = ResolveAll(schema(), group_cols);
   vg.BindSchema(schema());
 
-  Table out(vg.output_schema(), out_scale);
-  std::shared_ptr<const ColumnBatch> out_batch;
+  // Parameter tuples in, sampled tuples out — each crosses the Java/C++
+  // VG boundary; the function body itself runs at C++ speed. The output's
+  // logical rows are representation-independent, so both branches charge
+  // the same doubles.
+  auto finish = [&](Rel result) {
+    ChargeTuples(logical_rows(), db_->costs().vg_tuple_s);
+    const double logical_out = result.logical_rows();
+    ChargeTuples(logical_out, db_->costs().vg_tuple_s);
+    db_->sim().ChargeParallelCpu(logical_out * flops_per_out_tuple *
+                                 sim::CppModel().flop_s);
+    return result;
+  };
   KeyCols gcols;
   KeyCode code;
-  if (EnsureBatch() && BindIntKeys(*batch_, gidx, &gcols) &&
+  if (BindIntKeys(*batch_, gidx, &gcols) &&
       code.Fit(gcols, batch_->num_rows())) {
     const ColumnBatch& in = *batch_;
     // Columnar VG dispatch: every invocation group must be one contiguous
     // column span, groups in first-seen order, rows in original order, so
     // the function consumes the shared RNG exactly as the per-group tuple
-    // loop of the row branch below does. Inputs produced group-major
+    // loop of the row-key branch below does. Inputs produced group-major
     // (member lists, doc-major word tables, an empty key over the whole
     // input) already satisfy that: one adjacent-key scan verifies it — one
     // index insert per *group* rejects keys that reappear in a later run —
     // and the spans then alias the input columns outright. Otherwise
     // group-sort into fresh columns with the same first-seen grouping the
-    // row branch uses.
+    // row-key branch uses.
     const std::size_t n_rows = in.num_rows();
     std::vector<std::uint32_t> group_offsets{0};
     common::FlatIndex slots;
@@ -862,114 +792,79 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
       grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
                             in.scale());
     }
-    const std::size_t n_groups = group_offsets.size() - 1;
-    const std::size_t hint =
-        n_groups == 0 ? 0 : n_groups * vg.OutRowsHint(n_rows / n_groups);
     VgBatchOut vout;
-    vout.rows.reserve(hint);
     vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
-    if (vout.columnar) {
-      out_batch = std::make_shared<const ColumnBatch>(
-          vg.output_schema(), std::move(vout.cols), out_scale);
+    return finish(Rel(db_, std::make_shared<const ColumnBatch>(
+                               vg.output_schema(), std::move(vout.cols),
+                               out_scale)));
+  }
+  // Partition parameter rows into invocation groups (stable order).
+  const Table& tin = *EnsureTable();
+  std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> groups;
+  std::vector<Tuple> group_order;
+  for (const auto& row : tin.rows()) {
+    Tuple key = KeyOf(row, gidx);
+    auto it = groups.find(key);
+    if (it == groups.end()) {
+      group_order.push_back(key);
+      groups.emplace(std::move(key), std::vector<Tuple>{row});
     } else {
-      // Fallback default went through Sample: adopt its rows wholesale.
-      out.rows() = std::move(vout.rows);
-    }
-  } else {
-    // Partition parameter rows into invocation groups (stable order).
-    const Table& tin = *EnsureTable();
-    std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> groups;
-    std::vector<Tuple> group_order;
-    for (const auto& row : tin.rows()) {
-      Tuple key = KeyOf(row, gidx);
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        group_order.push_back(key);
-        groups.emplace(std::move(key), std::vector<Tuple>{row});
-      } else {
-        it->second.push_back(row);
-      }
-    }
-    out.Reserve(group_order.empty()
-                    ? 0
-                    : group_order.size() *
-                          vg.OutRowsHint(tin.rows().size() /
-                                         group_order.size()));
-    for (const auto& key : group_order) {
-      vg.Sample(groups[key], schema(), db_->rng(), &out.rows());
+      it->second.push_back(row);
     }
   }
-  // Parameter tuples in, sampled tuples out — each crosses the Java/C++
-  // VG boundary; the function body itself runs at C++ speed. actual_rows
-  // and out_scale are representation-independent, so the charges are the
-  // same doubles whichever form the function emitted.
-  const std::size_t actual_out =
-      out_batch != nullptr ? out_batch->num_rows() : out.actual_rows();
-  ChargeTuples(logical_rows(), db_->costs().vg_tuple_s);
-  double logical_out = static_cast<double>(actual_out) * out_scale;
-  ChargeTuples(logical_out, db_->costs().vg_tuple_s);
-  db_->sim().ChargeParallelCpu(logical_out * flops_per_out_tuple *
-                               sim::CppModel().flop_s);
-  if (out_batch != nullptr) return Rel(db_, std::move(out_batch));
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  Table out(vg.output_schema(), out_scale);
+  out.Reserve(group_order.empty()
+                  ? 0
+                  : group_order.size() *
+                        vg.OutRowsHint(tin.rows().size() / group_order.size()));
+  for (const auto& key : group_order) {
+    vg.Sample(groups[key], schema(), db_->rng(), &out.rows());
+  }
+  return finish(Rel(db_, std::move(out)));
 }
 
 Rel Rel::Union(const Rel& other) const {
   MLBENCH_CHECK(schema().size() == other.schema().size());
-  if (EnsureBatch() && other.EnsureBatch()) {
-    const ColumnBatch& a = *batch_;
-    const ColumnBatch& b = *other.batch_;
-    if (b.num_rows() == 0) return Rel(db_, batch_);
-    if (a.num_rows() == 0) {
-      // Adopt the right side's columns under the left schema and scale
-      // (Union keeps the left's, like the row branch).
-      return Rel(db_, std::make_shared<const ColumnBatch>(
-                          b.WithSchema(a.schema(), a.scale())));
-    }
-    bool types_match = true;
-    for (std::size_t c = 0; c < a.num_cols(); ++c) {
-      if (a.col(c).type != b.col(c).type) {
-        types_match = false;
-        break;
-      }
-    }
-    if (types_match) {
-      std::vector<Column> cols;
-      cols.reserve(a.num_cols());
-      for (std::size_t c = 0; c < a.num_cols(); ++c) {
-        const Column& ca = a.col(c);
-        const Column& cb = b.col(c);
-        Column nc;
-        nc.type = ca.type;
-        if (ca.type == ColType::kInt) {
-          nc.ints = ca.ints;
-          nc.ints.insert(nc.ints.end(), cb.ints.begin(), cb.ints.end());
-        } else {
-          nc.doubles = ca.doubles;
-          nc.doubles.insert(nc.doubles.end(), cb.doubles.begin(),
-                            cb.doubles.end());
-        }
-        cols.push_back(std::move(nc));
-      }
-      return Rel(db_, std::make_shared<const ColumnBatch>(
-                          a.schema(), std::move(cols), a.scale()));
-    }
+  const ColumnBatch& a = *batch_;
+  const ColumnBatch& b = *other.batch_;
+  // The empty-side shortcuts come before the type check: an empty
+  // relation's columns default to kInt whatever they would hold.
+  if (b.num_rows() == 0) return Rel(db_, batch_);
+  if (a.num_rows() == 0) {
+    // Adopt the right side's columns under the left schema and scale.
+    return Rel(db_, std::make_shared<const ColumnBatch>(
+                        b.WithSchema(a.schema(), a.scale())));
   }
-  const Table& tin = *EnsureTable();
-  Table out(tin.schema(), tin.scale());
-  out.rows() = tin.rows();
-  for (const auto& row : other.table().rows()) out.Append(row);
-  return Rel(db_, std::make_shared<Table>(std::move(out)));
+  std::vector<Column> cols;
+  cols.reserve(a.num_cols());
+  for (std::size_t c = 0; c < a.num_cols(); ++c) {
+    const Column& ca = a.col(c);
+    const Column& cb = b.col(c);
+    MLBENCH_CHECK_MSG(ca.type == cb.type,
+                      ("Union column '" + a.schema().name(c) +
+                       "' mixes int and double values")
+                          .c_str());
+    Column nc;
+    nc.type = ca.type;
+    if (ca.type == ColType::kInt) {
+      nc.ints = ca.ints;
+      nc.ints.insert(nc.ints.end(), cb.ints.begin(), cb.ints.end());
+    } else {
+      nc.doubles = ca.doubles;
+      nc.doubles.insert(nc.doubles.end(), cb.doubles.begin(),
+                        cb.doubles.end());
+    }
+    cols.push_back(std::move(nc));
+  }
+  return Rel(db_, std::make_shared<const ColumnBatch>(a.schema(),
+                                                      std::move(cols),
+                                                      a.scale()));
 }
 
 void Rel::Materialize(const std::string& name) const {
   ChargeIo(SelfBytes());
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (EnsureBatch()) {
-    db_->PutBatch(name, batch_, table_);
-  } else {
-    db_->Put(name, *table_);
-  }
+  db_->PutBatch(name, batch_, table_);
 }
 
 }  // namespace mlbench::reldb

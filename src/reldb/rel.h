@@ -21,17 +21,15 @@
 /// storage I/O for every materialization boundary — the cost structure of
 /// SimSQL-on-Hadoop the paper measures.
 ///
-/// Operators run over ColumnBatch — typed contiguous arrays,
-/// selection-vector filters evaluated by the expression VM (expr_vm.h),
-/// index-gather projects, and join/group-by lookups of one 64-bit key code
-/// per row in a common::FlatIndex (KeyCode, rel.cc). Two kinds of
-/// input take a row-tuple branch instead (DESIGN.md §10):
-///
-///  * HashJoin, GroupBy and VgApply keys that cannot be coded — a double
-///    key column, or int key columns whose value spans multiply past
-///    2^64. SQL reaches these, e.g. `GROUP BY val` over a double column.
-///  * A relation whose column mixes int and double values cannot be typed
-///    at all; every operator on it runs on rows.
+/// Every relation is a typed ColumnBatch (typed on load, column_batch.h),
+/// and operators run over it: selection-vector filters evaluated by the
+/// expression VM (expr_vm.h), index-gather projects, and join/group-by
+/// lookups of one 64-bit key code per row in a common::FlatIndex (KeyCode,
+/// rel.cc). The one row-tuple branch is for HashJoin, GroupBy and VgApply
+/// keys that cannot be coded — a double key column, or int key columns
+/// whose value spans multiply past 2^64 (DESIGN.md §10). SQL reaches it,
+/// e.g. `GROUP BY val` over a double column; its output is typed on
+/// construction like any other relation.
 ///
 /// Every branch charges the simulator from logical row counts and schema
 /// widths only (never from the host representation), commits host-parallel
@@ -65,8 +63,7 @@ struct Agg {
 /// One output column of a Project: a passthrough of an input column, a
 /// constant, or a compiled ScalarExpr. Passthrough columns are shared
 /// zero-copy, constants fill without touching row storage, and compiled
-/// columns run batch-fused through the bytecode VM (expr_vm.h); the row
-/// fallback evaluates the same program per row with identical results.
+/// columns run batch-fused through the bytecode VM (expr_vm.h).
 struct ColExpr {
   int src = -1;           ///< passthrough input column (when >= 0)
   bool is_const = false;  ///< emit `constant` for every row
@@ -96,20 +93,17 @@ class Rel {
   /// Reads a stored table, charging the storage scan.
   static Rel Scan(Database& db, const std::string& name);
 
-  /// Wraps a freshly built in-flight table without a read charge.
+  /// Wraps a freshly built in-flight table without a read charge, typing
+  /// it on load (the rows stay as the row cache).
   static Rel FromTable(Database& db, Table table);
 
   /// Row form of this relation (materialized from the columnar form on
   /// first use, then cached).
   const Table& table() const { return *EnsureTable(); }
 
-  const Schema& schema() const {
-    return batch_ ? batch_->schema() : table_->schema();
-  }
-  double scale() const { return batch_ ? batch_->scale() : table_->scale(); }
-  double logical_rows() const {
-    return batch_ ? batch_->logical_rows() : table_->logical_rows();
-  }
+  const Schema& schema() const { return batch_->schema(); }
+  double scale() const { return batch_->scale(); }
+  double logical_rows() const { return batch_->logical_rows(); }
   /// Keeps rows where the compiled predicate is non-zero (narrow,
   /// pipelined). The bytecode VM runs batch-fused over the typed arrays:
   /// one dispatch per opcode per chunk.
@@ -162,17 +156,14 @@ class Rel {
   void Materialize(const std::string& name) const;
 
  private:
-  Rel(Database* db, std::shared_ptr<Table> t) : db_(db), table_(std::move(t)) {}
-  Rel(Database* db, std::shared_ptr<const ColumnBatch> b)
-      : db_(db), batch_(std::move(b)) {}
+  Rel(Database* db, std::shared_ptr<const ColumnBatch> b,
+      std::shared_ptr<const Table> rows = nullptr)
+      : db_(db), batch_(std::move(b)), table_(std::move(rows)) {}
+  /// Types `t` on load and keeps it as the row cache.
+  Rel(Database* db, Table t);
 
   /// Lazily materializes (and caches) the row form.
   const Table* EnsureTable() const;
-  /// Lazily converts (and caches) the columnar form; false when a column
-  /// mixes value types (the failure is cached too), and the operator runs
-  /// on rows.
-  bool EnsureBatch() const;
-
 
   /// Charges per-tuple CPU across the cluster for `logical` tuples.
   void ChargeTuples(double logical, double per_tuple_s) const;
@@ -182,16 +173,16 @@ class Rel {
   void ChargeShuffle(double bytes) const;
 
   /// Logical stored bytes of this relation — a function of logical rows
-  /// and schema width only, never of the host representation, so charges
-  /// match between the columnar and row branches.
+  /// and schema width only, never of the host representation, so the
+  /// coded and row-key branches charge alike.
   double SelfBytes() const {
     return logical_rows() * db_->TupleBytes(schema().size());
   }
 
   Database* db_;
-  mutable std::shared_ptr<Table> table_;
-  mutable std::shared_ptr<const ColumnBatch> batch_;
-  mutable bool batch_failed_ = false;
+  std::shared_ptr<const ColumnBatch> batch_;
+  /// Row cache for table() and the row-key branches; filled on first use.
+  mutable std::shared_ptr<const Table> table_;
 };
 
 }  // namespace mlbench::reldb

@@ -17,24 +17,20 @@
 /// cost is modeled in RelDbCosts::vg_tuple_s.
 ///
 /// Two execution surfaces (DESIGN.md §14): the columnar SampleBatch, which
-/// receives every invocation group of one VgApply as contiguous column
-/// spans of a group-sorted ColumnBatch, and the tuple-at-a-time Sample,
-/// which VgApply calls when the group key cannot be packed (a double or
-/// more than four key columns). The SampleBatch default falls back to
-/// Sample per group. Both must consume the shared RNG in the same
+/// every function must implement and which receives every invocation group
+/// of one VgApply as contiguous column spans of a group-sorted ColumnBatch,
+/// and the tuple-at-a-time Sample, which VgApply calls only when the group
+/// key cannot be coded (a double key column, or int key columns whose value
+/// spans multiply past 2^64). Both must consume the shared RNG in the same
 /// per-group order, so a group's draws do not depend on its key's type.
 
 namespace mlbench::reldb {
 
-/// Result sink of one SampleBatch call (all groups of one VgApply).
-/// Functions emit either typed columns (set `columnar`, fill `cols` to the
-/// output schema, all groups concatenated in group order) or row tuples in
-/// `rows` (what the fallback default does); VgApply moves either form into
-/// the operator output without another copy.
+/// Result sink of one SampleBatch call (all groups of one VgApply): typed
+/// columns matching the output schema, all groups concatenated in group
+/// order. VgApply moves them into the operator output without a copy.
 struct VgBatchOut {
   std::vector<ColumnBatch::Column> cols;
-  std::vector<Tuple> rows;
-  bool columnar = false;
 };
 
 class VgFunction {
@@ -47,10 +43,10 @@ class VgFunction {
   /// Schema of the tuples this function emits.
   virtual Schema output_schema() const = 0;
 
-  /// Called by VgApply exactly once, before the first Sample invocation,
-  /// with the parameter schema every invocation will use. Implementations
-  /// cache column indices here so Sample never pays a per-invocation
-  /// Schema::IndexOf string scan.
+  /// Called by VgApply exactly once, before the first Sample or
+  /// SampleBatch invocation, with the parameter schema every invocation
+  /// will use. Implementations cache column indices here so neither pays a
+  /// per-invocation Schema::IndexOf string scan.
   virtual void BindSchema(const Schema& schema) { (void)schema; }
 
   /// One invocation: consumes the parameter tuples of a group (with the
@@ -70,20 +66,10 @@ class VgFunction {
   /// group-sorted so group g occupies rows [group_offsets[g],
   /// group_offsets[g+1]) (first-seen group order, original row order
   /// within each group — the exact sequence the tuple path feeds Sample).
-  /// The default materializes each group and delegates to Sample, reusing
-  /// one scratch tuple vector across groups.
+  /// Emits typed columns into `out->cols`.
   virtual void SampleBatch(const ColumnBatch& params,
                            const std::vector<std::uint32_t>& group_offsets,
-                           stats::Rng& rng, VgBatchOut* out) {
-    std::vector<Tuple> group;
-    for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g) {
-      group.resize(group_offsets[g + 1] - group_offsets[g]);
-      for (std::size_t j = 0; j < group.size(); ++j) {
-        params.MaterializeRow(group_offsets[g] + j, &group[j]);
-      }
-      Sample(group, params.schema(), rng, &out->rows);
-    }
-  }
+                           stats::Rng& rng, VgBatchOut* out) = 0;
 };
 
 }  // namespace mlbench::reldb

@@ -13,12 +13,13 @@
 /// of one invocation group and emits sampled rows. Parameter column indices
 /// resolve once in BindSchema; Sample never does a name lookup.
 ///
-/// Every function also implements the columnar SampleBatch surface: it
-/// reads parameters straight from the group-sorted column spans and emits
-/// typed output columns. Passthrough identifier columns copy the input
-/// column's storage type, so converting the output back to rows
-/// reproduces the tuple path's Value alternatives exactly; draws consume
-/// the RNG in the identical per-group order.
+/// Every function's SampleBatch (the surface VgApply calls on every coded
+/// key) reads parameters straight from the group-sorted column spans and
+/// emits typed output columns; Sample serves only uncodable keys.
+/// Passthrough identifier columns copy the input column's storage type,
+/// so converting the output back to rows reproduces the tuple path's Value
+/// alternatives exactly; draws consume the RNG in the identical per-group
+/// order.
 
 namespace mlbench::reldb {
 
@@ -50,7 +51,6 @@ class DirichletVg : public VgFunction {
     const ColumnBatch::Column& idc = params.col(id_c_);
     const ColumnBatch::Column& ac = params.col(a_c_);
     const std::size_t n = params.num_rows();
-    out->columnar = true;
     // One output row per parameter row, in row order: the id column
     // passes through verbatim.
     out->cols.push_back(idc);
@@ -103,7 +103,6 @@ class CategoricalVg : public VgFunction {
     const ColumnBatch::Column& idc = params.col(id_c_);
     const ColumnBatch::Column& wc = params.col(w_c_);
     const std::size_t n_groups = group_offsets.size() - 1;
-    out->columnar = true;
     out->cols.push_back(ColumnBatch::Column::Sized(idc.type, n_groups));
     for (std::size_t g = 0; g < n_groups; ++g) {
       const std::size_t lo = group_offsets[g];
@@ -158,7 +157,6 @@ class NormalVg : public VgFunction {
     const ColumnBatch::Column& mc = params.col(m_c_);
     const ColumnBatch::Column& vc = params.col(v_c_);
     const std::size_t n = params.num_rows();
-    out->columnar = true;
     out->cols.push_back(idc);
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kDouble, n));
     std::vector<double>& value = out->cols[1].doubles;
@@ -200,7 +198,6 @@ class InverseGammaVg : public VgFunction {
     const ColumnBatch::Column& sc = params.col(s_c_);
     const ColumnBatch::Column& rc = params.col(r_c_);
     const std::size_t n = params.num_rows();
-    out->columnar = true;
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kDouble, n));
     std::vector<double>& value = out->cols[0].doubles;
     for (std::size_t r = 0; r < n; ++r) {
@@ -248,7 +245,6 @@ class InverseGaussianVg : public VgFunction {
     const ColumnBatch::Column& mc = params.col(m_c_);
     const ColumnBatch::Column& lc = params.col(l_c_);
     const std::size_t n = params.num_rows();
-    out->columnar = true;
     out->cols.push_back(idc);
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kDouble, n));
     std::vector<double>& value = out->cols[1].doubles;

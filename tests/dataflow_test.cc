@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <string>
 
@@ -43,9 +44,7 @@ TEST_F(DataflowTest, CountsActualAndLogical) {
   auto actual = rdd.CountActual();
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(*actual, 100);
-  auto logical = rdd.CountLogical();
-  ASSERT_TRUE(logical.ok());
-  EXPECT_DOUBLE_EQ(*logical, 100000.0);
+  EXPECT_DOUBLE_EQ(static_cast<double>(*actual) * rdd.scale(), 100000.0);
 }
 
 TEST_F(DataflowTest, MapTransforms) {
@@ -53,13 +52,6 @@ TEST_F(DataflowTest, MapTransforms) {
   auto rows = rdd.Collect();
   ASSERT_TRUE(rows.ok());
   for (long long v : *rows) EXPECT_EQ(v % 2, 0);
-}
-
-TEST_F(DataflowTest, FilterKeeps) {
-  auto rdd = Numbers(10).Filter([](const long long& x) { return x % 2 == 0; });
-  auto n = rdd.CountActual();
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 20);
 }
 
 TEST_F(DataflowTest, FlatMapExpands) {
@@ -85,43 +77,25 @@ TEST_F(DataflowTest, ReduceByKeyAggregatesAcrossPartitions) {
   });
   auto counts = ReduceByKey(
       pairs, [](const long long& a, const long long& b) { return a + b; });
-  auto m = CollectAsMap(counts);
-  ASSERT_TRUE(m.ok());
-  ASSERT_EQ(m->size(), 3u);
-  EXPECT_EQ((*m)[0] + (*m)[1] + (*m)[2], 120);
-}
-
-TEST_F(DataflowTest, MapValuesKeepsKeys) {
-  auto pairs = Numbers(6).Map([](const long long& x) {
-    return std::pair<int, long long>(static_cast<int>(x % 2), x);
-  });
-  auto doubled = MapValues(pairs, [](const long long& v) { return v * 10; });
-  auto rows = doubled.Collect();
+  auto rows = counts.Collect();
   ASSERT_TRUE(rows.ok());
-  for (const auto& [k, v] : *rows) {
-    EXPECT_EQ(v % 10, 0);
-    EXPECT_TRUE(k == 0 || k == 1);
-  }
-}
-
-TEST_F(DataflowTest, GroupByKeyCollectsAllValues) {
-  auto pairs = Numbers(10).Map([](const long long& x) {
-    return std::pair<int, long long>(static_cast<int>(x % 2), x);
-  });
-  auto grouped = GroupByKey(pairs);
-  auto rows = grouped.Collect();
-  ASSERT_TRUE(rows.ok());
-  std::size_t total = 0;
-  for (const auto& [k, vs] : *rows) total += vs.size();
-  EXPECT_EQ(total, 40u);
+  std::map<int, long long> m(rows->begin(), rows->end());
+  ASSERT_EQ(rows->size(), 3u);
+  ASSERT_EQ(m.size(), 3u);
+  EXPECT_EQ(m[0] + m[1] + m[2], 120);
 }
 
 TEST_F(DataflowTest, JoinMatchesKeys) {
   auto left = Numbers(4).Map([](const long long& x) {
     return std::pair<int, long long>(static_cast<int>(x % 4), x);
   });
-  auto right = Parallelize<std::pair<int, std::string>>(
-      *ctx_, {{0, "zero"}, {1, "one"}}, 16);
+  // One record per partition: keys 0 and 1 match, keys 12 and 13 do not.
+  auto right = Generate<std::pair<int, std::string>>(
+      *ctx_, 1,
+      [](int p, long long) {
+        return std::pair<int, std::string>(p < 2 ? p : p + 10, "v");
+      },
+      16);
   auto joined = Join(left, right, /*out_scale=*/1000.0);
   auto rows = joined.Collect();
   ASSERT_TRUE(rows.ok());
@@ -130,7 +104,7 @@ TEST_F(DataflowTest, JoinMatchesKeys) {
   for (const auto& [k, vw] : *rows) EXPECT_TRUE(k == 0 || k == 1);
 }
 
-TEST_F(DataflowTest, CacheAllocatesAndUnpersistFrees) {
+TEST_F(DataflowTest, CacheAllocatesLogicalBytes) {
   // First run a trivial job so the lifetime peer buffers are pinned and
   // the cache delta can be measured cleanly.
   ASSERT_TRUE(Numbers(1).CountActual().ok());
@@ -148,10 +122,6 @@ TEST_F(DataflowTest, CacheAllocatesAndUnpersistFrees) {
   auto n = rdd.CountActual();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 400);
-  rdd.Unpersist();
-  used = 0;
-  for (int m = 0; m < sim_.machines(); ++m) used += sim_.used_bytes(m);
-  EXPECT_DOUBLE_EQ(used, baseline);
 }
 
 TEST_F(DataflowTest, ActionsAdvanceSimulatedClock) {
@@ -192,7 +162,7 @@ TEST_F(DataflowTest, OversizedCacheFailsWithOutOfMemory) {
   EXPECT_TRUE(n.status().IsOutOfMemory());
 }
 
-TEST_F(DataflowTest, OversizedGroupByKeyFailsButReduceByKeySucceeds) {
+TEST_F(DataflowTest, OversizedInputReduceByKeySucceeds) {
   sim::ClusterSim sim(sim::Ec2M2XLargeCluster(1));
   ContextOptions opts;
   opts.scale = 2e9;
@@ -204,12 +174,8 @@ TEST_F(DataflowTest, OversizedGroupByKeyFailsButReduceByKeySucceeds) {
                          static_cast<int>(i % 4), i);
                    },
                    48);
-  // groupByKey materializes all logical values: 1000 * 2e9 * 48 B >> RAM.
-  auto grouped = GroupByKey(pairs);
-  auto g = grouped.Collect();
-  EXPECT_FALSE(g.ok());
-  EXPECT_TRUE(g.status().IsOutOfMemory());
-  // reduceByKey combines map-side down to 4 keys and stays tiny.
+  // 1000 * 2e9 logical records * 48 B is far past RAM, but reduceByKey
+  // combines map-side down to 4 keys and stays tiny.
   auto reduced = ReduceByKey(
       pairs, [](const long long& a, const long long& b) { return a + b; });
   EXPECT_TRUE(reduced.Collect().ok());

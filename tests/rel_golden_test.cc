@@ -27,9 +27,11 @@
 // (VgApplyEdgeCases) comparison suites whose cases these are. Every digest
 // was recorded while those alternative engines still existed and matched
 // under each of them, so a match is still parity with the removed engines.
-// The mixed-type filter and the projects that used lambda-computed columns
-// now state the same computation as a ScalarExpr; their digests are the
-// lambda forms' outputs.
+// The projects that used lambda-computed columns now state the same
+// computation as a ScalarExpr; their digests are the lambda forms' outputs.
+// The VgApplyEdgeCases digests were recorded through the row-replaying
+// default SampleBatch, which is gone: they now pin a columnar SampleBatch
+// to the same typed output and the same RNG order.
 
 namespace mlbench {
 namespace {
@@ -136,7 +138,7 @@ class EngineParity : public FrozenRelTest {
 };
 
 TEST_F(EngineParity, ScanEngagesConfiguredEngine) {
-  // Every column of `data` types cleanly, so the scan runs columnar.
+  // Every stored table is typed on load.
   EXPECT_NE(db_.GetColumnar("data"), nullptr);
   ExpectFrozen("18b40947275e2a57",
                [](Database& db) { return Rel::Scan(db, "data"); });
@@ -285,22 +287,6 @@ TEST_F(EngineParity, MaterializeRoundTrip) {
   });
 }
 
-TEST_F(EngineParity, MixedTypeColumnFallsBackToRows) {
-  // One column holds both int and double values: the batch conversion
-  // refuses, and every operator on it runs the row fallback.
-  Table mixed(Schema{"id", "v"}, 1.0);
-  mixed.Append(Tuple{std::int64_t{0}, std::int64_t{7}});
-  mixed.Append(Tuple{std::int64_t{1}, 7.5});
-  mixed.Append(Tuple{std::int64_t{2}, std::int64_t{9}});
-  db_.Put("mixed", mixed);
-  EXPECT_EQ(db_.GetColumnar("mixed"), nullptr);
-  EXPECT_FALSE(ColumnBatch::FromTable(*db_.Get("mixed")).has_value());
-  ExpectFrozen("a5a8c38a8816c328", [](Database& db) {
-    return Rel::Scan(db, "mixed").Filter(ScalarExpr::Compare(
-        ScalarExpr::CmpOp::kGt, ScalarExpr::Col(1), ScalarExpr::Const(7.2)));
-  });
-}
-
 // ---- Compiled expressions and SQL ------------------------------------------
 
 class VmInterpParity : public FrozenRelTest {
@@ -312,24 +298,6 @@ TEST_F(VmInterpParity, CompiledFilter) {
   ExpectFrozen("69ed95a87bc0d901", [](Database& db) {
     return Rel::Scan(db, "data").Filter(ScalarExpr::Compare(
         ScalarExpr::CmpOp::kGt, ScalarExpr::Col(2), ScalarExpr::Const(17.0)));
-  });
-}
-
-TEST_F(VmInterpParity, CompiledFilterOnRowEngineFallsBack) {
-  // A type-mixed column keeps the relation in row form, so the compiled
-  // predicate runs through ExprProgram::EvalRow.
-  Table mixed(Schema{"data_id", "data_val"}, 1.0);
-  for (std::int64_t p = 0; p < 20; ++p) {
-    if (p % 3 == 0) {
-      mixed.Append(Tuple{p, std::int64_t{4 * p}});
-    } else {
-      mixed.Append(Tuple{p, 2.5 * static_cast<double>(p)});
-    }
-  }
-  db_.Put("mixed", mixed);
-  ExpectFrozen("84bf370ffa086592", [](Database& db) {
-    return Rel::Scan(db, "mixed").Filter(ScalarExpr::Compare(
-        ScalarExpr::CmpOp::kLe, ScalarExpr::Col(1), ScalarExpr::Const(40.0)));
   });
 }
 
@@ -421,13 +389,14 @@ TEST_F(VmInterpParity, SqlJoinThenResidualFilter) {
       "WHERE d.data_id = m.data_id AND d.data_val > 25 AND m.clus_id <> 3");
 }
 
-// ---- VG functions without a columnar SampleBatch ---------------------------
+// ---- VG edge cases ----------------------------------------------------------
 
-/// A VG without a SampleBatch override: VgApply reaches the default, which
-/// materializes each group's tuples and calls Sample.
-class UnportedVg : public reldb::VgFunction {
+/// One draw per group: the group's first id and the sum of its values plus
+/// one uniform from the shared stream. Sample and SampleBatch emit the same
+/// rows and consume the stream in the same group order.
+class GroupSumVg : public reldb::VgFunction {
  public:
-  std::string name() const override { return "unported"; }
+  std::string name() const override { return "group_sum"; }
   Schema output_schema() const override { return {"id", "draw"}; }
   void BindSchema(const Schema& schema) override {
     id_c_ = schema.IndexOf("id");
@@ -439,6 +408,25 @@ class UnportedVg : public reldb::VgFunction {
     double sum = 0;
     for (const auto& row : params) sum += AsDouble(row[v_c_]);
     out->push_back(Tuple{params[0][id_c_], sum + rng.NextDouble()});
+  }
+  void SampleBatch(const ColumnBatch& params,
+                   const std::vector<std::uint32_t>& group_offsets,
+                   stats::Rng& rng, reldb::VgBatchOut* out) override {
+    const ColumnBatch::Column& idc = params.col(id_c_);
+    const ColumnBatch::Column& vc = params.col(v_c_);
+    ASSERT_EQ(idc.type, reldb::ColType::kInt);
+    std::vector<std::int64_t> ids;
+    std::vector<double> draws;
+    for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g) {
+      double sum = 0;
+      for (std::uint32_t r = group_offsets[g]; r < group_offsets[g + 1]; ++r) {
+        sum += vc.AsDoubleAt(r);
+      }
+      ids.push_back(idc.ints[group_offsets[g]]);
+      draws.push_back(sum + rng.NextDouble());
+    }
+    out->cols.push_back(ColumnBatch::Column::Ints(std::move(ids)));
+    out->cols.push_back(ColumnBatch::Column::Doubles(std::move(draws)));
   }
 
  private:
@@ -452,13 +440,14 @@ class VgApplyEdgeCases : public FrozenRelTest {
   void ExpectFrozenVg(const char* digest, const Table& params,
                       const std::vector<std::string>& group_cols) {
     db_.Put("params", params);
-    UnportedVg vg;
+    GroupSumVg vg;
     ExpectFrozen(digest, [&](Database& db) {
       return Rel::Scan(db, "params").VgApply(vg, group_cols, 1.0);
     });
   }
 };
 
+// Named for the row-replaying default SampleBatch it was recorded through.
 TEST_F(VgApplyEdgeCases, FallbackDefaultSampleBatch) {
   Table t(Schema{"id", "v"}, 1.0);
   for (std::int64_t i = 0; i < 24; ++i) {

@@ -51,6 +51,21 @@ TEST_F(RelDbTest, PutGetDrop) {
   EXPECT_FALSE(db_.Exists("data"));
 }
 
+TEST(DatabaseDeathTest, PutOfMixedColumnAbortsNamingIt) {
+  // Every relation is typed on load: a column holding both int and double
+  // values is a programming error, not a relation to run on rows.
+  EXPECT_DEATH(
+      {
+        sim::ClusterSim sim(sim::Ec2M2XLargeCluster(2));
+        Database db(&sim, sim::RelDbCosts{}, 42);
+        Table mixed(Schema{"id", "v"}, 1.0);
+        mixed.Append(Tuple{std::int64_t{0}, std::int64_t{7}});
+        mixed.Append(Tuple{std::int64_t{1}, 7.5});
+        db.Put("mixed", std::move(mixed));
+      },
+      "column 'v' mixes int and double values");
+}
+
 TEST_F(RelDbTest, DropVersionsBefore) {
   for (int i = 0; i < 5; ++i) {
     db_.Put(Database::Versioned("m", i), Table(Schema{"x"}, 1.0));
