@@ -393,7 +393,10 @@ class BspEngine {
     }
     for (auto& box : next_inbox_) box.clear();
     inbox_meta_.assign(vertices_.size(), {});
-    prev_aggregates_ = std::move(next_aggregates_);
+    // A swap, not a move: it keeps every aggregate value where it is, so
+    // references LastAggregate handed out stay valid through this
+    // superstep.
+    prev_aggregates_.swap(next_aggregates_);
     next_aggregates_.clear();
     std::vector<std::vector<Msg>>& inboxes = inbox_;
 
@@ -505,6 +508,17 @@ class BspEngine {
 
   /// Number of supersteps completed.
   int superstep() const { return superstep_; }
+
+  /// The value the named aggregator reached in the last completed
+  /// superstep (empty if none): what Context::GetAggregate returns
+  /// throughout the next one. The reference and its values stay valid and
+  /// unmodified until that next superstep ends, so a driver can build one
+  /// read-only view of them for all of its vertices.
+  const std::vector<double>& LastAggregate(const std::string& name) const {
+    static const std::vector<double> kEmpty;
+    auto it = next_aggregates_.find(name);
+    return it == next_aggregates_.end() ? kEmpty : it->second.value;
+  }
 
  private:
   friend class Context;

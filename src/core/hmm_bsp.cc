@@ -106,14 +106,20 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
                          std::move(vd), vertex_scale, state_bytes));
   }
   stats::Rng init_rng(exp.config.seed ^ 0x4A37);
+  std::vector<std::size_t> vertex_tokens(data_slots.size());
   for (long long j = 0; j < docs_act * machines; ++j) {
     int m = static_cast<int>(j / docs_act);
     HmmDocument doc;
     doc.words = gen.Document(m, j % docs_act);
     models::InitHmmStates(init_rng, exp.states, &doc);
+    vertex_tokens[j % data_slots.size()] += doc.words.size();
     engine.vertex(data_slots[j % data_slots.size()])
         .data.docs.push_back(std::move(doc));
   }
+  // The largest data vertex picks the layout of the model all of them
+  // share: transposed when it draws at least one token per word.
+  const std::size_t max_vertex_tokens =
+      *std::max_element(vertex_tokens.begin(), vertex_tokens.end());
 
   engine.SetCombiner([](HmmMsg* acc, const HmmMsg& in) {
     if (!in.counts) return;
@@ -146,6 +152,12 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
 
   WordCost wc =
       HmmWordCost(sim::Language::kJava, exp.granularity, exp.states);
+  // What every data vertex reads in S1: the rows published in S0, viewed
+  // in place (LastAggregate keeps them unmodified until S1 ends). A state
+  // without a published row keeps the prior's rows.
+  models::HmmModelView model;
+  model.delta0 = params.delta0.data();
+  model.delta.resize(exp.states);
 
   RunResult result = harness.Run([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x4A60u + iter);
@@ -211,6 +223,15 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
         },
         {}, "model publish");
     if (!st.ok()) return st;
+    std::vector<const double*> psi_rows(exp.states);
+    for (std::size_t s = 0; s < exp.states; ++s) {
+      const auto& row = engine.LastAggregate("model_" + std::to_string(s));
+      const bool published = row.size() >= exp.vocab + exp.states;
+      psi_rows[s] = published ? row.data() : params.psi[s].data();
+      model.delta[s] =
+          published ? row.data() + exp.vocab : params.delta[s].data();
+    }
+    model.psi.Prepare(std::move(psi_rows), exp.vocab, max_vertex_tokens);
 
     // S1: data vertices re-sample and send combined count partials.
     bsp::ComputeCost cost;
@@ -225,29 +246,12 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
             Engine::Context& ctx) {
           (void)inbox;
           if (vx.data.kind != VData::Kind::kData) return;
-          // The rows published last superstep; a state without one keeps
-          // the prior's rows.
-          HmmParams local;
-          local.delta0 = params.delta0;
-          for (std::size_t s = 0; s < exp.states; ++s) {
-            const auto& row =
-                ctx.GetAggregate("model_" + std::to_string(s));
-            if (row.size() >= exp.vocab + exp.states) {
-              local.psi.emplace_back(std::vector<double>(
-                  row.begin(), row.begin() + exp.vocab));
-              local.delta.emplace_back(std::vector<double>(
-                  row.begin() + exp.vocab, row.end()));
-            } else {
-              local.psi.push_back(params.psi[s]);
-              local.delta.push_back(params.delta[s]);
-            }
-          }
           stats::Rng vrng = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(vx.id) + 1);
           std::size_t expected = 0;
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::HmmSampler sampler;
-          sampler.Prepare(local, expected);
+          sampler.Prepare(model);
           // Emission keys state * vocab + word, sorted below so each
           // state's (word, count) run is contiguous.
           std::vector<std::uint32_t> keys;

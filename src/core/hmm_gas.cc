@@ -1,5 +1,6 @@
 #include "core/hmm_gas.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,140 +13,169 @@ namespace mlbench::core {
 
 namespace {
 
-using models::HmmCounts;
 using models::HmmDocument;
 using models::HmmParams;
 using models::Vector;
+
+/// One state vertex's share of a data vertex's counts: its emission row
+/// f[s] as (word, count) pairs sorted by word, its transition row h[s] and
+/// its start count g[s]. Counts are integer-valued, so folding slices in
+/// any order gives the same bits as merging whole dense tables.
+struct StateSlice {
+  std::vector<std::pair<std::uint32_t, double>> f;
+  Vector h;
+  double g = 0;
+};
 
 struct VData {
   enum class Kind { kData, kState } kind = Kind::kData;
   // Data super vertex.
   std::vector<HmmDocument> docs;
-  std::shared_ptr<HmmCounts> partial;  ///< exported f/g/h partials
+  /// One count slice per state, exported to the state vertices (empty
+  /// until the vertex first applies).
+  std::vector<StateSlice> partial;
   // State vertex s.
   std::size_t s = 0;
   Vector psi;
   Vector delta;
   double delta0 = 0;
+  /// psi is non-empty with a non-zero sum: these rows win a gather fold.
+  bool rows_win = false;
+  void SetRows(Vector new_psi, Vector new_delta) {
+    psi = std::move(new_psi);
+    delta = std::move(new_delta);
+    rows_win = !psi.empty() && psi.Sum() != 0;
+  }
 };
 
+/// What a vertex gathers, read in place from its neighbors (state vertices
+/// apply before any data vertex gathers, so their rows stay put while the
+/// data vertices read them):
+///  * a data vertex, the state vertex each state's rows come from (null
+///    until gathered; the vector stays empty when no state neighbor
+///    exists);
+///  * a state vertex, its own count slice of each data neighbor, in edge
+///    order.
 struct Gathered {
-  std::shared_ptr<HmmParams> model;   // data vertices gather the model
-  std::shared_ptr<HmmCounts> counts;  // state vertices gather the counts
+  std::vector<const VData*> states;
+  std::vector<const StateSlice*> slices;
 };
 
 class HmmProgram : public gas::GasProgram<VData, Gathered> {
  public:
+  /// `max_vertex_tokens`: the most tokens one data vertex draws.
   HmmProgram(const models::HmmHyper& hyper, std::uint64_t seed,
-             int iteration, double flops_per_word, double words_per_super)
+             int iteration, double flops_per_word, double words_per_super,
+             std::size_t max_vertex_tokens)
       : hyper_(hyper), seed_(seed), iteration_(iteration),
-        flops_per_word_(flops_per_word), words_per_super_(words_per_super) {}
+        flops_per_word_(flops_per_word), words_per_super_(words_per_super),
+        max_vertex_tokens_(max_vertex_tokens), zero_psi_(hyper.vocab),
+        zero_delta_(hyper.states), delta0_(hyper.states) {}
 
-  // Gather over one CSR span. A data vertex builds one K x V model per
-  // span, in edge order and under the same row-copy rule as Merge, rather
-  // than one per edge. A state vertex's gathers are additive counts and
-  // must stay per-edge, but the engine fold only mutates the accumulator
-  // it moves out of the span's first element and reads the rest const —
-  // so later elements share the neighbor's exported partial instead of
-  // copying K x V counts per edge.
+  // Gather over one CSR span. Both kinds collapse the span into its first
+  // element: a data vertex's rows fold by placement (the span's first
+  // state neighbor is taken wholesale, later ones only when their rows
+  // win, like the Merge fold), and a state vertex's slice list
+  // concatenates, so the fold does not depend on the span boundaries.
   void GatherBatch(const gas::Graph<VData>::Vertex& center,
                    const gas::Graph<VData>& graph,
                    const std::size_t* neighbors, std::size_t count,
                    Gathered* out) override {
     if (center.data.kind == VData::Kind::kData) {
-      std::shared_ptr<HmmParams> model;
+      std::vector<const VData*>& states = out[0].states;
       for (std::size_t j = 0; j < count; ++j) {
         const auto& nbr = graph.vertex(neighbors[j]);
         if (nbr.data.kind != VData::Kind::kState) continue;
-        if (!model) {
-          // First state neighbor: taken wholesale, like the fold keeping
-          // the first gathered model.
-          model = std::make_shared<HmmParams>();
-          model->delta0 = Vector(hyper_.states);
-          model->delta.assign(hyper_.states, Vector(hyper_.states));
-          model->psi.assign(hyper_.states, Vector(hyper_.vocab));
-          model->psi[nbr.data.s] = nbr.data.psi;
-          model->delta[nbr.data.s] = nbr.data.delta;
-          model->delta0[nbr.data.s] = nbr.data.delta0;
-        } else if (!nbr.data.psi.empty() && nbr.data.psi.Sum() != 0) {
-          // Same row-copy rule the Merge fold applies.
-          model->psi[nbr.data.s] = nbr.data.psi;
-          model->delta[nbr.data.s] = nbr.data.delta;
-          model->delta0[nbr.data.s] = nbr.data.delta0;
+        if (states.empty()) {
+          states.assign(hyper_.states, nullptr);
+          states[nbr.data.s] = &nbr.data;
+        } else if (nbr.data.rows_win) {
+          states[nbr.data.s] = &nbr.data;
         }
       }
-      out[0].model = std::move(model);
     } else {
-      bool first = true;
       for (std::size_t j = 0; j < count; ++j) {
         const auto& nbr = graph.vertex(neighbors[j]);
-        if (nbr.data.kind != VData::Kind::kData || !nbr.data.partial) {
+        if (nbr.data.kind != VData::Kind::kData || nbr.data.partial.empty()) {
           continue;
         }
-        if (first) {
-          // The span's first counts element seeds the fold accumulator,
-          // which later merges mutate: it must be a fresh copy.
-          // Zero-init + Merge copies the partial bit-for-bit (0 + x is x
-          // for these non-negative counts).
-          out[j].counts =
-              std::make_shared<HmmCounts>(hyper_.states, hyper_.vocab);
-          out[j].counts->Merge(*nbr.data.partial);
-          first = false;
-        } else {
-          out[j].counts = nbr.data.partial;
-        }
+        out[0].slices.push_back(&nbr.data.partial[center.data.s]);
       }
     }
   }
 
   Gathered Merge(Gathered a, const Gathered& b) override {
-    if (b.model) {
-      if (!a.model) {
-        a.model = b.model;
+    if (!b.states.empty()) {
+      if (a.states.empty()) {
+        a.states = b.states;
       } else {
         for (std::size_t s = 0; s < hyper_.states; ++s) {
-          if (!b.model->psi[s].empty() && b.model->psi[s].Sum() != 0) {
-            a.model->psi[s] = b.model->psi[s];
-            a.model->delta[s] = b.model->delta[s];
-            a.model->delta0[s] = b.model->delta0[s];
+          if (b.states[s] != nullptr && b.states[s]->rows_win) {
+            a.states[s] = b.states[s];
           }
         }
       }
     }
-    if (b.counts) {
-      if (!a.counts) {
-        a.counts = b.counts;
-      } else {
-        a.counts->Merge(*b.counts);
-      }
-    }
+    a.slices.insert(a.slices.end(), b.slices.begin(), b.slices.end());
     return a;
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {
     stats::Rng rng = stats::Rng(seed_ ^ (0x4A50u + iteration_))
                          .Split(static_cast<std::uint64_t>(v.id) + 1);
-    if (v.data.kind == VData::Kind::kData && g.model) {
-      v.data.partial =
-          std::make_shared<HmmCounts>(hyper_.states, hyper_.vocab);
+    if (v.data.kind == VData::Kind::kData && !g.states.empty()) {
       std::size_t expected = 0;
       for (const auto& doc : v.data.docs) expected += doc.words.size();
       models::HmmSampler sampler;
-      sampler.Prepare(*g.model, expected);
+      sampler.Prepare(Model(g.states));
+      std::vector<std::uint32_t> keys;
+      keys.reserve(expected);
+      v.data.partial.resize(hyper_.states);
+      for (auto& slice : v.data.partial) {
+        slice.f.clear();
+        slice.h = Vector(hyper_.states);
+        slice.g = 0;
+      }
       for (auto& doc : v.data.docs) {
         sampler.Resample(rng, iteration_, &doc);
-        models::AccumulateHmmCounts(doc, v.data.partial.get());
+        if (doc.words.empty()) continue;
+        v.data.partial[doc.states[0]].g += 1;
+        for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
+          keys.push_back(static_cast<std::uint32_t>(
+              doc.states[pos] * hyper_.vocab + doc.words[pos]));
+          if (pos + 1 < doc.words.size()) {
+            v.data.partial[doc.states[pos]].h[doc.states[pos + 1]] += 1;
+          }
+        }
       }
-    } else if (v.data.kind == VData::Kind::kState && g.counts) {
-      // Sample this state's Psi_s / delta_s rows (counts are actual-scale;
-      // the chain statistics are consistent across platforms).
-      Vector f_conc = g.counts->f[v.data.s];
+      // Sorted keys state * vocab + word: each state's (word, count) run
+      // is contiguous.
+      std::sort(keys.begin(), keys.end());
+      for (std::size_t i = 0; i < keys.size();) {
+        std::size_t j = i + 1;
+        while (j < keys.size() && keys[j] == keys[i]) ++j;
+        v.data.partial[keys[i] / hyper_.vocab].f.emplace_back(
+            static_cast<std::uint32_t>(keys[i] % hyper_.vocab),
+            static_cast<double>(j - i));
+        i = j;
+      }
+    } else if (v.data.kind == VData::Kind::kState && !g.slices.empty()) {
+      // Sample this state's Psi_s / delta_s rows from its slices, folded
+      // into one accumulator each (counts are actual-scale; the chain
+      // statistics are consistent across platforms).
+      Vector f_conc(hyper_.vocab);
+      Vector h_conc(hyper_.states);
+      double g_count = 0;
+      for (const StateSlice* slice : g.slices) {
+        for (const auto& [word, count] : slice->f) f_conc[word] += count;
+        h_conc += slice->h;
+        g_count += slice->g;
+      }
       for (auto& c : f_conc) c += hyper_.beta;
-      v.data.psi = stats::SampleDirichlet(rng, f_conc);
-      Vector h_conc = g.counts->h[v.data.s];
+      Vector psi = stats::SampleDirichlet(rng, f_conc);
       for (auto& c : h_conc) c += hyper_.alpha;
-      v.data.delta = stats::SampleDirichlet(rng, h_conc);
-      v.data.delta0 = (g.counts->g[v.data.s] + hyper_.alpha);
+      v.data.SetRows(std::move(psi), stats::SampleDirichlet(rng, h_conc));
+      v.data.delta0 = g_count + hyper_.alpha;
     }
   }
 
@@ -157,11 +187,41 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
   }
 
  private:
+  /// The model for a data vertex that gathered `states`, viewing the
+  /// state vertices' rows in place. Every data vertex of a sweep gathers
+  /// the same state vertices, so one view serves them all, its emissions
+  /// transposed when some data vertex draws at least one token per
+  /// dictionary word. It is rebuilt only if a vertex gathered other
+  /// states. A state not gathered reads zero rows.
+  const models::HmmModelView& Model(const std::vector<const VData*>& states) {
+    if (states != model_states_) {
+      model_states_ = states;
+      std::vector<const double*> psi(hyper_.states);
+      model_.delta.resize(hyper_.states);
+      for (std::size_t s = 0; s < hyper_.states; ++s) {
+        const VData* st = states[s];
+        psi[s] = st != nullptr ? st->psi.data() : zero_psi_.data();
+        model_.delta[s] = st != nullptr ? st->delta.data() : zero_delta_.data();
+        delta0_[s] = st != nullptr ? st->delta0 : 0.0;
+      }
+      model_.delta0 = delta0_.data();
+      model_.psi.Prepare(std::move(psi), hyper_.vocab, max_vertex_tokens_);
+    }
+    return model_;
+  }
+
   models::HmmHyper hyper_;
   std::uint64_t seed_;
   int iteration_;
   double flops_per_word_;
   double words_per_super_;
+  std::size_t max_vertex_tokens_;
+  Vector zero_psi_;
+  Vector zero_delta_;
+  // Apply runs serially, so this per-sweep cache needs no lock.
+  Vector delta0_;
+  std::vector<const VData*> model_states_;
+  models::HmmModelView model_;
 };
 
 }  // namespace
@@ -210,14 +270,20 @@ RunResult RunHmmGas(const HmmExperiment& exp,
         static_cast<gas::VertexId>(exp.states + s), std::move(vd),
         super_scale, words_per_super * 5.0 + 96.0, export_bytes));
   }
+  std::vector<std::size_t> vertex_tokens(data_slots.size());
   for (long long j = 0; j < docs_act * machines; ++j) {
     int m = static_cast<int>(j / docs_act);
     HmmDocument doc;
     doc.words = gen.Document(m, j % docs_act);
     models::InitHmmStates(init_rng, exp.states, &doc);
+    vertex_tokens[j % data_slots.size()] += doc.words.size();
     graph.vertex(data_slots[j % data_slots.size()])
         .data.docs.push_back(std::move(doc));
   }
+  // The largest data vertex picks the layout of the model all of them
+  // share: transposed when it draws at least one token per word.
+  const std::size_t max_vertex_tokens =
+      *std::max_element(vertex_tokens.begin(), vertex_tokens.end());
   for (std::size_t d : data_slots) {
     for (std::size_t s : state_slots) graph.AddEdge(d, s);
   }
@@ -231,8 +297,7 @@ RunResult RunHmmGas(const HmmExperiment& exp,
   engine.TransformVertices(
       [&](gas::Graph<VData>::Vertex& vx) {
         if (vx.data.kind == VData::Kind::kState) {
-          vx.data.psi = params.psi[vx.data.s];
-          vx.data.delta = params.delta[vx.data.s];
+          vx.data.SetRows(params.psi[vx.data.s], params.delta[vx.data.s]);
           vx.data.delta0 = params.delta0[vx.data.s];
         }
       },
@@ -246,7 +311,7 @@ RunResult RunHmmGas(const HmmExperiment& exp,
 
   RunResult result = harness.Run([&](int iter) -> Status {
     HmmProgram program(hyper, exp.config.seed, iter, word_flops,
-                       words_per_super);
+                       words_per_super, max_vertex_tokens);
     return engine.RunSweep<Gathered>(program, "hmm iteration");
   });
   if (!result.ok()) return result;

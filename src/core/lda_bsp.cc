@@ -89,14 +89,20 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
                          std::move(vd), vertex_scale, state_bytes));
   }
   stats::Rng init_rng(exp.config.seed ^ 0x7DA5);
+  std::vector<std::size_t> vertex_tokens(data_slots.size());
   for (long long j = 0; j < docs_act * machines; ++j) {
     int m = static_cast<int>(j / docs_act);
     LdaDocument doc;
     doc.words = gen.Document(m, j % docs_act);
     models::InitLdaDocument(init_rng, hyper, &doc);
+    vertex_tokens[j % data_slots.size()] += doc.words.size();
     engine.vertex(data_slots[j % data_slots.size()])
         .data.docs.push_back(std::move(doc));
   }
+  // The largest data vertex picks the layout of the model all of them
+  // share: transposed when it draws at least one token per word.
+  const std::size_t max_vertex_tokens =
+      *std::max_element(vertex_tokens.begin(), vertex_tokens.end());
 
   engine.SetCombiner([](LdaMsg* acc, const LdaMsg& in) {
     if (!in.counts) return;
@@ -129,6 +135,10 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
   // Giraph's LDA pays Mallet sparse-count handling per word on top of the
   // sampling loop (calibrated to the paper's 22:22 / 18:49 cells).
   wc.calls = exp.granularity == TextGranularity::kSuperVertex ? 0.85 : 1.0;
+  // What every data vertex reads in S1: the rows published in S0, viewed
+  // in place (LastAggregate keeps them unmodified until S1 ends). A topic
+  // without a published row keeps the prior's row.
+  kernels::EmissionTable phi;
 
   RunResult result = harness.Run([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x7DD0u + iter);
@@ -159,6 +169,13 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
         },
         {}, "phi publish");
     if (!st.ok()) return st;
+    std::vector<const double*> phi_rows(exp.topics);
+    for (std::size_t tt = 0; tt < exp.topics; ++tt) {
+      const auto& row = engine.LastAggregate("phi_" + std::to_string(tt));
+      phi_rows[tt] =
+          row.size() == exp.vocab ? row.data() : params.phi[tt].data();
+    }
+    phi.Prepare(std::move(phi_rows), exp.vocab, max_vertex_tokens);
 
     // S1: data vertices re-sample (z, theta) and send combined partials.
     bsp::ComputeCost cost;
@@ -174,21 +191,12 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
             Engine::Context& ctx) {
           (void)inbox;
           if (vx.data.kind != VData::Kind::kData) return;
-          // The rows published last superstep; a topic without one keeps
-          // the prior's row.
-          LdaParams local;
-          local.phi.reserve(exp.topics);
-          for (std::size_t tt = 0; tt < exp.topics; ++tt) {
-            const auto& row = ctx.GetAggregate("phi_" + std::to_string(tt));
-            local.phi.push_back(row.size() == exp.vocab ? Vector(row)
-                                                        : params.phi[tt]);
-          }
           stats::Rng vrng = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(vx.id) + 1);
           std::size_t expected = 0;
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::LdaDocSampler sampler;
-          sampler.Prepare(hyper, local, expected);
+          sampler.Prepare(hyper, phi);
           // Keys topic * vocab + word, sorted so each topic's (word, count)
           // run is contiguous.
           std::vector<std::uint32_t> keys;

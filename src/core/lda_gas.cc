@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,135 +13,124 @@ namespace mlbench::core {
 
 namespace {
 
-using models::LdaCounts;
 using models::LdaDocument;
 using models::LdaParams;
 using models::Vector;
 
-/// Sparse per-super count partial: key = topic * vocab + word.
+/// One topic's count slice: (word, count) pairs sorted by word. Counts are
+/// integer-valued, so folding slices in any order gives the same bits.
 using SparseCounts = std::vector<std::pair<std::uint32_t, float>>;
 
 struct VData {
   enum class Kind { kData, kTopic } kind = Kind::kData;
   std::vector<LdaDocument> docs;
-  std::shared_ptr<SparseCounts> partial;
+  /// Data vertex: one count slice per topic, exported to the topic
+  /// vertices (empty until the vertex first applies).
+  std::vector<SparseCounts> partial;
   std::size_t t = 0;
   Vector phi;
 };
 
+/// What a vertex gathers, read in place from its neighbors (topic vertices
+/// apply before any data vertex gathers, so the rows stay put while the
+/// data vertices read them):
+///  * a data vertex, each topic's phi row (null until gathered; the vector
+///    stays empty when no topic neighbor exists);
+///  * a topic vertex, its own count slice of each data neighbor, in edge
+///    order.
 struct Gathered {
-  std::shared_ptr<LdaParams> model;
-  Vector row;  // this topic's g(t, .) partial
+  std::vector<const double*> phi;
+  std::vector<const SparseCounts*> slices;
 };
 
 class LdaProgram : public gas::GasProgram<VData, Gathered> {
  public:
+  /// `max_vertex_tokens`: the most tokens one data vertex draws.
   LdaProgram(const models::LdaHyper& hyper, std::uint64_t seed,
-             int iteration, double flops_per_word, double words_per_super)
+             int iteration, double flops_per_word, double words_per_super,
+             std::size_t max_vertex_tokens)
       : hyper_(hyper), seed_(seed), iteration_(iteration),
-        flops_per_word_(flops_per_word), words_per_super_(words_per_super) {}
+        flops_per_word_(flops_per_word), words_per_super_(words_per_super),
+        max_vertex_tokens_(max_vertex_tokens),
+        uniform_(hyper.vocab, 1.0 / hyper.vocab) {}
 
-  // Gather over one CSR span. A data vertex's model rows fold by
-  // placement, so the chunk collapses into one LdaParams in its first
-  // element (edge order and the fold's non-empty row rule preserved). A
-  // topic vertex's row partials are additive and stay per-edge so the
-  // global fold keeps its FP association.
+  // Gather over one CSR span. Both kinds collapse the span into its first
+  // element: a data vertex's rows fold by placement (edge order and the
+  // fold's non-empty row rule preserved), and a topic vertex's slice list
+  // concatenates, so the fold does not depend on the span boundaries.
   void GatherBatch(const gas::Graph<VData>::Vertex& center,
                    const gas::Graph<VData>& graph,
                    const std::size_t* neighbors, std::size_t count,
                    Gathered* out) override {
     if (center.data.kind == VData::Kind::kData) {
-      std::shared_ptr<LdaParams> model;
+      std::vector<const double*>& phi = out[0].phi;
       for (std::size_t j = 0; j < count; ++j) {
         const auto& nbr = graph.vertex(neighbors[j]);
         if (nbr.data.kind != VData::Kind::kTopic) continue;
-        if (!model) {
-          // First topic neighbor: taken wholesale, like the fold keeping
-          // the first gathered model.
-          model = std::make_shared<LdaParams>();
-          model->phi.assign(hyper_.topics, Vector());
-          model->phi[nbr.data.t] = nbr.data.phi;
-        } else if (!nbr.data.phi.empty()) {
-          // Same non-empty row rule the Merge fold applies.
-          model->phi[nbr.data.t] = nbr.data.phi;
-        }
+        if (phi.empty()) phi.assign(hyper_.topics, nullptr);
+        if (!nbr.data.phi.empty()) phi[nbr.data.t] = nbr.data.phi.data();
       }
-      out[0].model = std::move(model);
     } else {
       for (std::size_t j = 0; j < count; ++j) {
         const auto& nbr = graph.vertex(neighbors[j]);
-        if (nbr.data.kind != VData::Kind::kData || !nbr.data.partial) {
+        if (nbr.data.kind != VData::Kind::kData || nbr.data.partial.empty()) {
           continue;
         }
-        out[j].row = Vector(hyper_.vocab);
-        auto lo = static_cast<std::uint32_t>(center.data.t * hyper_.vocab);
-        auto hi =
-            static_cast<std::uint32_t>((center.data.t + 1) * hyper_.vocab);
-        for (const auto& [key, count_f] : *nbr.data.partial) {
-          if (key >= lo && key < hi) out[j].row[key - lo] += count_f;
-        }
+        out[0].slices.push_back(&nbr.data.partial[center.data.t]);
       }
     }
   }
 
   Gathered Merge(Gathered a, const Gathered& b) override {
-    if (b.model) {
-      if (!a.model) {
-        a.model = b.model;
+    if (!b.phi.empty()) {
+      if (a.phi.empty()) {
+        a.phi = b.phi;
       } else {
         for (std::size_t t = 0; t < hyper_.topics; ++t) {
-          if (!b.model->phi[t].empty()) a.model->phi[t] = b.model->phi[t];
+          if (b.phi[t] != nullptr) a.phi[t] = b.phi[t];
         }
       }
     }
-    if (!b.row.empty()) {
-      if (a.row.empty()) {
-        a.row = b.row;
-      } else {
-        a.row += b.row;
-      }
-    }
+    a.slices.insert(a.slices.end(), b.slices.begin(), b.slices.end());
     return a;
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {
     stats::Rng rng = stats::Rng(seed_ ^ (0x7DC0u + iteration_))
                          .Split(static_cast<std::uint64_t>(v.id) + 1);
-    if (v.data.kind == VData::Kind::kData && g.model) {
-      // Sample from the gathered rows in place; only a model with a
-      // missing row is copied to fill it with the uniform row.
-      const LdaParams* model = g.model.get();
-      LdaParams filled;
-      if (std::any_of(model->phi.begin(), model->phi.end(),
-                      [](const Vector& row) { return row.empty(); })) {
-        filled = *model;
-        for (auto& row : filled.phi) {
-          if (row.empty()) row = Vector(hyper_.vocab, 1.0 / hyper_.vocab);
-        }
-        model = &filled;
-      }
-      std::unordered_map<std::uint32_t, float> sparse;
+    if (v.data.kind == VData::Kind::kData && !g.phi.empty()) {
       std::size_t expected = 0;
       for (const auto& doc : v.data.docs) expected += doc.words.size();
       models::LdaDocSampler sampler;
-      sampler.Prepare(hyper_, *model, expected);
+      sampler.Prepare(hyper_, Phi(g.phi));
+      std::vector<std::uint32_t> keys;
+      keys.reserve(expected);
       for (auto& doc : v.data.docs) {
         sampler.Resample(rng, &doc, nullptr);
         for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-          sparse[static_cast<std::uint32_t>(doc.topics[pos] * hyper_.vocab +
-                                            doc.words[pos])] += 1.0f;
+          keys.push_back(static_cast<std::uint32_t>(
+              doc.topics[pos] * hyper_.vocab + doc.words[pos]));
         }
       }
-      // mlint: allow(unordered-iter) — bucket order is erased by the key
-      // sort below; the map is pure accumulation scratch
-      v.data.partial = std::make_shared<SparseCounts>(sparse.begin(),
-                                                      sparse.end());
-      std::sort(v.data.partial->begin(), v.data.partial->end(),
-                [](const auto& a, const auto& b) {
-                  return a.first < b.first;
-                });
-    } else if (v.data.kind == VData::Kind::kTopic && !g.row.empty()) {
-      Vector conc = g.row;
+      // Sorted keys topic * vocab + word: each topic's (word, count) run
+      // is contiguous.
+      std::sort(keys.begin(), keys.end());
+      v.data.partial.resize(hyper_.topics);
+      for (auto& slice : v.data.partial) slice.clear();
+      for (std::size_t i = 0; i < keys.size();) {
+        std::size_t j = i + 1;
+        while (j < keys.size() && keys[j] == keys[i]) ++j;
+        v.data.partial[keys[i] / hyper_.vocab].emplace_back(
+            static_cast<std::uint32_t>(keys[i] % hyper_.vocab),
+            static_cast<float>(j - i));
+        i = j;
+      }
+    } else if (v.data.kind == VData::Kind::kTopic && !g.slices.empty()) {
+      // One accumulator for all slices; integer counts fold exactly.
+      Vector conc(hyper_.vocab);
+      for (const SparseCounts* slice : g.slices) {
+        for (const auto& [word, count] : *slice) conc[word] += count;
+      }
       for (auto& c : conc) c += hyper_.beta;
       v.data.phi = stats::SampleDirichlet(rng, conc);
     }
@@ -154,11 +142,34 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
   }
 
  private:
+  /// The phi table for a data vertex that gathered `gathered`. Every
+  /// data vertex of a sweep gathers the same rows, so one table serves
+  /// them all, transposed when some data vertex draws at least one token
+  /// per dictionary word. It is rebuilt only if a vertex gathered other
+  /// rows. A missing row reads the uniform row.
+  const kernels::EmissionTable& Phi(
+      const std::vector<const double*>& gathered) {
+    if (gathered != phi_rows_) {
+      phi_rows_ = gathered;
+      std::vector<const double*> rows = gathered;
+      for (auto& row : rows) {
+        if (row == nullptr) row = uniform_.data();
+      }
+      phi_.Prepare(std::move(rows), hyper_.vocab, max_vertex_tokens_);
+    }
+    return phi_;
+  }
+
   models::LdaHyper hyper_;
   std::uint64_t seed_;
   int iteration_;
   double flops_per_word_;
   double words_per_super_;
+  std::size_t max_vertex_tokens_;
+  Vector uniform_;
+  // Apply runs serially, so this per-sweep cache needs no lock.
+  std::vector<const double*> phi_rows_;
+  kernels::EmissionTable phi_;
 };
 
 }  // namespace
@@ -208,14 +219,20 @@ RunResult RunLdaGas(const LdaExperiment& exp,
         super_scale, words_per_super * 5.0 + docs_per_super * t * 8.0 + 96,
         export_bytes));
   }
+  std::vector<std::size_t> vertex_tokens(data_slots.size());
   for (long long j = 0; j < docs_act * machines; ++j) {
     int m = static_cast<int>(j / docs_act);
     LdaDocument doc;
     doc.words = gen.Document(m, j % docs_act);
     models::InitLdaDocument(init_rng, hyper, &doc);
+    vertex_tokens[j % data_slots.size()] += doc.words.size();
     graph.vertex(data_slots[j % data_slots.size()])
         .data.docs.push_back(std::move(doc));
   }
+  // The largest data vertex picks the layout of the model all of them
+  // share: transposed when it draws at least one token per word.
+  const std::size_t max_vertex_tokens =
+      *std::max_element(vertex_tokens.begin(), vertex_tokens.end());
   for (std::size_t d : data_slots) {
     for (std::size_t s : topic_slots) graph.AddEdge(d, s);
   }
@@ -242,7 +259,7 @@ RunResult RunLdaGas(const LdaExperiment& exp,
 
   RunResult result = harness.Run([&](int iter) -> Status {
     LdaProgram program(hyper, exp.config.seed, iter, word_flops,
-                       words_per_super);
+                       words_per_super, max_vertex_tokens);
     return engine.RunSweep<Gathered>(program, "lda iteration");
   });
   if (!result.ok()) return result;

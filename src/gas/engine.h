@@ -61,7 +61,9 @@ class GasProgram {
   /// Elements past the first may also *share* immutable state (e.g. a
   /// neighbor's exported shared_ptr): the engine fold only ever mutates
   /// the accumulator it moved out of the very first element, and reads
-  /// every later element const.
+  /// every later element const. Pointers into the neighbors' data may be
+  /// gathered too, as an edge-ordered list that Merge concatenates: no
+  /// vertex changes between the center's gather and its Apply.
   ///
   /// This and SampleBatch bodies run inside engine worker chunks; mlint
   /// treats them as parallel callees (no sim charges inside).

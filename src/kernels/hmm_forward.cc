@@ -2,22 +2,21 @@
 
 namespace mlbench::kernels {
 
-void HmmStateScratch::Prepare(const linalg::Vector& delta0,
-                              const std::vector<linalg::Vector>& delta,
-                              const std::vector<linalg::Vector>& psi,
-                              std::size_t expected_tokens) {
-  k_ = delta0.size();
-  delta0_.assign(delta0.data(), delta0.data() + k_);
+void HmmStateScratch::Prepare(const double* delta0,
+                              const double* const* delta,
+                              const EmissionTable& psi) {
+  k_ = psi.states();
+  delta0_.assign(delta0, delta0 + k_);
   delta_.resize(k_ * k_);
   delta_t_.resize(k_ * k_);
   for (std::size_t s = 0; s < k_; ++s) {
-    const double* row = delta[s].data();
+    const double* row = delta[s];
     for (std::size_t t = 0; t < k_; ++t) {
       delta_[s * k_ + t] = row[t];
       delta_t_[t * k_ + s] = row[t];
     }
   }
-  psi_.Prepare(psi, expected_tokens);
+  psi_ = &psi;
 }
 
 void HmmStateScratch::ResampleStates(stats::Rng& rng, int iteration,
@@ -26,8 +25,9 @@ void HmmStateScratch::ResampleStates(stats::Rng& rng, int iteration,
   const std::size_t k = k_;
   const std::size_t n = words.size();
   double* cum = cat_.Ensure(k);
-  const bool tr = psi_.transposed();
-  const double* const* rows = tr ? nullptr : psi_.RowPointers();
+  const EmissionTable& psi = *psi_;
+  const bool tr = psi.transposed();
+  const double* const* rows = psi.RowPointers();
   for (std::size_t pos = 0; pos < n; ++pos) {
     // Same parity rule as models::ResampleHmmStates.
     if ((static_cast<std::size_t>(iteration) + pos) % 2 != 1) continue;
@@ -38,7 +38,7 @@ void HmmStateScratch::ResampleStates(stats::Rng& rng, int iteration,
         pos + 1 < n ? delta_t_.data() + (*states)[pos + 1] * k : nullptr;
     double acc = 0;
     if (tr) {
-      const double* col = psi_.Column(word);
+      const double* col = psi.Column(word);
       for (std::size_t s = 0; s < k; ++s) {
         double weight = col[s];
         weight *= trans[s];

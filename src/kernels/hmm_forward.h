@@ -10,28 +10,26 @@
 
 /// \file hmm_forward.h
 /// Fused HMM state-resampling kernel (the paper's alternating-parity
-/// update, Section 7). Prepare() caches the model in kernel layout:
-///  * transitions as a flat row-major K x K (previous-state row is
-///    contiguous) plus a transposed copy (next-state column contiguous);
-///  * emissions through EmissionTable (transposed or row-pointer mode,
-///    picked by expected token volume).
-/// ResampleStates then evaluates each position's K weights, their prefix
-/// sum, and the draw in a single fused pass, bit-identical to
-/// models::ResampleHmmStates (same weight products in the same order, one
-/// NextDouble per resampled position, NextBounded on a non-positive
-/// total).
+/// update, Section 7). Prepare() caches the K x K transitions in kernel
+/// layout: a flat row-major copy (previous-state row contiguous) plus a
+/// transposed one (next-state column contiguous). The K x V emissions are
+/// read in place through an EmissionTable the caller owns, which may be
+/// shared const by every sampler reading one model. ResampleStates then
+/// evaluates each position's K weights, their prefix sum, and the draw in
+/// a single fused pass, bit-identical to models::ResampleHmmStates (same
+/// weight products in the same order, one NextDouble per resampled
+/// position, NextBounded on a non-positive total).
 
 namespace mlbench::kernels {
 
 class HmmStateScratch {
  public:
-  /// Rebuild the cached layouts from the current model. `expected_tokens`
-  /// is the number of token draws this scratch will serve before the next
-  /// Prepare (drives the emission-transpose heuristic).
-  void Prepare(const linalg::Vector& delta0,
-               const std::vector<linalg::Vector>& delta,
-               const std::vector<linalg::Vector>& psi,
-               std::size_t expected_tokens);
+  /// Caches the transitions (`delta0`: K start weights; `delta`: K row
+  /// pointers of K) and reads emissions through `psi`, whose K sets the
+  /// state count. `psi` is not copied: it and the rows it views must stay
+  /// unmodified until the next Prepare.
+  void Prepare(const double* delta0, const double* const* delta,
+               const EmissionTable& psi);
 
   /// Re-samples the parity-matching positions of one state sequence in
   /// place, exactly as models::ResampleHmmStates does.
@@ -39,14 +37,14 @@ class HmmStateScratch {
                       const std::vector<std::uint32_t>& words,
                       std::vector<std::uint8_t>* states);
 
-  bool transposed_emissions() const { return psi_.transposed(); }
+  bool transposed_emissions() const { return psi_->transposed(); }
 
  private:
   std::size_t k_ = 0;
   std::vector<double> delta0_;
   std::vector<double> delta_;    ///< row-major K x K: [prev * K + s]
   std::vector<double> delta_t_;  ///< transposed K x K: [next * K + s]
-  EmissionTable psi_;
+  const EmissionTable* psi_ = nullptr;
   CategoricalScratch cat_;
 };
 

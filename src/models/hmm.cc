@@ -67,6 +67,16 @@ void ResampleHmmStates(stats::Rng& rng, const HmmParams& params,
   }
 }
 
+void ViewHmmParams(const HmmParams& params, std::size_t expected_tokens,
+                   HmmModelView* view) {
+  view->delta0 = params.delta0.data();
+  view->delta.resize(params.delta.size());
+  for (std::size_t s = 0; s < params.delta.size(); ++s) {
+    view->delta[s] = params.delta[s].data();
+  }
+  view->psi.Prepare(params.psi, expected_tokens);
+}
+
 void AccumulateHmmCounts(const HmmDocument& doc, HmmCounts* counts) {
   MLBENCH_CHECK(!counts->f.empty());
   const std::size_t n = doc.words.size();

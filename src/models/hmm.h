@@ -61,15 +61,43 @@ void InitHmmStates(stats::Rng& rng, std::size_t states, HmmDocument* doc);
 void ResampleHmmStates(stats::Rng& rng, const HmmParams& params,
                        int iteration, HmmDocument* doc);
 
+/// A read-only HMM model whose rows live elsewhere: a params struct, the
+/// BSP aggregates, the GAS state vertices. Only pointers are kept; the
+/// emission table may add its transposed copy. The viewed rows must stay
+/// unmodified while any sampler reads the view.
+struct HmmModelView {
+  const double* delta0 = nullptr;     ///< K start weights
+  std::vector<const double*> delta;   ///< K transition rows of K
+  kernels::EmissionTable psi;         ///< K emission rows of V
+};
+
+/// Views `params` in place; the emissions are transposed when
+/// `expected_tokens` reaches the vocabulary size.
+void ViewHmmParams(const HmmParams& params, std::size_t expected_tokens,
+                   HmmModelView* view);
+
 /// Per-iteration state sampler on the fused kernel: Prepare() once per
-/// model draw (caching transitions flat and emissions transposed or via
-/// row pointers, by expected token volume), then Resample per document.
-/// Draws are bit-identical to ResampleHmmStates.
+/// model draw, then Resample per document. Draws are bit-identical to
+/// ResampleHmmStates.
 class HmmSampler {
  public:
+  HmmSampler() = default;
+  // Prepare(params) points the scratch at own_, so a copy would read the
+  // original's view.
+  HmmSampler(const HmmSampler&) = delete;
+  HmmSampler& operator=(const HmmSampler&) = delete;
+
+  /// Reads `model` in place: it must outlive this sampler's Resample
+  /// calls. Many samplers may share one view const.
+  void Prepare(const HmmModelView& model) {
+    scratch_.Prepare(model.delta0, model.delta.data(), model.psi);
+  }
+
+  /// Views `params`, which must outlive the Resample calls, through a
+  /// view this sampler owns.
   void Prepare(const HmmParams& params, std::size_t expected_tokens) {
-    scratch_.Prepare(params.delta0, params.delta, params.psi,
-                     expected_tokens);
+    ViewHmmParams(params, expected_tokens, &own_);
+    Prepare(own_);
   }
 
   void Resample(stats::Rng& rng, int iteration, HmmDocument* doc) {
@@ -78,6 +106,7 @@ class HmmSampler {
 
  private:
   kernels::HmmStateScratch scratch_;
+  HmmModelView own_;
 };
 
 /// Accumulates a document's counts into `counts`.

@@ -50,10 +50,16 @@ void ResampleLdaDocument(stats::Rng& rng, const LdaHyper& hyper,
   doc->theta = stats::SampleDirichlet(rng, conc);
 }
 
+void LdaDocSampler::Prepare(const LdaHyper& hyper,
+                            const kernels::EmissionTable& phi) {
+  hyper_ = hyper;
+  phi_ = &phi;
+}
+
 void LdaDocSampler::Prepare(const LdaHyper& hyper, const LdaParams& params,
                             std::size_t expected_tokens) {
-  hyper_ = hyper;
-  phi_.Prepare(params.phi, expected_tokens);
+  own_phi_.Prepare(params.phi, expected_tokens);
+  Prepare(hyper, own_phi_);
 }
 
 void LdaDocSampler::Resample(stats::Rng& rng, LdaDocument* doc,
@@ -62,15 +68,16 @@ void LdaDocSampler::Resample(stats::Rng& rng, LdaDocument* doc,
   double* cum = cat_.Ensure(t_count);
   doc_topic_counts_.assign(t_count, 0.0);
   const double* theta = doc->theta.data();
-  const bool tr = phi_.transposed();
-  const double* const* rows = tr ? nullptr : phi_.RowPointers();
+  const kernels::EmissionTable& phi = *phi_;
+  const bool tr = phi.transposed();
+  const double* const* rows = phi.RowPointers();
   for (std::size_t pos = 0; pos < doc->words.size(); ++pos) {
     std::uint32_t word = doc->words[pos];
     // Fused weight + prefix-sum pass; additions in topic order, so the
     // total and scan match the reference two-pass code bit-for-bit.
     double acc = 0;
     if (tr) {
-      const double* col = phi_.Column(word);
+      const double* col = phi.Column(word);
       for (std::size_t t = 0; t < t_count; ++t) {
         acc += theta[t] * col[t];
         cum[t] = acc;

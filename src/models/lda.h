@@ -71,12 +71,25 @@ void ResampleLdaDocument(stats::Rng& rng, const LdaHyper& hyper,
                          LdaCounts* counts);
 
 /// Per-iteration document sampler on the fused kernels: Prepare() once per
-/// phi draw (caching phi transposed or via row pointers, by expected token
-/// volume), then Resample per document with reusable buffers and no
+/// phi draw, then Resample per document with reusable buffers and no
 /// per-document allocation. Draws (topics and theta) are bit-identical to
 /// ResampleLdaDocument.
 class LdaDocSampler {
  public:
+  LdaDocSampler() = default;
+  // Prepare(hyper, params, ...) points phi_ at own_phi_, so a copy would
+  // read the original's table.
+  LdaDocSampler(const LdaDocSampler&) = delete;
+  LdaDocSampler& operator=(const LdaDocSampler&) = delete;
+
+  /// Reads phi through `phi` in place: the table and the rows it views
+  /// must outlive this sampler's Resample calls. Many samplers may share
+  /// one table const.
+  void Prepare(const LdaHyper& hyper, const kernels::EmissionTable& phi);
+
+  /// Views `params.phi`, which must outlive the Resample calls, through a
+  /// table this sampler owns (transposed when `expected_tokens` reaches
+  /// the vocabulary size).
   void Prepare(const LdaHyper& hyper, const LdaParams& params,
                std::size_t expected_tokens);
 
@@ -84,7 +97,8 @@ class LdaDocSampler {
 
  private:
   LdaHyper hyper_;
-  kernels::EmissionTable phi_;
+  const kernels::EmissionTable* phi_ = nullptr;
+  kernels::EmissionTable own_phi_;
   kernels::CategoricalScratch cat_;
   std::vector<double> doc_topic_counts_;
   std::vector<double> conc_;

@@ -121,7 +121,7 @@ ExprProgram ExprProgram::Compile(const ScalarExpr& expr) {
 }
 
 double ExprProgram::EvalRow(const Tuple& t) const {
-  double inline_regs[kInlineRegs];
+  double inline_regs[kInlineRegs] = {};
   std::vector<double> heap_regs;
   double* regs = inline_regs;
   if (num_regs_ > kInlineRegs) {

@@ -162,6 +162,28 @@ core::LdaExperiment Lda() {
   return exp;
 }
 
+/// Two supers per machine: each holds ten documents, so a super's tokens
+/// exceed the 60-word vocabulary and the transposed emission layout runs.
+core::LdaExperiment LdaSuper() {
+  core::LdaExperiment exp = Lda();
+  exp.granularity = core::TextGranularity::kSuperVertex;
+  exp.supers_per_machine = 2;
+  return exp;
+}
+
+/// Three iterations: the model vertices fold count partials twice.
+template <typename Exp>
+Exp ThreeIterations(Exp exp) {
+  exp.config.iterations = 3;
+  return exp;
+}
+
+template <typename Exp>
+Exp WithFaults(Exp exp) {
+  exp.config.faults = SeededFaults();
+  return exp;
+}
+
 core::LassoExperiment Lasso(long long actual, bool super) {
   core::LassoExperiment exp;
   exp.config = SmallConfig(3, 7);
@@ -386,6 +408,68 @@ TEST(DriverGolden, BspGmmFaults) {
 
 TEST(DriverGolden, DataflowGmmFaults) {
   ExpectGolden("2ff4eeaa0cc47f4e", &core::RunGmmDataflow, FaultyGmm(false));
+}
+
+
+// ---- HMM and LDA vertex paths: super vertices, repeated folds, faults ------
+
+TEST(DriverGolden, BspLdaSuperVertex) {
+  ExpectGolden("48673df8cb4ef239", &core::RunLdaBsp, LdaSuper());
+}
+
+TEST(DriverGolden, GasHmmThreeIterations) {
+  ExpectGolden("cc1d3497e6eda2c4", &core::RunHmmGas,
+               ThreeIterations(Hmm(TextGranularity::kDocument)));
+}
+
+TEST(DriverGolden, GasLdaThreeIterations) {
+  ExpectGolden("762d2fd8573e6c29", &core::RunLdaGas, ThreeIterations(Lda()));
+}
+
+TEST(DriverGolden, GasHmmSuperVertex) {
+  core::HmmExperiment exp =
+      ThreeIterations(Hmm(TextGranularity::kSuperVertex));
+  exp.supers_per_machine = 2;
+  ExpectGolden("40a9e7b9653c7d3c", &core::RunHmmGas, exp);
+}
+
+TEST(DriverGolden, GasLdaSuperVertex) {
+  ExpectGolden("96351446e63e7910", &core::RunLdaGas,
+               ThreeIterations(LdaSuper()));
+}
+
+TEST(DriverGolden, BspHmmFaults) {
+  ExpectGolden("913ac373803a8df6", &core::RunHmmBsp,
+               WithFaults(ThreeIterations(Hmm(TextGranularity::kDocument))));
+}
+
+TEST(DriverGolden, BspLdaFaults) {
+  ExpectGolden("eb389d60134cb3f3", &core::RunLdaBsp,
+               WithFaults(ThreeIterations(Lda())));
+}
+
+TEST(DriverGolden, GasHmmFaults) {
+  ExpectGolden("e7ae7f8fbc26e4a8", &core::RunHmmGas,
+               WithFaults(ThreeIterations(Hmm(TextGranularity::kDocument))));
+}
+
+TEST(DriverGolden, GasLdaFaults) {
+  ExpectGolden("dda5b9c9beeef401", &core::RunLdaGas,
+               WithFaults(ThreeIterations(Lda())));
+}
+
+// 600 data supers: each state or topic vertex gathers in parallel chunks.
+TEST(DriverGolden, GasHmmStatesUseParallelChunks) {
+  core::HmmExperiment exp = ThreeIterations(Hmm(TextGranularity::kDocument));
+  exp.config.data.actual_per_machine = 200;
+  ExpectGolden("2b358bdf5a39fb59", &core::RunHmmGas, exp);
+}
+
+TEST(DriverGolden, GasLdaTopicsUseParallelChunks) {
+  core::LdaExperiment exp = ThreeIterations(Lda());
+  exp.config.data.actual_per_machine = 200;
+  exp.supers_per_machine = 200;
+  ExpectGolden("5028fe6382a791d0", &core::RunLdaGas, exp);
 }
 
 }  // namespace

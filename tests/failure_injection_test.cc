@@ -390,7 +390,9 @@ TEST(FaultRecovery, RelDbCrashReExecutesTasksAndRecords) {
   auto run_queries = [](sim::ClusterSim* sim) {
     reldb::Database db(sim, sim::RelDbCosts{}, /*seed=*/7);
     for (int q = 0; q < 3; ++q) {
-      db.BeginQuery("q" + std::to_string(q));
+      std::string name = "q";
+      name += std::to_string(q);
+      db.BeginQuery(name);
       sim->ChargeCpu(0, 5.0);
       sim->ChargeCpu(1, 4.0);
       db.EndQuery();

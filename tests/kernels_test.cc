@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "kernels/categorical.h"
 #include "kernels/emission.h"
 #include "kernels/gaussian.h"
@@ -459,6 +461,154 @@ TEST(EmissionTableTest, TransposeHeuristicAndContentsAgree) {
     for (std::size_t s = 0; s < k; ++s) {
       EXPECT_EQ(col[s], rows[s][w]);
       EXPECT_EQ(pointered.RowPointers()[s][w], rows[s][w]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-pointer views: rows read in place from anywhere, and one transposed
+// table shared const by concurrent samplers
+// ---------------------------------------------------------------------------
+
+/// Copies each state's psi row then delta row into one flat buffer per
+/// state (the layout the BSP driver's aggregates publish).
+std::vector<std::vector<double>> PublishHmmRows(
+    const models::HmmParams& params) {
+  std::vector<std::vector<double>> published;
+  for (std::size_t s = 0; s < params.psi.size(); ++s) {
+    std::vector<double> row(params.psi[s].begin(), params.psi[s].end());
+    row.insert(row.end(), params.delta[s].begin(), params.delta[s].end());
+    published.push_back(std::move(row));
+  }
+  return published;
+}
+
+std::vector<models::HmmDocument> RandomHmmDocs(stats::Rng& rng,
+                                               const models::HmmHyper& hyper,
+                                               int count) {
+  std::vector<models::HmmDocument> docs;
+  for (int d = 0; d < count; ++d) {
+    models::HmmDocument doc;
+    std::size_t len = 5 + rng.NextBounded(30);
+    for (std::size_t i = 0; i < len; ++i) {
+      doc.words.push_back(
+          static_cast<std::uint32_t>(rng.NextBounded(hyper.vocab)));
+    }
+    models::InitHmmStates(rng, hyper.states, &doc);
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+TEST(EmissionViewTest, HmmViewOfPublishedRowsMatchesVectorBuiltInBothLayouts) {
+  models::HmmHyper hyper{6, 30, 1.0, 0.1};
+  stats::Rng init(21);
+  auto params = models::SampleHmmPrior(init, hyper);
+  auto published = PublishHmmRows(params);
+  auto docs = RandomHmmDocs(init, hyper, 10);
+  for (std::size_t expected : {std::size_t{1}, std::size_t{100000}}) {
+    models::HmmModelView view;
+    view.delta0 = params.delta0.data();
+    std::vector<const double*> psi;
+    for (const auto& row : published) {
+      psi.push_back(row.data());
+      view.delta.push_back(row.data() + hyper.vocab);
+    }
+    view.psi.Prepare(std::move(psi), hyper.vocab, expected);
+    EXPECT_EQ(view.psi.transposed(), expected >= hyper.vocab);
+    kernels::HmmStateScratch from_view, from_vectors;
+    from_view.Prepare(view.delta0, view.delta.data(), view.psi);
+    kernels::EmissionTable psi_vectors;
+    psi_vectors.Prepare(params.psi, expected);
+    std::vector<const double*> delta_rows;
+    for (const auto& row : params.delta) delta_rows.push_back(row.data());
+    from_vectors.Prepare(params.delta0.data(), delta_rows.data(),
+                         psi_vectors);
+    EXPECT_EQ(from_view.transposed_emissions(),
+              from_vectors.transposed_emissions());
+    auto view_docs = docs;
+    auto vector_docs = docs;
+    auto ref_docs = docs;
+    for (int iter = 0; iter < 4; ++iter) {
+      stats::Rng r1(300 + iter), r2(300 + iter), r3(300 + iter);
+      for (std::size_t d = 0; d < docs.size(); ++d) {
+        from_view.ResampleStates(r1, iter, view_docs[d].words,
+                                 &view_docs[d].states);
+        from_vectors.ResampleStates(r2, iter, vector_docs[d].words,
+                                    &vector_docs[d].states);
+        models::ResampleHmmStates(r3, params, iter, &ref_docs[d]);
+        ASSERT_EQ(view_docs[d].states, vector_docs[d].states)
+            << "expected " << expected << " iter " << iter << " doc " << d;
+        ASSERT_EQ(view_docs[d].states, ref_docs[d].states);
+      }
+      const std::uint64_t next = r1.NextU64();
+      EXPECT_EQ(next, r2.NextU64());
+      EXPECT_EQ(next, r3.NextU64());
+    }
+  }
+}
+
+TEST(EmissionViewTest, SharedTransposedTableReadFromFourThreadsMatchesSerial) {
+  exec::ThreadPool::SetGlobalThreads(4);
+  models::HmmHyper hmm_hyper{5, 24, 1.0, 0.1};
+  models::LdaHyper lda_hyper{7, 24, 0.5, 0.1};
+  stats::Rng init(22);
+  auto hmm_params = models::SampleHmmPrior(init, hmm_hyper);
+  auto lda_params = models::SampleLdaPrior(init, lda_hyper);
+  auto published = PublishHmmRows(hmm_params);
+  models::HmmModelView hmm_view;
+  hmm_view.delta0 = hmm_params.delta0.data();
+  std::vector<const double*> psi;
+  for (const auto& row : published) {
+    psi.push_back(row.data());
+    hmm_view.delta.push_back(row.data() + hmm_hyper.vocab);
+  }
+  hmm_view.psi.Prepare(std::move(psi), hmm_hyper.vocab, hmm_hyper.vocab);
+  kernels::EmissionTable phi;
+  std::vector<const double*> phi_rows;
+  for (const auto& row : lda_params.phi) phi_rows.push_back(row.data());
+  phi.Prepare(std::move(phi_rows), lda_hyper.vocab, lda_hyper.vocab);
+  ASSERT_TRUE(hmm_view.psi.transposed());
+  ASSERT_TRUE(phi.transposed());
+
+  const int n = 64;
+  auto hmm_docs = RandomHmmDocs(init, hmm_hyper, n);
+  std::vector<models::LdaDocument> lda_docs;
+  for (int d = 0; d < n; ++d) {
+    models::LdaDocument doc;
+    std::size_t len = 5 + init.NextBounded(40);
+    for (std::size_t i = 0; i < len; ++i) {
+      doc.words.push_back(
+          static_cast<std::uint32_t>(init.NextBounded(lda_hyper.vocab)));
+    }
+    models::InitLdaDocument(init, lda_hyper, &doc);
+    lda_docs.push_back(std::move(doc));
+  }
+  auto hmm_ref = hmm_docs;
+  auto lda_ref = lda_docs;
+  // Every chunk prepares its own samplers over the one shared model.
+  exec::ParallelFor(n, 4, [&](const exec::Chunk& chunk) {
+    models::HmmSampler hmm;
+    hmm.Prepare(hmm_view);
+    models::LdaDocSampler lda;
+    lda.Prepare(lda_hyper, phi);
+    for (std::int64_t d = chunk.begin; d < chunk.end; ++d) {
+      const auto i = static_cast<std::size_t>(d);
+      stats::Rng rng = stats::Rng(40).Split(i + 1);
+      hmm.Resample(rng, 1, &hmm_docs[i]);
+      lda.Resample(rng, &lda_docs[i], nullptr);
+    }
+  });
+  exec::ThreadPool::SetGlobalThreads(1);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    stats::Rng rng = stats::Rng(40).Split(i + 1);
+    models::ResampleHmmStates(rng, hmm_params, 1, &hmm_ref[i]);
+    models::ResampleLdaDocument(rng, lda_hyper, lda_params, &lda_ref[i],
+                                nullptr);
+    ASSERT_EQ(hmm_docs[i].states, hmm_ref[i].states) << "doc " << i;
+    ASSERT_EQ(lda_docs[i].topics, lda_ref[i].topics) << "doc " << i;
+    for (std::size_t t = 0; t < lda_hyper.topics; ++t) {
+      ASSERT_EQ(lda_docs[i].theta[t], lda_ref[i].theta[t]) << "doc " << i;
     }
   }
 }

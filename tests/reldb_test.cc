@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -289,7 +290,9 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 std::vector<std::string> KeyNames(std::size_t width) {
   std::vector<std::string> names;
   for (std::size_t k = 0; k < width; ++k) {
-    names.push_back("k" + std::to_string(k));
+    std::string name = "k";
+    name += std::to_string(k);
+    names.push_back(std::move(name));
   }
   return names;
 }
