@@ -84,7 +84,7 @@ void BM_RddMapReduceByKey(benchmark::State& state) {
       return std::pair<int, long long>(static_cast<int>(x % 16), 1);
     });
     auto counts = dataflow::ReduceByKey(
-        pairs, [](const long long& a, const long long& b) { return a + b; });
+        pairs, [](long long* acc, const long long& x) { *acc += x; });
     auto rows = counts.Collect();
     benchmark::DoNotOptimize(rows);
   }

@@ -1,5 +1,6 @@
 #include "core/gmm_dataflow.h"
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -127,9 +128,8 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
         return s;
       },
       scan_cost, 8.0 * exp.dim);
-  auto sum = chunk_sum.Reduce([](const Vector& a, const Vector& b) {
-    return a + b;
-  });
+  auto sum = chunk_sum.Reduce(
+      [](Vector* acc, const Vector& x) { *acc += x; });
   if (!sum.ok()) return harness.Fail(sum.status());
   double n_actual = static_cast<double>(chunks_per_machine * chunk *
                                         exp.config.machines);
@@ -146,9 +146,8 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
         return s;
       },
       scan_cost, 8.0 * exp.dim);
-  auto sq = chunk_sq.Reduce([](const Vector& a, const Vector& b) {
-    return a + b;
-  });
+  auto sq = chunk_sq.Reduce(
+      [](Vector* acc, const Vector& x) { *acc += x; });
   if (!sq.ok()) return harness.Fail(sq.status());
   Vector var = *sq * (1.0 / n_actual);
 
@@ -168,7 +167,9 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
   stats::Rng rng(exp.config.seed ^ 0x6A11);
   auto params_r = models::SamplePrior(rng, hyper);
   if (!params_r.ok()) return harness.Fail(params_r.status());
-  GmmParams params = std::move(*params_r);
+  // Task closures share each draw read-only; the next draw replaces it.
+  std::shared_ptr<const GmmParams> params =
+      std::make_shared<const GmmParams>(std::move(*params_r));
 
   if (!ctx.lifetime_status().ok()) {
     return harness.Fail(ctx.lifetime_status());
@@ -194,7 +195,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
       (exp.language == sim::Language::kPython ? 160.0 : 48.0);
 
   RunResult result = harness.Run([&](int iter) -> Status {
-    auto sampler_r = models::GmmMembershipSampler::Build(params);
+    auto sampler_r = models::GmmMembershipSampler::Build(*params);
     if (!sampler_r.ok()) return sampler_r.status();
     auto sampler = std::make_shared<models::GmmMembershipSampler>(
         std::move(*sampler_r));
@@ -203,9 +204,8 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
     // Job 1: c_agg = data.map(sample_mem).reduceByKey(add_triples); the
     // imputation variant re-draws each point's censored coordinates from
     // its sampled cluster first (Section 9's extra step).
-    auto params_copy = std::make_shared<GmmParams>(params);
     auto pairs = data.FlatMap(
-        [sampler, iter_seed, dim = exp.dim, censored, params_copy,
+        [sampler, iter_seed, dim = exp.dim, censored, params,
          imputation = exp.imputation](const PointChunk& c) {
           std::vector<std::pair<int, Agg>> out;
           stats::Rng point_rng =
@@ -218,7 +218,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
             if (imputation) {
               auto& cp = (*censored)[c.base_index + q];
               Status st = models::ImputeMissing(
-                  point_rng, params_copy->mu[k], params_copy->sigma[k], &cp);
+                  point_rng, params->mu[k], params->sigma[k], &cp);
               (void)st;  // near-singular draws keep the previous value
             }
             Agg a;
@@ -231,11 +231,7 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
         sample_cost, agg_bytes);
     auto reduced = dataflow::ReduceByKey(
         pairs,
-        [](const Agg& a, const Agg& b) {
-          Agg m = a;
-          m.stats.Merge(b.stats);
-          return m;
-        },
+        [](Agg* acc, const Agg& in) { acc->stats.Merge(in.stats); },
         OpCost{}, /*out_scale=*/1.0,
         /*reduce_flops_per_record=*/2.0 * exp.dim * exp.dim);
 
@@ -260,14 +256,17 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
       counts[k] += agg.stats.n * logical_per_actual;
       stats[k].Merge(agg.stats);
     }
+    GmmParams next;
+    next.mu.resize(exp.k);
+    next.sigma.resize(exp.k);
     for (std::size_t k = 0; k < exp.k; ++k) {
       auto post = models::SampleClusterPosterior(rng, hyper, stats[k]);
       if (!post.ok()) {
         ctx.EndJob();
         return post.status();
       }
-      params.mu[k] = post->first;
-      params.sigma[k] = post->second;
+      next.mu[k] = std::move(post->first);
+      next.sigma[k] = std::move(post->second);
     }
     sim.ChargeParallelCpuOnMachine(
         0, exp.k * models::ClusterUpdateFlops(exp.dim) *
@@ -276,14 +275,15 @@ RunResult RunGmmDataflow(const GmmExperiment& exp,
 
     // Job 3: collect counts, sample pi on the driver.
     ctx.BeginJob("gmm:update_pi", exp.config.machines);
-    params.pi = models::SampleMixingProportions(rng, hyper, counts);
+    next.pi = models::SampleMixingProportions(rng, hyper, counts);
+    params = std::make_shared<const GmmParams>(std::move(next));
     ctx.EndJob();
 
     return ctx.fault_status();
   });
   if (!result.ok()) return result;
 
-  if (final_model != nullptr) *final_model = params;
+  if (final_model != nullptr) *final_model = *params;
   result.peak_machine_bytes = sim.peak_bytes();
   return result;
 }

@@ -9,6 +9,7 @@
 #include "bsp/engine.h"
 #include "core/harness.h"
 #include "core/workloads.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -252,10 +253,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::HmmSampler sampler;
           sampler.Prepare(model);
-          // Emission keys state * vocab + word, sorted below so each
-          // state's (word, count) run is contiguous.
-          std::vector<std::uint32_t> keys;
-          keys.reserve(expected);
+          models::CountKeys keys(exp.vocab, expected);
           std::vector<std::shared_ptr<StateSlice>> slices(exp.states);
           for (auto& slice : slices) {
             slice = std::make_shared<StateSlice>();
@@ -264,22 +262,16 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
           for (auto& doc : vx.data.docs) {
             sampler.Resample(vrng, iter, &doc);
             for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-              keys.push_back(static_cast<std::uint32_t>(
-                  doc.states[pos] * exp.vocab + doc.words[pos]));
+              keys.Add(doc.states[pos], doc.words[pos]);
               if (pos + 1 < doc.words.size()) {
                 slices[doc.states[pos]]->h[doc.states[pos + 1]] += 1;
               }
             }
           }
-          std::sort(keys.begin(), keys.end());
-          for (std::size_t i = 0; i < keys.size();) {
-            std::size_t j = i + 1;
-            while (j < keys.size() && keys[j] == keys[i]) ++j;
-            slices[keys[i] / exp.vocab]->f.emplace_back(
-                static_cast<std::uint32_t>(keys[i] % exp.vocab),
-                static_cast<double>(j - i));
-            i = j;
-          }
+          keys.ForEachRun([&slices](std::size_t s, std::uint32_t word,
+                                    std::size_t n) {
+            slices[s]->f.emplace_back(word, static_cast<double>(n));
+          });
           // Each state vertex receives only its own slice.
           for (std::size_t s = 0; s < exp.states; ++s) {
             HmmMsg msg;

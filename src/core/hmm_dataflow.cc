@@ -7,6 +7,7 @@
 #include "core/harness.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -14,6 +15,7 @@ namespace {
 
 using dataflow::Context;
 using dataflow::OpCost;
+using models::CountRow;
 using models::HmmCounts;
 using models::HmmDocument;
 using models::HmmParams;
@@ -24,11 +26,6 @@ struct WordRec {
   int pos = 0;
   std::uint32_t word = 0;
   std::uint8_t state = 0;
-};
-
-/// Sparse count payload shuffled to update Psi / delta.
-struct CountVec {
-  Vector v;
 };
 
 }  // namespace
@@ -134,7 +131,10 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
     return harness.Fail(dctx.lifetime_status());
   }
 
-  HmmParams params = models::SampleHmmPrior(init_rng, hyper);
+  // Task closures share each draw read-only; the next draw replaces it.
+  std::shared_ptr<const HmmParams> params =
+      std::make_shared<const HmmParams>(
+          models::SampleHmmPrior(init_rng, hyper));
 
   // ---- Iterations -----------------------------------------------------------
   WordCost wc = HmmWordCost(exp.language, exp.granularity, exp.states);
@@ -150,45 +150,60 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
   const double count_bytes = model_entry_bytes;
 
   RunResult result = harness.Run([&](int iter) -> Status {
-    auto params_ptr = std::make_shared<HmmParams>(params);
     std::uint64_t iter_seed = exp.config.seed ^ (0x4A40u + iter);
 
     // Jobs 1+2: sample the h transition counts then delta; jobs 3+4 the
-    // f/g counts then Psi. Both flatMap per-state count vectors keyed by
-    // state id and reduceByKey them (combined map-side).
+    // f/g counts then Psi. Both flatMap per-state count rows keyed by
+    // state id and reduceByKey them (combined map-side): f as sparse
+    // (word, count) slices, h and g as dense K-vectors. Every key is
+    // emitted, an empty slice included: the shuffle charges per combined
+    // record.
     auto counts = data.FlatMap(
-        [params_ptr, iter, iter_seed, &hyper](
+        [params, iter, iter_seed, &hyper](
             const std::pair<long long, Chunk>& rec) {
           // Re-sample this chunk's states, then emit per-state counts.
-          HmmCounts c(params_ptr->delta0.size(),
-                      params_ptr->psi[0].size());
+          const std::size_t states = hyper.states;
           stats::Rng r = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(rec.first) + 1);
           std::size_t expected = 0;
           for (const auto& doc : *rec.second) expected += doc.words.size();
           models::HmmSampler sampler;
-          sampler.Prepare(*params_ptr, expected);
+          sampler.Prepare(*params, expected);
+          models::CountKeys keys(hyper.vocab, expected);
+          std::vector<std::pair<int, CountRow>> out(2 * states + 1);
+          for (std::size_t s = 0; s < states; ++s) {
+            out[2 * s].first = static_cast<int>(s);
+            out[2 * s + 1].first = static_cast<int>(1000 + s);
+            out[2 * s + 1].second.dense = Vector(states);
+          }
+          out[2 * states].first = 2000;
+          Vector& g = out[2 * states].second.dense;
+          g = Vector(states);
           for (auto& doc : *rec.second) {
             sampler.Resample(r, iter, &doc);
-            models::AccumulateHmmCounts(doc, &c);
+            const std::size_t n = doc.words.size();
+            if (n == 0) continue;
+            g[doc.states[0]] += 1;
+            for (std::size_t pos = 0; pos < n; ++pos) {
+              keys.Add(doc.states[pos], doc.words[pos]);
+              if (pos + 1 < n) {
+                out[2 * doc.states[pos] + 1]
+                    .second.dense[doc.states[pos + 1]] += 1;
+              }
+            }
           }
-          std::vector<std::pair<int, CountVec>> out;
-          for (std::size_t s = 0; s < c.f.size(); ++s) {
-            out.push_back({static_cast<int>(s), CountVec{c.f[s]}});
-            out.push_back(
-                {static_cast<int>(1000 + s), CountVec{c.h[s]}});
-          }
-          out.push_back({2000, CountVec{c.g}});
-          (void)hyper;
+          keys.ForEachRun([&out](std::size_t s, std::uint32_t word,
+                                 std::size_t n) {
+            out[2 * s].second.sparse.emplace_back(word,
+                                                  static_cast<float>(n));
+          });
           return out;
         },
         per_chunk, count_bytes * (exp.vocab + k) / (2.0 * k + 1.0));
     auto reduced = dataflow::ReduceByKey(
         counts,
-        [](const CountVec& a, const CountVec& b) {
-          CountVec m = a;
-          m.v += b.v;
-          return m;
+        [vocab = exp.vocab](CountRow* acc, const CountRow& in) {
+          acc->Add(in, vocab);
         },
         OpCost{}, /*out_scale=*/1.0, /*reduce_flops=*/1.0);
 
@@ -206,16 +221,17 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
     // lightweight jobs in the paper's structure).
     dctx.BeginJob("hmm:sample_model", exp.config.machines);
     HmmCounts total(exp.states, exp.vocab);
-    for (auto& [key, cv] : *rows) {
+    for (const auto& [key, row] : *rows) {
       if (key == 2000) {
-        total.g += cv.v;
+        row.AddTo(&total.g);
       } else if (key >= 1000) {
-        total.h[key - 1000] += cv.v;
+        row.AddTo(&total.h[key - 1000]);
       } else {
-        total.f[key] += cv.v;
+        row.AddTo(&total.f[key]);
       }
     }
-    params = models::SampleHmmPosterior(rng, hyper, total);
+    params = std::make_shared<const HmmParams>(
+        models::SampleHmmPosterior(rng, hyper, total));
     sim.ChargeCpu(0, dctx.lang().LinalgSeconds(
                          4.0 * k * exp.vocab, 2.0 * k, 1,
                          exp.language == sim::Language::kPython
@@ -232,7 +248,7 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
   });
   if (!result.ok()) return result;
 
-  if (final_model != nullptr) *final_model = params;
+  if (final_model != nullptr) *final_model = *params;
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include "core/harness.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -128,8 +129,7 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
       for (const auto& doc : v.data.docs) expected += doc.words.size();
       models::HmmSampler sampler;
       sampler.Prepare(Model(g.states));
-      std::vector<std::uint32_t> keys;
-      keys.reserve(expected);
+      models::CountKeys keys(hyper_.vocab, expected);
       v.data.partial.resize(hyper_.states);
       for (auto& slice : v.data.partial) {
         slice.f.clear();
@@ -141,24 +141,16 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
         if (doc.words.empty()) continue;
         v.data.partial[doc.states[0]].g += 1;
         for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-          keys.push_back(static_cast<std::uint32_t>(
-              doc.states[pos] * hyper_.vocab + doc.words[pos]));
+          keys.Add(doc.states[pos], doc.words[pos]);
           if (pos + 1 < doc.words.size()) {
             v.data.partial[doc.states[pos]].h[doc.states[pos + 1]] += 1;
           }
         }
       }
-      // Sorted keys state * vocab + word: each state's (word, count) run
-      // is contiguous.
-      std::sort(keys.begin(), keys.end());
-      for (std::size_t i = 0; i < keys.size();) {
-        std::size_t j = i + 1;
-        while (j < keys.size() && keys[j] == keys[i]) ++j;
-        v.data.partial[keys[i] / hyper_.vocab].f.emplace_back(
-            static_cast<std::uint32_t>(keys[i] % hyper_.vocab),
-            static_cast<double>(j - i));
-        i = j;
-      }
+      keys.ForEachRun([&v](std::size_t s, std::uint32_t word,
+                           std::size_t n) {
+        v.data.partial[s].f.emplace_back(word, static_cast<double>(n));
+      });
     } else if (v.data.kind == VData::Kind::kState && !g.slices.empty()) {
       // Sample this state's Psi_s / delta_s rows from its slices, folded
       // into one accumulator each (counts are actual-scale; the chain

@@ -56,7 +56,7 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
   OpCost sum_cost;
   sum_cost.flops_per_record = 2.0;
   auto y_sum = data.Map([](const LabeledPoint& d) { return d.y; }, sum_cost, 8)
-                   .Reduce([](double a, double b) { return a + b; });
+                   .Reduce([](double* acc, const double& y) { *acc += y; });
   if (!y_sum.ok()) return harness.Fail(y_sum.status());
   auto n = data.CountActual();
   if (!n.ok()) return harness.Fail(n.status());

@@ -8,6 +8,7 @@
 #include "bsp/engine.h"
 #include "core/harness.h"
 #include "core/workloads.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -197,28 +198,17 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
           for (const auto& doc : vx.data.docs) expected += doc.words.size();
           models::LdaDocSampler sampler;
           sampler.Prepare(hyper, phi);
-          // Keys topic * vocab + word, sorted so each topic's (word, count)
-          // run is contiguous.
-          std::vector<std::uint32_t> keys;
-          keys.reserve(expected);
+          models::CountKeys keys(exp.vocab, expected);
           for (auto& doc : vx.data.docs) {
             sampler.Resample(vrng, &doc, nullptr);
-            for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-              keys.push_back(static_cast<std::uint32_t>(
-                  doc.topics[pos] * exp.vocab + doc.words[pos]));
-            }
+            keys.AddDocument(doc.words, doc.topics);
           }
-          std::sort(keys.begin(), keys.end());
           std::vector<std::shared_ptr<SparseCounts>> slices(exp.topics);
           for (auto& slice : slices) slice = std::make_shared<SparseCounts>();
-          for (std::size_t i = 0; i < keys.size();) {
-            std::size_t j = i + 1;
-            while (j < keys.size() && keys[j] == keys[i]) ++j;
-            slices[keys[i] / exp.vocab]->emplace_back(
-                static_cast<std::uint32_t>(keys[i] % exp.vocab),
-                static_cast<float>(j - i));
-            i = j;
-          }
+          keys.ForEachRun([&slices](std::size_t topic, std::uint32_t word,
+                                    std::size_t n) {
+            slices[topic]->emplace_back(word, static_cast<float>(n));
+          });
           // Each topic vertex receives only its own key range.
           for (std::size_t tt = 0; tt < exp.topics; ++tt) {
             LdaMsg msg;

@@ -7,6 +7,7 @@
 #include "core/harness.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -14,14 +15,10 @@ namespace {
 
 using dataflow::Context;
 using dataflow::OpCost;
+using models::CountRow;
 using models::LdaCounts;
 using models::LdaDocument;
 using models::LdaParams;
-using models::Vector;
-
-struct CountVec {
-  Vector v;
-};
 
 }  // namespace
 
@@ -86,7 +83,9 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
   }
 
   stats::Rng rng(exp.config.seed ^ 0x7DA2);
-  LdaParams params = models::SampleLdaPrior(rng, hyper);
+  // Task closures share each draw read-only; the next draw replaces it.
+  std::shared_ptr<const LdaParams> params =
+      std::make_shared<const LdaParams>(models::SampleLdaPrior(rng, hyper));
 
   WordCost wc = LdaWordCost(exp.language, exp.granularity, exp.topics);
   OpCost per_chunk;
@@ -99,38 +98,41 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
   const double count_bytes = python ? 60.0 : 40.0;
 
   RunResult result = harness.Run([&](int iter) -> Status {
-    auto params_ptr = std::make_shared<LdaParams>(params);
     std::uint64_t iter_seed = exp.config.seed ^ (0x7DB0u + iter);
 
     // Job 1 (+2): re-sample z and theta per document; flatMap the
-    // per-topic word-count partials and reduceByKey them; collect and
-    // sample phi on the driver.
+    // per-topic word-count slices and reduceByKey them; collect and
+    // sample phi on the driver. Every topic key is emitted, an empty
+    // slice included: the shuffle charges per combined record.
     auto counts = data.FlatMap(
-        [params_ptr, &hyper, iter_seed](
-            const std::pair<long long, Chunk>& rec) {
-          LdaCounts c(hyper.topics, hyper.vocab);
+        [params, &hyper, iter_seed](const std::pair<long long, Chunk>& rec) {
           stats::Rng r = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(rec.first) + 1);
           std::size_t expected = 0;
           for (const auto& doc : *rec.second) expected += doc.words.size();
           models::LdaDocSampler sampler;
-          sampler.Prepare(hyper, *params_ptr, expected);
+          sampler.Prepare(hyper, *params, expected);
+          models::CountKeys keys(hyper.vocab, expected);
           for (auto& doc : *rec.second) {
-            sampler.Resample(r, &doc, &c);
+            sampler.Resample(r, &doc, nullptr);
+            keys.AddDocument(doc.words, doc.topics);
           }
-          std::vector<std::pair<int, CountVec>> out;
+          std::vector<std::pair<int, CountRow>> out(hyper.topics);
           for (std::size_t tt = 0; tt < hyper.topics; ++tt) {
-            out.push_back({static_cast<int>(tt), CountVec{c.g[tt]}});
+            out[tt].first = static_cast<int>(tt);
           }
+          keys.ForEachRun([&out](std::size_t topic, std::uint32_t word,
+                                 std::size_t n) {
+            out[topic].second.sparse.emplace_back(word,
+                                                  static_cast<float>(n));
+          });
           return out;
         },
         per_chunk, count_bytes * exp.vocab / t);
     auto reduced = dataflow::ReduceByKey(
         counts,
-        [](const CountVec& a, const CountVec& b) {
-          CountVec m = a;
-          m.v += b.v;
-          return m;
+        [vocab = exp.vocab](CountRow* acc, const CountRow& in) {
+          acc->Add(in, vocab);
         },
         OpCost{}, /*out_scale=*/1.0, /*reduce_flops=*/1.0);
 
@@ -151,8 +153,9 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
       return bc2;
     }
     LdaCounts total(exp.topics, exp.vocab);
-    for (auto& [key, cv] : *rows) total.g[key] += cv.v;
-    params = models::SampleLdaPosterior(rng, hyper, total);
+    for (const auto& [key, row] : *rows) row.AddTo(&total.g[key]);
+    params = std::make_shared<const LdaParams>(
+        models::SampleLdaPosterior(rng, hyper, total));
     sim.ChargeCpu(0, ctx.lang().LinalgSeconds(
                          4.0 * t * exp.vocab, 2.0 * t, 1,
                          python ? t * exp.vocab : 0));
@@ -162,7 +165,7 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
   });
   if (!result.ok()) return result;
 
-  if (final_model != nullptr) *final_model = params;
+  if (final_model != nullptr) *final_model = *params;
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include "core/harness.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
+#include "models/count_slices.h"
 
 namespace mlbench::core {
 
@@ -103,28 +104,17 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
       for (const auto& doc : v.data.docs) expected += doc.words.size();
       models::LdaDocSampler sampler;
       sampler.Prepare(hyper_, Phi(g.phi));
-      std::vector<std::uint32_t> keys;
-      keys.reserve(expected);
+      models::CountKeys keys(hyper_.vocab, expected);
       for (auto& doc : v.data.docs) {
         sampler.Resample(rng, &doc, nullptr);
-        for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-          keys.push_back(static_cast<std::uint32_t>(
-              doc.topics[pos] * hyper_.vocab + doc.words[pos]));
-        }
+        keys.AddDocument(doc.words, doc.topics);
       }
-      // Sorted keys topic * vocab + word: each topic's (word, count) run
-      // is contiguous.
-      std::sort(keys.begin(), keys.end());
       v.data.partial.resize(hyper_.topics);
       for (auto& slice : v.data.partial) slice.clear();
-      for (std::size_t i = 0; i < keys.size();) {
-        std::size_t j = i + 1;
-        while (j < keys.size() && keys[j] == keys[i]) ++j;
-        v.data.partial[keys[i] / hyper_.vocab].emplace_back(
-            static_cast<std::uint32_t>(keys[i] % hyper_.vocab),
-            static_cast<float>(j - i));
-        i = j;
-      }
+      keys.ForEachRun([&v](std::size_t topic, std::uint32_t word,
+                           std::size_t n) {
+        v.data.partial[topic].emplace_back(word, static_cast<float>(n));
+      });
     } else if (v.data.kind == VData::Kind::kTopic && !g.slices.empty()) {
       // One accumulator for all slices; integer counts fold exactly.
       Vector conc(hyper_.vocab);

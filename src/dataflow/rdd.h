@@ -316,10 +316,12 @@ class Rdd {
     return n;
   }
 
-  /// Folds all records with a commutative, associative combiner. Partitions
-  /// materialize in parallel; the fold itself runs serially in partition
-  /// and record order afterwards, so the result is the serial loop's, bit
-  /// for bit, even for non-associative floating-point combiners.
+  /// Folds all records with a commutative, associative combiner
+  /// `f(T* acc, const T& x)` that adds `x` into `*acc` in place; the first
+  /// record is moved in as the accumulator. Partitions materialize in
+  /// parallel; the fold itself runs serially in partition and record order
+  /// afterwards, so the result is the serial loop's, bit for bit, even for
+  /// non-associative floating-point combiners.
   template <typename F>
   Result<T> Reduce(F f, OpCost cost = {}) const {
     const int parts = node_->num_partitions;
@@ -338,13 +340,13 @@ class Rdd {
     if (!st.ok()) return st;
     bool first = true;
     T acc{};
-    for (const auto& part : outs) {
-      for (const auto& x : part) {
+    for (auto& part : outs) {
+      for (auto& x : part) {
         if (first) {
-          acc = x;
+          acc = std::move(x);
           first = false;
         } else {
-          acc = f(acc, x);
+          f(&acc, x);
         }
       }
     }
@@ -431,13 +433,14 @@ Rdd<T> Generate(Context& ctx, long long actual_per_partition, Gen gen,
 namespace detail {
 
 /// Runs the map side of a shuffle over a pair RDD: evaluates every parent
-/// partition, combines map-side if `merge` is non-null, hash-partitions by
-/// key, and charges map CPU + serialization + network. Returns
-/// per-output-partition buckets.
+/// partition, combines map-side in place if `merge` is non-null,
+/// hash-partitions by key, and charges map CPU + serialization + network.
+/// Records move from the materialized partition into the buckets; only
+/// `merge` reads a folded record. Returns per-output-partition buckets.
 template <typename K, typename V, typename Merge>
 Result<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     Context* ctx, const std::shared_ptr<RddNode<std::pair<K, V>>>& parent,
-    Merge* merge, OpCost map_cost, double out_record_bytes,
+    const Merge* merge, OpCost map_cost, double out_record_bytes,
     double combined_scale = 1.0) {
   const int parts = parent->num_partitions;
   // Map tasks fan out across the host pool (partition 0 first, see
@@ -460,13 +463,12 @@ Result<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     double logical_out;
     if (merge != nullptr) {
       std::unordered_map<K, std::size_t, HashOf<K>> slot;
-      for (const auto& kv : *in) {
+      for (auto& kv : *in) {
         auto [it, inserted] = slot.emplace(kv.first, combined.size());
         if (inserted) {
-          combined.push_back(kv);
+          combined.push_back(std::move(kv));
         } else {
-          combined[it->second].second =
-              (*merge)(combined[it->second].second, kv.second);
+          (*merge)(&combined[it->second].second, kv.second);
         }
       }
       // Logical combined output: the observed distinct keys at the output
@@ -476,8 +478,8 @@ Result<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
           std::min(static_cast<double>(in->size()) * parent->scale,
                    static_cast<double>(combined.size()) * combined_scale);
     } else {
-      combined = *in;
       logical_out = static_cast<double>(in->size()) * parent->scale;
+      combined = std::move(*in);
     }
     double bytes = logical_out * out_record_bytes;
     ctx->ChargeSerializeBytes(machine, bytes);
@@ -511,6 +513,9 @@ Result<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
 }  // namespace detail
 
 /// Groups by key and folds values with `merge` (Spark's reduceByKey).
+/// `merge(V* acc, const V& in)` adds `in` into `*acc` in place, on the map
+/// side and on the reduce side; the first value of each key moves in as
+/// its accumulator, so no fold copies a value.
 ///
 /// `out_scale`: logical records represented by each actual output record.
 /// Aggregations onto model-sized key spaces (clusters, states, topics)
@@ -536,9 +541,8 @@ Rdd<std::pair<K, V>> ReduceByKey(const Rdd<std::pair<K, V>>& in, Merge merge,
       -> Result<std::vector<std::pair<K, V>>> {
     auto self = node_w.lock();
     if (!*done) {
-      auto merge_copy = merge;
       auto buckets =
-          detail::ShuffleByKey<K, V>(ctx, parent, &merge_copy, map_cost,
+          detail::ShuffleByKey<K, V>(ctx, parent, &merge, map_cost,
                                      self->record_bytes, self->scale);
       if (!buckets.ok()) return buckets.status();
       const int parts = parent->num_partitions;
@@ -556,8 +560,7 @@ Rdd<std::pair<K, V>> ReduceByKey(const Rdd<std::pair<K, V>>& in, Merge merge,
               if (inserted) {
                 reduced.push_back(std::move(kv));
               } else {
-                reduced[it->second].second =
-                    merge(reduced[it->second].second, kv.second);
+                merge(&reduced[it->second].second, kv.second);
               }
             }
             // Reduce-side buffer: logical bytes of the aggregate, transient.
@@ -604,14 +607,14 @@ Rdd<std::pair<K, std::pair<V, W>>> Join(const Rdd<std::pair<K, V>>& left,
     auto self = node_w.lock();
     (void)self;
     if (!*done) {
-      using MergeV = V (*)(const V&, const V&);
-      using MergeW = W (*)(const W&, const W&);
+      using MergeV = void (*)(V*, const V&);
+      using MergeW = void (*)(W*, const W&);
       auto lb = detail::ShuffleByKey<K, V>(ctx, lparent,
-                                           static_cast<MergeV*>(nullptr),
+                                           static_cast<const MergeV*>(nullptr),
                                            OpCost{}, lparent->record_bytes);
       if (!lb.ok()) return lb.status();
       auto rb = detail::ShuffleByKey<K, W>(ctx, rparent,
-                                           static_cast<MergeW*>(nullptr),
+                                           static_cast<const MergeW*>(nullptr),
                                            OpCost{}, rparent->record_bytes);
       if (!rb.ok()) return rb.status();
       const int parts = lparent->num_partitions;

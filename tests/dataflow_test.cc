@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+// mlint: allow(raw-thread) — test-only copy counter; partition tasks bump it
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <string>
@@ -65,7 +67,7 @@ TEST_F(DataflowTest, FlatMapExpands) {
 
 TEST_F(DataflowTest, ReduceSums) {
   auto total = Numbers(10).Reduce(
-      [](const long long& a, const long long& b) { return a + b; });
+      [](long long* acc, const long long& x) { *acc += x; });
   ASSERT_TRUE(total.ok());
   EXPECT_EQ(*total, 39 * 40 / 2);
 }
@@ -76,13 +78,69 @@ TEST_F(DataflowTest, ReduceByKeyAggregatesAcrossPartitions) {
     return std::pair<int, long long>(static_cast<int>(x % 3), 1LL);
   });
   auto counts = ReduceByKey(
-      pairs, [](const long long& a, const long long& b) { return a + b; });
+      pairs, [](long long* acc, const long long& x) { *acc += x; });
   auto rows = counts.Collect();
   ASSERT_TRUE(rows.ok());
   std::map<int, long long> m(rows->begin(), rows->end());
   ASSERT_EQ(rows->size(), 3u);
   ASSERT_EQ(m.size(), 3u);
   EXPECT_EQ(m[0] + m[1] + m[2], 120);
+}
+
+/// A value that counts its copies; moves are free. Copies may happen in
+/// partition tasks, so the count is atomic; it is only read between jobs.
+struct Counted {
+  // mlint: allow(raw-thread) — counts copies made in partition tasks
+  static std::atomic<long long> copies;
+  long long v = 0;
+
+  Counted() = default;
+  explicit Counted(long long x) : v(x) {}
+  Counted(const Counted& o) : v(o.v) { copies.fetch_add(1); }
+  Counted& operator=(const Counted& o) {
+    v = o.v;
+    copies.fetch_add(1);
+    return *this;
+  }
+  Counted(Counted&&) noexcept = default;
+  Counted& operator=(Counted&&) noexcept = default;
+};
+// mlint: allow(raw-thread) — the copy counter's definition
+std::atomic<long long> Counted::copies{0};
+
+TEST_F(DataflowTest, ReduceByKeyFoldsWithoutCopyingValues) {
+  // 4 partitions x 40 records onto 5 keys: 20 map-side combine slots, 140
+  // map-side folds and 15 reduce-side folds.
+  auto pairs = Numbers(40).Map([](const long long& x) {
+    return std::pair<int, Counted>(static_cast<int>(x % 5), Counted(x));
+  });
+  auto reduced = ReduceByKey(
+      pairs, [](Counted* acc, const Counted& in) { acc->v += in.v; });
+  Counted::copies = 0;
+  auto rows = reduced.Collect();
+  ASSERT_TRUE(rows.ok());
+  // The reduce node keeps its partitions and hands out a copy, one per
+  // output record; the combine and both folds copy nothing.
+  EXPECT_EQ(Counted::copies.load(), static_cast<long long>(rows->size()));
+  auto all = pairs.Collect();
+  ASSERT_TRUE(all.ok());
+  std::map<int, long long> folded;
+  for (const auto& [k, c] : *all) folded[k] += c.v;
+  std::map<int, long long> got;
+  for (const auto& [k, c] : *rows) {
+    EXPECT_TRUE(got.emplace(k, c.v).second) << "key " << k << " twice";
+  }
+  EXPECT_EQ(got, folded);
+}
+
+TEST_F(DataflowTest, ReduceFoldsWithoutCopyingValues) {
+  auto values = Numbers(10).Map([](const long long& x) { return Counted(x); });
+  Counted::copies = 0;
+  auto total =
+      values.Reduce([](Counted* acc, const Counted& x) { acc->v += x.v; });
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(Counted::copies.load(), 0);
+  EXPECT_EQ(total->v, 39 * 40 / 2);
 }
 
 TEST_F(DataflowTest, JoinMatchesKeys) {
@@ -177,7 +235,7 @@ TEST_F(DataflowTest, OversizedInputReduceByKeySucceeds) {
   // 1000 * 2e9 logical records * 48 B is far past RAM, but reduceByKey
   // combines map-side down to 4 keys and stays tiny.
   auto reduced = ReduceByKey(
-      pairs, [](const long long& a, const long long& b) { return a + b; });
+      pairs, [](long long* acc, const long long& x) { *acc += x; });
   EXPECT_TRUE(reduced.Collect().ok());
 }
 
@@ -190,7 +248,7 @@ TEST_F(DataflowTest, TransientBuffersFreedAfterJob) {
     return std::pair<int, long long>(static_cast<int>(x % 5), x);
   });
   auto reduced = ReduceByKey(
-      pairs, [](const long long& a, const long long& b) { return a + b; });
+      pairs, [](long long* acc, const long long& x) { *acc += x; });
   ASSERT_TRUE(reduced.Collect().ok());
   for (int m = 0; m < sim_.machines(); ++m) {
     EXPECT_DOUBLE_EQ(sim_.used_bytes(m), baseline[m]) << "machine " << m;

@@ -472,5 +472,51 @@ TEST(DriverGolden, GasLdaTopicsUseParallelChunks) {
   ExpectGolden("5028fe6382a791d0", &core::RunLdaGas, exp);
 }
 
+// ---- HMM and LDA dataflow paths: super vertices, repeated folds, the Java
+// profile (Fig. 6's cells) and faults -----------------------------------------
+TEST(DriverGolden, DataflowHmmSuperVertex) {
+  core::HmmExperiment exp =
+      ThreeIterations(Hmm(TextGranularity::kSuperVertex));
+  exp.supers_per_machine = 2;
+  ExpectGolden("1e6678b65aa473db", &core::RunHmmDataflow, exp);
+}
+
+TEST(DriverGolden, DataflowLdaSuperVertex) {
+  ExpectGolden("36a6cf14b38cb239", &core::RunLdaDataflow,
+               ThreeIterations(LdaSuper()));
+}
+
+TEST(DriverGolden, DataflowHmmThreeIterations) {
+  ExpectGolden("6301f4361510dd8d", &core::RunHmmDataflow,
+               ThreeIterations(Hmm(TextGranularity::kDocument)));
+}
+
+TEST(DriverGolden, DataflowLdaThreeIterations) {
+  ExpectGolden("1471cfd9dbb5c2a9", &core::RunLdaDataflow,
+               ThreeIterations(Lda()));
+}
+
+TEST(DriverGolden, DataflowHmmJava) {
+  core::HmmExperiment exp = ThreeIterations(Hmm(TextGranularity::kDocument));
+  exp.language = sim::Language::kJava;
+  ExpectGolden("8e9d0eb164a4f950", &core::RunHmmDataflow, exp);
+}
+
+TEST(DriverGolden, DataflowLdaJavaSuperVertex) {
+  core::LdaExperiment exp = ThreeIterations(LdaSuper());
+  exp.language = sim::Language::kJava;
+  ExpectGolden("a47574119ba8a900", &core::RunLdaDataflow, exp);
+}
+
+TEST(DriverGolden, DataflowHmmFaults) {
+  ExpectGolden("ad1dd90ee85c96d9", &core::RunHmmDataflow,
+               WithFaults(ThreeIterations(Hmm(TextGranularity::kDocument))));
+}
+
+TEST(DriverGolden, DataflowLdaFaults) {
+  ExpectGolden("795a5a7a72faf64d", &core::RunLdaDataflow,
+               WithFaults(ThreeIterations(Lda())));
+}
+
 }  // namespace
 }  // namespace mlbench

@@ -34,7 +34,7 @@ TEST_P(DataflowScaleSweep, SimulatedTimeIsMonotoneInScale) {
       return std::pair<int, long long>(static_cast<int>(x % 8), x);
     });
     auto reduced = dataflow::ReduceByKey(
-        pairs, [](const long long& a, const long long& b) { return a + b; });
+        pairs, [](long long* acc, const long long& x) { *acc += x; });
     EXPECT_TRUE(reduced.Collect().ok());
     return sim.elapsed_seconds();
   };
@@ -51,8 +51,8 @@ TEST_P(DataflowScaleSweep, ResultsAreScaleInvariant) {
     dataflow::Context ctx(&sim, opts);
     auto rdd = dataflow::Generate<long long>(
         ctx, 100, [](int p, long long i) { return p * 3 + i; }, 8);
-    return *rdd.Reduce([](const long long& a, const long long& b) {
-      return a + b;
+    return *rdd.Reduce([](long long* acc, const long long& x) {
+      *acc += x;
     });
   };
   EXPECT_EQ(answer(GetParam()), answer(GetParam() * 100.0));
@@ -74,7 +74,7 @@ TEST(DataflowEquivalence, ReduceByKeyEqualsDriverSideFold) {
       },
       16);
   auto reduced = dataflow::ReduceByKey(
-      pairs, [](const long long& a, const long long& b) { return a + b; });
+      pairs, [](long long* acc, const long long& x) { *acc += x; });
   auto a = reduced.Collect();
   auto all = pairs.Collect();
   ASSERT_TRUE(a.ok());

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "models/count_slices.h"
 #include "models/gmm.h"
 #include "models/hmm.h"
 #include "models/imputation.h"
@@ -450,6 +452,162 @@ TEST(LdaTest, ModelBytesMatchShape) {
   EXPECT_DOUBLE_EQ(LdaModelBytes(hyper), 8.0 * 100 * 10000);
   HmmHyper hh{20, 10000, 1.0, 0.1};
   EXPECT_DOUBLE_EQ(HmmModelBytes(hh), 8.0 * (20.0 * 10000 + 400 + 20));
+}
+
+// ---------------------------------------------------------------------------
+// Token-built count slices
+// ---------------------------------------------------------------------------
+
+/// Random documents of 0-24 words; every fifth is empty.
+std::vector<std::vector<std::uint32_t>> RandomDocs(stats::Rng& rng,
+                                                   std::size_t vocab) {
+  std::vector<std::vector<std::uint32_t>> docs(40);
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    if (d % 5 == 0) continue;
+    docs[d].resize(rng.NextBounded(25));
+    for (auto& w : docs[d]) {
+      w = static_cast<std::uint32_t>(rng.NextBounded(vocab));
+    }
+  }
+  return docs;
+}
+
+/// Each chunk's sparse rows (chunk-major) folded key by key, the way a
+/// ReduceByKey folds them: the first record moves in, later ones Add.
+std::vector<CountRow> FoldChunks(std::vector<std::vector<CountRow>> chunks,
+                                 std::size_t width) {
+  std::vector<CountRow> acc = std::move(chunks[0]);
+  for (std::size_t c = 1; c < chunks.size(); ++c) {
+    for (std::size_t r = 0; r < acc.size(); ++r) {
+      acc[r].Add(chunks[c][r], width);
+    }
+  }
+  return acc;
+}
+
+void ExpectSameBits(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)),
+            0);
+}
+
+TEST(CountSlicesTest, RunsComeOutSortedWithExactCounts) {
+  CountKeys keys(/*vocab=*/10, /*expected_tokens=*/6);
+  for (auto [row, word] : std::vector<std::pair<int, std::uint32_t>>{
+           {2, 7}, {0, 3}, {2, 7}, {0, 9}, {2, 1}, {0, 3}}) {
+    keys.Add(row, word);
+  }
+  std::vector<std::tuple<std::size_t, std::uint32_t, std::size_t>> runs;
+  keys.ForEachRun([&](std::size_t row, std::uint32_t word, std::size_t n) {
+    runs.emplace_back(row, word, n);
+  });
+  using Run = std::tuple<std::size_t, std::uint32_t, std::size_t>;
+  EXPECT_EQ(runs, (std::vector<Run>{
+                      {0, 3, 2}, {0, 9, 1}, {2, 1, 1}, {2, 7, 2}}));
+}
+
+TEST(CountSlicesTest, LdaSlicesSumToDenseCounts) {
+  stats::Rng rng(41);
+  LdaHyper hyper{6, 30, 0.5, 0.1};
+  LdaParams params = SampleLdaPrior(rng, hyper);
+  // Topic 5 has zero weight for every word, so no token draws it.
+  params.phi[5] = Vector(hyper.vocab);
+  LdaDocSampler sampler;
+  sampler.Prepare(hyper, params, 0);
+  LdaCounts dense(hyper.topics, hyper.vocab);
+  std::vector<std::vector<CountRow>> chunks;
+  std::vector<LdaDocument> docs;
+  for (auto& words : RandomDocs(rng, hyper.vocab)) {
+    LdaDocument doc;
+    doc.words = std::move(words);
+    InitLdaDocument(rng, hyper, &doc);
+    docs.push_back(std::move(doc));
+  }
+  // Chunks of three documents, each building its slices from its tokens.
+  for (std::size_t first = 0; first < docs.size(); first += 3) {
+    CountKeys keys(hyper.vocab, 0);
+    for (std::size_t d = first; d < std::min(first + 3, docs.size()); ++d) {
+      sampler.Resample(rng, &docs[d], &dense);
+      keys.AddDocument(docs[d].words, docs[d].topics);
+    }
+    std::vector<CountRow> rows(hyper.topics);
+    keys.ForEachRun([&rows](std::size_t t, std::uint32_t w, std::size_t n) {
+      rows[t].sparse.emplace_back(w, static_cast<float>(n));
+    });
+    chunks.push_back(std::move(rows));
+  }
+  for (std::size_t w = 0; w < hyper.vocab; ++w) {
+    ASSERT_EQ(dense.g[5][w], 0.0);
+  }
+  // Summed straight from the sparse slices, and after the fold densified.
+  LdaCounts from_slices(hyper.topics, hyper.vocab);
+  for (const auto& rows : chunks) {
+    for (std::size_t t = 0; t < hyper.topics; ++t) {
+      rows[t].AddTo(&from_slices.g[t]);
+    }
+  }
+  LdaCounts from_fold(hyper.topics, hyper.vocab);
+  std::vector<CountRow> folded = FoldChunks(chunks, hyper.vocab);
+  for (std::size_t t = 0; t < hyper.topics; ++t) {
+    EXPECT_FALSE(folded[t].dense.empty());
+    folded[t].AddTo(&from_fold.g[t]);
+    ExpectSameBits(from_slices.g[t], dense.g[t]);
+    ExpectSameBits(from_fold.g[t], dense.g[t]);
+  }
+}
+
+TEST(CountSlicesTest, HmmSlicesSumToDenseCounts) {
+  stats::Rng rng(43);
+  const std::size_t states = 4;
+  const std::size_t vocab = 25;
+  HmmCounts dense(states, vocab);
+  // Rows f, h per state, then g: the dataflow driver's record layout.
+  std::vector<std::vector<CountRow>> chunks;
+  std::vector<HmmDocument> docs;
+  for (auto& words : RandomDocs(rng, vocab)) {
+    HmmDocument doc;
+    doc.words = std::move(words);
+    // States 0-2 only: state 3's rows get no token.
+    InitHmmStates(rng, states - 1, &doc);
+    AccumulateHmmCounts(doc, &dense);
+    docs.push_back(std::move(doc));
+  }
+  for (std::size_t first = 0; first < docs.size(); first += 3) {
+    CountKeys keys(vocab, 0);
+    std::vector<CountRow> rows(2 * states + 1);
+    for (std::size_t s = 0; s < states; ++s) {
+      rows[2 * s + 1].dense = Vector(states);
+    }
+    rows[2 * states].dense = Vector(states);
+    for (std::size_t d = first; d < std::min(first + 3, docs.size()); ++d) {
+      const HmmDocument& doc = docs[d];
+      if (doc.words.empty()) continue;
+      rows[2 * states].dense[doc.states[0]] += 1;
+      for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
+        keys.Add(doc.states[pos], doc.words[pos]);
+        if (pos + 1 < doc.words.size()) {
+          rows[2 * doc.states[pos] + 1].dense[doc.states[pos + 1]] += 1;
+        }
+      }
+    }
+    keys.ForEachRun([&rows](std::size_t s, std::uint32_t w, std::size_t n) {
+      rows[2 * s].sparse.emplace_back(w, static_cast<float>(n));
+    });
+    chunks.push_back(std::move(rows));
+  }
+  std::vector<CountRow> folded = FoldChunks(chunks, vocab);
+  HmmCounts total(states, vocab);
+  for (std::size_t s = 0; s < states; ++s) {
+    folded[2 * s].AddTo(&total.f[s]);
+    folded[2 * s + 1].AddTo(&total.h[s]);
+  }
+  folded[2 * states].AddTo(&total.g);
+  for (std::size_t s = 0; s < states; ++s) {
+    ExpectSameBits(total.f[s], dense.f[s]);
+    ExpectSameBits(total.h[s], dense.h[s]);
+  }
+  ExpectSameBits(total.g, dense.g);
+  EXPECT_EQ(total.f[states - 1].Sum(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
