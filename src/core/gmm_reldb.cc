@@ -31,6 +31,7 @@ using reldb::Schema;
 using reldb::Table;
 using reldb::Tuple;
 using reldb::VgBatchOut;
+using Column = reldb::ColumnBatch::Column;
 
 /// multinomial_membership: the one hand-written C++ VG function of the
 /// paper's SimSQL GMM. Each invocation group is one data point's dimension
@@ -51,27 +52,6 @@ class MembershipVg : public reldb::VgFunction {
     dim_c_ = schema.IndexOf("dim_id");
     val_c_ = schema.IndexOf("data_val");
   }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    Vector x(dim_);
-    for (const auto& row : params) {
-      x[static_cast<std::size_t>(AsInt(row[dim_c_]))] = AsDouble(row[val_c_]);
-    }
-    auto id = static_cast<std::size_t>(AsInt(params[0][id_c_]));
-    if (censored_ != nullptr) x = (*censored_)[id].x;
-    std::size_t k = sampler_->Sample(rng, x, &scratch_);
-    if (censored_ != nullptr && params_ != nullptr) {
-      // Section 9's extra step: re-draw the censored coordinates from the
-      // sampled component's conditional normal, in place.
-      Status st = models::ImputeMissing(rng, params_->mu[k],
-                                        params_->sigma[k],
-                                        &(*censored_)[id]);
-      (void)st;
-    }
-    out->push_back(Tuple{params[0][id_c_], static_cast<std::int64_t>(k)});
-  }
-  std::size_t OutRowsHint(std::size_t) const override { return 1; }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, VgBatchOut* out) override {
@@ -86,7 +66,7 @@ class MembershipVg : public reldb::VgFunction {
     for (std::size_t g = 0; g < n_groups; ++g) {
       const std::size_t lo = group_offsets[g];
       const std::size_t hi = group_offsets[g + 1];
-      // Fresh zero-initialized point per group, like the tuple path.
+      // Fresh zero-initialized point per group.
       Vector x(dim_);
       for (std::size_t i = lo; i < hi; ++i) {
         x[static_cast<std::size_t>(AsInt(dimc.At(i)))] = valc.AsDoubleAt(i);
@@ -142,42 +122,6 @@ class ClusterPosteriorVg : public reldb::VgFunction {
     val_c_ = schema.IndexOf("val");
     clus_c_ = schema.IndexOf("clus_id");
   }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    GmmSuffStats stats(hyper_.dim);
-    for (const auto& row : params) {
-      std::int64_t kind = AsInt(row[kind_c_]);
-      auto d1 = static_cast<std::size_t>(AsInt(row[d1_c_]));
-      auto d2 = static_cast<std::size_t>(AsInt(row[d2_c_]));
-      double v = AsDouble(row[val_c_]);
-      if (kind == 0) {
-        stats.sum_x[d1] += v;
-      } else if (kind == 1) {
-        stats.sum_outer(d1, d2) += v;
-      } else if (kind == 2) {
-        stats.n += v / count_scale_;
-      }  // kind 3: structural seed row ensuring every cluster has a group
-    }
-    auto post = models::SampleClusterPosterior(rng, hyper_, stats);
-    std::pair<Vector, Matrix> draw = post.ok()
-                                         ? std::move(*post)
-                                         : FallbackDraw(post.status());
-    const Tuple& any = params[0];
-    for (std::size_t d = 0; d < hyper_.dim; ++d) {
-      out->push_back(Tuple{any[clus_c_], std::int64_t{0},
-                           static_cast<std::int64_t>(d), std::int64_t{0},
-                           draw.first[d]});
-    }
-    for (std::size_t r = 0; r < hyper_.dim; ++r) {
-      for (std::size_t c = 0; c < hyper_.dim; ++c) {
-        out->push_back(Tuple{any[clus_c_], std::int64_t{1},
-                             static_cast<std::int64_t>(r),
-                             static_cast<std::int64_t>(c),
-                             draw.second(r, c)});
-      }
-    }
-  }
 
   /// First posterior-sampling failure across the query, if any. The VG
   /// interface has no status channel, so the driver polls this after the
@@ -185,9 +129,6 @@ class ClusterPosteriorVg : public reldb::VgFunction {
   /// of aborting the process (a degenerate subsample must not take down
   /// the whole experiment server).
   const Status& status() const { return status_; }
-  std::size_t OutRowsHint(std::size_t) const override {
-    return hyper_.dim + hyper_.dim * hyper_.dim;
-  }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, VgBatchOut* out) override {
@@ -226,8 +167,8 @@ class ClusterPosteriorVg : public reldb::VgFunction {
       std::pair<Vector, Matrix> draw = post.ok()
                                            ? std::move(*post)
                                            : FallbackDraw(post.status());
-      // Every output row of this group carries the group's clus_id value
-      // (the tuple path re-emits params[0][clus_c_] verbatim).
+      // Every output row of this group carries the group's clus_id value,
+      // in the input column's storage type.
       auto emit = [&](std::int64_t kind, std::size_t d1, std::size_t d2,
                       double val) {
         if (clusc.type == ColType::kInt) {
@@ -284,37 +225,6 @@ class SuperVertexVg : public reldb::VgFunction {
   void BindSchema(const Schema& schema) override {
     gid_c_ = schema.IndexOf("group_id");
   }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    auto gid = static_cast<std::size_t>(AsInt(params[0][gid_c_]));
-    std::vector<GmmSuffStats> stats(k_, GmmSuffStats(dim_));
-    for (const auto& x : (*groups_)[gid]) {
-      stats[sampler_->Sample(rng, x, &scratch_)].Add(x);
-    }
-    for (std::size_t c = 0; c < k_; ++c) {
-      auto clus = static_cast<std::int64_t>(c);
-      out->push_back(
-          Tuple{clus, std::int64_t{2}, std::int64_t{0}, std::int64_t{0},
-                stats[c].n});
-      for (std::size_t d = 0; d < dim_; ++d) {
-        out->push_back(Tuple{clus, std::int64_t{0},
-                             static_cast<std::int64_t>(d), std::int64_t{0},
-                             stats[c].sum_x[d]});
-      }
-      for (std::size_t r = 0; r < dim_; ++r) {
-        for (std::size_t cc = 0; cc < dim_; ++cc) {
-          out->push_back(Tuple{clus, std::int64_t{1},
-                               static_cast<std::int64_t>(r),
-                               static_cast<std::int64_t>(cc),
-                               stats[c].sum_outer(r, cc)});
-        }
-      }
-    }
-  }
-  std::size_t OutRowsHint(std::size_t) const override {
-    return k_ * (1 + dim_ + dim_ * dim_);
-  }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, VgBatchOut* out) override {
@@ -323,7 +233,7 @@ class SuperVertexVg : public reldb::VgFunction {
     const std::size_t per = k_ * (1 + dim_ + dim_ * dim_);
     const std::size_t n_out = n_groups * per;
     // All five output columns are freshly generated int64/double values
-    // (no passthrough), matching the tuple path's emitted alternatives.
+    // (no passthrough).
     for (int c = 0; c < 4; ++c) {
       out->cols.push_back(ColumnBatch::Column::Sized(ColType::kInt, n_out));
     }
@@ -423,9 +333,13 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
   // with the imputed draws every iteration.
   std::vector<models::CensoredPoint> censored;
   std::vector<Vector> points;
-  Table data(Schema{"data_id", "dim_id", "data_val"}, scale);
-  data.Reserve(static_cast<std::size_t>(machines) *
-               static_cast<std::size_t>(n_act) * exp.dim);
+  const std::size_t n_rows = static_cast<std::size_t>(machines) *
+                             static_cast<std::size_t>(n_act) * exp.dim;
+  std::vector<std::int64_t> data_ids, dim_ids;
+  std::vector<double> data_vals;
+  data_ids.reserve(n_rows);
+  dim_ids.reserve(n_rows);
+  data_vals.reserve(n_rows);
   points.reserve(static_cast<std::size_t>(machines) *
                  static_cast<std::size_t>(n_act));
   for (int p = 0; p < machines; ++p) {
@@ -437,13 +351,21 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
       }
       auto id = static_cast<std::int64_t>(p * n_act + j);
       for (std::size_t dd = 0; dd < exp.dim; ++dd) {
-        data.Append(Tuple{id, static_cast<std::int64_t>(dd), x[dd]});
+        data_ids.push_back(id);
+        dim_ids.push_back(static_cast<std::int64_t>(dd));
+        data_vals.push_back(x[dd]);
       }
       points.push_back(std::move(x));
     }
   }
+  std::vector<Column> data(3);
+  data[0] = Column::Ints(std::move(data_ids));
+  data[1] = Column::Ints(std::move(dim_ids));
+  data[2] = Column::Doubles(std::move(data_vals));
   db.BeginQuery("load data");
-  Rel::FromTable(db, std::move(data)).Materialize("data");
+  Rel::FromColumns(db, ColumnBatch(Schema{"data_id", "dim_id", "data_val"},
+                                   std::move(data), scale))
+      .Materialize("data");
   db.EndQuery();
 
   // Hyperparameter views (mean_prior & friends), one aggregation query.
@@ -469,7 +391,7 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
     cluster.Append(Tuple{static_cast<std::int64_t>(c), hyper.alpha});
   }
   db.BeginQuery("init model tables");
-  Rel::FromTable(db, std::move(cluster)).Materialize("cluster");
+  Rel::FromColumns(db, ColumnBatch::FromTable(cluster)).Materialize("cluster");
   reldb::DirichletVg diri("clus_id", "alpha");
   Rel::Scan(db, "cluster")
       .VgApply(diri, {}, 1.0)
@@ -496,7 +418,7 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
       }
     }
   }
-  Rel::FromTable(db, std::move(model0))
+  Rel::FromColumns(db, ColumnBatch::FromTable(model0))
       .Materialize(Database::Versioned("clus_model", 0));
   db.EndQuery();
 
@@ -520,7 +442,7 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
                           (d + 1.0) * 8.0});
     }
     db.BeginQuery("load groups");
-    Rel::FromTable(db, std::move(gt)).Materialize("data_groups");
+    Rel::FromColumns(db, ColumnBatch::FromTable(gt)).Materialize("data_groups");
     db.EndQuery();
   }
 

@@ -26,8 +26,7 @@ using reldb::ColumnBatch;
 using reldb::Database;
 using reldb::Rel;
 using reldb::Schema;
-using reldb::Table;
-using reldb::Tuple;
+using Column = reldb::ColumnBatch::Column;
 
 /// VG re-sampling the states of one invocation group (word, document, or
 /// document group) and emitting one (doc, pos, word, state) tuple per word.
@@ -45,54 +44,32 @@ class StateVg : public reldb::VgFunction {
   void BindSchema(const Schema& schema) override {
     doc_c_ = schema.IndexOf("doc_id");
   }
-  void Sample(const std::vector<Tuple>& group, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    // Groups are keyed by doc_id: one re-sample per document regardless of
-    // how many parameter rows the plan delivered.
-    auto doc_id = static_cast<std::size_t>(AsInt(group[0][doc_c_]));
-    HmmDocument& doc = (*docs_)[doc_id];
-    if (!prepared_) {
-      // The VG object is rebuilt each iteration with that iteration's
-      // model, so the prepared tables stay valid for all its invocations.
-      std::size_t expected = 0;
-      for (const auto& d : *docs_) expected += d.words.size();
-      sampler_.Prepare(*params_, expected);
-      prepared_ = true;
-    }
-    sampler_.Resample(rng, iteration_, &doc);
-    for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-      out->push_back(Tuple{static_cast<std::int64_t>(doc_id),
-                           static_cast<std::int64_t>(pos),
-                           static_cast<std::int64_t>(doc.words[pos]),
-                           static_cast<std::int64_t>(doc.states[pos])});
-    }
-  }
-  std::size_t OutRowsHint(std::size_t mean_group_rows) const override {
-    if (docs_->empty()) return mean_group_rows;
-    std::size_t words = 0;
-    for (const auto& d : *docs_) words += d.words.size();
-    return words / docs_->size() + 1;
-  }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, reldb::VgBatchOut* out) override {
     const ColumnBatch::Column& dc = params.col(doc_c_);
     const std::size_t n_groups = group_offsets.size() - 1;
     std::vector<std::int64_t> doc_col, pos_col, word_col, state_col;
-    const std::size_t est = n_groups * OutRowsHint(0);
+    // Corpus words: presize the output at the mean document length and
+    // size the sampler's tables.
+    std::size_t words = 0;
+    for (const auto& d : *docs_) words += d.words.size();
+    const std::size_t est =
+        docs_->empty() ? 0 : n_groups * (words / docs_->size() + 1);
     doc_col.reserve(est);
     pos_col.reserve(est);
     word_col.reserve(est);
     state_col.reserve(est);
+    // Groups are keyed by doc_id: one re-sample per document regardless
+    // of how many parameter rows the plan delivered.
     for (std::size_t g = 0; g < n_groups; ++g) {
       auto doc_id =
           static_cast<std::size_t>(AsInt(dc.At(group_offsets[g])));
       HmmDocument& doc = (*docs_)[doc_id];
       if (!prepared_) {
-        std::size_t expected = 0;
-        for (const auto& d : *docs_) expected += d.words.size();
-        sampler_.Prepare(*params_, expected);
+        // The VG object is rebuilt each iteration with that iteration's
+        // model, so the prepared tables stay valid for all its groups.
+        sampler_.Prepare(*params_, words);
         prepared_ = true;
       }
       sampler_.Resample(rng, iteration_, &doc);
@@ -140,12 +117,13 @@ RunResult RunHmmRelDb(const HmmExperiment& exp,
   // ---- Load the corpus ------------------------------------------------------
   std::vector<HmmDocument> docs;
   stats::Rng init_rng(exp.config.seed ^ 0x4A35);
-  Table words(Schema{"doc_id", "pos", "word"}, word_scale);
-  Table doc_ids(Schema{"doc_id"}, doc_scale);
-  words.Reserve(static_cast<std::size_t>(machines) *
-                static_cast<std::size_t>(docs_act) * exp.mean_doc_len);
-  doc_ids.Reserve(static_cast<std::size_t>(machines) *
-                  static_cast<std::size_t>(docs_act));
+  // All-int columns: a default Column is kInt.
+  const std::size_t n_docs = static_cast<std::size_t>(machines) *
+                             static_cast<std::size_t>(docs_act);
+  std::vector<Column> words(3);
+  std::vector<Column> doc_ids(1);
+  for (Column& c : words) c.ints.reserve(n_docs * exp.mean_doc_len);
+  doc_ids[0].ints.reserve(n_docs);
   for (int m = 0; m < machines; ++m) {
     for (long long j = 0; j < docs_act; ++j) {
       HmmDocument doc;
@@ -153,33 +131,40 @@ RunResult RunHmmRelDb(const HmmExperiment& exp,
       models::InitHmmStates(init_rng, exp.states, &doc);
       auto id = static_cast<std::int64_t>(docs.size());
       for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-        words.Append(Tuple{id, static_cast<std::int64_t>(pos),
-                           static_cast<std::int64_t>(doc.words[pos])});
+        words[0].ints.push_back(id);
+        words[1].ints.push_back(static_cast<std::int64_t>(pos));
+        words[2].ints.push_back(static_cast<std::int64_t>(doc.words[pos]));
       }
-      doc_ids.Append(Tuple{id});
+      doc_ids[0].ints.push_back(id);
       docs.push_back(std::move(doc));
     }
   }
   db.BeginQuery("load corpus");
-  Rel::FromTable(db, std::move(words)).Materialize("words");
-  Rel::FromTable(db, std::move(doc_ids)).Materialize("docs");
+  Rel::FromColumns(db, ColumnBatch(Schema{"doc_id", "pos", "word"},
+                                   std::move(words), word_scale))
+      .Materialize("words");
+  Rel::FromColumns(db, ColumnBatch(Schema{"doc_id"}, std::move(doc_ids),
+                                   doc_scale))
+      .Materialize("docs");
   db.EndQuery();
   // Initial states[0] written out (the word-based init also pays the
   // six-table parameterization once, which dominated its 10:51:32 init).
   const bool word_based = exp.granularity == TextGranularity::kWord;
   db.BeginQuery("states[0]");
   {
-    Table st(Schema{"doc_id", "pos", "word", "state"}, word_scale);
-    st.Reserve(docs.size() * exp.mean_doc_len);
+    std::vector<Column> st(4);
+    for (Column& c : st) c.ints.reserve(docs.size() * exp.mean_doc_len);
     for (std::size_t d = 0; d < docs.size(); ++d) {
       for (std::size_t pos = 0; pos < docs[d].words.size(); ++pos) {
-        st.Append(Tuple{static_cast<std::int64_t>(d),
-                        static_cast<std::int64_t>(pos),
-                        static_cast<std::int64_t>(docs[d].words[pos]),
-                        static_cast<std::int64_t>(docs[d].states[pos])});
+        st[0].ints.push_back(static_cast<std::int64_t>(d));
+        st[1].ints.push_back(static_cast<std::int64_t>(pos));
+        st[2].ints.push_back(static_cast<std::int64_t>(docs[d].words[pos]));
+        st[3].ints.push_back(static_cast<std::int64_t>(docs[d].states[pos]));
       }
     }
-    auto rel = Rel::FromTable(db, std::move(st));
+    auto rel = Rel::FromColumns(
+        db, ColumnBatch(Schema{"doc_id", "pos", "word", "state"},
+                        std::move(st), word_scale));
     if (word_based) {
       // Initialization re-runs the join pipeline to seed prev/next ids.
       for (int j = 0; j < 5; ++j) {

@@ -21,11 +21,13 @@ using models::Vector;
 using reldb::AggOp;
 using reldb::AsDouble;
 using reldb::AsInt;
+using reldb::ColumnBatch;
 using reldb::Database;
 using reldb::Rel;
 using reldb::Schema;
 using reldb::Table;
 using reldb::Tuple;
+using Column = reldb::ColumnBatch::Column;
 
 /// VG drawing the full beta vector from the Gram rows + tau rows bound at
 /// construction (SimSQL assembles A = X^T X + D_tau^-1 with set-oriented
@@ -37,27 +39,14 @@ class BetaVg : public reldb::VgFunction {
       : stats_(stats), inv_tau2_(inv_tau2), sigma2_(sigma2), seed_(seed) {}
   std::string name() const override { return "lasso_beta"; }
   Schema output_schema() const override { return {"rigid", "beta"}; }
-  void Sample(const std::vector<Tuple>& params, const Schema&,
-              stats::Rng&, std::vector<Tuple>* out) override {
-    (void)params;
-    stats::Rng rng(seed_);
-    auto beta = models::SampleBeta(rng, *stats_, *inv_tau2_, sigma2_);
-    MLBENCH_CHECK_MSG(beta.ok(), beta.status().ToString().c_str());
-    for (std::size_t j = 0; j < beta->size(); ++j) {
-      out->push_back(Tuple{static_cast<std::int64_t>(j), (*beta)[j]});
-    }
-  }
-  std::size_t OutRowsHint(std::size_t) const override {
-    return inv_tau2_->size();
-  }
   void SampleBatch(const reldb::ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng&, reldb::VgBatchOut* out) override {
     (void)params;
     std::vector<std::int64_t> rigid;
     std::vector<double> beta_col;
-    // Like the tuple path, each invocation group re-seeds its own RNG and
-    // ignores both the parameter rows and the shared stream.
+    // Each invocation group re-seeds its own RNG and ignores both the
+    // parameter rows and the shared stream.
     for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g) {
       stats::Rng rng(seed_);
       auto beta = models::SampleBeta(rng, *stats_, *inv_tau2_, sigma2_);
@@ -104,21 +93,32 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
     for (long long j = 0; j < n_act; ++j) points.push_back(gen.Sample(m, j));
   }
   {
-    Table data(Schema{"data_id", "dim_id", "data_val"}, scale);
     // Stored row count is n x p; keep the actual table to one row per
     // point per 16 dims to bound host memory, scaling the remainder.
     const std::size_t dim_stride = exp.p >= 64 ? 16 : 1;
-    data.set_scale(scale * static_cast<double>(dim_stride));
-    data.Reserve(points.size() * ((exp.p + dim_stride - 1) / dim_stride));
+    const std::size_t n_rows =
+        points.size() * ((exp.p + dim_stride - 1) / dim_stride);
+    std::vector<std::int64_t> data_ids, dim_ids;
+    std::vector<double> data_vals;
+    data_ids.reserve(n_rows);
+    dim_ids.reserve(n_rows);
+    data_vals.reserve(n_rows);
     for (std::size_t j = 0; j < points.size(); ++j) {
       for (std::size_t dd = 0; dd < exp.p; dd += dim_stride) {
-        data.Append(Tuple{static_cast<std::int64_t>(j),
-                          static_cast<std::int64_t>(dd),
-                          points[j].first[dd]});
+        data_ids.push_back(static_cast<std::int64_t>(j));
+        dim_ids.push_back(static_cast<std::int64_t>(dd));
+        data_vals.push_back(points[j].first[dd]);
       }
     }
+    std::vector<Column> data(3);
+    data[0] = Column::Ints(std::move(data_ids));
+    data[1] = Column::Ints(std::move(dim_ids));
+    data[2] = Column::Doubles(std::move(data_vals));
     db.BeginQuery("load data");
-    Rel::FromTable(db, std::move(data)).Materialize("data");
+    Rel::FromColumns(db, ColumnBatch(Schema{"data_id", "dim_id", "data_val"},
+                                     std::move(data),
+                                     scale * static_cast<double>(dim_stride)))
+        .Materialize("data");
     db.EndQuery();
   }
 
@@ -221,7 +221,7 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
                    exp.config.seed ^ (0xBE7A + i));
     Table seed_t(Schema{"one"}, 1.0);
     seed_t.Append(Tuple{std::int64_t{1}});
-    auto beta_rel = Rel::FromTable(db, std::move(seed_t))
+    auto beta_rel = Rel::FromColumns(db, ColumnBatch::FromTable(seed_t))
                         .VgApply(beta_vg, {}, 1.0,
                                  models::BetaUpdateFlops(exp.p) / p);
     beta_rel.Materialize(Database::Versioned("beta", i));

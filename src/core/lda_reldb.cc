@@ -24,8 +24,7 @@ using reldb::ColumnBatch;
 using reldb::Database;
 using reldb::Rel;
 using reldb::Schema;
-using reldb::Table;
-using reldb::Tuple;
+using Column = reldb::ColumnBatch::Column;
 
 /// VG re-sampling one document group's topic assignments, emitting one
 /// (doc, pos, word, topic) tuple per word.
@@ -41,40 +40,18 @@ class TopicVg : public reldb::VgFunction {
   void BindSchema(const Schema& schema) override {
     doc_c_ = schema.IndexOf("doc_id");
   }
-  void Sample(const std::vector<Tuple>& group, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    auto doc_id = static_cast<std::size_t>(AsInt(group[0][doc_c_]));
-    LdaDocument& doc = (*docs_)[doc_id];
-    if (!prepared_) {
-      // The VG object is rebuilt each iteration with that iteration's
-      // model, so the prepared tables stay valid for all its invocations.
-      std::size_t expected = 0;
-      for (const auto& d : *docs_) expected += d.words.size();
-      sampler_.Prepare(hyper_, *params_, expected);
-      prepared_ = true;
-    }
-    sampler_.Resample(rng, &doc, nullptr);
-    for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-      out->push_back(Tuple{static_cast<std::int64_t>(doc_id),
-                           static_cast<std::int64_t>(pos),
-                           static_cast<std::int64_t>(doc.words[pos]),
-                           static_cast<std::int64_t>(doc.topics[pos])});
-    }
-  }
-  std::size_t OutRowsHint(std::size_t mean_group_rows) const override {
-    if (docs_->empty()) return mean_group_rows;
-    std::size_t words = 0;
-    for (const auto& d : *docs_) words += d.words.size();
-    return words / docs_->size() + 1;
-  }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, reldb::VgBatchOut* out) override {
     const ColumnBatch::Column& dc = params.col(doc_c_);
     const std::size_t n_groups = group_offsets.size() - 1;
     std::vector<std::int64_t> doc_col, pos_col, word_col, topic_col;
-    const std::size_t est = n_groups * OutRowsHint(0);
+    // Corpus words: presize the output at the mean document length and
+    // size the sampler's tables.
+    std::size_t words = 0;
+    for (const auto& d : *docs_) words += d.words.size();
+    const std::size_t est =
+        docs_->empty() ? 0 : n_groups * (words / docs_->size() + 1);
     doc_col.reserve(est);
     pos_col.reserve(est);
     word_col.reserve(est);
@@ -84,9 +61,9 @@ class TopicVg : public reldb::VgFunction {
           static_cast<std::size_t>(AsInt(dc.At(group_offsets[g])));
       LdaDocument& doc = (*docs_)[doc_id];
       if (!prepared_) {
-        std::size_t expected = 0;
-        for (const auto& d : *docs_) expected += d.words.size();
-        sampler_.Prepare(hyper_, *params_, expected);
+        // The VG object is rebuilt each iteration with that iteration's
+        // model, so the prepared tables stay valid for all its groups.
+        sampler_.Prepare(hyper_, *params_, words);
         prepared_ = true;
       }
       sampler_.Resample(rng, &doc, nullptr);
@@ -134,12 +111,13 @@ RunResult RunLdaRelDb(const LdaExperiment& exp,
   std::vector<LdaDocument> docs;
   stats::Rng init_rng(exp.config.seed ^ 0x7DA3);
   {
-    Table words(Schema{"doc_id", "pos", "word"}, word_scale);
-    Table doc_ids(Schema{"doc_id"}, doc_scale);
-    words.Reserve(static_cast<std::size_t>(machines) *
-                  static_cast<std::size_t>(docs_act) * exp.mean_doc_len);
-    doc_ids.Reserve(static_cast<std::size_t>(machines) *
-                    static_cast<std::size_t>(docs_act));
+    // All-int columns: a default Column is kInt.
+    const std::size_t n_docs = static_cast<std::size_t>(machines) *
+                               static_cast<std::size_t>(docs_act);
+    std::vector<Column> words(3);
+    std::vector<Column> doc_ids(1);
+    for (Column& c : words) c.ints.reserve(n_docs * exp.mean_doc_len);
+    doc_ids[0].ints.reserve(n_docs);
     for (int m = 0; m < machines; ++m) {
       for (long long j = 0; j < docs_act; ++j) {
         LdaDocument doc;
@@ -147,33 +125,40 @@ RunResult RunLdaRelDb(const LdaExperiment& exp,
         models::InitLdaDocument(init_rng, hyper, &doc);
         auto id = static_cast<std::int64_t>(docs.size());
         for (std::size_t pos = 0; pos < doc.words.size(); ++pos) {
-          words.Append(Tuple{id, static_cast<std::int64_t>(pos),
-                             static_cast<std::int64_t>(doc.words[pos])});
+          words[0].ints.push_back(id);
+          words[1].ints.push_back(static_cast<std::int64_t>(pos));
+          words[2].ints.push_back(static_cast<std::int64_t>(doc.words[pos]));
         }
-        doc_ids.Append(Tuple{id});
+        doc_ids[0].ints.push_back(id);
         docs.push_back(std::move(doc));
       }
     }
     db.BeginQuery("load corpus");
-    Rel::FromTable(db, std::move(words)).Materialize("words");
-    Rel::FromTable(db, std::move(doc_ids)).Materialize("docs");
+    Rel::FromColumns(db, ColumnBatch(Schema{"doc_id", "pos", "word"},
+                                     std::move(words), word_scale))
+        .Materialize("words");
+    Rel::FromColumns(db, ColumnBatch(Schema{"doc_id"}, std::move(doc_ids),
+                                     doc_scale))
+        .Materialize("docs");
     db.EndQuery();
   }
   // Initial assignments table; the word-based variant's initialization
   // runs the per-word parameterization joins once (its 11:23:22 init).
   db.BeginQuery("topics[0]");
   {
-    Table st(Schema{"doc_id", "pos", "word", "topic"}, word_scale);
-    st.Reserve(docs.size() * exp.mean_doc_len);
+    std::vector<Column> st(4);
+    for (Column& c : st) c.ints.reserve(docs.size() * exp.mean_doc_len);
     for (std::size_t d = 0; d < docs.size(); ++d) {
       for (std::size_t pos = 0; pos < docs[d].words.size(); ++pos) {
-        st.Append(Tuple{static_cast<std::int64_t>(d),
-                        static_cast<std::int64_t>(pos),
-                        static_cast<std::int64_t>(docs[d].words[pos]),
-                        static_cast<std::int64_t>(docs[d].topics[pos])});
+        st[0].ints.push_back(static_cast<std::int64_t>(d));
+        st[1].ints.push_back(static_cast<std::int64_t>(pos));
+        st[2].ints.push_back(static_cast<std::int64_t>(docs[d].words[pos]));
+        st[3].ints.push_back(static_cast<std::int64_t>(docs[d].topics[pos]));
       }
     }
-    auto rel = Rel::FromTable(db, std::move(st));
+    auto rel = Rel::FromColumns(
+        db, ColumnBatch(Schema{"doc_id", "pos", "word", "topic"},
+                        std::move(st), word_scale));
     if (word_based) {
       for (int j = 0; j < 5; ++j) {
         rel = rel.HashJoin(Rel::Scan(db, "words"), {"doc_id", "pos"},

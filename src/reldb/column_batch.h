@@ -13,13 +13,14 @@
 /// reldb operator runs on.
 ///
 /// A ColumnBatch stores a relation as one typed contiguous array per
-/// column (int64 or double, inferred on load), so operators can run
-/// selection-vector filters, index-gather projects, and joins/group-bys
-/// keyed on 64-bit key codes with zero per-row allocation. The row Table
-/// (table.h) is only a load and read-back format: FromTable types it, and
-/// ToTable rebuilds it exactly (values keep their variant alternative
-/// bit-for-bit). Every relation is typed on load: a column that mixes int
-/// and double values is a programming error and aborts in FromTable.
+/// column (int64 or double), so operators can run selection-vector
+/// filters, index-gather projects, and joins/group-bys keyed on 64-bit key
+/// codes with zero per-row allocation. Loads build the typed columns
+/// directly; the row Table (table.h) is only a convenience load format for
+/// small tables and the read-back format: FromTable types it, and ToTable
+/// rebuilds it exactly (values keep their variant alternative
+/// bit-for-bit). A row column that mixes int and double values is a
+/// programming error and aborts in FromTable.
 
 namespace mlbench::reldb {
 
@@ -116,8 +117,8 @@ class ColumnBatch {
   double scale_ = 1.0;
 };
 
-// Join, group-by and VG-group keys over int columns are not stored here:
-// rel.cc codes each row's key into one uint64 on the fly (KeyCode there;
-// DESIGN.md §10), so the batch needs no key representation of its own.
+// Join, group-by and VG-group keys are not stored here: rel.cc codes each
+// row's key into one uint64 on the fly (KeyCode there; DESIGN.md §10), so
+// the batch needs no key representation of its own.
 
 }  // namespace mlbench::reldb

@@ -27,10 +27,9 @@
 ///
 /// Every stored table holds its columnar form (ColumnBatch), which is what
 /// operators scan; the row form (Table) is only a read-back cache, built
-/// from the columns on the first Get (or kept from Put). Tables are typed
-/// on load: Put of a table whose column mixes int and double values aborts
-/// (ColumnBatch::FromTable). The conversion is exact, so simulated charges
-/// and query results do not depend on which form a table was stored in.
+/// from the columns on the first Get. Put of a row Table types it on load
+/// and keeps only the columns: a column that mixes int and double values
+/// aborts (ColumnBatch::FromTable).
 
 namespace mlbench::reldb {
 
@@ -53,22 +52,18 @@ class Database {
     return tables_.contains(name);
   }
 
-  /// Registers (or replaces) a stored table from its row form: types it on
-  /// load and keeps the rows as the read-back cache.
+  /// Registers (or replaces) a stored table from its row form, typed on
+  /// load.
   void Put(const std::string& name, Table table) {
-    auto cols =
-        std::make_shared<const ColumnBatch>(ColumnBatch::FromTable(table));
-    PutBatch(name, std::move(cols),
-             std::make_shared<const Table>(std::move(table)));
+    PutBatch(name, std::make_shared<const ColumnBatch>(
+                       ColumnBatch::FromTable(table)));
   }
 
-  /// Registers (or replaces) a stored table from its columnar form; the row
-  /// form (if supplied) is kept so a later Get needs no conversion.
+  /// Registers (or replaces) a stored table from its columnar form.
   void PutBatch(const std::string& name,
-                std::shared_ptr<const ColumnBatch> cols,
-                std::shared_ptr<const Table> rows = nullptr) {
+                std::shared_ptr<const ColumnBatch> cols) {
     MLBENCH_CHECK(cols != nullptr);
-    tables_[name] = StoredTable{std::move(cols), std::move(rows)};
+    tables_[name] = StoredTable{std::move(cols), nullptr};
   }
 
   /// Read-only row view of a stored table (built from the columns and

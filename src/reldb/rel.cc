@@ -1,8 +1,9 @@
 #include "reldb/rel.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/flat_index.h"
 #include "exec/parallel_for.h"
@@ -23,52 +24,113 @@ constexpr std::int64_t kRowGrain = 1024;
 
 using Column = ColumnBatch::Column;
 
-// Join, group-by and VG-group keys over int columns code into one uint64
-// instead of a heap Tuple, so a key probe is one common::FlatIndex lookup
-// with no allocation and no variant dispatch. The code is mixed-radix over
-// the key columns' value ranges in one relation: column k's value v is the
-// digit v - lo_k < span_k = hi_k - lo_k + 1, and the code is
-// sum_k digit_k * stride_k with stride_k = span_0 * ... * span_{k-1}.
-// Within the fitted ranges two rows' codes are equal iff their keys are,
-// at any key width. A key cannot be coded — and its operator takes the
-// row-key branch (DESIGN.md §10) — when a key column is double-typed
-// (bitwise codes would change key equality: -0.0 vs 0.0, NaN) or when the
-// spans' product does not fit in a uint64 (a column spanning the whole
-// int64 range, or several wide ones). Every key in the paper's plans is a
-// small integer identifier.
+// Join, group-by and VG-group keys code into one uint64 per row instead of
+// a heap Tuple, so a key probe is one common::FlatIndex lookup with no
+// allocation and no variant dispatch. Each key column first becomes an
+// int64 array: an int column as it is, a double column as dense
+// first-seen ranks under SQL equality (-0.0 and +0.0 share a rank; NaN
+// equals nothing, not even another NaN, so each NaN row ranks alone). The
+// code is then mixed-radix over those arrays' value ranges in one
+// relation: column k's value v is the digit v - lo_k < span_k = hi_k -
+// lo_k + 1, and the code is sum_k digit_k * stride_k with stride_k =
+// span_0 * ... * span_{k-1}. Within the fitted ranges two rows' codes are
+// equal iff their keys are, at any key width. When the spans' product does
+// not fit in a uint64 (a column spanning the whole int64 range, or several
+// wide ones), the int columns rank too, and while the ranks' product still
+// overflows, the first two key columns fold into one rank of the pair.
+// Rows are uint32-indexed, so a rank is below 2^32 and a pair of ranks
+// fits in 64 bits. A join's probe side codes through the build side's
+// ranks and ranges (DESIGN.md §10).
 
-/// The int arrays of one relation's key columns, in key order.
-using KeyCols = std::vector<const std::int64_t*>;
-
-/// Binds key columns `idx` of `batch` into `*cols`; false when one is
-/// double-typed.
-bool BindIntKeys(const ColumnBatch& batch, const std::vector<std::size_t>& idx,
-                 KeyCols* cols) {
-  cols->clear();
-  for (std::size_t c : idx) {
-    const Column& col = batch.col(c);
-    if (col.type != ColType::kInt) return false;
-    cols->push_back(col.ints.data());
+/// Key bits of row r of `c` under SQL equality: an int's own value, a
+/// double's bit pattern with -0.0 read as +0.0. False for NaN, which
+/// equals nothing.
+bool KeyBits(const Column& c, std::size_t r, std::uint64_t* bits) {
+  if (c.type == ColType::kInt) {
+    *bits = static_cast<std::uint64_t>(c.ints[r]);
+    return true;
   }
+  const double v = c.doubles[r];
+  if (std::isnan(v)) return false;
+  *bits = std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v);
   return true;
 }
 
-/// A mixed-radix code fitted to the value ranges of one relation's keys.
+/// One relation's key columns coded into one uint64 per row and, for a
+/// join, the probe relation's key columns in the same code.
 class KeyCode {
  public:
-  /// Fits the code to rows [0, n) of `cols`; false when the spans'
-  /// product overflows uint64 (the caller takes the row branch). With no
-  /// rows or no key columns every key codes to 0.
-  bool Fit(const KeyCols& cols, std::size_t n) {
-    lo_.assign(cols.size(), 0);
-    hi_.assign(cols.size(), 0);
-    stride_.assign(cols.size(), 1);
-    std::uint64_t product = 1;
+  /// Codes key columns `idx` of `build` and, when `probe` is given, key
+  /// columns `pidx` of `probe`. With no key columns every key codes to 0.
+  KeyCode(const ColumnBatch& build, const std::vector<std::size_t>& idx,
+          const ColumnBatch* probe = nullptr,
+          const std::vector<std::size_t>& pidx = {})
+      : n_(build.num_rows()),
+        np_(probe == nullptr ? 0 : probe->num_rows()),
+        has_probe_(probe != nullptr) {
+    auto probe_col = [&](std::size_t k) {
+      return probe == nullptr ? nullptr : &probe->col(pidx[k]);
+    };
+    std::vector<bool> ranked(idx.size(), false);
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      const Column& b = build.col(idx[k]);
+      const Column* p = probe_col(k);
+      build_.push_back(b.ints.data());
+      probe_.push_back(p == nullptr ? nullptr : p->ints.data());
+      if (b.type == ColType::kInt && (p == nullptr || p->type == b.type)) {
+        continue;
+      }
+      RankColumn(k, b, p);
+      ranked[k] = true;
+    }
+    if (Fit()) return;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      if (!ranked[k]) RankColumn(k, build.col(idx[k]), probe_col(k));
+    }
+    while (!Fit()) FoldFirstPair();
+  }
+
+  /// Code of build row r.
+  std::uint64_t At(std::size_t r) const { return Code(build_, r); }
+
+  /// Code of probe row r; false when no build key equals its key. A probe
+  /// key outside the build side's ranges is rejected before coding: coded
+  /// in the build side's radix, it could alias a real key.
+  bool ProbeAt(std::size_t r, std::uint64_t* code) const {
+    for (std::size_t k = 0; k < probe_.size(); ++k) {
+      const std::int64_t v = probe_[k][r];
+      if (v < lo_[k] || v > hi_[k]) return false;
+    }
+    *code = Code(probe_, r);
+    return true;
+  }
+
+ private:
+  using KeyCols = std::vector<const std::int64_t*>;
+
+  std::uint64_t Code(const KeyCols& cols, std::size_t r) const {
+    std::uint64_t code = 0;
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      const std::int64_t* v = cols[k];
-      std::int64_t lo = n > 0 ? v[0] : 0;
+      code += (static_cast<std::uint64_t>(cols[k][r]) -
+               static_cast<std::uint64_t>(lo_[k])) *
+              stride_[k];
+    }
+    return code;
+  }
+
+  /// Fits the code to the build side's key ranges; false when the spans'
+  /// product overflows uint64.
+  bool Fit() {
+    const std::size_t width = build_.size();
+    lo_.assign(width, 0);
+    hi_.assign(width, 0);
+    stride_.assign(width, 1);
+    std::uint64_t product = 1;
+    for (std::size_t k = 0; k < width; ++k) {
+      const std::int64_t* v = build_[k];
+      std::int64_t lo = n_ > 0 ? v[0] : 0;
       std::int64_t hi = lo;
-      for (std::size_t r = 1; r < n; ++r) {
+      for (std::size_t r = 1; r < n_; ++r) {
         lo = v[r] < lo ? v[r] : lo;
         hi = v[r] > hi ? v[r] : hi;
       }
@@ -86,31 +148,88 @@ class KeyCode {
     return true;
   }
 
-  /// Code of row r of `cols`, whose values must lie in the fitted ranges
-  /// (always true for the relation the code was fitted to).
-  std::uint64_t At(const KeyCols& cols, std::size_t r) const {
-    std::uint64_t code = 0;
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      code += (static_cast<std::uint64_t>(cols[k][r]) -
-               static_cast<std::uint64_t>(lo_[k])) *
-              stride_[k];
+  /// Replaces key column k by dense first-seen ranks of the build side's
+  /// values `bits(r)` (false: the value equals nothing and ranks alone),
+  /// and the probe side's by the rank of the equal build value, or -1 —
+  /// outside every fitted range — when there is none.
+  template <class BuildBits, class ProbeBits>
+  void Rank(std::size_t k, BuildBits bits, ProbeBits probe_bits) {
+    common::FlatIndex dict;
+    std::vector<std::int64_t> ranks(n_);
+    std::int64_t next = 0;
+    for (std::size_t r = 0; r < n_; ++r) {
+      std::uint64_t b = 0;
+      if (!bits(r, &b)) {
+        ranks[r] = next++;
+        continue;
+      }
+      bool inserted = false;
+      std::size_t* slot = dict.FindOrInsert(b, &inserted);
+      if (inserted) *slot = static_cast<std::size_t>(next++);
+      ranks[r] = static_cast<std::int64_t>(*slot);
     }
-    return code;
+    build_[k] = Keep(std::move(ranks));
+    if (!has_probe_) return;
+    std::vector<std::int64_t> pranks(np_, -1);
+    for (std::size_t r = 0; r < np_; ++r) {
+      std::uint64_t b = 0;
+      if (!probe_bits(r, &b)) continue;
+      if (const std::size_t* slot = dict.Find(b)) {
+        pranks[r] = static_cast<std::int64_t>(*slot);
+      }
+    }
+    probe_[k] = Keep(std::move(pranks));
   }
 
-  /// True iff every value of row r of `cols` lies in the fitted ranges. A
-  /// key outside them equals no key of the fitted relation.
-  bool InRange(const KeyCols& cols, std::size_t r) const {
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const std::int64_t v = cols[k][r];
-      if (v < lo_[k] || v > hi_[k]) return false;
-    }
-    return true;
+  /// Ranks typed key column k. A probe column of the other type matches
+  /// nothing: an int never equals a double.
+  void RankColumn(std::size_t k, const Column& b, const Column* p) {
+    const bool comparable = p != nullptr && p->type == b.type;
+    Rank(
+        k, [&](std::size_t r, std::uint64_t* bits) {
+          return KeyBits(b, r, bits);
+        },
+        [&](std::size_t r, std::uint64_t* bits) {
+          return comparable && KeyBits(*p, r, bits);
+        });
   }
 
- private:
+  /// Folds ranked key columns 0 and 1 into one rank of the pair.
+  void FoldFirstPair() {
+    const std::int64_t* a = build_[0];
+    const std::int64_t* b = build_[1];
+    const std::int64_t* pa = probe_[0];
+    const std::int64_t* pb = probe_[1];
+    std::int64_t span = 0;
+    for (std::size_t r = 0; r < n_; ++r) span = std::max(span, b[r] + 1);
+    auto pair = [span](std::int64_t x, std::int64_t y, std::uint64_t* bits) {
+      *bits = static_cast<std::uint64_t>(x) * static_cast<std::uint64_t>(span) +
+              static_cast<std::uint64_t>(y);
+      return x >= 0 && y >= 0;
+    };
+    Rank(
+        0, [&](std::size_t r, std::uint64_t* bits) {
+          return pair(a[r], b[r], bits);
+        },
+        [&](std::size_t r, std::uint64_t* bits) {
+          return pair(pa[r], pb[r], bits);
+        });
+    build_.erase(build_.begin() + 1);
+    probe_.erase(probe_.begin() + 1);
+  }
+
+  /// Owns a rank array for the code's lifetime; returns its data.
+  const std::int64_t* Keep(std::vector<std::int64_t> ranks) {
+    ranks_.push_back(std::move(ranks));
+    return ranks_.back().data();
+  }
+
+  std::size_t n_, np_;
+  bool has_probe_;
+  KeyCols build_, probe_;
   std::vector<std::int64_t> lo_, hi_;
   std::vector<std::uint64_t> stride_;
+  std::vector<std::vector<std::int64_t>> ranks_;
 };
 
 /// Gathers the selected rows of `in` (per-chunk selection vectors, already
@@ -154,18 +273,6 @@ std::vector<Column> GatherColumns(
 
 }  // namespace
 
-Rel::Rel(Database* db, Table t)
-    : db_(db),
-      batch_(std::make_shared<const ColumnBatch>(ColumnBatch::FromTable(t))),
-      table_(std::make_shared<const Table>(std::move(t))) {}
-
-const Table* Rel::EnsureTable() const {
-  if (table_ == nullptr) {
-    table_ = std::make_shared<const Table>(batch_->ToTable());
-  }
-  return table_.get();
-}
-
 Rel Rel::Scan(Database& db, const std::string& name) {
   Rel r(&db, db.GetColumnar(name));
   // Map phase reads the stored table from replicated storage.
@@ -174,8 +281,8 @@ Rel Rel::Scan(Database& db, const std::string& name) {
   return r;
 }
 
-Rel Rel::FromTable(Database& db, Table table) {
-  return Rel(&db, std::move(table));
+Rel Rel::FromColumns(Database& db, ColumnBatch batch) {
+  return Rel(&db, std::make_shared<const ColumnBatch>(std::move(batch)));
 }
 
 void Rel::ChargeTuples(double logical, double per_tuple_s) const {
@@ -220,7 +327,7 @@ Rel Rel::FilterAll() const {
   // Same charge as a Filter that keeps everything; the output is the
   // input relation, shared zero-copy (operators never mutate their inputs).
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  return Rel(db_, batch_, table_);
+  return Rel(db_, batch_);
 }
 
 Rel Rel::FilterIntIn(const std::string& col,
@@ -308,157 +415,112 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   Schema out_schema(std::move(out_cols));
 
-  // A non-co-partitioned join's output is written and read back.
-  auto finish = [&](Rel result) {
-    if (!co_partitioned) result.ChargeIo(result.SelfBytes() * 2.0);
-    return result;
+  const ColumnBatch& lb = *batch_;
+  const ColumnBatch& rb = *right.batch_;
+  const KeyCode code(lb, lidx, &rb, ridx);
+  // Build over the left in scan order: each distinct key gets a slot in
+  // first-seen order, and the CSR member lists (count, prefix-sum, fill in
+  // scan order) keep left insertion order within a key.
+  const std::size_t nl = lb.num_rows();
+  common::FlatIndex index;
+  std::vector<std::uint32_t> row_slot(nl);
+  std::vector<std::uint32_t> starts;
+  for (std::size_t r = 0; r < nl; ++r) {
+    bool inserted = false;
+    std::size_t* slot = index.FindOrInsert(code.At(r), &inserted);
+    if (inserted) {
+      *slot = starts.size();
+      starts.push_back(0);
+    }
+    row_slot[r] = static_cast<std::uint32_t>(*slot);
+    ++starts[*slot];
+  }
+  // Counts become start offsets; `fill` then walks each list forward.
+  std::uint32_t total_members = 0;
+  for (std::uint32_t& start : starts) {
+    const std::uint32_t count = start;
+    start = total_members;
+    total_members += count;
+  }
+  starts.push_back(total_members);
+  std::vector<std::uint32_t> fill(starts.begin(), starts.end() - 1);
+  std::vector<std::uint32_t> members(nl);
+  for (std::size_t r = 0; r < nl; ++r) {
+    members[fill[row_slot[r]]++] = static_cast<std::uint32_t>(r);
+  }
+  struct Pair {
+    std::uint32_t l, r;
   };
-  KeyCols lcols;
-  KeyCols rcols;
-  KeyCode code;
-  if (BindIntKeys(*batch_, lidx, &lcols) &&
-      BindIntKeys(*right.batch_, ridx, &rcols) &&
-      code.Fit(lcols, batch_->num_rows())) {
-    const ColumnBatch& lb = *batch_;
-    const ColumnBatch& rb = *right.batch_;
-    // Build over the left in scan order: each distinct key gets a slot in
-    // first-seen order, and the CSR member lists (count, prefix-sum, fill
-    // in scan order) keep left insertion order within a key, exactly like
-    // the row branch's pointer lists.
-    const std::size_t nl = lb.num_rows();
-    common::FlatIndex index;
-    std::vector<std::uint32_t> row_slot(nl);
-    std::vector<std::uint32_t> starts;
-    for (std::size_t r = 0; r < nl; ++r) {
-      bool inserted = false;
-      std::size_t* slot = index.FindOrInsert(code.At(lcols, r), &inserted);
-      if (inserted) {
-        *slot = starts.size();
-        starts.push_back(0);
-      }
-      row_slot[r] = static_cast<std::uint32_t>(*slot);
-      ++starts[*slot];
-    }
-    // Counts become start offsets; `fill` then walks each list forward.
-    std::uint32_t total_members = 0;
-    for (std::uint32_t& start : starts) {
-      const std::uint32_t count = start;
-      start = total_members;
-      total_members += count;
-    }
-    starts.push_back(total_members);
-    std::vector<std::uint32_t> fill(starts.begin(), starts.end() - 1);
-    std::vector<std::uint32_t> members(nl);
-    for (std::size_t r = 0; r < nl; ++r) {
-      members[fill[row_slot[r]]++] = static_cast<std::uint32_t>(r);
-    }
-    struct Pair {
-      std::uint32_t l, r;
-    };
-    const std::int64_t n = static_cast<std::int64_t>(rb.num_rows());
-    const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-    exec::ScratchVec<std::vector<Pair>> parts_lease;
-    std::vector<std::vector<Pair>>& parts = *parts_lease;
-    parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-    for (auto& part : parts) part.clear();
-    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-      auto& local = parts[static_cast<std::size_t>(chunk.index)];
-      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-        const std::size_t r = static_cast<std::size_t>(i);
-        // A probe key outside the left's ranges matches nothing, and
-        // coding it in the left's radix could alias a real key.
-        if (!code.InRange(rcols, r)) continue;
-        const std::size_t* slot = index.Find(code.At(rcols, r));
-        if (slot == nullptr) continue;
-        for (std::uint32_t m = starts[*slot]; m < starts[*slot + 1]; ++m) {
-          local.push_back(Pair{members[m], static_cast<std::uint32_t>(r)});
-        }
-      }
-    });
-    std::vector<std::size_t> offsets(parts.size() + 1, 0);
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      offsets[p + 1] = offsets[p] + parts[p].size();
-    }
-    const std::size_t total = offsets.back();
-    std::vector<Column> cols;
-    cols.reserve(lb.num_cols() + right_keep.size());
-    for (std::size_t c = 0; c < lb.num_cols(); ++c) {
-      cols.push_back(Column::Sized(lb.col(c).type, total));
-    }
-    for (std::size_t c : right_keep) {
-      cols.push_back(Column::Sized(rb.col(c).type, total));
-    }
-    exec::ParallelFor(
-        static_cast<std::int64_t>(parts.size()), 1,
-        [&](const exec::Chunk& ch) {
-          for (std::int64_t p = ch.begin; p < ch.end; ++p) {
-            const auto& local = parts[static_cast<std::size_t>(p)];
-            const std::size_t off = offsets[static_cast<std::size_t>(p)];
-            for (std::size_t c = 0; c < lb.num_cols(); ++c) {
-              const Column& src = lb.col(c);
-              Column& dst = cols[c];
-              if (src.type == ColType::kInt) {
-                for (std::size_t j = 0; j < local.size(); ++j) {
-                  dst.ints[off + j] = src.ints[local[j].l];
-                }
-              } else {
-                for (std::size_t j = 0; j < local.size(); ++j) {
-                  dst.doubles[off + j] = src.doubles[local[j].l];
-                }
-              }
-            }
-            for (std::size_t k = 0; k < right_keep.size(); ++k) {
-              const Column& src = rb.col(right_keep[k]);
-              Column& dst = cols[lb.num_cols() + k];
-              if (src.type == ColType::kInt) {
-                for (std::size_t j = 0; j < local.size(); ++j) {
-                  dst.ints[off + j] = src.ints[local[j].r];
-                }
-              } else {
-                for (std::size_t j = 0; j < local.size(); ++j) {
-                  dst.doubles[off + j] = src.doubles[local[j].r];
-                }
-              }
-            }
-          }
-        });
-    return finish(Rel(db_, std::make_shared<const ColumnBatch>(
-                               std::move(out_schema), std::move(cols),
-                               out_scale)));
-  }
-  Table out(std::move(out_schema), out_scale);
-  std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq>
-      build;
-  for (const auto& row : EnsureTable()->rows()) {
-    build[KeyOf(row, lidx)].push_back(&row);
-  }
-  // Probe side fans out across the host pool: the build map is read-only
-  // here, and per-chunk outputs concatenate in chunk order, matching the
-  // serial probe's row order exactly.
-  const auto& rrows = right.table().rows();
-  const std::int64_t n = static_cast<std::int64_t>(rrows.size());
+  const std::int64_t n = static_cast<std::int64_t>(rb.num_rows());
   const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-  exec::ScratchVec<std::vector<Tuple>> parts_lease;
-  std::vector<std::vector<Tuple>>& parts = *parts_lease;
+  exec::ScratchVec<std::vector<Pair>> parts_lease;
+  std::vector<std::vector<Pair>>& parts = *parts_lease;
   parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
   for (auto& part : parts) part.clear();
   exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
     auto& local = parts[static_cast<std::size_t>(chunk.index)];
     for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      const auto& rrow = rrows[static_cast<std::size_t>(i)];
-      auto it = build.find(KeyOf(rrow, ridx));
-      if (it == build.end()) continue;
-      for (const Tuple* lrow : it->second) {
-        Tuple joined = *lrow;
-        for (std::size_t c : right_keep) joined.push_back(rrow[c]);
-        local.push_back(std::move(joined));
+      const std::size_t r = static_cast<std::size_t>(i);
+      std::uint64_t key = 0;
+      if (!code.ProbeAt(r, &key)) continue;
+      const std::size_t* slot = index.Find(key);
+      if (slot == nullptr) continue;
+      for (std::uint32_t m = starts[*slot]; m < starts[*slot + 1]; ++m) {
+        local.push_back(Pair{members[m], static_cast<std::uint32_t>(r)});
       }
     }
   });
-  for (auto& part : parts) {
-    for (auto& row : part) out.Append(std::move(row));
+  std::vector<std::size_t> offsets(parts.size() + 1, 0);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    offsets[p + 1] = offsets[p] + parts[p].size();
   }
-  return finish(Rel(db_, std::move(out)));
+  const std::size_t total = offsets.back();
+  std::vector<Column> cols;
+  cols.reserve(lb.num_cols() + right_keep.size());
+  for (std::size_t c = 0; c < lb.num_cols(); ++c) {
+    cols.push_back(Column::Sized(lb.col(c).type, total));
+  }
+  for (std::size_t c : right_keep) {
+    cols.push_back(Column::Sized(rb.col(c).type, total));
+  }
+  exec::ParallelFor(
+      static_cast<std::int64_t>(parts.size()), 1, [&](const exec::Chunk& ch) {
+        for (std::int64_t p = ch.begin; p < ch.end; ++p) {
+          const auto& local = parts[static_cast<std::size_t>(p)];
+          const std::size_t off = offsets[static_cast<std::size_t>(p)];
+          for (std::size_t c = 0; c < lb.num_cols(); ++c) {
+            const Column& src = lb.col(c);
+            Column& dst = cols[c];
+            if (src.type == ColType::kInt) {
+              for (std::size_t j = 0; j < local.size(); ++j) {
+                dst.ints[off + j] = src.ints[local[j].l];
+              }
+            } else {
+              for (std::size_t j = 0; j < local.size(); ++j) {
+                dst.doubles[off + j] = src.doubles[local[j].l];
+              }
+            }
+          }
+          for (std::size_t k = 0; k < right_keep.size(); ++k) {
+            const Column& src = rb.col(right_keep[k]);
+            Column& dst = cols[lb.num_cols() + k];
+            if (src.type == ColType::kInt) {
+              for (std::size_t j = 0; j < local.size(); ++j) {
+                dst.ints[off + j] = src.ints[local[j].r];
+              }
+            } else {
+              for (std::size_t j = 0; j < local.size(); ++j) {
+                dst.doubles[off + j] = src.doubles[local[j].r];
+              }
+            }
+          }
+        }
+      });
+  Rel result(db_, std::make_shared<const ColumnBatch>(
+                      std::move(out_schema), std::move(cols), out_scale));
+  // A non-co-partitioned join's output is written and read back.
+  if (!co_partitioned) result.ChargeIo(result.SelfBytes() * 2.0);
+  return result;
 }
 
 Rel Rel::GroupBy(const std::vector<std::string>& keys,
@@ -488,217 +550,134 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   // first-occurrence order); chunk partials then fold in chunk-index
   // order. The chunking is a pure function of the row count, so both the
   // accumulators and the output's key order are identical at any thread
-  // count — and identical between the coded and row paths, because chunks
-  // are contiguous row ranges in both.
-  KeyCols kcols;
-  KeyCode code;
-  if (BindIntKeys(*batch_, kidx, &kcols) &&
-      code.Fit(kcols, batch_->num_rows())) {
-    const ColumnBatch& in = *batch_;
-    struct ChunkGroups {
-      std::vector<std::uint64_t> codes;  // per local slot, first-seen order
-      std::vector<std::uint32_t> first;  // per local slot: its first row
-      std::vector<Acc> accs;             // slot-major: accs[slot * naggs + a]
-    };
-    std::vector<const Column*> acols(naggs, nullptr);  // nullptr: kCount
-    for (std::size_t a = 0; a < naggs; ++a) {
-      if (aggs[a].op != AggOp::kCount) acols[a] = &in.col(aidx[a]);
-    }
-    // Chunks run in waves of kFoldWave, each folded before the next runs,
-    // so only one wave's partials are ever live (and still in cache). The
-    // waves start on chunk boundaries: chunks, and the fold order, are the
-    // same as one ParallelFor over all rows.
-    constexpr std::int64_t kFoldWave = 64;
-    const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
-    std::vector<ChunkGroups> parts(static_cast<std::size_t>(
-        std::min(exec::NumChunks(n, kRowGrain), kFoldWave)));
-    // Global slots in first-seen order: code -> slot, each slot's first
-    // row, and its accumulators.
-    common::FlatIndex slots;
-    std::vector<std::uint32_t> order;
-    std::vector<Acc> accs;
-    for (std::int64_t wave = 0; wave < n; wave += kFoldWave * kRowGrain) {
-      const std::int64_t wave_rows = std::min(n - wave, kFoldWave * kRowGrain);
-      exec::ParallelFor(wave_rows, kRowGrain, [&](const exec::Chunk& chunk) {
-        // One code -> local slot index per thread, reused by every chunk it
-        // runs; Clear() is a generation bump.
-        thread_local common::FlatIndex index;
-        index.Clear();
-        index.Reserve(static_cast<std::size_t>(kRowGrain));
-        auto& local = parts[static_cast<std::size_t>(chunk.index)];
-        local.codes.clear();
-        local.first.clear();
-        local.accs.clear();
-        for (std::int64_t i = wave + chunk.begin; i < wave + chunk.end; ++i) {
-          const std::size_t r = static_cast<std::size_t>(i);
-          const std::uint64_t key = code.At(kcols, r);
-          bool inserted = false;
-          std::size_t* slot = index.FindOrInsert(key, &inserted);
-          if (inserted) {
-            *slot = local.codes.size();
-            local.codes.push_back(key);
-            local.first.push_back(static_cast<std::uint32_t>(r));
-            local.accs.resize(local.accs.size() + naggs);
-          }
-          Acc* acc = &local.accs[*slot * naggs];
-          for (std::size_t a = 0; a < naggs; ++a) {
-            const double v =
-                acols[a] == nullptr ? 1.0 : acols[a]->AsDoubleAt(r);
-            acc[a].sum += v;
-            acc[a].count += 1;
-            acc[a].min = std::min(acc[a].min, v);
-            acc[a].max = std::max(acc[a].max, v);
-          }
-        }
-      });
-      // Fold the wave's chunks in chunk order, each chunk's slots in slot
-      // order, into the global first-seen order.
-      const std::size_t wave_chunks =
-          static_cast<std::size_t>(exec::NumChunks(wave_rows, kRowGrain));
-      for (std::size_t p = 0; p < wave_chunks; ++p) {
-        const ChunkGroups& part = parts[p];
-        for (std::size_t g = 0; g < part.codes.size(); ++g) {
-          const Acc* src = &part.accs[g * naggs];
-          bool inserted = false;
-          std::size_t* slot = slots.FindOrInsert(part.codes[g], &inserted);
-          if (inserted) {
-            *slot = order.size();
-            order.push_back(part.first[g]);
-            accs.insert(accs.end(), src, src + naggs);
-            continue;
-          }
-          Acc* dst = &accs[*slot * naggs];
-          for (std::size_t a = 0; a < naggs; ++a) {
-            dst[a].sum += src[a].sum;
-            dst[a].count += src[a].count;
-            dst[a].min = std::min(dst[a].min, src[a].min);
-            dst[a].max = std::max(dst[a].max, src[a].max);
-          }
-        }
-      }
-    }
-    // A group's key columns are read back from its first row.
-    const std::size_t ngroups = order.size();
-    std::vector<Column> cols;
-    cols.reserve(kidx.size() + naggs);
-    for (std::size_t k = 0; k < kidx.size(); ++k) {
-      std::vector<std::int64_t> kv(ngroups);
-      for (std::size_t g = 0; g < ngroups; ++g) kv[g] = kcols[k][order[g]];
-      cols.push_back(Column::Ints(std::move(kv)));
-    }
-    for (std::size_t a = 0; a < naggs; ++a) {
-      std::vector<double> av(ngroups);
-      for (std::size_t g = 0; g < ngroups; ++g) {
-        const Acc& acc = accs[g * naggs + a];
-        switch (aggs[a].op) {
-          case AggOp::kSum:
-            av[g] = acc.sum;
-            break;
-          case AggOp::kCount:
-            // Counts are logical: each actual row stands for `scale` rows.
-            av[g] = acc.count * in.scale();
-            break;
-          case AggOp::kAvg:
-            av[g] = acc.sum / acc.count;
-            break;
-          case AggOp::kMin:
-            av[g] = acc.min;
-            break;
-          case AggOp::kMax:
-            av[g] = acc.max;
-            break;
-        }
-      }
-      cols.push_back(Column::Doubles(std::move(av)));
-    }
-    Rel result(db_, std::make_shared<const ColumnBatch>(
-                        std::move(out_schema), std::move(cols), out_scale));
-    double combined_bytes =
-        std::min(SelfBytes(), result.logical_rows() * db_->sim().machines() *
-                                  db_->TupleBytes(result.schema().size()));
-    ChargeShuffle(combined_bytes);
-    result.ChargeIo(result.SelfBytes() * 2.0);
-    return result;
-  }
-
+  // count.
+  const ColumnBatch& in = *batch_;
+  const KeyCode code(in, kidx);
   struct ChunkGroups {
-    std::unordered_map<Tuple, std::vector<Acc>, TupleHash, TupleEq> groups;
-    std::vector<Tuple> order;
+    std::vector<std::uint64_t> codes;  // per local slot, first-seen order
+    std::vector<std::uint32_t> first;  // per local slot: its first row
+    std::vector<Acc> accs;             // slot-major: accs[slot * naggs + a]
   };
-  const Table& tin = *EnsureTable();
-  const auto& rows = tin.rows();
-  const std::int64_t n = static_cast<std::int64_t>(rows.size());
-  std::vector<ChunkGroups> parts(
-      static_cast<std::size_t>(exec::NumChunks(n, kRowGrain)));
-  exec::ParallelFor(n, kRowGrain, [&](const exec::Chunk& chunk) {
-    auto& local = parts[static_cast<std::size_t>(chunk.index)];
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      const auto& row = rows[static_cast<std::size_t>(i)];
-      Tuple key = KeyOf(row, kidx);
-      auto& accs = local.groups[key];
-      if (accs.empty()) {
-        accs.resize(aggs.size());
-        local.order.push_back(std::move(key));
+  std::vector<const Column*> acols(naggs, nullptr);  // nullptr: kCount
+  for (std::size_t a = 0; a < naggs; ++a) {
+    if (aggs[a].op != AggOp::kCount) acols[a] = &in.col(aidx[a]);
+  }
+  // Chunks run in waves of kFoldWave, each folded before the next runs,
+  // so only one wave's partials are ever live (and still in cache). The
+  // waves start on chunk boundaries: chunks, and the fold order, are the
+  // same as one ParallelFor over all rows.
+  constexpr std::int64_t kFoldWave = 64;
+  const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
+  std::vector<ChunkGroups> parts(static_cast<std::size_t>(
+      std::min(exec::NumChunks(n, kRowGrain), kFoldWave)));
+  // Global slots in first-seen order: code -> slot, each slot's first
+  // row, and its accumulators.
+  common::FlatIndex slots;
+  std::vector<std::uint32_t> order;
+  std::vector<Acc> accs;
+  for (std::int64_t wave = 0; wave < n; wave += kFoldWave * kRowGrain) {
+    const std::int64_t wave_rows = std::min(n - wave, kFoldWave * kRowGrain);
+    exec::ParallelFor(wave_rows, kRowGrain, [&](const exec::Chunk& chunk) {
+      // One code -> local slot index per thread, reused by every chunk it
+      // runs; Clear() is a generation bump.
+      thread_local common::FlatIndex index;
+      index.Clear();
+      index.Reserve(static_cast<std::size_t>(kRowGrain));
+      auto& local = parts[static_cast<std::size_t>(chunk.index)];
+      local.codes.clear();
+      local.first.clear();
+      local.accs.clear();
+      for (std::int64_t i = wave + chunk.begin; i < wave + chunk.end; ++i) {
+        const std::size_t r = static_cast<std::size_t>(i);
+        const std::uint64_t key = code.At(r);
+        bool inserted = false;
+        std::size_t* slot = index.FindOrInsert(key, &inserted);
+        if (inserted) {
+          *slot = local.codes.size();
+          local.codes.push_back(key);
+          local.first.push_back(static_cast<std::uint32_t>(r));
+          local.accs.resize(local.accs.size() + naggs);
+        }
+        Acc* acc = &local.accs[*slot * naggs];
+        for (std::size_t a = 0; a < naggs; ++a) {
+          const double v =
+              acols[a] == nullptr ? 1.0 : acols[a]->AsDoubleAt(r);
+          acc[a].sum += v;
+          acc[a].count += 1;
+          acc[a].min = std::min(acc[a].min, v);
+          acc[a].max = std::max(acc[a].max, v);
+        }
       }
-      for (std::size_t a = 0; a < aggs.size(); ++a) {
-        double v = aggs[a].op == AggOp::kCount ? 1.0 : AsDouble(row[aidx[a]]);
-        accs[a].sum += v;
-        accs[a].count += 1;
-        accs[a].min = std::min(accs[a].min, v);
-        accs[a].max = std::max(accs[a].max, v);
-      }
-    }
-  });
-  std::unordered_map<Tuple, std::vector<Acc>, TupleHash, TupleEq> groups;
-  std::vector<Tuple> group_order;
-  for (auto& part : parts) {
-    for (auto& key : part.order) {
-      auto& accs = part.groups[key];
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        group_order.push_back(key);
-        groups.emplace(std::move(key), std::move(accs));
-      } else {
-        for (std::size_t a = 0; a < aggs.size(); ++a) {
-          it->second[a].sum += accs[a].sum;
-          it->second[a].count += accs[a].count;
-          it->second[a].min = std::min(it->second[a].min, accs[a].min);
-          it->second[a].max = std::max(it->second[a].max, accs[a].max);
+    });
+    // Fold the wave's chunks in chunk order, each chunk's slots in slot
+    // order, into the global first-seen order.
+    const std::size_t wave_chunks =
+        static_cast<std::size_t>(exec::NumChunks(wave_rows, kRowGrain));
+    for (std::size_t p = 0; p < wave_chunks; ++p) {
+      const ChunkGroups& part = parts[p];
+      for (std::size_t g = 0; g < part.codes.size(); ++g) {
+        const Acc* src = &part.accs[g * naggs];
+        bool inserted = false;
+        std::size_t* slot = slots.FindOrInsert(part.codes[g], &inserted);
+        if (inserted) {
+          *slot = order.size();
+          order.push_back(part.first[g]);
+          accs.insert(accs.end(), src, src + naggs);
+          continue;
+        }
+        Acc* dst = &accs[*slot * naggs];
+        for (std::size_t a = 0; a < naggs; ++a) {
+          dst[a].sum += src[a].sum;
+          dst[a].count += src[a].count;
+          dst[a].min = std::min(dst[a].min, src[a].min);
+          dst[a].max = std::max(dst[a].max, src[a].max);
         }
       }
     }
   }
-
-  Table out(std::move(out_schema), out_scale);
-  out.Reserve(group_order.size());
-  for (auto& key : group_order) {
-    auto& accs = groups.find(key)->second;
-    // The order list owns its copy of the key, so the output row can take
-    // over its storage instead of deep-copying the Tuple.
-    Tuple row = std::move(key);
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
+  // A group's key columns are copied from its first row, type and bits.
+  const std::size_t ngroups = order.size();
+  std::vector<Column> cols;
+  cols.reserve(kidx.size() + naggs);
+  for (std::size_t k : kidx) {
+    const Column& src = in.col(k);
+    Column kc = Column::Sized(src.type, ngroups);
+    for (std::size_t g = 0; g < ngroups; ++g) {
+      if (src.type == ColType::kInt) {
+        kc.ints[g] = src.ints[order[g]];
+      } else {
+        kc.doubles[g] = src.doubles[order[g]];
+      }
+    }
+    cols.push_back(std::move(kc));
+  }
+  for (std::size_t a = 0; a < naggs; ++a) {
+    std::vector<double> av(ngroups);
+    for (std::size_t g = 0; g < ngroups; ++g) {
+      const Acc& acc = accs[g * naggs + a];
       switch (aggs[a].op) {
         case AggOp::kSum:
-          row.emplace_back(accs[a].sum);
+          av[g] = acc.sum;
           break;
         case AggOp::kCount:
           // Counts are logical: each actual row stands for `scale` rows.
-          row.emplace_back(accs[a].count * tin.scale());
+          av[g] = acc.count * in.scale();
           break;
         case AggOp::kAvg:
-          row.emplace_back(accs[a].sum / accs[a].count);
+          av[g] = acc.sum / acc.count;
           break;
         case AggOp::kMin:
-          row.emplace_back(accs[a].min);
+          av[g] = acc.min;
           break;
         case AggOp::kMax:
-          row.emplace_back(accs[a].max);
+          av[g] = acc.max;
           break;
       }
     }
-    out.Append(std::move(row));
+    cols.push_back(Column::Doubles(std::move(av)));
   }
-  Rel result(db_, std::move(out));
+  Rel result(db_, std::make_shared<const ColumnBatch>(
+                      std::move(out_schema), std::move(cols), out_scale));
   // Shuffle the map-side-combined groups, then write the aggregate.
   double combined_bytes =
       std::min(SelfBytes(), result.logical_rows() * db_->sim().machines() *
@@ -715,112 +694,78 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
   auto gidx = ResolveAll(schema(), group_cols);
   vg.BindSchema(schema());
 
-  // Parameter tuples in, sampled tuples out — each crosses the Java/C++
-  // VG boundary; the function body itself runs at C++ speed. The output's
-  // logical rows are representation-independent, so both branches charge
-  // the same doubles.
-  auto finish = [&](Rel result) {
-    ChargeTuples(logical_rows(), db_->costs().vg_tuple_s);
-    const double logical_out = result.logical_rows();
-    ChargeTuples(logical_out, db_->costs().vg_tuple_s);
-    db_->sim().ChargeParallelCpu(logical_out * flops_per_out_tuple *
-                                 sim::CppModel().flop_s);
-    return result;
-  };
-  KeyCols gcols;
-  KeyCode code;
-  if (BindIntKeys(*batch_, gidx, &gcols) &&
-      code.Fit(gcols, batch_->num_rows())) {
-    const ColumnBatch& in = *batch_;
-    // Columnar VG dispatch: every invocation group must be one contiguous
-    // column span, groups in first-seen order, rows in original order, so
-    // the function consumes the shared RNG exactly as the per-group tuple
-    // loop of the row-key branch below does. Inputs produced group-major
-    // (member lists, doc-major word tables, an empty key over the whole
-    // input) already satisfy that: one adjacent-key scan verifies it — one
-    // index insert per *group* rejects keys that reappear in a later run —
-    // and the spans then alias the input columns outright. Otherwise
-    // group-sort into fresh columns with the same first-seen grouping the
-    // row-key branch uses.
-    const std::size_t n_rows = in.num_rows();
-    std::vector<std::uint32_t> group_offsets{0};
-    common::FlatIndex slots;
-    bool pre_grouped = true;
-    std::uint64_t prev = 0;
+  const ColumnBatch& in = *batch_;
+  const KeyCode code(in, gidx);
+  // Columnar VG dispatch: every invocation group is one contiguous column
+  // span, groups in first-seen order, rows in original order, so the
+  // function consumes the shared RNG in first-seen group order. Inputs
+  // produced group-major (member lists, doc-major word tables, an empty
+  // key over the whole input) already satisfy that: one adjacent-key scan
+  // verifies it — one index insert per *group* rejects keys that reappear
+  // in a later run — and the spans then alias the input columns outright.
+  // Otherwise group-sort into fresh columns, first-seen.
+  const std::size_t n_rows = in.num_rows();
+  std::vector<std::uint32_t> group_offsets{0};
+  common::FlatIndex slots;
+  bool pre_grouped = true;
+  std::uint64_t prev = 0;
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const std::uint64_t key = code.At(r);
+    if (r == 0 || key != prev) {
+      bool inserted = false;
+      slots.FindOrInsert(key, &inserted);
+      if (!inserted) {
+        pre_grouped = false;
+        break;
+      }
+      if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
+      prev = key;
+    }
+  }
+  ColumnBatch grouped;
+  if (pre_grouped) {
+    if (n_rows > 0) {
+      group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
+    }
+    std::vector<std::shared_ptr<const Column>> cols;
+    cols.reserve(in.num_cols());
+    for (std::size_t c = 0; c < in.num_cols(); ++c) {
+      cols.push_back(in.col_ptr(c));
+    }
+    grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
+  } else {
+    slots.Clear();
+    std::vector<std::vector<std::uint32_t>> group_rows;
     for (std::size_t r = 0; r < n_rows; ++r) {
-      const std::uint64_t key = code.At(gcols, r);
-      if (r == 0 || key != prev) {
-        bool inserted = false;
-        slots.FindOrInsert(key, &inserted);
-        if (!inserted) {
-          pre_grouped = false;
-          break;
-        }
-        if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
-        prev = key;
+      bool inserted = false;
+      std::size_t* slot = slots.FindOrInsert(code.At(r), &inserted);
+      if (inserted) {
+        *slot = group_rows.size();
+        group_rows.emplace_back();
       }
+      group_rows[*slot].push_back(static_cast<std::uint32_t>(r));
     }
-    ColumnBatch grouped;
-    if (pre_grouped) {
-      if (n_rows > 0) {
-        group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
-      }
-      std::vector<std::shared_ptr<const Column>> cols;
-      cols.reserve(in.num_cols());
-      for (std::size_t c = 0; c < in.num_cols(); ++c) {
-        cols.push_back(in.col_ptr(c));
-      }
-      grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
-    } else {
-      slots.Clear();
-      std::vector<std::vector<std::uint32_t>> group_rows;
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        bool inserted = false;
-        std::size_t* slot = slots.FindOrInsert(code.At(gcols, r), &inserted);
-        if (inserted) {
-          *slot = group_rows.size();
-          group_rows.emplace_back();
-        }
-        group_rows[*slot].push_back(static_cast<std::uint32_t>(r));
-      }
-      group_offsets.assign(group_rows.size() + 1, 0);
-      for (std::size_t g = 0; g < group_rows.size(); ++g) {
-        group_offsets[g + 1] =
-            group_offsets[g] +
-            static_cast<std::uint32_t>(group_rows[g].size());
-      }
-      grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
-                            in.scale());
+    group_offsets.assign(group_rows.size() + 1, 0);
+    for (std::size_t g = 0; g < group_rows.size(); ++g) {
+      group_offsets[g + 1] =
+          group_offsets[g] +
+          static_cast<std::uint32_t>(group_rows[g].size());
     }
-    VgBatchOut vout;
-    vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
-    return finish(Rel(db_, std::make_shared<const ColumnBatch>(
-                               vg.output_schema(), std::move(vout.cols),
-                               out_scale)));
+    grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
+                          in.scale());
   }
-  // Partition parameter rows into invocation groups (stable order).
-  const Table& tin = *EnsureTable();
-  std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> groups;
-  std::vector<Tuple> group_order;
-  for (const auto& row : tin.rows()) {
-    Tuple key = KeyOf(row, gidx);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      group_order.push_back(key);
-      groups.emplace(std::move(key), std::vector<Tuple>{row});
-    } else {
-      it->second.push_back(row);
-    }
-  }
-  Table out(vg.output_schema(), out_scale);
-  out.Reserve(group_order.empty()
-                  ? 0
-                  : group_order.size() *
-                        vg.OutRowsHint(tin.rows().size() / group_order.size()));
-  for (const auto& key : group_order) {
-    vg.Sample(groups[key], schema(), db_->rng(), &out.rows());
-  }
-  return finish(Rel(db_, std::move(out)));
+  VgBatchOut vout;
+  vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
+  Rel result(db_, std::make_shared<const ColumnBatch>(
+                      vg.output_schema(), std::move(vout.cols), out_scale));
+  // Parameter tuples in, sampled tuples out — each crosses the Java/C++ VG
+  // boundary; the function body itself runs at C++ speed.
+  ChargeTuples(logical_rows(), db_->costs().vg_tuple_s);
+  const double logical_out = result.logical_rows();
+  ChargeTuples(logical_out, db_->costs().vg_tuple_s);
+  db_->sim().ChargeParallelCpu(logical_out * flops_per_out_tuple *
+                               sim::CppModel().flop_s);
+  return result;
 }
 
 Rel Rel::Union(const Rel& other) const {
@@ -864,7 +809,7 @@ Rel Rel::Union(const Rel& other) const {
 void Rel::Materialize(const std::string& name) const {
   ChargeIo(SelfBytes());
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  db_->PutBatch(name, batch_, table_);
+  db_->PutBatch(name, batch_);
 }
 
 }  // namespace mlbench::reldb

@@ -21,19 +21,17 @@
 /// storage I/O for every materialization boundary — the cost structure of
 /// SimSQL-on-Hadoop the paper measures.
 ///
-/// Every relation is a typed ColumnBatch (typed on load, column_batch.h),
-/// and operators run over it: selection-vector filters evaluated by the
-/// expression VM (expr_vm.h), index-gather projects, and join/group-by
-/// lookups of one 64-bit key code per row in a common::FlatIndex (KeyCode,
-/// rel.cc). The one row-tuple branch is for HashJoin, GroupBy and VgApply
-/// keys that cannot be coded — a double key column, or int key columns
-/// whose value spans multiply past 2^64 (DESIGN.md §10). SQL reaches it,
-/// e.g. `GROUP BY val` over a double column; its output is typed on
-/// construction like any other relation.
+/// Every relation is a typed ColumnBatch (column_batch.h), and operators
+/// run over it: selection-vector filters evaluated by the expression VM
+/// (expr_vm.h), index-gather projects, and join/group-by/VG-group lookups
+/// of one 64-bit key code per row in a common::FlatIndex (KeyCode, rel.cc).
+/// Every key codes: int columns by value range, double columns by dense
+/// rank under SQL equality (-0.0 equals +0.0; NaN equals nothing), and an
+/// int key never equals a double one (DESIGN.md §10).
 ///
-/// Every branch charges the simulator from logical row counts and schema
-/// widths only (never from the host representation), commits host-parallel
-/// chunks in chunk-index order, and invokes VG functions serially in
+/// Operators charge the simulator from logical row counts and schema
+/// widths only (never from the host representation), commit host-parallel
+/// chunks in chunk-index order, and invoke VG functions serially in
 /// first-seen group order against the shared RNG stream — so results, draw
 /// streams and simulated charges are bit-identical across MLBENCH_THREADS
 /// settings.
@@ -93,13 +91,11 @@ class Rel {
   /// Reads a stored table, charging the storage scan.
   static Rel Scan(Database& db, const std::string& name);
 
-  /// Wraps a freshly built in-flight table without a read charge, typing
-  /// it on load (the rows stay as the row cache).
-  static Rel FromTable(Database& db, Table table);
+  /// Wraps freshly built in-flight columns without a read charge.
+  static Rel FromColumns(Database& db, ColumnBatch batch);
 
-  /// Row form of this relation (materialized from the columnar form on
-  /// first use, then cached).
-  const Table& table() const { return *EnsureTable(); }
+  /// Row form of this relation, rebuilt from the columns on each call.
+  Table ToTable() const { return batch_->ToTable(); }
 
   const Schema& schema() const { return batch_->schema(); }
   double scale() const { return batch_->scale(); }
@@ -156,14 +152,8 @@ class Rel {
   void Materialize(const std::string& name) const;
 
  private:
-  Rel(Database* db, std::shared_ptr<const ColumnBatch> b,
-      std::shared_ptr<const Table> rows = nullptr)
-      : db_(db), batch_(std::move(b)), table_(std::move(rows)) {}
-  /// Types `t` on load and keeps it as the row cache.
-  Rel(Database* db, Table t);
-
-  /// Lazily materializes (and caches) the row form.
-  const Table* EnsureTable() const;
+  Rel(Database* db, std::shared_ptr<const ColumnBatch> b)
+      : db_(db), batch_(std::move(b)) {}
 
   /// Charges per-tuple CPU across the cluster for `logical` tuples.
   void ChargeTuples(double logical, double per_tuple_s) const;
@@ -173,16 +163,13 @@ class Rel {
   void ChargeShuffle(double bytes) const;
 
   /// Logical stored bytes of this relation — a function of logical rows
-  /// and schema width only, never of the host representation, so the
-  /// coded and row-key branches charge alike.
+  /// and schema width only, never of the host representation.
   double SelfBytes() const {
     return logical_rows() * db_->TupleBytes(schema().size());
   }
 
   Database* db_;
   std::shared_ptr<const ColumnBatch> batch_;
-  /// Row cache for table() and the row-key branches; filled on first use.
-  mutable std::shared_ptr<const Table> table_;
 };
 
 }  // namespace mlbench::reldb

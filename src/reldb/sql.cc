@@ -974,7 +974,7 @@ Result<Table> SqlContext::Execute(const std::string& sql) {
     result.Materialize(stmt.target);
   }
   db_->EndQuery();
-  return result.table();
+  return result.ToTable();
 }
 
 std::string SqlContext::BindIteration(const std::string& sql_template,

@@ -66,25 +66,6 @@ class Schema {
   std::vector<std::string> cols_;
 };
 
-/// Hash / equality over tuple keys (for join and group-by hash tables).
-struct TupleHash {
-  std::size_t operator()(const Tuple& t) const {
-    std::size_t h = 0x9E3779B97F4A7C15ULL;
-    for (const auto& v : t) {
-      std::size_t hv =
-          std::holds_alternative<std::int64_t>(v)
-              ? std::hash<std::int64_t>{}(std::get<std::int64_t>(v))
-              : std::hash<double>{}(std::get<double>(v));
-      h ^= hv + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-struct TupleEq {
-  bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
-};
-
 /// Resolves every name in `cols` against `schema` once. Operators and VG
 /// functions call this (or Schema::IndexOf) exactly once per operator, never
 /// inside a per-row loop — IndexOf is a linear string scan.
@@ -94,14 +75,6 @@ inline std::vector<std::size_t> ResolveAll(const Schema& schema,
   idx.reserve(cols.size());
   for (const auto& c : cols) idx.push_back(schema.IndexOf(c));
   return idx;
-}
-
-/// Extracts the named key columns of `row` as a Tuple.
-inline Tuple KeyOf(const Tuple& row, const std::vector<std::size_t>& idx) {
-  Tuple key;
-  key.reserve(idx.size());
-  for (std::size_t i : idx) key.push_back(row[i]);
-  return key;
 }
 
 }  // namespace mlbench::reldb

@@ -11,15 +11,12 @@
 /// SimSQL's library VG functions (paper Section 5.2: "the other VG
 /// functions are all library functions"). Each consumes the parameter rows
 /// of one invocation group and emits sampled rows. Parameter column indices
-/// resolve once in BindSchema; Sample never does a name lookup.
+/// resolve once in BindSchema; SampleBatch never does a name lookup.
 ///
-/// Every function's SampleBatch (the surface VgApply calls on every coded
-/// key) reads parameters straight from the group-sorted column spans and
-/// emits typed output columns; Sample serves only uncodable keys.
-/// Passthrough identifier columns copy the input column's storage type,
-/// so converting the output back to rows reproduces the tuple path's Value
-/// alternatives exactly; draws consume the RNG in the identical per-group
-/// order.
+/// SampleBatch reads parameters straight from the group-sorted column spans
+/// and emits typed output columns. Passthrough identifier columns copy the
+/// input column's storage type, and draws consume the RNG group by group in
+/// first-seen group order.
 
 namespace mlbench::reldb {
 
@@ -32,18 +29,6 @@ class DirichletVg : public VgFunction {
   void BindSchema(const Schema& schema) override {
     id_c_ = schema.IndexOf(id_col_);
     a_c_ = schema.IndexOf(alpha_col_);
-  }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    linalg::Vector alpha(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      alpha[i] = AsDouble(params[i][a_c_]);
-    }
-    linalg::Vector draw = stats::SampleDirichlet(rng, alpha);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      out->push_back(Tuple{params[i][id_c_], draw[i]});
-    }
   }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
@@ -87,16 +72,6 @@ class CategoricalVg : public VgFunction {
     id_c_ = schema.IndexOf(id_col_);
     w_c_ = schema.IndexOf(weight_col_);
   }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    linalg::Vector w(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      w[i] = AsDouble(params[i][w_c_]);
-    }
-    out->push_back(Tuple{params[stats::SampleCategorical(rng, w)][id_c_]});
-  }
-  std::size_t OutRowsHint(std::size_t) const override { return 1; }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, VgBatchOut* out) override {
@@ -138,15 +113,6 @@ class NormalVg : public VgFunction {
     m_c_ = schema.IndexOf(mean_col_);
     v_c_ = schema.IndexOf(var_col_);
   }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    for (const auto& row : params) {
-      double draw = stats::SampleNormal(rng, AsDouble(row[m_c_]),
-                                        std::sqrt(AsDouble(row[v_c_])));
-      out->push_back(Tuple{row[id_c_], draw});
-    }
-  }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
                    stats::Rng& rng, VgBatchOut* out) override {
@@ -181,14 +147,6 @@ class InverseGammaVg : public VgFunction {
   void BindSchema(const Schema& schema) override {
     s_c_ = schema.IndexOf(shape_col_);
     r_c_ = schema.IndexOf(rate_col_);
-  }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    for (const auto& row : params) {
-      out->push_back(Tuple{stats::SampleInverseGamma(
-          rng, AsDouble(row[s_c_]), AsDouble(row[r_c_]))});
-    }
   }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,
@@ -226,15 +184,6 @@ class InverseGaussianVg : public VgFunction {
     id_c_ = schema.IndexOf(id_col_);
     m_c_ = schema.IndexOf(mu_col_);
     l_c_ = schema.IndexOf(lambda_col_);
-  }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    for (const auto& row : params) {
-      out->push_back(Tuple{row[id_c_],
-                           stats::SampleInverseGaussian(
-                               rng, AsDouble(row[m_c_]), AsDouble(row[l_c_]))});
-    }
   }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,

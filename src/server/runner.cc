@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "core/gmm_bsp.h"
 #include "core/gmm_dataflow.h"
@@ -342,13 +344,22 @@ SqlOutcome ExecuteSql(const SqlRequest& req) {
   // requests return identical tables no matter what ran in between.
   sim::ClusterSim sim(sim::Ec2M2XLargeCluster(3));
   reldb::Database db(&sim, {}, req.seed);
-  reldb::Table data(reldb::Schema{"id", "grp", "val"}, 1.0);
+  std::vector<std::int64_t> ids(static_cast<std::size_t>(req.rows));
+  std::vector<std::int64_t> grps(ids.size());
+  std::vector<double> vals(ids.size());
   for (std::int64_t i = 0; i < req.rows; ++i) {
-    data.Append(reldb::Tuple{
-        i, i % 8,
-        sim::HashChance(req.seed, /*tag=*/0x51, i) * 100.0});
+    const auto r = static_cast<std::size_t>(i);
+    ids[r] = i;
+    grps[r] = i % 8;
+    vals[r] = sim::HashChance(req.seed, /*tag=*/0x51, i) * 100.0;
   }
-  db.Put("data", std::move(data));
+  std::vector<reldb::ColumnBatch::Column> cols(3);
+  cols[0] = reldb::ColumnBatch::Column::Ints(std::move(ids));
+  cols[1] = reldb::ColumnBatch::Column::Ints(std::move(grps));
+  cols[2] = reldb::ColumnBatch::Column::Doubles(std::move(vals));
+  db.PutBatch("data", std::make_shared<const reldb::ColumnBatch>(
+                          reldb::Schema{"id", "grp", "val"}, std::move(cols),
+                          1.0));
   reldb::SqlContext ctx(&db);
   auto table = ctx.Execute(req.sql);
   if (!table.ok()) {

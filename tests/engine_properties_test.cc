@@ -130,8 +130,9 @@ TEST(RelDbEquivalence, SumGroupByMatchesManualFold) {
   auto out = reldb::Rel::Scan(db, "t").GroupBy(
       {"k"}, {{reldb::AggOp::kSum, "v", "s"}}, 1.0);
   db.EndQuery();
-  ASSERT_EQ(out.table().actual_rows(), 4u);
-  for (const auto& row : out.table().rows()) {
+  const reldb::Table got = out.ToTable();
+  ASSERT_EQ(got.actual_rows(), 4u);
+  for (const auto& row : got.rows()) {
     EXPECT_DOUBLE_EQ(reldb::AsDouble(row[1]),
                      expect[reldb::AsInt(row[0])]);
   }
@@ -156,7 +157,7 @@ TEST(RelDbEquivalence, JoinCardinalityMatchesNestedLoop) {
   auto out = reldb::Rel::Scan(db, "a").HashJoin(reldb::Rel::Scan(db, "b"),
                                                 {"k"}, {"k"}, 1.0);
   db.EndQuery();
-  EXPECT_EQ(static_cast<long long>(out.table().actual_rows()), expected);
+  EXPECT_EQ(static_cast<long long>(out.ToTable().actual_rows()), expected);
 }
 
 class RelDbScaleSweep : public ::testing::TestWithParam<double> {};

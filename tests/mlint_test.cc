@@ -343,6 +343,26 @@ TEST(MlintNaiveReduction, LocalPartialsAndParamsAreFine) {
   EXPECT_EQ(CountRule(r, "naive-reduction"), 0) << mlint::TextReport(r);
 }
 
+TEST(MlintNaiveReduction, LaterDeclaratorsAreLocal) {
+  // `s1` is declared after a ',' in the same declaration as `s0`: a
+  // chunk-local partial too. The captured accumulator still fires.
+  auto r = LintContent("src/core/x.cc", R"cc(
+    double Total(std::int64_t n) {
+      double total = 0;
+      exec::ParallelFor(n, 64, [&](const exec::Chunk& chunk) {
+        double s0 = 0, s1 = Cost(0, 1);
+        for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+          s0 += Cost(i, 0);
+          s1 += Cost(i, 1);
+        }
+        total += s0 + s1;
+      });
+      return total;
+    }
+  )cc");
+  EXPECT_EQ(CountRule(r, "naive-reduction"), 1) << mlint::TextReport(r);
+}
+
 TEST(MlintNaiveReduction, PerChunkSlotWritesAreFine) {
   auto r = LintContent("src/core/x.cc", R"cc(
     void Fill(std::vector<double>& parts, std::int64_t n) {

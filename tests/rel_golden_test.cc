@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,6 @@ namespace mlbench {
 namespace {
 
 using reldb::AggOp;
-using reldb::AsDouble;
 using reldb::ColExpr;
 using reldb::ColumnBatch;
 using reldb::Database;
@@ -112,10 +112,9 @@ class FrozenRelTest : public ::testing::Test {
   void ExpectFrozen(const char* digest,
                     const std::function<Rel(Database&)>& plan) {
     db_.BeginQuery("q");
-    Rel r = plan(db_);
+    const Table t = plan(db_).ToTable();
     db_.EndQuery();
-    EXPECT_EQ(Outcome(r.table()), digest)
-        << r.table().rows().size() << " rows";
+    EXPECT_EQ(Outcome(t), digest) << t.rows().size() << " rows";
   }
 
   /// Executes `sql` and checks its outcome digest.
@@ -287,6 +286,166 @@ TEST_F(EngineParity, MaterializeRoundTrip) {
   });
 }
 
+// ---- Keys outside the int code's reach -------------------------------------
+//
+// Double key columns (signed zeros, repeats out of order), an int key
+// spanning the whole int64 range, mixed int/double keys, and a six-column
+// double key whose per-column ranks still overflow 64 bits together. Every
+// digest here was recorded while these keys ran on row tuples.
+
+class KeyParity : public FrozenRelTest {
+ protected:
+  KeyParity() : FrozenRelTest(5) { LoadInputs("membership"); }
+
+  /// dkeys(key, id, v): key cycles 0.5, -0.0, 1.5, 0.0, 0.5, 2.5, -0.0.
+  void PutDoubleKeys() {
+    const double keys[] = {0.5, -0.0, 1.5, 0.0, 0.5, 2.5, -0.0};
+    Table t(Schema{"key", "id", "v"}, 1e3);
+    for (std::int64_t i = 0; i < 30; ++i) {
+      t.Append(Tuple{keys[i % 7], i, 0.25 * static_cast<double>(i) - 1.0});
+    }
+    db_.Put("dkeys", t);
+  }
+
+  /// full(k0, id, id_val): the full-range key of the reldb_test key edge
+  /// cases.
+  void PutFullRangeKeys() {
+    const std::int64_t wide[] = {std::numeric_limits<std::int64_t>::min(), -1,
+                                 0, 7,
+                                 std::numeric_limits<std::int64_t>::max()};
+    Table t(Schema{"k0", "id", "id_val"}, 1.0);
+    for (std::int64_t i = 0; i < 40; ++i) {
+      t.Append(Tuple{wide[(i * 3 + i / 7) % 5], i,
+                     3.0 * static_cast<double>(i) - 7.0});
+    }
+    db_.Put("full", t);
+  }
+};
+
+TEST_F(KeyParity, GroupByDoubleKeyWithSignedZeros) {
+  // The -0.0 group is first seen as -0.0 and prints so; +0.0 joins it.
+  PutDoubleKeys();
+  ExpectFrozen("3a528509dca00b9d", [](Database& db) {
+    return Rel::Scan(db, "dkeys").GroupBy(
+        {"key"},
+        {{AggOp::kSum, "v", "s"},
+         {AggOp::kCount, "", "n"},
+         {AggOp::kMin, "id", "lo"},
+         {AggOp::kMax, "v", "hi"}},
+        1.0);
+  });
+}
+
+TEST_F(KeyParity, HashJoinDoubleKeyWithSignedZeros) {
+  PutDoubleKeys();
+  ExpectFrozen("d36fe0c8dff67bac", [](Database& db) {
+    return Rel::Scan(db, "dkeys").HashJoin(
+        Rel::Scan(db, "dkeys").Renamed(Schema{"key", "rid", "rv"}), {"key"},
+        {"key"}, 1e3);
+  });
+}
+
+TEST_F(KeyParity, VgApplyDoubleKeyGroups) {
+  // Groups recur out of order, so VgApply gathers them first-seen.
+  PutDoubleKeys();
+  ExpectFrozen("70aa9e4f6fd12332", [](Database& db) {
+    reldb::DirichletVg vg("id", "w");
+    return Rel::Scan(db, "dkeys")
+        .Project(Schema{"key", "id", "w"},
+                 {ColExpr::Col(0), ColExpr::Col(1),
+                  ColExpr::Expr(ScalarExpr::Add(ScalarExpr::Col(2),
+                                                ScalarExpr::Const(2.0)))})
+        .VgApply(vg, {"key"}, 1e3);
+  });
+}
+
+TEST_F(KeyParity, SqlVgPerDoubleKey) {
+  reldb::CategoricalVg cat("clus_id", "w");
+  Table probs(Schema{"key", "clus_id", "w"}, 1.0);
+  for (std::int64_t p = 0; p < 6; ++p) {
+    for (std::int64_t k = 0; k < 3; ++k) {
+      probs.Append(Tuple{0.5 * static_cast<double>(p % 3), k,
+                         1.0 + static_cast<double>((p * 3 + k) % 4)});
+    }
+  }
+  db_.Put("probs", probs);
+  SqlContext ctx(&db_);
+  ctx.RegisterVg("Categorical", &cat);
+  auto t = ctx.Execute(
+      "WITH draw AS Categorical (SELECT key, clus_id, w FROM probs) "
+      "PER (key) SELECT draw.out_id FROM draw");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(Outcome(*t), "041df512cc94402c");
+}
+
+TEST_F(KeyParity, FullRangeIntKeyJoinGroupAndVg) {
+  PutFullRangeKeys();
+  ExpectFrozen("df6490b1129703c6", [](Database& db) {
+    return Rel::Scan(db, "full").HashJoin(
+        Rel::Scan(db, "full").Renamed(Schema{"k0", "rid", "rid_val"}),
+        {"k0"}, {"k0"}, 1.0);
+  });
+  ExpectFrozen("06f1400705fff9d1", [](Database& db) {
+    return Rel::Scan(db, "full").GroupBy(
+        {"k0"},
+        {{AggOp::kSum, "id_val", "s"},
+         {AggOp::kCount, "", "n"},
+         {AggOp::kMin, "id_val", "lo"},
+         {AggOp::kMax, "id_val", "hi"}},
+        1.0);
+  });
+  ExpectFrozen("11c3565c73e72086", [](Database& db) {
+    reldb::CategoricalVg vg("id", "id");
+    return Rel::Scan(db, "full").VgApply(vg, {"k0"}, 1.0);
+  });
+}
+
+TEST_F(KeyParity, IntEqualsDoubleJoinKeyMatchesNothing) {
+  PutDoubleKeys();
+  ExpectFrozen("9ac8df092fcb4408", [](Database& db) {
+    return Rel::Scan(db, "data").HashJoin(Rel::Scan(db, "dkeys"), {"data_id"},
+                                          {"v"}, 1.0);
+  });
+}
+
+TEST_F(KeyParity, MixedIntAndDoubleKeyColumns) {
+  PutDoubleKeys();
+  ExpectFrozen("5a969213aa2b02c5", [](Database& db) {
+    return Rel::Scan(db, "data").GroupBy(
+        {"dim_id", "data_val"}, {{AggOp::kCount, "", "n"}}, 1.0);
+  });
+  ExpectFrozen("8551180e659b8c31", [](Database& db) {
+    auto keyed = Rel::Scan(db, "dkeys").Project(
+        Schema{"par", "key", "id"},
+        {ColExpr::Const(std::int64_t{1}), ColExpr::Col(0), ColExpr::Col(1)});
+    return keyed.HashJoin(keyed.Renamed(Schema{"par", "key", "rid"}),
+                          {"par", "key"}, {"par", "key"}, 1.0);
+  });
+}
+
+TEST_F(KeyParity, SixDoubleKeyColumnsOverflowTogether) {
+  // 4500 distinct values per column: 4500^6 > 2^64, so the per-column
+  // ranks fold pairwise. Rows i and i + 4500 share a key; 9000 rows span
+  // nine GroupBy chunks.
+  Table t(Schema{"a", "b", "c", "d", "e", "f", "id"}, 1.0);
+  for (std::int64_t i = 0; i < 9000; ++i) {
+    const double u = static_cast<double>((i * 7) % 4500);
+    t.Append(Tuple{u, -u, 0.5 * u, u + 0.25, 3.0 * u, u - 0.5, i});
+  }
+  db_.Put("six", t);
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e", "f"};
+  ExpectFrozen("975ca85d2c04b79e", [&](Database& db) {
+    return Rel::Scan(db, "six").GroupBy(
+        keys, {{AggOp::kSum, "id", "s"}, {AggOp::kCount, "", "n"}}, 1.0);
+  });
+  ExpectFrozen("d65a1369b3e3ac07", [&](Database& db) {
+    return Rel::Scan(db, "six").HashJoin(
+        Rel::Scan(db, "six").Renamed(
+            Schema{"a", "b", "c", "d", "e", "f", "rid"}),
+        keys, keys, 1.0);
+  });
+}
+
 // ---- Compiled expressions and SQL ------------------------------------------
 
 class VmInterpParity : public FrozenRelTest {
@@ -326,7 +485,7 @@ TEST_F(VmInterpParity, FilterAllKeepsEverythingAndChargesLikeFilter) {
   Rel keep = Rel::Scan(b, "data").Filter(ScalarExpr::Const(1.0));
   b.EndQuery();
   EXPECT_EQ(sim_a.elapsed_seconds(), sim_b.elapsed_seconds());
-  EXPECT_TRUE(all.table().rows() == keep.table().rows());
+  EXPECT_TRUE(all.ToTable().rows() == keep.ToTable().rows());
 }
 
 TEST_F(VmInterpParity, StructuredProjectCompiledColumns) {
@@ -392,8 +551,7 @@ TEST_F(VmInterpParity, SqlJoinThenResidualFilter) {
 // ---- VG edge cases ----------------------------------------------------------
 
 /// One draw per group: the group's first id and the sum of its values plus
-/// one uniform from the shared stream. Sample and SampleBatch emit the same
-/// rows and consume the stream in the same group order.
+/// one uniform from the shared stream.
 class GroupSumVg : public reldb::VgFunction {
  public:
   std::string name() const override { return "group_sum"; }
@@ -401,13 +559,6 @@ class GroupSumVg : public reldb::VgFunction {
   void BindSchema(const Schema& schema) override {
     id_c_ = schema.IndexOf("id");
     v_c_ = schema.IndexOf("v");
-  }
-  void Sample(const std::vector<Tuple>& params, const Schema& schema,
-              stats::Rng& rng, std::vector<Tuple>* out) override {
-    (void)schema;
-    double sum = 0;
-    for (const auto& row : params) sum += AsDouble(row[v_c_]);
-    out->push_back(Tuple{params[0][id_c_], sum + rng.NextDouble()});
   }
   void SampleBatch(const ColumnBatch& params,
                    const std::vector<std::uint32_t>& group_offsets,

@@ -84,7 +84,7 @@ TEST_F(RelDbTest, ScanAndFilter) {
       ScalarExpr::CmpOp::kEq, ScalarExpr::Col(1),  // dim_id == 0
       ScalarExpr::Const(0.0)));
   db_.EndQuery();
-  EXPECT_EQ(r.table().actual_rows(), 4u);
+  EXPECT_EQ(r.ToTable().actual_rows(), 4u);
   EXPECT_DOUBLE_EQ(r.logical_rows(), 4e6);
 }
 
@@ -96,7 +96,7 @@ TEST_F(RelDbTest, ProjectRewritesRows) {
                             ScalarExpr::Col(2), ScalarExpr::Const(2.0)))});
   db_.EndQuery();
   ASSERT_EQ(r.schema().size(), 2u);
-  EXPECT_DOUBLE_EQ(AsDouble(r.table().rows()[1][1]), 2.0);
+  EXPECT_DOUBLE_EQ(AsDouble(r.ToTable().rows()[1][1]), 2.0);
 }
 
 TEST_F(RelDbTest, GroupByComputesAggregates) {
@@ -111,8 +111,9 @@ TEST_F(RelDbTest, GroupByComputesAggregates) {
        {AggOp::kMax, "data_val", "hi"}},
       1.0);
   db_.EndQuery();
-  ASSERT_EQ(r.table().actual_rows(), 2u);
-  for (const auto& row : r.table().rows()) {
+  const Table t = r.ToTable();
+  ASSERT_EQ(t.actual_rows(), 2u);
+  for (const auto& row : t.rows()) {
     std::int64_t dim = AsInt(row[0]);
     // values are 10p + d for p in 0..3
     EXPECT_DOUBLE_EQ(AsDouble(row[1]), 15.0 + dim);          // avg
@@ -136,7 +137,7 @@ TEST_F(RelDbTest, HashJoinMatchesKeys) {
       Rel::Scan(db_, "membership"), {"data_id"}, {"data_id"}, 1e6);
   db_.EndQuery();
   // Every data row matches exactly one membership row.
-  EXPECT_EQ(joined.table().actual_rows(), 8u);
+  EXPECT_EQ(joined.ToTable().actual_rows(), 8u);
   // Schema: data cols + clus_id.
   EXPECT_TRUE(joined.schema().Has("clus_id"));
   EXPECT_EQ(joined.schema().size(), 4u);
@@ -163,7 +164,7 @@ TEST_F(RelDbTest, UnionConcatenates) {
   db_.BeginQuery("q");
   auto a = Rel::Scan(db_, "cluster");
   auto b = Rel::Scan(db_, "cluster");
-  EXPECT_EQ(a.Union(b).table().actual_rows(), 6u);
+  EXPECT_EQ(a.Union(b).ToTable().actual_rows(), 6u);
   db_.EndQuery();
 }
 
@@ -173,9 +174,10 @@ TEST_F(RelDbTest, DirichletVgSamplesSimplex) {
                    .VgApply(*std::make_unique<DirichletVg>("clus_id", "alpha"),
                             {}, 1.0);
   db_.EndQuery();
-  ASSERT_EQ(probs.table().actual_rows(), 3u);
+  const Table t = probs.ToTable();
+  ASSERT_EQ(t.actual_rows(), 3u);
   double total = 0;
-  for (const auto& row : probs.table().rows()) total += AsDouble(row[1]);
+  for (const auto& row : t.rows()) total += AsDouble(row[1]);
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
@@ -188,8 +190,9 @@ TEST_F(RelDbTest, CategoricalVgPicksHeavyKey) {
   auto r = Rel::Scan(db_, "w").VgApply(
       *std::make_unique<CategoricalVg>("k", "w"), {}, 1.0);
   db_.EndQuery();
-  ASSERT_EQ(r.table().actual_rows(), 1u);
-  EXPECT_EQ(AsInt(r.table().rows()[0][0]), 7);
+  const Table t = r.ToTable();
+  ASSERT_EQ(t.actual_rows(), 1u);
+  EXPECT_EQ(AsInt(t.rows()[0][0]), 7);
 }
 
 TEST_F(RelDbTest, VgApplyGroupsPerKey) {
@@ -205,7 +208,7 @@ TEST_F(RelDbTest, VgApplyGroupsPerKey) {
   auto r = Rel::Scan(db_, "probs").VgApply(
       *std::make_unique<CategoricalVg>("clus_id", "p"), {"data_id"}, 1e6);
   db_.EndQuery();
-  ASSERT_EQ(r.table().actual_rows(), 4u);
+  ASSERT_EQ(r.ToTable().actual_rows(), 4u);
 }
 
 TEST_F(RelDbTest, NormalAndInverseVgFunctions) {
@@ -217,7 +220,7 @@ TEST_F(RelDbTest, NormalAndInverseVgFunctions) {
                .VgApply(*std::make_unique<NormalVg>("id", "mean", "var"), {},
                         1.0);
   db_.EndQuery();
-  EXPECT_NEAR(AsDouble(n.table().rows()[0][1]), 5.0, 1e-3);
+  EXPECT_NEAR(AsDouble(n.ToTable().rows()[0][1]), 5.0, 1e-3);
 
   Table ig(Schema{"id", "mu", "lambda"}, 1.0);
   ig.Append(Tuple{std::int64_t{0}, 2.0, 4.0});
@@ -226,7 +229,7 @@ TEST_F(RelDbTest, NormalAndInverseVgFunctions) {
   auto g = Rel::Scan(db_, "ig").VgApply(
       *std::make_unique<InverseGaussianVg>("id", "mu", "lambda"), {}, 1.0);
   db_.EndQuery();
-  EXPECT_GT(AsDouble(g.table().rows()[0][1]), 0.0);
+  EXPECT_GT(AsDouble(g.ToTable().rows()[0][1]), 0.0);
 }
 
 TEST_F(RelDbTest, QueriesChargeMrJobLaunches) {
@@ -385,7 +388,7 @@ class KeyEdgeTest : public ::testing::TestWithParam<int> {
                                             KeyNames(width), KeyNames(width),
                                             1.0);
     db_.EndQuery();
-    return out.table().rows();
+    return out.ToTable().rows();
   }
 
   std::vector<Tuple> GroupBy(const Table& in, std::size_t width) {
@@ -399,7 +402,7 @@ class KeyEdgeTest : public ::testing::TestWithParam<int> {
                                             {AggOp::kMax, val, "hi"}},
                                            1.0);
     db_.EndQuery();
-    return out.table().rows();
+    return out.ToTable().rows();
   }
 
   /// Both operators against their references.
@@ -425,9 +428,9 @@ TEST_P(KeyEdgeTest, NegativeKeys) {
 }
 
 TEST_P(KeyEdgeTest, FullRangeKeyMatchesRemappedKeys) {
-  // A key column spanning INT64_MIN..INT64_MAX cannot be coded in 64 bits
-  // and takes the row branch; its results must equal those of the same
-  // relation with the keys remapped to 0..4.
+  // A key column spanning INT64_MIN..INT64_MAX has no 64-bit value-range
+  // code and codes by dense rank; its results must equal those of the
+  // same relation with the keys remapped to 0..4.
   const std::vector<std::int64_t> wide = {kInt64Min, -1, 0, 7, kInt64Max};
   std::vector<std::vector<std::int64_t>> wk, nk;
   for (std::size_t i = 0; i < 40; ++i) {
@@ -458,7 +461,7 @@ TEST_P(KeyEdgeTest, FullRangeKeyMatchesRemappedKeys) {
     db.BeginQuery("vg");
     auto out = Rel::Scan(db, "t").VgApply(pick, {"k0"}, 1.0);
     db.EndQuery();
-    return out.table().rows();
+    return out.ToTable().rows();
   };
   const std::vector<Tuple> picked = vg(wide_t);
   EXPECT_EQ(picked.size(), wide.size());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "reldb/sql.h"
 #include "reldb/vg_library.h"
 #include "sim/cluster_sim.h"
@@ -128,9 +130,8 @@ TEST_F(SqlTest, JoinThenGroupBy) {
   EXPECT_DOUBLE_EQ(sum1, 82.0);
 }
 
-// Double-typed keys and keys wider than four columns cannot be packed into
-// the fixed-width hash keys, so these statements run GroupBy and HashJoin
-// on their row-tuple branches.
+// Double-typed keys code by dense rank, and keys wider than four columns
+// by value range like any other int key.
 
 void PutObs(Database* db) {
   // obs(id, val): val cycles 0.0, 0.5, 1.0.
@@ -262,7 +263,7 @@ TEST_F(SqlTest, VgPerGroupInvocation) {
 }
 
 TEST_F(SqlTest, VgPerDoubleKeyGroup) {
-  // A double PER key cannot be packed: VgApply groups row tuples.
+  // A double PER key codes by dense rank; groups recur out of order.
   CategoricalVg cat("clus_id", "w");
   ctx_.RegisterVg("Categorical", &cat);
   Table probs(Schema{"key", "clus_id", "w"}, 1.0);
@@ -279,6 +280,92 @@ TEST_F(SqlTest, VgPerDoubleKeyGroup) {
       "SELECT draw.out_id FROM draw");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   ASSERT_EQ(t->actual_rows(), 3u);
+}
+
+// NaN keys: NaN equals nothing, not even another NaN, so each NaN row is a
+// group of its own, matches no join key and gets its own VG invocation.
+
+/// z(id, k, w): obs with k = 0/0 (NaN in every row) and w = val + 1.
+void PutNanKeys(SqlContext* ctx) {
+  ASSERT_TRUE(ctx->Execute("CREATE TABLE z AS SELECT id, "
+                           "(val - val) / (val - val) AS k, val + 1 AS w "
+                           "FROM obs")
+                  .ok());
+}
+
+TEST_F(SqlTest, GroupByNanKeyIsOneGroupPerRow) {
+  PutObs(&db_);
+  PutNanKeys(&ctx_);
+  auto t = Run("SELECT k, MIN(id) AS first, COUNT(id) AS n FROM z GROUP BY k");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 9u);
+  for (std::size_t g = 0; g < 9; ++g) {
+    const Tuple& row = t->rows()[g];
+    EXPECT_TRUE(std::isnan(std::get<double>(row[0])));
+    EXPECT_EQ(AsDouble(row[1]), static_cast<double>(g));
+    EXPECT_EQ(AsDouble(row[2]), 1.0);
+  }
+
+  // Among other keys: 1.0 twice, two NaNs, then -0.0 and 0.0 as one group
+  // that prints as its first-seen -0.0.
+  const double nan = std::nan("");
+  Table mix(Schema{"id", "k"}, 1.0);
+  const double keys[] = {1.0, nan, 1.0, nan, -0.0, 0.0};
+  for (std::int64_t i = 0; i < 6; ++i) mix.Append(Tuple{i, keys[i]});
+  db_.Put("mix", std::move(mix));
+  t = Run("SELECT k, COUNT(id) AS n FROM mix GROUP BY k");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 4u);
+  const auto& rows = t->rows();
+  EXPECT_EQ(std::get<double>(rows[0][0]), 1.0);
+  EXPECT_EQ(AsDouble(rows[0][1]), 2.0);
+  EXPECT_TRUE(std::isnan(std::get<double>(rows[1][0])));
+  EXPECT_EQ(AsDouble(rows[1][1]), 1.0);
+  EXPECT_TRUE(std::isnan(std::get<double>(rows[2][0])));
+  EXPECT_EQ(AsDouble(rows[2][1]), 1.0);
+  EXPECT_TRUE(std::signbit(std::get<double>(rows[3][0])));
+  EXPECT_EQ(std::get<double>(rows[3][0]), 0.0);
+  EXPECT_EQ(AsDouble(rows[3][1]), 2.0);
+}
+
+TEST_F(SqlTest, JoinOnNanKeyMatchesNothing) {
+  PutObs(&db_);
+  PutNanKeys(&ctx_);
+  auto t = Run("SELECT a.id, b.id AS other FROM z a, z b WHERE a.k = b.k");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->actual_rows(), 0u);
+
+  // Probing NaN against real keys, and real keys against NaN, finds nothing.
+  const double nan = std::nan("");
+  Table mix(Schema{"id", "k"}, 1.0);
+  const double keys[] = {nan, 0.5, nan, 1.0};
+  for (std::int64_t i = 0; i < 4; ++i) mix.Append(Tuple{i, keys[i]});
+  db_.Put("mix", std::move(mix));
+  t = Run("SELECT a.id, b.id AS other FROM mix a, obs b WHERE a.k = b.val");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 6u);
+  for (const auto& row : t->rows()) {
+    EXPECT_TRUE(AsInt(row[0]) == 1 || AsInt(row[0]) == 3);
+  }
+  t = Run("SELECT a.id, b.id AS other FROM obs a, mix b WHERE a.val = b.k");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->actual_rows(), 6u);
+}
+
+TEST_F(SqlTest, VgPerNanKeyInvokesEachRow) {
+  PutObs(&db_);
+  PutNanKeys(&ctx_);
+  CategoricalVg cat("id", "w");
+  ctx_.RegisterVg("Categorical", &cat);
+  auto t = Run(
+      "WITH draw AS Categorical (SELECT id, k, w FROM z) "
+      "PER (k) "
+      "SELECT draw.out_id FROM draw");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->actual_rows(), 9u);
+  for (std::size_t r = 0; r < 9; ++r) {
+    EXPECT_EQ(AsInt(t->rows()[r][0]), static_cast<std::int64_t>(r));
+  }
 }
 
 TEST_F(SqlTest, ScaleHintControlsLogicalRows) {

@@ -346,25 +346,49 @@ inline bool IsCallKeyword(const std::string& s) {
   return kKeywords.count(s) != 0;
 }
 
+/// True when identifier t[i] follows a type-ish token (identifier, '>',
+/// '&', '*', 'auto'), as the first name of a declaration does.
+inline bool FollowsTypeish(const Tokens& t, std::size_t i) {
+  if (i == 0 || t[i].kind != Token::Kind::kIdent) return false;
+  const Token& p = t[i - 1];
+  return (p.kind == Token::Kind::kIdent && !IsNonTypeKeyword(p.text)) ||
+         (p.kind == Token::Kind::kPunct &&
+          (p.text == ">" || p.text == "&" || p.text == "*"));
+}
+
 /// True when identifier `name` is declared inside token range [from, to):
-/// some occurrence is preceded by a type-ish token (identifier, '>', '&',
-/// '*', 'auto') and not part of a member access, or appears in a
-/// structured binding.
+/// some occurrence follows a type-ish token, or is a later declarator of a
+/// declaration (`b` in `double a = 0, b = 0;`), or appears in a structured
+/// binding.
 inline bool DeclaredWithin(const Tokens& t, std::size_t from, std::size_t to,
                            const std::string& name) {
   for (std::size_t i = from; i < to; ++i) {
-    if (!(t[i].kind == Token::Kind::kIdent && t[i].text == name)) continue;
-    if (i == 0) continue;
-    const Token& p = t[i - 1];
-    bool typeish =
-        (p.kind == Token::Kind::kIdent && !IsNonTypeKeyword(p.text)) ||
-        (p.kind == Token::Kind::kPunct &&
-         (p.text == ">" || p.text == "&" || p.text == "*"));
-    if (!typeish) continue;
-    if (p.kind == Token::Kind::kPunct && (p.text == "." || p.text == "->")) {
-      continue;
+    if (t[i].kind == Token::Kind::kIdent && t[i].text == name &&
+        FollowsTypeish(t, i)) {
+      return true;
     }
-    return true;
+  }
+  // Later declarators: from each first declarator, a name right after a
+  // ',' at the declaration's own bracket depth, up to its ';'.
+  for (std::size_t i = from; i < to; ++i) {
+    if (!FollowsTypeish(t, i)) continue;
+    int depth = 0;
+    for (std::size_t k = i + 1; k + 2 < to; ++k) {
+      if (t[k].kind != Token::Kind::kPunct) continue;
+      const std::string& p = t[k].text;
+      if (p == "(" || p == "[" || p == "{") {
+        ++depth;
+      } else if (p == ")" || p == "]" || p == "}") {
+        if (depth-- == 0) break;
+      } else if (depth == 0 && p == ";") {
+        break;
+      } else if (depth == 0 && p == "," && IsIdent(t, k + 1, name.c_str()) &&
+                 (IsPunct(t, k + 2, "=") || IsPunct(t, k + 2, ",") ||
+                  IsPunct(t, k + 2, ";") || IsPunct(t, k + 2, "{") ||
+                  IsPunct(t, k + 2, "(") || IsPunct(t, k + 2, "["))) {
+        return true;
+      }
+    }
   }
   // Structured-binding names: appear between '[' and ']' right after auto.
   for (std::size_t i = from; i + 1 < to; ++i) {
