@@ -165,7 +165,7 @@ class SumProgram : public gas::GasProgram<GasData, double> {
       out[j] = graph.vertex(neighbors[j]).data.value;
     }
   }
-  double Merge(double a, const double& b) override { return a + b; }
+  void Merge(double* acc, const double& in) override { *acc += in; }
   void Apply(gas::Graph<GasData>::Vertex& v, const double& total) override {
     v.data.value = total * 0.5;
   }

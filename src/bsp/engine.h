@@ -116,19 +116,13 @@ class BspEngine {
     }
 
     /// Adds `value` into the named aggregator (summed element-wise across
-    /// all vertices; readable by everyone next superstep). `bytes` is the
-    /// serialized size of one aggregator copy.
+    /// all vertices; the driver reads the total with LastAggregate once
+    /// the superstep ends). `bytes` is the serialized size of one
+    /// aggregator copy.
     void Aggregate(const std::string& name, const std::vector<double>& value,
                    double bytes) {
       outbox_->agg_calls.push_back(AggCall{name, value, bytes, sender_});
     }
-
-    /// Reads an aggregator's value from the previous superstep.
-    const std::vector<double>& GetAggregate(const std::string& name) const {
-      return engine_->PreviousAggregate(name);
-    }
-
-    int superstep() const { return engine_->superstep_; }
 
    private:
     friend class BspEngine;
@@ -510,10 +504,9 @@ class BspEngine {
   int superstep() const { return superstep_; }
 
   /// The value the named aggregator reached in the last completed
-  /// superstep (empty if none): what Context::GetAggregate returns
-  /// throughout the next one. The reference and its values stay valid and
-  /// unmodified until that next superstep ends, so a driver can build one
-  /// read-only view of them for all of its vertices.
+  /// superstep (empty if none). The reference and its values stay valid
+  /// and unmodified until the next superstep ends, so a driver can build
+  /// one read-only view of them for all of that superstep's vertices.
   const std::vector<double>& LastAggregate(const std::string& name) const {
     static const std::vector<double> kEmpty;
     auto it = next_aggregates_.find(name);
@@ -556,12 +549,6 @@ class BspEngine {
     double s = vertices_[sender].scale;
     if (agg.value.size() < v.size()) agg.value.resize(v.size(), 0.0);
     for (std::size_t i = 0; i < v.size(); ++i) agg.value[i] += v[i] * s;
-  }
-
-  const std::vector<double>& PreviousAggregate(const std::string& name) {
-    static const std::vector<double> kEmpty;
-    auto it = prev_aggregates_.find(name);
-    return it == prev_aggregates_.end() ? kEmpty : it->second.value;
   }
 
   Status FlushMessages(std::vector<ChunkOutbox>& outboxes,
@@ -684,7 +671,8 @@ class BspEngine {
   std::vector<InboxMeta> inbox_meta_;
   /// Ordered by name: EndSuperstep sums each aggregate's wire bytes while
   /// iterating, and that floating-point fold must not depend on hash
-  /// bucket layout.
+  /// bucket layout. The previous superstep's map is kept only so that the
+  /// references LastAggregate handed out stay valid (see RunSuperstep).
   std::map<std::string, Aggregate> prev_aggregates_;
   std::map<std::string, Aggregate> next_aggregates_;
 

@@ -19,18 +19,13 @@ using models::GmmSuffStats;
 using models::Matrix;
 using models::Vector;
 
-/// Giraph message: model pieces (possibly appended by the combiner),
-/// per-cluster statistics, or counts.
+/// Giraph message: model parts, per-cluster statistics, or counts.
 struct GmmMsg {
   enum class Kind { kModelPart, kStats, kCounts, kPi } kind = Kind::kStats;
-  // Model parts: (cluster_id, pi_k, mu, sigma), appended under combining.
-  struct ModelPart {
-    std::size_t cid;
-    double pi_k;
-    Vector mu;
-    Matrix sigma;
-  };
-  std::vector<ModelPart> parts;
+  // Model parts this message stands for, summed by the combiner. A part is
+  // one cluster's <pi_k, mu, Sigma>; the data vertices read those values
+  // from the sampler the driver builds after S0, so only the count travels.
+  std::size_t parts = 0;
   // Stats / counts.
   GmmSuffStats stats;
   Vector counts;
@@ -59,7 +54,7 @@ double ModelPartBytes(std::size_t dim) {
 void CombineMsgs(GmmMsg* acc, const GmmMsg& b) {
   switch (acc->kind) {
     case GmmMsg::Kind::kModelPart:
-      acc->parts.insert(acc->parts.end(), b.parts.begin(), b.parts.end());
+      acc->parts += b.parts;
       break;
     case GmmMsg::Kind::kStats:
       acc->stats.Merge(b.stats);
@@ -74,6 +69,20 @@ void CombineMsgs(GmmMsg* acc, const GmmMsg& b) {
     case GmmMsg::Kind::kPi:
       break;
   }
+}
+
+/// The clusters' current model, pi_k floored at 1e-12: the values the S0
+/// broadcast stands for. Cluster c lives in slot c.
+GmmParams ClusterModel(Engine& engine, std::size_t k) {
+  GmmParams params;
+  params.pi = Vector(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto& vd = engine.vertex(c).data;
+    params.pi[c] = std::max(vd.pi_k, 1e-12);
+    params.mu.push_back(vd.mu);
+    params.sigma.push_back(vd.sigma);
+  }
+  return params;
 }
 
 }  // namespace
@@ -147,7 +156,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
   engine.SetMessageSize([dim = exp.dim](const GmmMsg& m) {
     switch (m.kind) {
       case GmmMsg::Kind::kModelPart:
-        return ModelPartBytes(dim) * static_cast<double>(m.parts.size());
+        return ModelPartBytes(dim) * static_cast<double>(m.parts);
       case GmmMsg::Kind::kStats:
         return (static_cast<double>(dim) * dim + dim + 2.0) * 8.0 + 40.0;
       case GmmMsg::Kind::kCounts:
@@ -221,8 +230,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
             }
             GmmMsg msg;
             msg.kind = GmmMsg::Kind::kModelPart;
-            msg.parts.push_back({v.data.cluster_id, v.data.pi_k, v.data.mu,
-                                 v.data.sigma});
+            msg.parts = 1;
             for (std::size_t s = 0; s < data_slots.size(); ++s) {
               const auto& dst = engine.vertex(data_slots[s]);
               ctx.SendReplicated(dst.id, msg, ModelPartBytes(exp.dim),
@@ -232,6 +240,11 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
         },
         bc_cost, "broadcast model");
     if (!st.ok()) return st;
+
+    // Every data vertex received all K parts, and no cluster changes until
+    // S2, so S1 reads the model through one sampler built here.
+    const GmmParams params = ClusterModel(engine, exp.k);
+    const auto sampler = models::GmmMembershipSampler::Build(params);
 
     // S1: membership sampling + stats messages.
     bsp::ComputeCost sample_cost;
@@ -258,50 +271,28 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
     sample_cost.temp_bytes_per_vertex =
         super ? 64.0 * points_per_vertex : naive_temp_bytes;
     st = engine.RunSuperstep(
-        [&](Engine::Vertex& v, const std::vector<GmmMsg>& inbox,
+        [&](Engine::Vertex& v, const std::vector<GmmMsg>&,
             Engine::Context& ctx) {
           if (v.data.kind != VData::Kind::kData) return;
-          GmmParams params;
-          params.pi = Vector(exp.k, 1.0 / static_cast<double>(exp.k));
-          params.mu.assign(exp.k, Vector(exp.dim));
-          params.sigma.assign(exp.k, Matrix::Identity(exp.dim));
-          for (const auto& m : inbox) {
-            for (const auto& part : m.parts) {
-              params.pi[part.cid] = std::max(part.pi_k, 1e-12);
-              params.mu[part.cid] = part.mu;
-              params.sigma[part.cid] = part.sigma;
-            }
-          }
-          auto sampler = models::GmmMembershipSampler::Build(params);
           stats::Rng vrng = stats::Rng(iter_seed).Split(
               static_cast<std::uint64_t>(v.id) + 1);
           std::vector<GmmSuffStats> stats(exp.k, GmmSuffStats(exp.dim));
           models::GmmMembershipSampler::Scratch scratch;
-          if (sampler.ok() && v.data.masks.empty()) {
-            // Hot path: fused membership draws over the whole point block.
-            std::vector<std::size_t> members;
-            sampler->SampleBlock(vrng, v.data.points, &scratch, &members);
-            for (std::size_t j = 0; j < v.data.points.size(); ++j) {
-              v.data.members[j] = members[j];
-              stats[members[j]].Add(v.data.points[j]);
+          for (std::size_t j = 0; j < v.data.points.size(); ++j) {
+            std::size_t c =
+                sampler.ok()
+                    ? sampler->Sample(vrng, v.data.points[j], &scratch)
+                    : vrng.NextBounded(exp.k);
+            v.data.members[j] = c;
+            if (!v.data.masks.empty()) {
+              models::CensoredPoint cp;
+              cp.x = v.data.points[j];
+              cp.missing = v.data.masks[j];
+              Status ist = models::ImputeMissing(vrng, params.mu[c],
+                                                 params.sigma[c], &cp);
+              if (ist.ok()) v.data.points[j] = cp.x;
             }
-          } else {
-            for (std::size_t j = 0; j < v.data.points.size(); ++j) {
-              std::size_t c =
-                  sampler.ok()
-                      ? sampler->Sample(vrng, v.data.points[j], &scratch)
-                      : vrng.NextBounded(exp.k);
-              v.data.members[j] = c;
-              if (!v.data.masks.empty()) {
-                models::CensoredPoint cp;
-                cp.x = v.data.points[j];
-                cp.missing = v.data.masks[j];
-                Status ist = models::ImputeMissing(vrng, params.mu[c],
-                                                   params.sigma[c], &cp);
-                if (ist.ok()) v.data.points[j] = cp.x;
-              }
-              stats[c].Add(v.data.points[j]);
-            }
+            stats[c].Add(v.data.points[j]);
           }
           for (std::size_t c = 0; c < exp.k; ++c) {
             if (stats[c].n == 0 && !super) continue;
@@ -366,16 +357,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
   if (!result.ok()) return result;
 
   if (final_model != nullptr) {
-    GmmParams params;
-    params.pi = Vector(exp.k);
-    params.mu.assign(exp.k, Vector(exp.dim));
-    params.sigma.assign(exp.k, Matrix(exp.dim, exp.dim));
-    for (std::size_t c = 0; c < exp.k; ++c) {
-      const auto& vd = engine.vertex(c).data;
-      params.mu[c] = vd.mu;
-      params.sigma[c] = vd.sigma;
-      params.pi[c] = std::max(vd.pi_k, 1e-12);
-    }
+    GmmParams params = ClusterModel(engine, exp.k);
     double total = params.pi.Sum();
     params.pi /= total > 0 ? total : 1.0;
     *final_model = params;

@@ -1,6 +1,7 @@
 #include "core/gmm_gas.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -39,10 +40,9 @@ struct VData {
   Vector pi;
 };
 
-/// Gather value: model pieces flowing to data vertices, statistics flowing
+/// Gather value: the model vertices a data vertex reads, statistics flowing
 /// to cluster vertices, counts flowing to the mixture vertex.
 struct Gathered {
-  Vector pi;
   GmmSuffStats stats;
   Vector counts;
   // Borrow slots: elements of a CSR span reference the neighbor's
@@ -52,7 +52,8 @@ struct Gathered {
   // span elements after the accumulator const (engine.h mutates only the
   // accumulator it moves out of the span's first element, which for the
   // additive stats stays an owned copy).
-  std::vector<std::pair<std::size_t, const VData*>> model_src;
+  std::vector<const VData*> clusters;  // in edge order
+  const Vector* pi = nullptr;          // the last non-empty mixture pi
   const GmmSuffStats* stats_src = nullptr;
   const std::vector<GmmSuffStats>* counts_src = nullptr;
 };
@@ -66,7 +67,7 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
         iteration_(iteration),
         flops_per_point_(flops_per_point) {}
 
-  // Gather over one CSR span. Model pieces and pi fold by
+  // Gather over one CSR span. Cluster pointers and pi fold by
   // placement (push_back concatenation / last-writer overwrite), so the
   // data-vertex case collapses a whole chunk into its first element —
   // edge order preserved, later elements stay Merge identities. The
@@ -86,11 +87,11 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
         for (std::size_t j = 0; j < count; ++j) {
           const auto& nbr = graph.vertex(neighbors[j]);
           if (nbr.data.kind == VData::Kind::kCluster) {
-            g.model_src.push_back({nbr.data.cluster_id, &nbr.data});
+            g.clusters.push_back(&nbr.data);
           } else if (nbr.data.kind == VData::Kind::kMixture &&
                      !nbr.data.pi.empty()) {
             // Same last-non-empty-wins rule the Merge fold applies.
-            g.pi = nbr.data.pi;
+            g.pi = &nbr.data.pi;
           }
         }
         break;
@@ -135,25 +136,25 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
     }
   }
 
-  Gathered Merge(Gathered a, const Gathered& b) override {
-    for (const auto& m : b.model_src) a.model_src.push_back(m);
-    if (!b.pi.empty()) a.pi = b.pi;
+  void Merge(Gathered* acc, const Gathered& in) override {
+    acc->clusters.insert(acc->clusters.end(), in.clusters.begin(),
+                         in.clusters.end());
+    if (in.pi != nullptr) acc->pi = in.pi;
     // Borrowed stats carry the same numbers an owned copy would; the fold
     // arithmetic and its order are the same either way.
-    a.stats.Merge(b.stats_src != nullptr ? *b.stats_src : b.stats);
-    if (b.counts_src != nullptr) {
-      if (a.counts.empty()) a.counts = Vector(hyper_.k);
+    acc->stats.Merge(in.stats_src != nullptr ? *in.stats_src : in.stats);
+    if (in.counts_src != nullptr) {
+      if (acc->counts.empty()) acc->counts = Vector(hyper_.k);
       for (std::size_t c = 0; c < hyper_.k; ++c) {
-        a.counts[c] += (*b.counts_src)[c].n;
+        acc->counts[c] += (*in.counts_src)[c].n;
       }
-    } else if (!b.counts.empty()) {
-      if (a.counts.empty()) {
-        a.counts = b.counts;
+    } else if (!in.counts.empty()) {
+      if (acc->counts.empty()) {
+        acc->counts = in.counts;
       } else {
-        a.counts += b.counts;
+        acc->counts += in.counts;
       }
     }
-    return a;
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {
@@ -161,17 +162,7 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
                          .Split(static_cast<std::uint64_t>(v.id) + 1);
     switch (v.data.kind) {
       case VData::Kind::kData: {
-        // Rebuild the gathered model view and resample memberships.
-        GmmParams params;
-        params.pi = g.pi.empty() ? Vector(hyper_.k, 1.0 / hyper_.k) : g.pi;
-        params.mu.assign(hyper_.k, Vector(hyper_.dim));
-        params.sigma.assign(hyper_.k, Matrix::Identity(hyper_.dim));
-        // Distinct cluster ids make the assignment order immaterial.
-        for (const auto& [cid, src] : g.model_src) {
-          params.mu[cid] = src->mu;
-          params.sigma[cid] = src->sigma;
-        }
-        auto sampler = models::GmmMembershipSampler::Build(params);
+        const auto& sampler = Sampler(g);
         v.data.stats.assign(hyper_.k, GmmSuffStats(hyper_.dim));
         models::GmmMembershipSampler::Scratch scratch;
         for (std::size_t j = 0; j < v.data.points.size(); ++j) {
@@ -184,9 +175,8 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
             models::CensoredPoint cp;
             cp.x = v.data.points[j];
             cp.missing = v.data.masks[j];
-            Status st =
-                models::ImputeMissing(rng, params.mu[c], params.sigma[c],
-                                      &cp);
+            Status st = models::ImputeMissing(rng, params_.mu[c],
+                                              params_.sigma[c], &cp);
             if (st.ok()) v.data.points[j] = cp.x;
           }
           v.data.stats[c].Add(v.data.points[j]);
@@ -223,11 +213,39 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
   void set_count_scale(double s) { count_scale_ = s; }
 
  private:
+  /// The membership sampler for a data vertex that gathered `g`, over the
+  /// cluster and mixture vertices' rows (`params_`). Every data vertex of
+  /// a sweep gathers the same model vertices, and those apply before any
+  /// data vertex (slots 0..K of the serial sweep), so one sampler built at
+  /// the first data vertex serves the sweep. It is rebuilt only if a
+  /// vertex gathered other model vertices.
+  const Result<models::GmmMembershipSampler>& Sampler(const Gathered& g) {
+    if (!sampler_ || g.clusters != clusters_ || g.pi != pi_) {
+      clusters_ = g.clusters;
+      pi_ = g.pi;
+      params_.pi = g.pi == nullptr ? Vector(hyper_.k, 1.0 / hyper_.k) : *g.pi;
+      params_.mu.assign(hyper_.k, Vector(hyper_.dim));
+      params_.sigma.assign(hyper_.k, Matrix::Identity(hyper_.dim));
+      // Distinct cluster ids make the assignment order immaterial.
+      for (const VData* c : g.clusters) {
+        params_.mu[c->cluster_id] = c->mu;
+        params_.sigma[c->cluster_id] = c->sigma;
+      }
+      sampler_.emplace(models::GmmMembershipSampler::Build(params_));
+    }
+    return *sampler_;
+  }
+
   GmmHyper hyper_;
   std::uint64_t seed_;
   int iteration_;
   double flops_per_point_;
   double count_scale_ = 1.0;
+  // Apply runs serially, so this per-sweep cache needs no lock.
+  std::vector<const VData*> clusters_;
+  const Vector* pi_ = nullptr;
+  GmmParams params_;
+  std::optional<Result<models::GmmMembershipSampler>> sampler_;
 };
 
 }  // namespace

@@ -105,20 +105,19 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
     }
   }
 
-  Gathered Merge(Gathered a, const Gathered& b) override {
-    if (!b.states.empty()) {
-      if (a.states.empty()) {
-        a.states = b.states;
+  void Merge(Gathered* acc, const Gathered& in) override {
+    if (!in.states.empty()) {
+      if (acc->states.empty()) {
+        acc->states = in.states;
       } else {
         for (std::size_t s = 0; s < hyper_.states; ++s) {
-          if (b.states[s] != nullptr && b.states[s]->rows_win) {
-            a.states[s] = b.states[s];
+          if (in.states[s] != nullptr && in.states[s]->rows_win) {
+            acc->states[s] = in.states[s];
           }
         }
       }
     }
-    a.slices.insert(a.slices.end(), b.slices.begin(), b.slices.end());
-    return a;
+    acc->slices.insert(acc->slices.end(), in.slices.begin(), in.slices.end());
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {

@@ -80,21 +80,20 @@ class LassoProgram : public gas::GasProgram<VData, Gathered> {
     }
   }
 
-  Gathered Merge(Gathered a, const Gathered& b) override {
-    if (b.has_center) {
-      a.beta = b.beta;
-      a.sigma2 = b.sigma2;
-      a.has_center = true;
+  void Merge(Gathered* acc, const Gathered& in) override {
+    if (in.has_center) {
+      acc->beta = in.beta;
+      acc->sigma2 = in.sigma2;
+      acc->has_center = true;
     }
-    if (!b.inv_tau2.empty()) {
-      if (a.inv_tau2.empty()) {
-        a.inv_tau2 = b.inv_tau2;
+    if (!in.inv_tau2.empty()) {
+      if (acc->inv_tau2.empty()) {
+        acc->inv_tau2 = in.inv_tau2;
       } else {
-        a.inv_tau2 += b.inv_tau2;
+        acc->inv_tau2 += in.inv_tau2;
       }
     }
-    a.sse += b.sse;
-    return a;
+    acc->sse += in.sse;
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {

@@ -82,18 +82,17 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
     }
   }
 
-  Gathered Merge(Gathered a, const Gathered& b) override {
-    if (!b.phi.empty()) {
-      if (a.phi.empty()) {
-        a.phi = b.phi;
+  void Merge(Gathered* acc, const Gathered& in) override {
+    if (!in.phi.empty()) {
+      if (acc->phi.empty()) {
+        acc->phi = in.phi;
       } else {
         for (std::size_t t = 0; t < hyper_.topics; ++t) {
-          if (b.phi[t] != nullptr) a.phi[t] = b.phi[t];
+          if (in.phi[t] != nullptr) acc->phi[t] = in.phi[t];
         }
       }
     }
-    a.slices.insert(a.slices.end(), b.slices.begin(), b.slices.end());
-    return a;
+    acc->slices.insert(acc->slices.end(), in.slices.begin(), in.slices.end());
   }
 
   void Apply(gas::Graph<VData>::Vertex& v, const Gathered& g) override {

@@ -72,8 +72,8 @@ class GasProgram {
                            const std::size_t* neighbors, std::size_t count,
                            GatherT* out) = 0;
 
-  /// Folds two gather values (commutative + associative).
-  virtual GatherT Merge(GatherT a, const GatherT& b) = 0;
+  /// Folds `in` into `*acc` (commutative + associative).
+  virtual void Merge(GatherT* acc, const GatherT& in) = 0;
 
   /// Updates the center vertex from its folded gather.
   virtual void Apply(typename Graph<VData>::Vertex& center,
@@ -380,7 +380,7 @@ class GasEngine {
       }
       GatherT acc = std::move(gathered[0]);
       for (std::size_t j = 1; j < gathered.size(); ++j) {
-        acc = program.Merge(std::move(acc), gathered[j]);
+        program.Merge(&acc, gathered[j]);
       }
       program.Apply(v, acc);
       // Flops accounting streams the CSR scale array instead of re-walking

@@ -129,17 +129,6 @@ std::size_t GmmMembershipSampler::Sample(stats::Rng& rng, const Vector& x,
                                      scratch);
 }
 
-void GmmMembershipSampler::SampleBlock(stats::Rng& rng,
-                                       const std::vector<Vector>& points,
-                                       Scratch* scratch,
-                                       std::vector<std::size_t>* out) const {
-  out->resize(points.size());
-  for (std::size_t j = 0; j < points.size(); ++j) {
-    (*out)[j] = kernels::FusedMvnMembership(rng, points[j], mu_, chol_,
-                                            log_pi_norm_, scratch);
-  }
-}
-
 Result<std::pair<Vector, Matrix>> SampleClusterPosterior(
     stats::Rng& rng, const GmmHyper& hyper, const GmmSuffStats& stats) {
   const std::size_t d = hyper.dim;

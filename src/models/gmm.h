@@ -88,11 +88,6 @@ class GmmMembershipSampler {
   std::size_t Sample(stats::Rng& rng, const Vector& x,
                      Scratch* scratch) const;
 
-  /// Draws memberships for a contiguous block of points; identical to
-  /// calling the scratch Sample per point in order.
-  void SampleBlock(stats::Rng& rng, const std::vector<Vector>& points,
-                   Scratch* scratch, std::vector<std::size_t>* out) const;
-
   /// Unnormalized membership weights of one point (log-space safe).
   Vector Weights(const Vector& x) const;
 

@@ -209,12 +209,7 @@ TEST(BspEngineTest, AggregatorsSumAndBroadcast) {
     if (v.id != 0) ctx.Aggregate("total", {v.data.value, 1.0}, 16);
   };
   ASSERT_TRUE(eng.RunSuperstep(contribute, {}).ok());
-  std::vector<double> seen;
-  auto read = [&](Engine::Vertex& v, const std::vector<double>&,
-                  Engine::Context& ctx) {
-    if (v.id == 0) seen = ctx.GetAggregate("total");
-  };
-  ASSERT_TRUE(eng.RunSuperstep(read, {}).ok());
+  const std::vector<double>& seen = eng.LastAggregate("total");
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_DOUBLE_EQ(seen[0], 6.0);
   EXPECT_DOUBLE_EQ(seen[1], 3.0);
@@ -230,12 +225,7 @@ TEST(BspEngineTest, ScaledVerticesScaleAggregates) {
     if (v.id != 0) ctx.Aggregate("n", {1.0}, 8);
   };
   ASSERT_TRUE(eng.RunSuperstep(contribute, {}).ok());
-  std::vector<double> n;
-  auto read = [&](Engine::Vertex& v, const std::vector<double>&,
-                  Engine::Context& ctx) {
-    if (v.id == 0) n = ctx.GetAggregate("n");
-  };
-  ASSERT_TRUE(eng.RunSuperstep(read, {}).ok());
+  const std::vector<double>& n = eng.LastAggregate("n");
   ASSERT_EQ(n.size(), 1u);
   EXPECT_DOUBLE_EQ(n[0], 2000.0);  // logical vertex count
 }

@@ -132,6 +132,15 @@ core::GmmExperiment Gmm(bool super, bool imputation) {
   return exp;
 }
 
+/// Fig. 1's model shape (ten clusters, ten dimensions) on a small data set.
+core::GmmExperiment GmmTenByTen() {
+  core::GmmExperiment exp = Gmm(false, false);
+  exp.config.data.actual_per_machine = 40;
+  exp.dim = 10;
+  exp.k = 10;
+  return exp;
+}
+
 core::GmmExperiment FaultyGmm(bool super) {
   core::GmmExperiment exp = Gmm(super, false);
   exp.config.faults = SeededFaults();
@@ -410,6 +419,35 @@ TEST(DriverGolden, DataflowGmmFaults) {
   ExpectGolden("2ff4eeaa0cc47f4e", &core::RunGmmDataflow, FaultyGmm(false));
 }
 
+
+// ---- GMM vertex paths: super-vertex imputation, imputation under faults and
+// fig. 1's ten-cluster, ten-dimension shape -----------------------------------
+
+TEST(DriverGolden, BspGmmSuperVertexImputation) {
+  ExpectGolden("57b7c4048c418dab", &core::RunGmmBsp, Gmm(true, true));
+}
+
+TEST(DriverGolden, GasGmmSuperVertexImputation) {
+  ExpectGolden("760b0479fc4b41fb", &core::RunGmmGas, Gmm(true, true));
+}
+
+TEST(DriverGolden, BspGmmImputationFaults) {
+  ExpectGolden("6767aee831cb75b6", &core::RunGmmBsp,
+               WithFaults(Gmm(false, true)));
+}
+
+TEST(DriverGolden, GasGmmImputationFaults) {
+  ExpectGolden("7274d09727801daa", &core::RunGmmGas,
+               WithFaults(Gmm(false, true)));
+}
+
+TEST(DriverGolden, BspGmmTenByTen) {
+  ExpectGolden("4399023ca1ac8dcd", &core::RunGmmBsp, GmmTenByTen());
+}
+
+TEST(DriverGolden, GasGmmTenByTen) {
+  ExpectGolden("6041521acd195066", &core::RunGmmGas, GmmTenByTen());
+}
 
 // ---- HMM and LDA vertex paths: super vertices, repeated folds, faults ------
 

@@ -76,7 +76,7 @@ TEST(FailureInjection, GasSweepFreesViewsAfterOom) {
         out[j] = graph.vertex(neighbors[j]).data.v;
       }
     }
-    double Merge(double a, const double& b) override { return a + b; }
+    void Merge(double* acc, const double& in) override { *acc += in; }
     void Apply(gas::Graph<VData>::Vertex&, const double&) override {}
   } prog;
   Status st = engine.RunSweep<double>(prog);
@@ -227,7 +227,7 @@ struct NoopGasProgram : gas::GasProgram<VData, double> {
                    std::size_t count, double* out) override {
     for (std::size_t j = 0; j < count; ++j) out[j] = 0.0;
   }
-  double Merge(double a, const double&) override { return a; }
+  void Merge(double*, const double&) override {}
   void Apply(typename gas::Graph<VData>::Vertex&, const double&) override {}
 };
 

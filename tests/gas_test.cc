@@ -25,7 +25,7 @@ class SumProgram : public GasProgram<VData, double> {
       out[j] = graph.vertex(neighbors[j]).data.value;
     }
   }
-  double Merge(double a, const double& b) override { return a + b; }
+  void Merge(double* acc, const double& in) override { *acc += in; }
   void Apply(Graph<VData>::Vertex& center, const double& total) override {
     center.data.gathered = total;
   }

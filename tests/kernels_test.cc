@@ -130,29 +130,6 @@ TEST(GmmKernelTest, FusedSampleMatchesTwoPassReference) {
   EXPECT_EQ(naive.NextU64(), fused.NextU64());
 }
 
-TEST(GmmKernelTest, SampleBlockMatchesPerPointDraws) {
-  const std::size_t k = 4, dim = 3;
-  auto params = MakeGmmParams(k, dim, 5);
-  auto sampler = models::GmmMembershipSampler::Build(params);
-  ASSERT_TRUE(sampler.ok());
-  stats::Rng data_rng(8);
-  std::vector<Vector> points;
-  for (int i = 0; i < 64; ++i) {
-    Vector x(dim);
-    for (auto& v : x) v = 6.0 * (data_rng.NextDouble() - 0.5);
-    points.push_back(std::move(x));
-  }
-  stats::Rng r1(17), r2(17);
-  models::GmmMembershipSampler::Scratch s1, s2;
-  std::vector<std::size_t> block;
-  sampler->SampleBlock(r1, points, &s1, &block);
-  ASSERT_EQ(block.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(block[i], sampler->Sample(r2, points[i], &s2));
-  }
-  EXPECT_EQ(r1.NextU64(), r2.NextU64());
-}
-
 // ---------------------------------------------------------------------------
 // Batched Gaussian log-density
 // ---------------------------------------------------------------------------
