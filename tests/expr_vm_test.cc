@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reldb/column_batch.h"
@@ -242,6 +243,72 @@ TEST_F(ExprVmTest, RandomExpressionsMatchBitForBit) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectRowBatchParity(e);
   }
+}
+
+
+// ---- Frozen evaluation digest ----------------------------------------------
+
+/// FNV-1a 64 over raw bytes.
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A right-leaning chain of `n` binary nodes over the fixture's columns:
+/// each node's right child is the rest of the chain, so evaluation needs
+/// one buffer per node (deeper than any query's expression).
+ScalarExpr RightChain(int n) {
+  ScalarExpr e = ScalarExpr::Col(1);
+  for (int i = n - 1; i >= 0; --i) {
+    ScalarExpr leaf = i % 3 == 0   ? ScalarExpr::Col(static_cast<std::size_t>(i % 4))
+                      : i % 3 == 1 ? ScalarExpr::Const(0.5 * i - 3.0)
+                                   : ScalarExpr::IntIn(3, {i % 3, 1});
+    e = i % 7 == 6 ? ScalarExpr::Compare(
+                         static_cast<ScalarExpr::CmpOp>(i % 6), std::move(leaf),
+                         std::move(e))
+                   : ScalarExpr::Bin(static_cast<ScalarExpr::BinOp>(i % 5),
+                                     std::move(leaf), std::move(e));
+  }
+  return e;
+}
+
+/// Pins the bits of every batch evaluation and selection: the seeded
+/// random sweep over the full range and over sub-ranges (chunk offsets),
+/// and a 30-node right-leaning chain as value and as predicate. The parity
+/// tests above compare two evaluators with each other; this digest also
+/// catches both changing the same way. Recorded on the bytecode VM.
+TEST_F(ExprVmTest, FrozenEvaluationDigests) {
+  const std::int64_t n = static_cast<std::int64_t>(batch_.num_rows());
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, n}, {3, 7}, {1, n}, {5, 6}, {n - 2, n}};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::vector<double> out(static_cast<std::size_t>(n));
+  std::vector<std::uint32_t> keep;
+  ExprProgram::Scratch scratch;
+  auto digest = [&](const ScalarExpr& e) {
+    const ExprProgram prog = ExprProgram::Compile(e);
+    for (const auto& [begin, end] : ranges) {
+      prog.EvalBatch(batch_, begin, end, out.data(), &scratch);
+      h = Fnv1a(h, out.data(), static_cast<std::size_t>(end - begin) * 8);
+      keep.clear();
+      prog.SelectBatch(batch_, begin, end, &keep, &scratch);
+      h = Fnv1a(h, keep.data(), keep.size() * sizeof(std::uint32_t));
+      const std::uint64_t kept = keep.size();
+      h = Fnv1a(h, &kept, sizeof(kept));
+    }
+  };
+  std::mt19937_64 rng(20260807);
+  for (int trial = 0; trial < 200; ++trial) digest(RandomExpr(rng, 5));
+  const ScalarExpr chain = RightChain(30);
+  ExpectRowBatchParity(chain);
+  digest(chain);
+  digest(ScalarExpr::Compare(ScalarExpr::CmpOp::kLt, ScalarExpr::Col(2),
+                             RightChain(30)));
+  EXPECT_EQ(h, 0x575760895bdb77daULL) << std::hex << h;
 }
 
 }  // namespace
