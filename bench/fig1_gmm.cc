@@ -39,17 +39,12 @@ GmmExperiment MakeExp(int machines, int dim, bool super, sim::Language lang) {
 
 using Runner = RunResult (*)(const GmmExperiment&, models::GmmParams*);
 
+/// The 10-d machine series, then the 100-d x 5 column.
 std::vector<RunResult> RunSeries(Runner runner, bool super,
-                                 sim::Language lang,
-                                 bool graphlab_boot_quirk = false) {
-  std::vector<RunResult> out;
-  for (int machines : {5, 20, 100}) {
-    // Footnote to Fig. 1(b): GraphLab would not boot past 40 machines; the
-    // authors' closest successful size to 100 was 96.
-    int actual_machines =
-        graphlab_boot_quirk && machines == 100 ? 96 : machines;
-    out.push_back(runner(MakeExp(actual_machines, 10, super, lang), nullptr));
-  }
+                                 sim::Language lang, bool graphlab = false) {
+  std::vector<RunResult> out = MachineSeries(
+      runner, [&](int machines) { return MakeExp(machines, 10, super, lang); },
+      graphlab);
   out.push_back(runner(MakeExp(5, 100, super, lang), nullptr));
   return out;
 }
@@ -91,8 +86,7 @@ void Fig1b() {
   rows.push_back(
       {"GraphLab (Super Vertex)", ImplementationLoc({"src/core/gmm_gas.cc"}),
        {"6:13 (1:13)", "4:36 (2:47)", "6:09 (1:21)*", "33:32 (0:42)"},
-       RunSeries(&RunGmmGas, true, sim::Language::kCpp,
-                 /*graphlab_boot_quirk=*/true),
+       RunSeries(&RunGmmGas, true, sim::Language::kCpp, /*graphlab=*/true),
        "GraphLab would not boot past 40 machines; the 100-machine column "
        "ran at 96 machines, as in the paper."});
   PrintFigure("Figure 1(b): GMM, alternative implementations",
@@ -100,8 +94,7 @@ void Fig1b() {
 }
 
 void Fig1c() {
-  auto run4 = [](Runner runner, sim::Language lang, bool quirkless_cpp) {
-    (void)quirkless_cpp;
+  auto run4 = [](Runner runner, sim::Language lang) {
     std::vector<RunResult> out;
     out.push_back(runner(MakeExp(5, 10, false, lang), nullptr));
     out.push_back(runner(MakeExp(5, 10, true, lang), nullptr));
@@ -113,20 +106,20 @@ void Fig1c() {
   rows.push_back({"SimSQL", 0,
                   {"27:55 (13:55)", "6:20 (12:33)", "1:51:12 (36:08)",
                    "7:22 (14:07)"},
-                  run4(&RunGmmRelDb, sim::Language::kJava, false),
+                  run4(&RunGmmRelDb, sim::Language::kJava),
                   ""});
   rows.push_back({"GraphLab", 0,
                   {"Fail", "6:13 (1:13)", "Fail", "33:32 (0:42)"},
-                  run4(&RunGmmGas, sim::Language::kCpp, true),
+                  run4(&RunGmmGas, sim::Language::kCpp),
                   ""});
   rows.push_back({"Spark (Python)", 0,
                   {"26:04 (4:10)", "29:12 (4:01)", "47:40 (0:52)",
                    "47:03 (2:17)"},
-                  run4(&RunGmmDataflow, sim::Language::kPython, false),
+                  run4(&RunGmmDataflow, sim::Language::kPython),
                   ""});
   rows.push_back({"Giraph", 0,
                   {"25:21 (0:18)", "13:48 (0:03)", "Fail", "6:17:32 (0:03)"},
-                  run4(&RunGmmBsp, sim::Language::kJava, false),
+                  run4(&RunGmmBsp, sim::Language::kJava),
                   ""});
   PrintFigure(
       "Figure 1(c): GMM super-vertex implementations (5 machines)",

@@ -24,46 +24,40 @@ LassoExperiment MakeExp(int machines, bool super, sim::Language lang) {
   return exp;
 }
 
-template <typename Runner>
-std::vector<RunResult> Series(Runner runner, bool super, sim::Language lang,
-                              bool graphlab_boot_quirk = false) {
-  std::vector<RunResult> out;
-  for (int machines : {5, 20, 100}) {
-    int actual = graphlab_boot_quirk && machines == 100 ? 96 : machines;
-    out.push_back(runner(MakeExp(actual, super, lang), nullptr));
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace mlbench::core
 
 int main() {
   using namespace mlbench;
   using namespace mlbench::core;
+  auto make = [](bool super, sim::Language lang) {
+    return [=](int machines) { return MakeExp(machines, super, lang); };
+  };
   std::vector<ReportRow> rows;
   rows.push_back({"SimSQL", ImplementationLoc({"src/core/lasso_reldb.cc"}),
                   {"7:09 (2:40:06)", "8:04 (2:45:28)", "12:24 (2:54:45)"},
-                  Series(&RunLassoRelDb, false, sim::Language::kJava),
+                  MachineSeries(&RunLassoRelDb,
+                                make(false, sim::Language::kJava)),
                   ""});
   rows.push_back(
       {"GraphLab (Super Vertex)", ImplementationLoc({"src/core/lasso_gas.cc"}),
        {"0:36 (0:37)", "0:26 (0:35)", "0:31 (0:50)"},
-       Series(&RunLassoGas, true, sim::Language::kCpp,
-              /*graphlab_boot_quirk=*/true),
+       MachineSeries(&RunLassoGas, make(true, sim::Language::kCpp),
+                     /*graphlab=*/true),
        "100-machine column ran at 96 machines (GraphLab boot limit)."});
   rows.push_back(
       {"Spark (Python)", ImplementationLoc({"src/core/lasso_dataflow.cc"}),
        {"0:55 (1:26:59)", "0:59 (1:33:13)", "1:12 (2:06:30)"},
-       Series(&RunLassoDataflow, false, sim::Language::kPython),
+       MachineSeries(&RunLassoDataflow, make(false, sim::Language::kPython)),
        ""});
   rows.push_back({"Giraph", ImplementationLoc({"src/core/lasso_bsp.cc"}),
                   {"Fail", "Fail", "Fail"},
-                  Series(&RunLassoBsp, false, sim::Language::kJava),
+                  MachineSeries(&RunLassoBsp,
+                                make(false, sim::Language::kJava)),
                   ""});
   rows.push_back({"Giraph (Super Vertex)", 0,
                   {"0:58 (1:14)", "1:03 (1:14)", "2:08 (6:31)"},
-                  Series(&RunLassoBsp, true, sim::Language::kJava),
+                  MachineSeries(&RunLassoBsp, make(true, sim::Language::kJava)),
                   ""});
   PrintFigure("Figure 2: Bayesian Lasso [avg time/iteration (init)]",
               {"5 machines", "20 machines", "100 machines"}, rows);

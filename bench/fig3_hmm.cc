@@ -66,32 +66,30 @@ int main() {
   }
 
   {
-    auto series = [](auto runner, sim::Language lang, bool quirk = false) {
-      std::vector<RunResult> out;
-      for (int machines : {5, 20, 100}) {
-        int actual = quirk && machines == 100 ? 96 : machines;
-        out.push_back(runner(
-            MakeExp(actual, TextGranularity::kSuperVertex, lang), nullptr));
-      }
-      return out;
+    auto super = [](sim::Language lang) {
+      return [lang](int machines) {
+        return MakeExp(machines, TextGranularity::kSuperVertex, lang);
+      };
     };
     std::vector<ReportRow> rows;
     rows.push_back({"Giraph", 0,
                     {"2:27 (1:12)", "2:44 (1:52)", "3:12 (2:56)"},
-                    series(&RunHmmBsp, sim::Language::kJava),
+                    MachineSeries(&RunHmmBsp, super(sim::Language::kJava)),
                     ""});
     rows.push_back({"GraphLab", ImplementationLoc({"src/core/hmm_gas.cc"}),
                     {"20:39 (16:28)", "Fail", "Fail"},
-                    series(&RunHmmGas, sim::Language::kCpp, true),
+                    MachineSeries(&RunHmmGas, super(sim::Language::kCpp),
+                                  /*graphlab=*/true),
                     ""});
     rows.push_back({"Spark (Python)", 0,
                     {"3:45:58 (11:02)", "4:01:02 (13:04)", "Fail"},
-                    series(&RunHmmDataflow, sim::Language::kPython),
+                    MachineSeries(&RunHmmDataflow,
+                                  super(sim::Language::kPython)),
                     ""});
     rows.push_back({"SimSQL", 0,
                     {"2:05:12 (1:44:45)", "2:05:31 (1:44:36)",
                      "2:19:10 (2:04:40)"},
-                    series(&RunHmmRelDb, sim::Language::kJava),
+                    MachineSeries(&RunHmmRelDb, super(sim::Language::kJava)),
                     ""});
     PrintFigure("Figure 3(b): HMM super-vertex implementations",
                 {"5 machines", "20 machines", "100 machines"}, rows);

@@ -66,31 +66,29 @@ int main() {
   }
 
   {
-    auto series = [](auto runner, sim::Language lang, bool quirk = false) {
-      std::vector<RunResult> out;
-      for (int machines : {5, 20, 100}) {
-        int actual = quirk && machines == 100 ? 96 : machines;
-        out.push_back(runner(
-            MakeExp(actual, TextGranularity::kSuperVertex, lang), nullptr));
-      }
-      return out;
+    auto super = [](sim::Language lang) {
+      return [lang](int machines) {
+        return MakeExp(machines, TextGranularity::kSuperVertex, lang);
+      };
     };
     std::vector<ReportRow> rows;
     rows.push_back({"Giraph", 0,
                     {"18:49 (2:35)", "20:02 (2:46)", "Fail"},
-                    series(&RunLdaBsp, sim::Language::kJava),
+                    MachineSeries(&RunLdaBsp, super(sim::Language::kJava)),
                     ""});
     rows.push_back({"GraphLab", ImplementationLoc({"src/core/lda_gas.cc"}),
                     {"39:27 (32:14)", "Fail", "Fail"},
-                    series(&RunLdaGas, sim::Language::kCpp, true),
+                    MachineSeries(&RunLdaGas, super(sim::Language::kCpp),
+                                  /*graphlab=*/true),
                     ""});
     rows.push_back({"Spark (Python)", 0,
                     {"~3:56:00 (~2:15:00)", "~3:57:00 (~2:15:00)", "Fail"},
-                    series(&RunLdaDataflow, sim::Language::kPython),
+                    MachineSeries(&RunLdaDataflow,
+                                  super(sim::Language::kPython)),
                     ""});
     rows.push_back({"SimSQL", 0,
                     {"1:00:17 (3:09)", "1:06:59 (3:34)", "1:13:58 (4:28)"},
-                    series(&RunLdaRelDb, sim::Language::kJava),
+                    MachineSeries(&RunLdaRelDb, super(sim::Language::kJava)),
                     ""});
     PrintFigure("Figure 4(b): LDA super-vertex implementations",
                 {"5 machines", "20 machines", "100 machines"}, rows);

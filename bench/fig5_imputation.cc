@@ -29,41 +29,35 @@ GmmExperiment MakeExp(int machines, bool super, sim::Language lang) {
   return exp;
 }
 
-template <typename Runner>
-std::vector<RunResult> Series(Runner runner, bool super, sim::Language lang,
-                              bool quirk = false) {
-  std::vector<RunResult> out;
-  for (int machines : {5, 20, 100}) {
-    int actual = quirk && machines == 100 ? 96 : machines;
-    out.push_back(runner(MakeExp(actual, super, lang), nullptr));
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace mlbench::core
 
 int main() {
   using namespace mlbench;
   using namespace mlbench::core;
+  auto make = [](bool super, sim::Language lang) {
+    return [=](int machines) { return MakeExp(machines, super, lang); };
+  };
   std::vector<ReportRow> rows;
   rows.push_back({"Giraph", ImplementationLoc({"src/core/gmm_bsp.cc"}),
                   {"28:43 (0:19)", "31:23 (0:18)", "Fail"},
-                  Series(&RunGmmBsp, false, sim::Language::kJava),
+                  MachineSeries(&RunGmmBsp, make(false, sim::Language::kJava)),
                   ""});
   rows.push_back(
       {"GraphLab (Super vertex)", ImplementationLoc({"src/core/gmm_gas.cc"}),
        {"6:59 (3:41)", "6:12 (8:40)", "6:08 (3:03)"},
-       Series(&RunGmmGas, true, sim::Language::kCpp, /*quirk=*/true),
+       MachineSeries(&RunGmmGas, make(true, sim::Language::kCpp),
+                     /*graphlab=*/true),
        "100-machine column ran at 96 machines (GraphLab boot limit)."});
   rows.push_back(
       {"Spark (Python)", ImplementationLoc({"src/core/gmm_dataflow.cc"}),
        {"1:22:48 (3:52)", "1:27:39 (4:03)", "1:29:27 (4:27)"},
-       Series(&RunGmmDataflow, false, sim::Language::kPython),
+       MachineSeries(&RunGmmDataflow, make(false, sim::Language::kPython)),
        ""});
   rows.push_back({"SimSQL", ImplementationLoc({"src/core/gmm_reldb.cc"}),
                   {"28:53 (14:29)", "30:41 (15:30)", "39:33 (22:15)"},
-                  Series(&RunGmmRelDb, false, sim::Language::kJava),
+                  MachineSeries(&RunGmmRelDb,
+                                make(false, sim::Language::kJava)),
                   ""});
   PrintFigure("Figure 5: Gaussian imputation [avg time/iteration (init)]",
               {"5 machines", "20 machines", "100 machines"}, rows);

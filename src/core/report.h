@@ -16,10 +16,6 @@ namespace mlbench::core {
 /// "Fail" with the failure class.
 std::string FormatCell(const RunResult& r);
 
-/// Formats the paper's published value for a cell (pass "Fail" or "NA"
-/// through verbatim).
-inline std::string PaperCell(const std::string& s) { return s; }
-
 /// One row of a comparison table: an implementation plus its measured and
 /// published cells, interleaved by the printer.
 struct ReportRow {
@@ -29,6 +25,23 @@ struct ReportRow {
   std::vector<RunResult> measured;    ///< our runs, same order
   std::string note;                   ///< footnote marker text
 };
+
+/// Measured cells for the paper's 5 / 20 / 100-machine columns:
+/// run(make(machines), nullptr) per column, in column order. A GraphLab
+/// row (`graphlab`) runs the 100-machine column at 96 machines, the
+/// closest size to 100 the paper's GraphLab booted at (Fig. 1(b)
+/// footnote). `make` receives the machine count actually run, so settings
+/// keyed on cluster size follow it.
+template <typename Run, typename Make>
+std::vector<RunResult> MachineSeries(Run run, Make make,
+                                     bool graphlab = false) {
+  std::vector<RunResult> out;
+  for (int machines : {5, 20, 100}) {
+    out.push_back(run(make(graphlab && machines == 100 ? 96 : machines),
+                      nullptr));
+  }
+  return out;
+}
 
 /// Prints a figure reproduction: header, then one paper row and one
 /// measured row per implementation.

@@ -110,12 +110,6 @@ class Context {
                                      bytes * lang_.per_serialized_byte_s);
   }
 
-  /// Logical bytes represented by `actual_records` of `record_bytes` each,
-  /// at an RDD-specific scale.
-  double LogicalBytes(double actual_records, double record_bytes) const {
-    return actual_records * record_bytes;
-  }
-
   /// Allocates job-scoped memory (shuffle buffers, driver collect buffers);
   /// released automatically by EndJob. Inside a parallel partition task
   /// (charge ledger bound), the allocation is recorded on the ledger and

@@ -105,18 +105,10 @@ HmmParams SampleHmmPosterior(stats::Rng& rng, const HmmHyper& hyper,
   return p;
 }
 
-double StateUpdateFlops(std::size_t states) {
-  return 6.0 * static_cast<double>(states);
-}
-
 double HmmModelBytes(const HmmHyper& hyper, double bytes_per_entry) {
   double k = static_cast<double>(hyper.states);
   double v = static_cast<double>(hyper.vocab);
   return bytes_per_entry * (k * v + k * k + k);
-}
-
-double HmmDocCountBytes(std::size_t doc_words, double bytes_per_entry) {
-  return bytes_per_entry * 2.0 * static_cast<double>(doc_words);
 }
 
 }  // namespace mlbench::models

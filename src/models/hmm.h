@@ -116,14 +116,7 @@ void AccumulateHmmCounts(const HmmDocument& doc, HmmCounts* counts);
 HmmParams SampleHmmPosterior(stats::Rng& rng, const HmmHyper& hyper,
                              const HmmCounts& counts);
 
-/// FLOPs to re-sample one word's state (K weight evaluations).
-double StateUpdateFlops(std::size_t states);
-
 /// Bytes of the serialized model (Psi + delta + delta0), per copy.
 double HmmModelBytes(const HmmHyper& hyper, double bytes_per_entry = 8.0);
-
-/// Bytes of one document's serialized count contribution before any
-/// aggregation (sparse f entries + transitions).
-double HmmDocCountBytes(std::size_t doc_words, double bytes_per_entry = 16.0);
 
 }  // namespace mlbench::models

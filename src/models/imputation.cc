@@ -70,9 +70,4 @@ Status ImputeMissing(stats::Rng& rng, const Vector& mu, const Matrix& sigma,
   return Status::OK();
 }
 
-double ImputeFlops(std::size_t dim) {
-  double d = static_cast<double>(dim);
-  return 2.0 * d * d * d + 4.0 * d * d;
-}
-
 }  // namespace mlbench::models

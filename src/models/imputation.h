@@ -35,7 +35,4 @@ CensoredPoint Censor(stats::Rng& rng, const Vector& x, double p,
 Status ImputeMissing(stats::Rng& rng, const Vector& mu, const Matrix& sigma,
                      CensoredPoint* point);
 
-/// FLOPs for one point's conditional-normal draw (block solve).
-double ImputeFlops(std::size_t dim);
-
 }  // namespace mlbench::models

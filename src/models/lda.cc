@@ -128,10 +128,6 @@ double LdaDocLogLikelihood(const LdaDocument& doc, const LdaParams& params) {
   return ll;
 }
 
-double TopicUpdateFlops(std::size_t topics) {
-  return 4.0 * static_cast<double>(topics);
-}
-
 double LdaModelBytes(const LdaHyper& hyper, double bytes_per_entry) {
   return bytes_per_entry * static_cast<double>(hyper.topics) *
          static_cast<double>(hyper.vocab);

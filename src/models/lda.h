@@ -112,9 +112,6 @@ LdaParams SampleLdaPosterior(stats::Rng& rng, const LdaHyper& hyper,
 /// used by convergence tests.
 double LdaDocLogLikelihood(const LdaDocument& doc, const LdaParams& params);
 
-/// FLOPs to re-sample one word's topic (T weight evaluations).
-double TopicUpdateFlops(std::size_t topics);
-
 /// Bytes of the serialized phi model per copy.
 double LdaModelBytes(const LdaHyper& hyper, double bytes_per_entry = 8.0);
 

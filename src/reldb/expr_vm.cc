@@ -1,7 +1,6 @@
 #include "reldb/expr_vm.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -9,56 +8,61 @@ namespace mlbench::reldb {
 
 namespace {
 
-/// EvalRow register files up to this depth live on the stack; deeper
-/// programs (property tests, not queries) spill to the heap.
-constexpr std::size_t kInlineRegs = 24;
+// Each With* helper calls `f` with the elementwise function of one
+// operator. The row interpreter and every batch loop go through them, so
+// one switch per operator enum names each IEEE operation.
 
-ExprOp BinOpcode(ScalarExpr::BinOp op) {
+template <typename F>
+auto WithBinFn(ScalarExpr::BinOp op, F&& f) {
   switch (op) {
     case ScalarExpr::BinOp::kAdd:
-      return ExprOp::kAdd;
+      return f([](double x, double y) { return x + y; });
     case ScalarExpr::BinOp::kSub:
-      return ExprOp::kSub;
+      return f([](double x, double y) { return x - y; });
     case ScalarExpr::BinOp::kMul:
-      return ExprOp::kMul;
+      return f([](double x, double y) { return x * y; });
     case ScalarExpr::BinOp::kDiv:
-      return ExprOp::kDiv;
+      return f([](double x, double y) { return x / y; });
     case ScalarExpr::BinOp::kMax:
-      return ExprOp::kMax;
+      break;
   }
-  return ExprOp::kAdd;
+  // kMax: std::max(a, b) operand order, so a NaN `a` is kept.
+  return f([](double x, double y) { return x < y ? y : x; });
 }
 
-ExprOp CmpOpcode(ScalarExpr::CmpOp op) {
+/// `f` receives the comparison as a bool predicate.
+template <typename F>
+auto WithCmpFn(ScalarExpr::CmpOp op, F&& f) {
   switch (op) {
     case ScalarExpr::CmpOp::kEq:
-      return ExprOp::kCmpEq;
+      return f([](double x, double y) { return x == y; });
     case ScalarExpr::CmpOp::kNe:
-      return ExprOp::kCmpNe;
+      return f([](double x, double y) { return x != y; });
     case ScalarExpr::CmpOp::kLt:
-      return ExprOp::kCmpLt;
+      return f([](double x, double y) { return x < y; });
     case ScalarExpr::CmpOp::kLe:
-      return ExprOp::kCmpLe;
+      return f([](double x, double y) { return x <= y; });
     case ScalarExpr::CmpOp::kGt:
-      return ExprOp::kCmpGt;
+      return f([](double x, double y) { return x > y; });
     case ScalarExpr::CmpOp::kGe:
-      return ExprOp::kCmpGe;
+      break;
   }
-  return ExprOp::kCmpEq;
+  return f([](double x, double y) { return x >= y; });
 }
 
-ExprOp CallOpcode(ScalarExpr::Fn1 fn) {
+template <typename F>
+auto WithFn1(ScalarExpr::Fn1 fn, F&& f) {
   switch (fn) {
     case ScalarExpr::Fn1::kSqrt:
-      return ExprOp::kSqrt;
+      return f([](double x) { return std::sqrt(x); });
     case ScalarExpr::Fn1::kExp:
-      return ExprOp::kExp;
+      return f([](double x) { return std::exp(x); });
     case ScalarExpr::Fn1::kLog:
-      return ExprOp::kLog;
+      return f([](double x) { return std::log(x); });
     case ScalarExpr::Fn1::kAbs:
-      return ExprOp::kAbs;
+      break;
   }
-  return ExprOp::kSqrt;
+  return f([](double x) { return std::fabs(x); });
 }
 
 bool InSet(std::int64_t v, const std::vector<std::int64_t>& set) {
@@ -68,137 +72,33 @@ bool InSet(std::int64_t v, const std::vector<std::int64_t>& set) {
   return false;
 }
 
-}  // namespace
-
-void ExprProgram::CompileNode(const ScalarExpr& e, std::uint16_t dst) {
-  if (static_cast<std::size_t>(dst) + 1 > num_regs_) {
-    num_regs_ = static_cast<std::size_t>(dst) + 1;
-  }
-  switch (e.kind) {
-    case ScalarExpr::Kind::kCol:
-      MLBENCH_CHECK(e.col <= std::numeric_limits<std::uint16_t>::max());
-      insns_.push_back({ExprOp::kLoadCol, dst,
-                        static_cast<std::uint16_t>(e.col), 0, 0});
-      return;
-    case ScalarExpr::Kind::kConst:
-      insns_.push_back({ExprOp::kLoadConst, dst, 0, 0, e.value});
-      return;
-    case ScalarExpr::Kind::kBin:
-    case ScalarExpr::Kind::kCmp: {
-      MLBENCH_CHECK(e.kids.size() == 2);
-      MLBENCH_CHECK(dst < std::numeric_limits<std::uint16_t>::max());
-      CompileNode(e.kids[0], dst);
-      CompileNode(e.kids[1], static_cast<std::uint16_t>(dst + 1));
-      ExprOp op = e.kind == ScalarExpr::Kind::kBin ? BinOpcode(e.bin)
-                                                   : CmpOpcode(e.cmp);
-      insns_.push_back(
-          {op, dst, dst, static_cast<std::uint16_t>(dst + 1), 0});
-      return;
-    }
-    case ScalarExpr::Kind::kCall:
-      MLBENCH_CHECK(e.kids.size() == 1);
-      CompileNode(e.kids[0], dst);
-      insns_.push_back({CallOpcode(e.fn), dst, dst, 0, 0});
-      return;
-    case ScalarExpr::Kind::kIntIn: {
-      MLBENCH_CHECK(e.col <= std::numeric_limits<std::uint16_t>::max());
-      MLBENCH_CHECK(sets_.size() <
-                    std::numeric_limits<std::uint16_t>::max());
-      std::uint16_t set_index = static_cast<std::uint16_t>(sets_.size());
-      sets_.push_back(e.set);
-      insns_.push_back({ExprOp::kIntIn, dst,
-                        static_cast<std::uint16_t>(e.col), set_index, 0});
-      return;
-    }
-  }
-  MLBENCH_CHECK_MSG(false, "unreachable ScalarExpr kind");
+/// Rows from `base` of integer column `idx`. The row interpreter's AsInt
+/// would abort on a double column; the typed batch makes the same
+/// contract a check.
+const std::int64_t* IntColumn(const ColumnBatch& in, std::size_t idx,
+                              std::size_t base) {
+  const ColumnBatch::Column& c = in.col(idx);
+  MLBENCH_CHECK_MSG(c.type == ColType::kInt, "IntIn over a non-integer column");
+  return c.ints.data() + base;
 }
 
-ExprProgram ExprProgram::Compile(const ScalarExpr& expr) {
-  ExprProgram p;
-  p.CompileNode(expr, 0);
-  return p;
-}
-
-double ExprProgram::EvalRow(const Tuple& t) const {
-  double inline_regs[kInlineRegs] = {};
-  std::vector<double> heap_regs;
-  double* regs = inline_regs;
-  if (num_regs_ > kInlineRegs) {
-    heap_regs.resize(num_regs_);
-    regs = heap_regs.data();
-  }
-  for (const ExprInsn& ins : insns_) {
-    switch (ins.op) {
-      case ExprOp::kLoadCol:
-        regs[ins.dst] = AsDouble(t[ins.a]);
-        break;
-      case ExprOp::kLoadConst:
-        regs[ins.dst] = ins.imm;
-        break;
-      case ExprOp::kAdd:
-        regs[ins.dst] = regs[ins.a] + regs[ins.b];
-        break;
-      case ExprOp::kSub:
-        regs[ins.dst] = regs[ins.a] - regs[ins.b];
-        break;
-      case ExprOp::kMul:
-        regs[ins.dst] = regs[ins.a] * regs[ins.b];
-        break;
-      case ExprOp::kDiv:
-        regs[ins.dst] = regs[ins.a] / regs[ins.b];
-        break;
-      case ExprOp::kMax:
-        regs[ins.dst] = regs[ins.a] < regs[ins.b] ? regs[ins.b] : regs[ins.a];
-        break;
-      case ExprOp::kSqrt:
-        regs[ins.dst] = std::sqrt(regs[ins.a]);
-        break;
-      case ExprOp::kExp:
-        regs[ins.dst] = std::exp(regs[ins.a]);
-        break;
-      case ExprOp::kLog:
-        regs[ins.dst] = std::log(regs[ins.a]);
-        break;
-      case ExprOp::kAbs:
-        regs[ins.dst] = std::fabs(regs[ins.a]);
-        break;
-      case ExprOp::kCmpEq:
-        regs[ins.dst] = regs[ins.a] == regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kCmpNe:
-        regs[ins.dst] = regs[ins.a] != regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kCmpLt:
-        regs[ins.dst] = regs[ins.a] < regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kCmpLe:
-        regs[ins.dst] = regs[ins.a] <= regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kCmpGt:
-        regs[ins.dst] = regs[ins.a] > regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kCmpGe:
-        regs[ins.dst] = regs[ins.a] >= regs[ins.b] ? 1.0 : 0.0;
-        break;
-      case ExprOp::kIntIn:
-        regs[ins.dst] = InSet(AsInt(t[ins.a]), sets_[ins.b]) ? 1.0 : 0.0;
-        break;
-    }
-  }
-  return regs[0];
-}
-
-namespace {
+/// One node's result over a chunk: a vector (a double column's storage,
+/// borrowed zero-copy, or a scratch buffer) or, when `vec` is null, a
+/// broadcast scalar (constants never touch memory). The loops below pick
+/// a variant per operand shape; the per-element arithmetic is identical
+/// in every variant, so the shapes are invisible to results.
+struct Ref {
+  const double* vec = nullptr;
+  double scalar = 0;
+};
 
 /// Applies `f` elementwise with the loop specialized to each operand
 /// shape (vector/vector, vector/scalar, scalar/vector, scalar/scalar).
 /// Every variant computes f(a_i, b_i) in row order, so the shape split is
-/// pure loop strength reduction — results are bit-identical across
+/// pure loop strength reduction: results are bit-identical across
 /// shapes, and constant subtrees fold to one scalar op per chunk.
 template <typename F>
-ExprProgram::RegRef BinLoop(ExprProgram::RegRef a, ExprProgram::RegRef b,
-                            double* d, std::size_t len, F f) {
+Ref BinLoop(Ref a, Ref b, double* d, std::size_t len, F f) {
   if (a.vec == nullptr && b.vec == nullptr) {
     return {nullptr, f(a.scalar, b.scalar)};
   }
@@ -219,175 +119,149 @@ ExprProgram::RegRef BinLoop(ExprProgram::RegRef a, ExprProgram::RegRef b,
 }
 
 template <typename F>
-ExprProgram::RegRef UnLoop(ExprProgram::RegRef a, double* d, std::size_t len,
-                           F f) {
+Ref UnLoop(Ref a, double* d, std::size_t len, F f) {
   if (a.vec == nullptr) return {nullptr, f(a.scalar)};
   const double* x = a.vec;
   for (std::size_t i = 0; i < len; ++i) d[i] = f(x[i]);
   return {d, 0};
 }
 
-bool IsCmpOp(ExprOp op) {
-  switch (op) {
-    case ExprOp::kCmpEq:
-    case ExprOp::kCmpNe:
-    case ExprOp::kCmpLt:
-    case ExprOp::kCmpLe:
-    case ExprOp::kCmpGt:
-    case ExprOp::kCmpGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Selection loop for a fused comparison tail: pushes begin + i when
-/// pred(a_i, b_i), same truth value as materializing 1.0/0.0 and testing
-/// != 0.0 would produce.
+/// Selection loop for a fused comparison root: pushes begin + i when
+/// pred(a_i, b_i), the same truth value as materializing 1.0/0.0 and
+/// testing != 0.0 would produce.
 template <typename F>
-void SelectLoop(ExprProgram::RegRef a, ExprProgram::RegRef b,
-                std::int64_t begin, std::size_t len,
+void SelectLoop(Ref a, Ref b, std::int64_t begin, std::size_t len,
                 std::vector<std::uint32_t>* keep, F pred) {
   for (std::size_t i = 0; i < len; ++i) {
     const double x = a.vec != nullptr ? a.vec[i] : a.scalar;
     const double y = b.vec != nullptr ? b.vec[i] : b.scalar;
     if (pred(x, y)) {
-      keep->push_back(static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
+      keep->push_back(
+          static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
     }
   }
 }
+
+/// Evaluates tree nodes over rows [base, base + len) of one batch.
+class ChunkEval {
+ public:
+  ChunkEval(const ColumnBatch& in, std::int64_t begin, std::int64_t end,
+            ExprScratch* scratch)
+      : in_(in),
+        base_(static_cast<std::size_t>(begin)),
+        len_(static_cast<std::size_t>(end - begin)),
+        bufs_(scratch->bufs) {}
+
+  /// The value of node `e` at tree depth `depth`: it writes buffer
+  /// `depth`, its left child shares it and its right child uses
+  /// depth + 1, the operand-stack shape of the expression.
+  Ref EvalNode(const ScalarExpr& e, std::size_t depth) {
+    switch (e.kind) {
+      case ScalarExpr::Kind::kCol: {
+        const ColumnBatch::Column& c = in_.col(e.col);
+        if (c.type == ColType::kDouble) {
+          return {c.doubles.data() + base_, 0};  // zero-copy view
+        }
+        const std::int64_t* s = c.ints.data() + base_;
+        double* d = Buf(depth);
+        for (std::size_t i = 0; i < len_; ++i) d[i] = static_cast<double>(s[i]);
+        return {d, 0};
+      }
+      case ScalarExpr::Kind::kConst:
+        return {nullptr, e.value};
+      case ScalarExpr::Kind::kBin: {
+        MLBENCH_CHECK(e.kids.size() == 2);
+        const Ref a = EvalNode(e.kids[0], depth);
+        const Ref b = EvalNode(e.kids[1], depth + 1);
+        return WithBinFn(e.bin, [&](auto f) {
+          return BinLoop(a, b, Buf(depth), len_, f);
+        });
+      }
+      case ScalarExpr::Kind::kCmp: {
+        MLBENCH_CHECK(e.kids.size() == 2);
+        const Ref a = EvalNode(e.kids[0], depth);
+        const Ref b = EvalNode(e.kids[1], depth + 1);
+        return WithCmpFn(e.cmp, [&](auto pred) {
+          return BinLoop(a, b, Buf(depth), len_, [pred](double x, double y) {
+            return pred(x, y) ? 1.0 : 0.0;
+          });
+        });
+      }
+      case ScalarExpr::Kind::kCall: {
+        MLBENCH_CHECK(e.kids.size() == 1);
+        const Ref a = EvalNode(e.kids[0], depth);
+        return WithFn1(e.fn,
+                       [&](auto f) { return UnLoop(a, Buf(depth), len_, f); });
+      }
+      case ScalarExpr::Kind::kIntIn: {
+        const std::int64_t* s = IntColumn(in_, e.col, base_);
+        double* d = Buf(depth);
+        for (std::size_t i = 0; i < len_; ++i) {
+          d[i] = InSet(s[i], e.set) ? 1.0 : 0.0;
+        }
+        return {d, 0};
+      }
+    }
+    MLBENCH_CHECK_MSG(false, "unreachable ScalarExpr kind");
+    return {};
+  }
+
+ private:
+  /// Buffer `depth`, grown to the chunk length on first use. Growing the
+  /// outer vector moves the inner ones, which keeps their storage (and
+  /// every live Ref into it) in place.
+  double* Buf(std::size_t depth) {
+    if (bufs_.size() <= depth) bufs_.resize(depth + 1);
+    std::vector<double>& b = bufs_[depth];
+    if (b.size() < len_) b.resize(len_);
+    return b.data();
+  }
+
+  const ColumnBatch& in_;
+  const std::size_t base_;
+  const std::size_t len_;
+  std::vector<std::vector<double>>& bufs_;
+};
 
 }  // namespace
 
-void ExprProgram::ExecInsns(const ColumnBatch& in, std::int64_t begin,
-                            std::int64_t end, std::size_t n_insns,
-                            Scratch* scratch) const {
-  const std::size_t len = static_cast<std::size_t>(end - begin);
-  auto& regs = scratch->regs;
-  auto& views = scratch->views;
-  if (regs.size() < num_regs_) regs.resize(num_regs_);
-  if (views.size() < num_regs_) views.resize(num_regs_);
-  const std::size_t base = static_cast<std::size_t>(begin);
-  // Owned buffers are sized lazily: a register that only ever views a
-  // column or holds a scalar never allocates.
-  auto owned = [&](std::uint16_t r) {
-    if (regs[r].size() < len) regs[r].resize(len);
-    return regs[r].data();
-  };
-  for (std::size_t k = 0; k < n_insns; ++k) {
-    const ExprInsn& ins = insns_[k];
-    switch (ins.op) {
-      case ExprOp::kLoadCol: {
-        const ColumnBatch::Column& c = in.col(ins.a);
-        if (c.type == ColType::kInt) {
-          const std::int64_t* s = c.ints.data() + base;
-          double* d = owned(ins.dst);
-          for (std::size_t i = 0; i < len; ++i) {
-            d[i] = static_cast<double>(s[i]);
-          }
-          views[ins.dst] = {d, 0};
-        } else {
-          // Zero-copy: the register borrows the column's storage.
-          views[ins.dst] = {c.doubles.data() + base, 0};
-        }
-        break;
-      }
-      case ExprOp::kLoadConst:
-        views[ins.dst] = {nullptr, ins.imm};
-        break;
-      case ExprOp::kAdd:
-        views[ins.dst] = BinLoop(views[ins.a], views[ins.b], owned(ins.dst),
-                                 len, [](double x, double y) { return x + y; });
-        break;
-      case ExprOp::kSub:
-        views[ins.dst] = BinLoop(views[ins.a], views[ins.b], owned(ins.dst),
-                                 len, [](double x, double y) { return x - y; });
-        break;
-      case ExprOp::kMul:
-        views[ins.dst] = BinLoop(views[ins.a], views[ins.b], owned(ins.dst),
-                                 len, [](double x, double y) { return x * y; });
-        break;
-      case ExprOp::kDiv:
-        views[ins.dst] = BinLoop(views[ins.a], views[ins.b], owned(ins.dst),
-                                 len, [](double x, double y) { return x / y; });
-        break;
-      case ExprOp::kMax:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x < y ? y : x; });
-        break;
-      case ExprOp::kSqrt:
-        views[ins.dst] = UnLoop(views[ins.a], owned(ins.dst), len,
-                                [](double x) { return std::sqrt(x); });
-        break;
-      case ExprOp::kExp:
-        views[ins.dst] = UnLoop(views[ins.a], owned(ins.dst), len,
-                                [](double x) { return std::exp(x); });
-        break;
-      case ExprOp::kLog:
-        views[ins.dst] = UnLoop(views[ins.a], owned(ins.dst), len,
-                                [](double x) { return std::log(x); });
-        break;
-      case ExprOp::kAbs:
-        views[ins.dst] = UnLoop(views[ins.a], owned(ins.dst), len,
-                                [](double x) { return std::fabs(x); });
-        break;
-      case ExprOp::kCmpEq:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x == y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kCmpNe:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x != y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kCmpLt:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x < y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kCmpLe:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x <= y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kCmpGt:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x > y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kCmpGe:
-        views[ins.dst] =
-            BinLoop(views[ins.a], views[ins.b], owned(ins.dst), len,
-                    [](double x, double y) { return x >= y ? 1.0 : 0.0; });
-        break;
-      case ExprOp::kIntIn: {
-        const ColumnBatch::Column& c = in.col(ins.a);
-        // The row interpreter's AsInt would abort on a double column; the
-        // typed batch makes the same contract a compile-a-batch check.
-        MLBENCH_CHECK_MSG(c.type == ColType::kInt,
-                          "IntIn over a non-integer column");
-        const std::int64_t* s = c.ints.data() + base;
-        const auto& set = sets_[ins.b];
-        double* d = owned(ins.dst);
-        for (std::size_t i = 0; i < len; ++i) {
-          d[i] = InSet(s[i], set) ? 1.0 : 0.0;
-        }
-        views[ins.dst] = {d, 0};
-        break;
-      }
+double EvalRow(const ScalarExpr& e, const Tuple& row) {
+  switch (e.kind) {
+    case ScalarExpr::Kind::kCol:
+      return AsDouble(row[e.col]);
+    case ScalarExpr::Kind::kConst:
+      return e.value;
+    case ScalarExpr::Kind::kBin: {
+      MLBENCH_CHECK(e.kids.size() == 2);
+      const double a = EvalRow(e.kids[0], row);
+      const double b = EvalRow(e.kids[1], row);
+      return WithBinFn(e.bin, [&](auto f) { return f(a, b); });
     }
+    case ScalarExpr::Kind::kCmp: {
+      MLBENCH_CHECK(e.kids.size() == 2);
+      const double a = EvalRow(e.kids[0], row);
+      const double b = EvalRow(e.kids[1], row);
+      return WithCmpFn(e.cmp,
+                       [&](auto pred) { return pred(a, b) ? 1.0 : 0.0; });
+    }
+    case ScalarExpr::Kind::kCall: {
+      MLBENCH_CHECK(e.kids.size() == 1);
+      const double a = EvalRow(e.kids[0], row);
+      return WithFn1(e.fn, [&](auto f) { return f(a); });
+    }
+    case ScalarExpr::Kind::kIntIn:
+      return InSet(AsInt(row[e.col]), e.set) ? 1.0 : 0.0;
   }
+  MLBENCH_CHECK_MSG(false, "unreachable ScalarExpr kind");
+  return 0;
 }
 
-void ExprProgram::EvalBatch(const ColumnBatch& in, std::int64_t begin,
-                            std::int64_t end, double* out,
-                            Scratch* scratch) const {
+void EvalBatch(const ScalarExpr& expr, const ColumnBatch& in,
+               std::int64_t begin, std::int64_t end, double* out,
+               ExprScratch* scratch) {
   const std::size_t len = static_cast<std::size_t>(end - begin);
   if (len == 0) return;
-  ExecInsns(in, begin, end, insns_.size(), scratch);
-  const RegRef res = scratch->views[0];
+  const Ref res = ChunkEval(in, begin, end, scratch).EvalNode(expr, 0);
   if (res.vec == nullptr) {
     for (std::size_t i = 0; i < len; ++i) out[i] = res.scalar;
   } else {
@@ -395,81 +269,45 @@ void ExprProgram::EvalBatch(const ColumnBatch& in, std::int64_t begin,
   }
 }
 
-void ExprProgram::SelectBatch(const ColumnBatch& in, std::int64_t begin,
-                              std::int64_t end,
-                              std::vector<std::uint32_t>* keep,
-                              Scratch* scratch) const {
+void SelectBatch(const ScalarExpr& expr, const ColumnBatch& in,
+                 std::int64_t begin, std::int64_t end,
+                 std::vector<std::uint32_t>* keep, ExprScratch* scratch) {
   const std::size_t len = static_cast<std::size_t>(end - begin);
   if (len == 0) return;
-  // Fused tail: a program ending in a comparison (every compiled
-  // predicate) or set membership selects straight from the operand
-  // streams — the 0/1 result column is never written.
-  const ExprInsn& last = insns_.back();
-  if (IsCmpOp(last.op) && last.dst == 0) {
-    ExecInsns(in, begin, end, insns_.size() - 1, scratch);
-    const RegRef a = scratch->views[last.a];
-    const RegRef b = scratch->views[last.b];
-    switch (last.op) {
-      case ExprOp::kCmpEq:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x == y; });
-        return;
-      case ExprOp::kCmpNe:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x != y; });
-        return;
-      case ExprOp::kCmpLt:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x < y; });
-        return;
-      case ExprOp::kCmpLe:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x <= y; });
-        return;
-      case ExprOp::kCmpGt:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x > y; });
-        return;
-      case ExprOp::kCmpGe:
-        SelectLoop(a, b, begin, len, keep,
-                   [](double x, double y) { return x >= y; });
-        return;
-      default:
-        break;
-    }
-  }
-  if (last.op == ExprOp::kIntIn && last.dst == 0) {
-    const ColumnBatch::Column& c = in.col(last.a);
-    MLBENCH_CHECK_MSG(c.type == ColType::kInt,
-                      "IntIn over a non-integer column");
-    ExecInsns(in, begin, end, insns_.size() - 1, scratch);
-    const std::int64_t* s = c.ints.data() + static_cast<std::size_t>(begin);
-    const auto& set = sets_[last.b];
+  auto push = [&](std::size_t i) {
+    keep->push_back(
+        static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
+  };
+  // Fused roots: a comparison (every filter predicate) or a set
+  // membership selects straight from its operands; the 0/1 result column
+  // is never written.
+  if (expr.kind == ScalarExpr::Kind::kIntIn) {
+    const std::int64_t* s =
+        IntColumn(in, expr.col, static_cast<std::size_t>(begin));
     for (std::size_t i = 0; i < len; ++i) {
-      if (InSet(s[i], set)) {
-        keep->push_back(
-            static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
-      }
+      if (InSet(s[i], expr.set)) push(i);
     }
     return;
   }
-  // General tail: evaluate fully, then test non-zero.
-  ExecInsns(in, begin, end, insns_.size(), scratch);
-  const RegRef res = scratch->views[0];
+  ChunkEval eval(in, begin, end, scratch);
+  if (expr.kind == ScalarExpr::Kind::kCmp) {
+    MLBENCH_CHECK(expr.kids.size() == 2);
+    const Ref a = eval.EvalNode(expr.kids[0], 0);
+    const Ref b = eval.EvalNode(expr.kids[1], 1);
+    WithCmpFn(expr.cmp,
+              [&](auto pred) { SelectLoop(a, b, begin, len, keep, pred); });
+    return;
+  }
+  // General root: evaluate fully, then test non-zero.
+  const Ref res = eval.EvalNode(expr, 0);
   if (res.vec == nullptr) {
     if (res.scalar != 0.0) {
-      for (std::size_t i = 0; i < len; ++i) {
-        keep->push_back(
-            static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
-      }
+      for (std::size_t i = 0; i < len; ++i) push(i);
     }
     return;
   }
   for (std::size_t i = 0; i < len; ++i) {
-    if (res.vec[i] != 0.0) {
-      keep->push_back(
-          static_cast<std::uint32_t>(begin + static_cast<std::int64_t>(i)));
-    }
+    if (res.vec[i] != 0.0) push(i);
   }
 }
 

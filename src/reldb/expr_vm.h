@@ -7,34 +7,31 @@
 #include "reldb/value.h"
 
 /// \file expr_vm.h
-/// Compiled scalar expressions for the relational engine's hot paths.
+/// Scalar expressions for the relational engine's filters and projects.
 ///
 /// SimSQL pays a per-tuple interpretation price for every WHERE predicate
-/// and computed SELECT column; PR 3's columnar engine kept that cost shape
-/// honest by materializing a row Tuple and making an indirect
-/// std::function call per element. This file closes the interpreted-vs-
-/// compiled gap on the host side: a ScalarExpr tree (column refs,
-/// constants, + - * /, comparisons, max, sqrt/exp/log/abs, int-in-set)
-/// compiles once per operator into a compact register bytecode, and the
-/// evaluator fuses with the columnar batch loop — one opcode dispatch per
-/// instruction per chunk, reading the typed column arrays directly and
-/// writing selection vectors (filters) or output columns (projects) with
-/// no per-row Tuple materialization.
+/// and computed SELECT column. The engine charges that price from logical
+/// row counts (Rel::ChargeTuples) before any expression runs, so host
+/// evaluation only has to be correct and cheap: a ScalarExpr tree (column
+/// refs, constants, + - * /, comparisons, max, sqrt/exp/log/abs,
+/// int-in-set) is evaluated straight from the tree, one column chunk at a
+/// time. Each node runs one loop over the chunk, reading the typed column
+/// arrays directly and writing selection vectors (filters) or output
+/// columns (projects) with no per-row Tuple materialization.
 ///
-/// Parity contract: every opcode applies the same IEEE operation in the
+/// Parity contract: every node applies the same IEEE operation in the
 /// same order as the row interpreter (EvalRow), element by element, so a
 /// batch result is bit-identical to interpreting each row. No operator
 /// runs EvalRow (every relation is typed); it is the reference the batch
-/// VM is tested against. Selection orders keep row order at any
+/// evaluator is tested against. Selection orders keep row order at any
 /// MLBENCH_THREADS.
 
 namespace mlbench::reldb {
 
 /// A structured scalar expression over the columns of one relation.
 /// Drivers and the SQL front end build these instead of opaque
-/// std::function lambdas wherever the expression fits the vocabulary;
-/// ExprProgram::Compile turns the tree into bytecode. Trees are plain
-/// values: copy freely, compose with the static factories.
+/// std::function lambdas wherever the expression fits the vocabulary.
+/// Trees are plain values: copy freely, compose with the static factories.
 struct ScalarExpr {
   enum class Kind : std::uint8_t { kCol, kConst, kBin, kCmp, kCall, kIntIn };
   enum class BinOp : std::uint8_t { kAdd, kSub, kMul, kDiv, kMax };
@@ -88,7 +85,7 @@ struct ScalarExpr {
     return Bin(BinOp::kMax, std::move(a), std::move(b));
   }
   /// Comparison producing 1.0 (true) / 0.0 (false); the root of every
-  /// compiled predicate.
+  /// filter predicate.
   static ScalarExpr Compare(CmpOp op, ScalarExpr a, ScalarExpr b) {
     ScalarExpr e;
     e.kind = Kind::kCmp;
@@ -115,101 +112,34 @@ struct ScalarExpr {
   }
 };
 
-/// One bytecode instruction of a compiled expression. The machine is a
-/// register machine with stack-slot allocation: the node compiled into
-/// register d places its left child in d and its right child in d + 1, so
-/// register count equals the expression tree's operand-stack depth.
-enum class ExprOp : std::uint8_t {
-  kLoadCol,    // regs[dst] = column a (ints cast to double, AsDouble-style)
-  kLoadConst,  // regs[dst] = imm
-  kAdd,        // regs[dst] = regs[a] + regs[b]
-  kSub,
-  kMul,
-  kDiv,
-  kMax,     // (regs[a] < regs[b]) ? regs[b] : regs[a]
-  kSqrt,    // regs[dst] = op(regs[a])
-  kExp,
-  kLog,
-  kAbs,
-  kCmpEq,   // regs[dst] = regs[a] OP regs[b] ? 1.0 : 0.0
-  kCmpNe,
-  kCmpLt,
-  kCmpLe,
-  kCmpGt,
-  kCmpGe,
-  kIntIn,   // regs[dst] = int column a in sets()[b] ? 1.0 : 0.0
+/// Per-thread evaluation buffers, reused across chunks by one evaluation
+/// loop and never shared between threads. bufs[d] holds the chunk-sized
+/// result of a node at tree depth d: a node writes its own depth's buffer,
+/// its left child shares that depth and its right child uses d + 1, so an
+/// expression needs as many buffers as its operand-stack depth. Buffers
+/// are sized lazily: a node that views a double column or folds to a
+/// scalar never allocates.
+struct ExprScratch {
+  std::vector<std::vector<double>> bufs;
 };
 
-struct ExprInsn {
-  ExprOp op = ExprOp::kLoadConst;
-  std::uint16_t dst = 0;
-  std::uint16_t a = 0;  ///< source register, or column index for loads/kIntIn
-  std::uint16_t b = 0;  ///< source register, or set index for kIntIn
-  double imm = 0;       ///< kLoadConst payload
-};
+/// Interprets `expr` over one row Tuple: the reference the batch
+/// evaluator is tested against (expr_vm_test).
+double EvalRow(const ScalarExpr& expr, const Tuple& row);
 
-/// A compiled expression: bytecode plus the constant pool of int-in-set
-/// membership lists. Programs are immutable after Compile and safe to
-/// share across threads; per-thread evaluation state lives in Scratch.
-class ExprProgram {
- public:
-  /// Compiles a ScalarExpr tree. Aborts (programmer error) if the tree
-  /// nests deeper than the 16-bit register file — far beyond any query.
-  static ExprProgram Compile(const ScalarExpr& expr);
+/// Evaluates `expr` over rows [begin, end) of `in`, writing the result of
+/// row i to out[i - begin]. One loop per tree node per call; per-element
+/// operations and order match EvalRow exactly.
+void EvalBatch(const ScalarExpr& expr, const ColumnBatch& in,
+               std::int64_t begin, std::int64_t end, double* out,
+               ExprScratch* scratch);
 
-  const std::vector<ExprInsn>& insns() const { return insns_; }
-  const std::vector<std::vector<std::int64_t>>& sets() const { return sets_; }
-  std::size_t num_regs() const { return num_regs_; }
-
-  /// Interprets the program over one row Tuple: the reference the batch
-  /// evaluator is tested against (expr_vm_test).
-  double EvalRow(const Tuple& t) const;
-  bool EvalRowPred(const Tuple& t) const { return EvalRow(t) != 0.0; }
-
-  /// One vectorized register during batch evaluation: either a view (a
-  /// double column's storage, borrowed zero-copy), an owned chunk-sized
-  /// buffer in Scratch, or a broadcast scalar (constants never touch
-  /// memory). The evaluator picks the loop variant per operand shape; the
-  /// per-element arithmetic is identical in every variant, so the shapes
-  /// are invisible to results.
-  struct RegRef {
-    const double* vec = nullptr;  ///< nullptr: broadcast scalar
-    double scalar = 0;
-  };
-
-  /// Per-thread vectorized register file; reused across chunks by one
-  /// evaluation loop, never shared between threads.
-  struct Scratch {
-    std::vector<std::vector<double>> regs;  ///< owned per-register buffers
-    std::vector<RegRef> views;              ///< current shape of each register
-  };
-
-  /// Batch-fused evaluation of rows [begin, end) of `in`, writing the
-  /// result of row i to out[i - begin]. One dispatch per instruction per
-  /// call; per-element operations and order match EvalRow exactly.
-  void EvalBatch(const ColumnBatch& in, std::int64_t begin, std::int64_t end,
-                 double* out, Scratch* scratch) const;
-
-  /// Batch-fused predicate: appends the indices of rows in [begin, end)
-  /// whose value is non-zero to `keep`, in row order. When the program
-  /// ends in a comparison or set-membership opcode (every compiled
-  /// predicate does), the selection is fused with that final instruction
-  /// — no 0/1 column is materialized.
-  void SelectBatch(const ColumnBatch& in, std::int64_t begin, std::int64_t end,
-                   std::vector<std::uint32_t>* keep, Scratch* scratch) const;
-
- private:
-  /// Emits code computing `e` into register `dst`; updates num_regs_.
-  void CompileNode(const ScalarExpr& e, std::uint16_t dst);
-
-  /// Executes the first `n_insns` instructions over rows [begin, end),
-  /// leaving each register's shape in scratch->views.
-  void ExecInsns(const ColumnBatch& in, std::int64_t begin, std::int64_t end,
-                 std::size_t n_insns, Scratch* scratch) const;
-
-  std::vector<ExprInsn> insns_;
-  std::vector<std::vector<std::int64_t>> sets_;
-  std::size_t num_regs_ = 1;
-};
+/// Appends the indices of rows in [begin, end) whose value of `expr` is
+/// non-zero to `keep`, in row order. When the root is a comparison or a
+/// set membership (every filter predicate), the selection is fused with
+/// it: no 0/1 column is materialized.
+void SelectBatch(const ScalarExpr& expr, const ColumnBatch& in,
+                 std::int64_t begin, std::int64_t end,
+                 std::vector<std::uint32_t>* keep, ExprScratch* scratch);
 
 }  // namespace mlbench::reldb

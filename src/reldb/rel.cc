@@ -304,7 +304,6 @@ void Rel::ChargeShuffle(double bytes) const {
 
 Rel Rel::Filter(const ScalarExpr& pred) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  const ExprProgram prog = ExprProgram::Compile(pred);
   const ColumnBatch& in = *batch_;
   const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
   const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
@@ -312,12 +311,10 @@ Rel Rel::Filter(const ScalarExpr& pred) const {
   std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
   sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
   for (auto& keep : sel) keep.clear();
-  // Batch-fused VM: one dispatch per opcode per chunk, straight off the
-  // typed arrays.
   exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-    ExprProgram::Scratch scratch;
-    prog.SelectBatch(in, chunk.begin, chunk.end,
-                     &sel[static_cast<std::size_t>(chunk.index)], &scratch);
+    ExprScratch scratch;
+    SelectBatch(pred, in, chunk.begin, chunk.end,
+                &sel[static_cast<std::size_t>(chunk.index)], &scratch);
   });
   return Rel(db_, std::make_shared<const ColumnBatch>(
                       in.schema(), GatherColumns(in, sel), in.scale()));
@@ -340,7 +337,7 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
   const ColumnBatch& in = *batch_;
   const std::size_t n = in.num_rows();
   std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
-  std::vector<std::size_t> prog_slots;
+  std::vector<std::size_t> expr_slots;
   for (std::size_t e = 0; e < exprs.size(); ++e) {
     if (exprs[e].src >= 0) {
       out_cols[e] = in.col_ptr(static_cast<std::size_t>(exprs[e].src));
@@ -353,27 +350,26 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
                            std::vector<double>(n, std::get<double>(v)));
       out_cols[e] = std::make_shared<const Column>(std::move(c));
     } else {
-      prog_slots.push_back(e);
+      expr_slots.push_back(e);
     }
   }
-  if (!prog_slots.empty()) {
-    // Compiled slots run batch-fused through the VM.
-    std::vector<std::vector<double>> computed(prog_slots.size(),
+  if (!expr_slots.empty()) {
+    std::vector<std::vector<double>> computed(expr_slots.size(),
                                               std::vector<double>(n));
     exec::ParallelFor(
         static_cast<std::int64_t>(n),
         exec::GrainFor(static_cast<std::int64_t>(n), exec::CostHint::kNormal),
         [&](const exec::Chunk& chunk) {
-          ExprProgram::Scratch scratch;
-          for (std::size_t s = 0; s < prog_slots.size(); ++s) {
-            exprs[prog_slots[s]].prog->EvalBatch(
-                in, chunk.begin, chunk.end,
-                computed[s].data() + static_cast<std::size_t>(chunk.begin),
-                &scratch);
+          ExprScratch scratch;
+          for (std::size_t s = 0; s < expr_slots.size(); ++s) {
+            double* out =
+                computed[s].data() + static_cast<std::size_t>(chunk.begin);
+            EvalBatch(*exprs[expr_slots[s]].expr, in, chunk.begin, chunk.end,
+                      out, &scratch);
           }
         });
-    for (std::size_t s = 0; s < prog_slots.size(); ++s) {
-      out_cols[prog_slots[s]] = std::make_shared<const Column>(
+    for (std::size_t s = 0; s < expr_slots.size(); ++s) {
+      out_cols[expr_slots[s]] = std::make_shared<const Column>(
           Column::Doubles(std::move(computed[s])));
     }
   }

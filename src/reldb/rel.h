@@ -22,9 +22,10 @@
 /// SimSQL-on-Hadoop the paper measures.
 ///
 /// Every relation is a typed ColumnBatch (column_batch.h), and operators
-/// run over it: selection-vector filters evaluated by the expression VM
-/// (expr_vm.h), index-gather projects, and join/group-by/VG-group lookups
-/// of one 64-bit key code per row in a common::FlatIndex (KeyCode, rel.cc).
+/// run over it: selection-vector filters evaluated straight from the
+/// ScalarExpr tree (expr_vm.h), index-gather projects, and
+/// join/group-by/VG-group lookups of one 64-bit key code per row in a
+/// common::FlatIndex (KeyCode, rel.cc).
 /// Every key codes: int columns by value range, double columns by dense
 /// rank under SQL equality (-0.0 equals +0.0; NaN equals nothing), and an
 /// int key never equals a double one (DESIGN.md §10).
@@ -59,14 +60,14 @@ struct Agg {
 };
 
 /// One output column of a Project: a passthrough of an input column, a
-/// constant, or a compiled ScalarExpr. Passthrough columns are shared
-/// zero-copy, constants fill without touching row storage, and compiled
-/// columns run batch-fused through the bytecode VM (expr_vm.h).
+/// constant, or a ScalarExpr. Passthrough columns are shared zero-copy,
+/// constants fill without touching row storage, and expression columns
+/// are evaluated chunk by chunk from the tree (expr_vm.h).
 struct ColExpr {
   int src = -1;           ///< passthrough input column (when >= 0)
   bool is_const = false;  ///< emit `constant` for every row
   Value constant = std::int64_t{0};
-  std::shared_ptr<const ExprProgram> prog;  ///< compiled double column
+  std::shared_ptr<const ScalarExpr> expr;  ///< computed double column
 
   static ColExpr Col(std::size_t idx) {
     ColExpr e;
@@ -81,7 +82,7 @@ struct ColExpr {
   }
   static ColExpr Expr(const ScalarExpr& expr) {
     ColExpr e;
-    e.prog = std::make_shared<const ExprProgram>(ExprProgram::Compile(expr));
+    e.expr = std::make_shared<const ScalarExpr>(expr);
     return e;
   }
 };
@@ -100,9 +101,9 @@ class Rel {
   const Schema& schema() const { return batch_->schema(); }
   double scale() const { return batch_->scale(); }
   double logical_rows() const { return batch_->logical_rows(); }
-  /// Keeps rows where the compiled predicate is non-zero (narrow,
-  /// pipelined). The bytecode VM runs batch-fused over the typed arrays:
-  /// one dispatch per opcode per chunk.
+  /// Keeps rows where the predicate is non-zero (narrow, pipelined). The
+  /// predicate is evaluated over the typed arrays, one loop per tree node
+  /// per chunk.
   Rel Filter(const ScalarExpr& pred) const;
 
   /// The identity filter: keeps every row, charging exactly what a

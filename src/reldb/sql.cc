@@ -612,8 +612,8 @@ Result<std::size_t> ResolveColumn(const Schema& schema,
 
 /// Lowers an AST expression to a structured ScalarExpr over rows of
 /// `schema`: column references resolve to indices, operators and function
-/// names to opcodes — all at plan time, never per row. The result compiles
-/// into the bytecode VM (expr_vm.h) inside Rel::Filter / ColExpr::Expr.
+/// names to ScalarExpr operator enums — all at plan time, never per row.
+/// Rel::Filter and Rel::Project evaluate the tree directly (expr_vm.h).
 Result<ScalarExpr> LowerExpr(const Expr& e, const Schema& schema) {
   switch (e.kind) {
     case Expr::Kind::kNumber:
@@ -772,7 +772,7 @@ class Evaluator {
       plan = plan->HashJoin(next, lq, rq, out_scale);
     }
 
-    // 3. Residual WHERE predicates become compiled filters.
+    // 3. Residual WHERE predicates become filters.
     for (const auto& p : remaining) {
       MLBENCH_ASSIGN_OR_RETURN(ScalarExpr pred,
                                LowerPred(p, plan->schema()));

@@ -17,22 +17,26 @@ namespace mlbench {
 namespace {
 
 using reldb::ColumnBatch;
-using reldb::ExprProgram;
+using reldb::EvalBatch;
+using reldb::EvalRow;
+using reldb::ExprScratch;
 using reldb::ScalarExpr;
+using reldb::SelectBatch;
 using reldb::Schema;
 using reldb::Tuple;
 
 using Column = ColumnBatch::Column;
 
 /// Bitwise double comparison: NaN == NaN, and -0.0 != 0.0 — exactly the
-/// "bit-identical" contract the VM promises against the row interpreter.
+/// "bit-identical" contract the batch evaluator promises against the row
+/// interpreter.
 std::uint64_t Bits(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof(u));
   return u;
 }
 
-// ---- Compiler / VM unit tests ---------------------------------------------
+// ---- Evaluator unit tests -------------------------------------------------
 
 class ExprVmTest : public ::testing::Test {
  protected:
@@ -60,27 +64,26 @@ class ExprVmTest : public ::testing::Test {
                          1.0);
   }
 
-  /// Compiles `e` and checks the batch evaluator against the row
-  /// interpreter bit-for-bit on every row, over the full range and over a
-  /// sub-range (exercising the begin/end offsets the chunked loop uses).
+  /// Checks the batch evaluator against the row interpreter bit-for-bit on
+  /// every row, over the full range and over a sub-range (exercising the
+  /// begin/end offsets the chunked loop uses).
   void ExpectRowBatchParity(const ScalarExpr& e) {
-    const ExprProgram prog = ExprProgram::Compile(e);
     const std::size_t n = batch_.num_rows();
     std::vector<double> row_vals(n);
     Tuple scratch_row;
     for (std::size_t r = 0; r < n; ++r) {
       batch_.MaterializeRow(r, &scratch_row);
-      row_vals[r] = prog.EvalRow(scratch_row);
+      row_vals[r] = EvalRow(e, scratch_row);
     }
-    ExprProgram::Scratch scratch;
+    ExprScratch scratch;
     std::vector<double> batch_vals(n);
-    prog.EvalBatch(batch_, 0, static_cast<std::int64_t>(n),
-                   batch_vals.data(), &scratch);
+    EvalBatch(e, batch_, 0, static_cast<std::int64_t>(n), batch_vals.data(),
+              &scratch);
     for (std::size_t r = 0; r < n; ++r) {
       EXPECT_EQ(Bits(row_vals[r]), Bits(batch_vals[r])) << "row " << r;
     }
     std::vector<double> sub(4);
-    prog.EvalBatch(batch_, 3, 7, sub.data(), &scratch);
+    EvalBatch(e, batch_, 3, 7, sub.data(), &scratch);
     for (std::size_t r = 0; r < 4; ++r) {
       EXPECT_EQ(Bits(row_vals[r + 3]), Bits(sub[r])) << "sub-range row " << r;
     }
@@ -96,10 +99,7 @@ TEST_F(ExprVmTest, LoadColCastsIntsLikeAsDouble) {
 
 TEST_F(ExprVmTest, LoadConst) {
   ExpectRowBatchParity(ScalarExpr::Const(3.75));
-  const ExprProgram prog = ExprProgram::Compile(ScalarExpr::Const(-2.5));
-  EXPECT_EQ(prog.insns().size(), 1u);
-  EXPECT_EQ(prog.num_regs(), 1u);
-  EXPECT_EQ(prog.EvalRow(Tuple{}), -2.5);
+  EXPECT_EQ(EvalRow(ScalarExpr::Const(-2.5), Tuple{}), -2.5);
 }
 
 TEST_F(ExprVmTest, Add) {
@@ -121,12 +121,11 @@ TEST_F(ExprVmTest, DivIncludingZeroDivisor) {
 TEST_F(ExprVmTest, MaxKeepsStdMaxOperandOrder) {
   ExpectRowBatchParity(ScalarExpr::Max(ScalarExpr::Col(1), ScalarExpr::Col(2)));
   // std::max(a, b) returns a when the comparison is false — including for
-  // NaN operands. The kMax opcode must agree on both operand orders.
+  // NaN operands. kMax must agree on both operand orders.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   auto run = [](double a, double b) {
-    const ExprProgram p = ExprProgram::Compile(
-        ScalarExpr::Max(ScalarExpr::Col(0), ScalarExpr::Col(1)));
-    return p.EvalRow(Tuple{a, b});
+    return EvalRow(ScalarExpr::Max(ScalarExpr::Col(0), ScalarExpr::Col(1)),
+                   Tuple{a, b});
   };
   EXPECT_EQ(Bits(run(1.0, nan)), Bits(std::max(1.0, nan)));
   EXPECT_EQ(Bits(run(nan, 1.0)), Bits(std::max(nan, 1.0)));
@@ -154,42 +153,43 @@ TEST_F(ExprVmTest, ComparisonOpcodes) {
 TEST_F(ExprVmTest, IntInMembership) {
   ExpectRowBatchParity(ScalarExpr::IntIn(3, {0, 2}));
   ExpectRowBatchParity(ScalarExpr::IntIn(0, {}));
-  const ExprProgram prog = ExprProgram::Compile(ScalarExpr::IntIn(3, {1}));
-  ASSERT_EQ(prog.sets().size(), 1u);
-  EXPECT_EQ(prog.sets()[0], (std::vector<std::int64_t>{1}));
+  ExpectRowBatchParity(ScalarExpr::IntIn(3, {1}));
 }
 
 TEST_F(ExprVmTest, RegisterAllocationIsStackShaped) {
-  // (x + y) * (x - y): left subtree reuses register 0, right uses 1 and 2.
-  const ExprProgram prog = ExprProgram::Compile(ScalarExpr::Mul(
+  // (x + y) * (x - y): the left subtree reuses depth 0, the right one
+  // depths 1 and 2, so the scratch never holds more than three buffers.
+  const ScalarExpr e = ScalarExpr::Mul(
       ScalarExpr::Add(ScalarExpr::Col(1), ScalarExpr::Col(2)),
-      ScalarExpr::Sub(ScalarExpr::Col(1), ScalarExpr::Col(2))));
-  EXPECT_EQ(prog.insns().size(), 7u);
-  EXPECT_EQ(prog.num_regs(), 3u);
-  ExpectRowBatchParity(ScalarExpr::Mul(
-      ScalarExpr::Add(ScalarExpr::Col(1), ScalarExpr::Col(2)),
-      ScalarExpr::Sub(ScalarExpr::Col(1), ScalarExpr::Col(2))));
+      ScalarExpr::Sub(ScalarExpr::Col(1), ScalarExpr::Col(2)));
+  ExpectRowBatchParity(e);
+  ExprScratch scratch;
+  std::vector<double> out(batch_.num_rows());
+  EvalBatch(e, batch_, 0, static_cast<std::int64_t>(batch_.num_rows()),
+            out.data(), &scratch);
+  EXPECT_LE(scratch.bufs.size(), 3u);
 }
 
 TEST_F(ExprVmTest, SelectBatchMatchesRowPredicate) {
   const ScalarExpr pred = ScalarExpr::Compare(
       ScalarExpr::CmpOp::kGt, ScalarExpr::Col(1), ScalarExpr::Col(2));
-  const ExprProgram prog = ExprProgram::Compile(pred);
   std::vector<std::uint32_t> want;
   Tuple row;
   for (std::size_t r = 0; r < batch_.num_rows(); ++r) {
     batch_.MaterializeRow(r, &row);
-    if (prog.EvalRowPred(row)) want.push_back(static_cast<std::uint32_t>(r));
+    if (EvalRow(pred, row) != 0.0) {
+      want.push_back(static_cast<std::uint32_t>(r));
+    }
   }
-  ExprProgram::Scratch scratch;
+  ExprScratch scratch;
   std::vector<std::uint32_t> got;
-  prog.SelectBatch(batch_, 0, static_cast<std::int64_t>(batch_.num_rows()),
-                   &got, &scratch);
+  SelectBatch(pred, batch_, 0, static_cast<std::int64_t>(batch_.num_rows()),
+              &got, &scratch);
   EXPECT_EQ(want, got);
   // Offset ranges keep global row indices.
   std::vector<std::uint32_t> offset_got;
-  prog.SelectBatch(batch_, 4, static_cast<std::int64_t>(batch_.num_rows()),
-                   &offset_got, &scratch);
+  SelectBatch(pred, batch_, 4, static_cast<std::int64_t>(batch_.num_rows()),
+              &offset_got, &scratch);
   std::vector<std::uint32_t> offset_want;
   for (std::uint32_t r : want) {
     if (r >= 4) offset_want.push_back(r);
@@ -200,7 +200,7 @@ TEST_F(ExprVmTest, SelectBatchMatchesRowPredicate) {
 // ---- Seeded random-expression property test -------------------------------
 
 /// Generates a random ScalarExpr over the fixture's schema (columns 0/3
-/// int, 1/2 double). Depth-bounded; every opcode is reachable.
+/// int, 1/2 double). Depth-bounded; every operator is reachable.
 ScalarExpr RandomExpr(std::mt19937_64& rng, int depth) {
   auto pick = [&rng](std::uint64_t n) {
     return static_cast<std::size_t>(rng() % n);
@@ -264,9 +264,10 @@ std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t n) {
 ScalarExpr RightChain(int n) {
   ScalarExpr e = ScalarExpr::Col(1);
   for (int i = n - 1; i >= 0; --i) {
-    ScalarExpr leaf = i % 3 == 0   ? ScalarExpr::Col(static_cast<std::size_t>(i % 4))
-                      : i % 3 == 1 ? ScalarExpr::Const(0.5 * i - 3.0)
-                                   : ScalarExpr::IntIn(3, {i % 3, 1});
+    ScalarExpr leaf =
+        i % 3 == 0   ? ScalarExpr::Col(static_cast<std::size_t>(i % 4))
+        : i % 3 == 1 ? ScalarExpr::Const(0.5 * i - 3.0)
+                     : ScalarExpr::IntIn(3, {i % 3, 1});
     e = i % 7 == 6 ? ScalarExpr::Compare(
                          static_cast<ScalarExpr::CmpOp>(i % 6), std::move(leaf),
                          std::move(e))
@@ -280,7 +281,8 @@ ScalarExpr RightChain(int n) {
 /// random sweep over the full range and over sub-ranges (chunk offsets),
 /// and a 30-node right-leaning chain as value and as predicate. The parity
 /// tests above compare two evaluators with each other; this digest also
-/// catches both changing the same way. Recorded on the bytecode VM.
+/// catches both changing the same way. The digest was recorded on the
+/// earlier bytecode evaluator, before the tree evaluator replaced it.
 TEST_F(ExprVmTest, FrozenEvaluationDigests) {
   const std::int64_t n = static_cast<std::int64_t>(batch_.num_rows());
   const std::pair<std::int64_t, std::int64_t> ranges[] = {
@@ -288,14 +290,13 @@ TEST_F(ExprVmTest, FrozenEvaluationDigests) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   std::vector<double> out(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> keep;
-  ExprProgram::Scratch scratch;
+  ExprScratch scratch;
   auto digest = [&](const ScalarExpr& e) {
-    const ExprProgram prog = ExprProgram::Compile(e);
     for (const auto& [begin, end] : ranges) {
-      prog.EvalBatch(batch_, begin, end, out.data(), &scratch);
+      EvalBatch(e, batch_, begin, end, out.data(), &scratch);
       h = Fnv1a(h, out.data(), static_cast<std::size_t>(end - begin) * 8);
       keep.clear();
-      prog.SelectBatch(batch_, begin, end, &keep, &scratch);
+      SelectBatch(e, batch_, begin, end, &keep, &scratch);
       h = Fnv1a(h, keep.data(), keep.size() * sizeof(std::uint32_t));
       const std::uint64_t kept = keep.size();
       h = Fnv1a(h, &kept, sizeof(kept));
