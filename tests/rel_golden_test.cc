@@ -446,6 +446,208 @@ TEST_F(KeyParity, SixDoubleKeyColumnsOverflowTogether) {
   });
 }
 
+// ---- Join outputs read by GroupBy and the other consumers ------------------
+//
+// Plans whose join output flows into GroupBy, Project and the other
+// operators: the GMM covariance self-join past 64 x 1024 output rows,
+// group keys from either or both join sides, double keys with signed
+// zeros and NaN on the probe side, a full-range int key, computed and
+// constant aggregate columns, empty and cross joins, a shuffled join, and
+// one join output read by three consumers.
+
+class JoinViewFrozen : public FrozenRelTest {
+ protected:
+  JoinViewFrozen() : FrozenRelTest(5) {}
+
+  /// GMM-shaped inputs: pts(data_id, dim_id, data_val) with `dim` rows
+  /// per point and mem(data_id, clus_id).
+  void PutPoints(std::int64_t points, std::int64_t dim) {
+    Table data(Schema{"data_id", "dim_id", "data_val"}, 1e3);
+    for (std::int64_t p = 0; p < points; ++p) {
+      for (std::int64_t d = 0; d < dim; ++d) {
+        const std::int64_t u = (p * 37 + d * 11 + p * d) % 101;
+        data.Append(Tuple{p, d, static_cast<double>(u) * 0.137 - 6.5});
+      }
+    }
+    db_.Put("pts", data);
+    Table mem(Schema{"data_id", "clus_id"}, 1e3);
+    for (std::int64_t p = 0; p < points; ++p) mem.Append(Tuple{p, (p * 3) % 5});
+    db_.Put("mem", mem);
+  }
+
+  /// The GMM covariance plan's pairs relation: pts joined with mem, then
+  /// with pts again on data_id, projected to (clus_id, d1, d2, prod).
+  static Rel Pairs(Database& db, bool co_partitioned) {
+    auto joined = Rel::Scan(db, "pts").HashJoin(
+        Rel::Scan(db, "mem"), {"data_id"}, {"data_id"}, 1e3, co_partitioned);
+    return joined
+        .HashJoin(Rel::Scan(db, "pts"), {"data_id"}, {"data_id"}, 1e3,
+                  co_partitioned)
+        .Project(Schema{"clus_id", "d1", "d2", "prod"},
+                 {ColExpr::Col(3), ColExpr::Col(1), ColExpr::Col(4),
+                  ColExpr::Expr(
+                      ScalarExpr::Mul(ScalarExpr::Col(2), ScalarExpr::Col(5)))});
+  }
+
+  /// lhs(k, lv, w) with three rows per k in 0..5, and rhs(k, dv, u) whose
+  /// dv cycles through signed zeros, NaN and repeats; w and u span the
+  /// whole int64 range.
+  void PutKeyedSides() {
+    const std::int64_t wide[] = {std::numeric_limits<std::int64_t>::min(), -1,
+                                 0, 7,
+                                 std::numeric_limits<std::int64_t>::max()};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double dvs[] = {0.5, -0.0, nan, 0.0, 1.5, 0.5, nan, -0.0};
+    Table lhs(Schema{"k", "lv", "w"}, 10.0);
+    for (std::int64_t i = 0; i < 18; ++i) {
+      lhs.Append(Tuple{(i * 5) % 6, 0.75 * static_cast<double>(i) - 2.0,
+                       wide[(i * 2) % 5]});
+    }
+    db_.Put("lhs", lhs);
+    Table rhs(Schema{"k", "dv", "u"}, 10.0);
+    for (std::int64_t i = 0; i < 24; ++i) {
+      rhs.Append(Tuple{(i * 7) % 8, dvs[i % 8], wide[(i * 3 + 1) % 5]});
+    }
+    db_.Put("rhs", rhs);
+  }
+
+  /// Checks the digest of stored table `name`.
+  void ExpectStored(const char* digest, const std::string& name) {
+    EXPECT_EQ(Hex(DigestTable(server::kDigestSeed,
+                              db_.GetColumnar(name)->ToTable())),
+              digest)
+        << name;
+  }
+};
+
+TEST_F(JoinViewFrozen, GmmPairsPastOneFoldWave) {
+  // 1500 points x 7 dims: 73500 pair rows, past 64 x 1024; each probe row
+  // emits 7 rows, so probe rows straddle 1024-row windows.
+  PutPoints(1500, 7);
+  ExpectFrozen("bde4d9e64b2a2b68", [](Database& db) {
+    return Pairs(db, /*co_partitioned=*/true)
+        .GroupBy({"clus_id", "d1", "d2"},
+                 {{AggOp::kSum, "prod", "val"}, {AggOp::kCount, "", "n"}},
+                 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, GroupKeysFromOneSide) {
+  PutPoints(1500, 7);
+  ExpectFrozen("d3253aed5057a60b", [](Database& db) {
+    return Pairs(db, true).GroupBy(
+        {"d2"},
+        {{AggOp::kSum, "prod", "s"},
+         {AggOp::kMin, "prod", "lo"},
+         {AggOp::kMax, "clus_id", "hi"}},
+        1.0);
+  });
+  ExpectFrozen("eacd469c6afb0d32", [](Database& db) {
+    return Pairs(db, true).GroupBy(
+        {"clus_id", "d1"},
+        {{AggOp::kAvg, "prod", "m"}, {AggOp::kSum, "d2", "s"}}, 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, ShuffledJoinIntoGroupBy) {
+  // Not co-partitioned: the join's shuffle and output write are charged.
+  PutPoints(300, 4);
+  ExpectFrozen("c8393d77a366079a", [](Database& db) {
+    return Pairs(db, /*co_partitioned=*/false)
+        .GroupBy({"clus_id", "d1", "d2"}, {{AggOp::kSum, "prod", "val"}},
+                 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, DoubleProbeKeysWithSignedZerosAndNaN) {
+  // Each NaN row is a group of its own; -0.0 and +0.0 share one.
+  PutKeyedSides();
+  ExpectFrozen("adae131c265ee2f7", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs"), {"k"}, {"k"}, 10.0)
+        .GroupBy({"dv"},
+                 {{AggOp::kCount, "", "n"},
+                  {AggOp::kSum, "lv", "s"},
+                  {AggOp::kMax, "lv", "hi"}},
+                 1.0);
+  });
+  ExpectFrozen("25f7049338e56548", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs"), {"k"}, {"k"}, 10.0)
+        .GroupBy({"k", "dv"}, {{AggOp::kSum, "lv", "s"}}, 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, FullRangeIntKeysOnBothSides) {
+  PutKeyedSides();
+  ExpectFrozen("d7751eb0746a7548", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs"), {"k"}, {"k"}, 10.0)
+        .GroupBy({"w", "u"},
+                 {{AggOp::kSum, "lv", "s"}, {AggOp::kCount, "", "n"}}, 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, ComputedAggregateNextToConstant) {
+  PutKeyedSides();
+  ExpectFrozen("bd44b0c75c8fe550", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs"), {"k"}, {"k"}, 10.0)
+        .Project(Schema{"k", "one", "half", "e"},
+                 {ColExpr::Col(0), ColExpr::Const(std::int64_t{1}),
+                  ColExpr::Const(0.5),
+                  ColExpr::Expr(ScalarExpr::Add(
+                      ScalarExpr::Mul(ScalarExpr::Col(1), ScalarExpr::Col(1)),
+                      ScalarExpr::Col(0)))})
+        .GroupBy({"k"},
+                 {{AggOp::kSum, "e", "se"},
+                  {AggOp::kSum, "one", "so"},
+                  {AggOp::kAvg, "half", "ah"},
+                  {AggOp::kMin, "e", "lo"}},
+                 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, EmptyJoinIntoGroupBy) {
+  PutKeyedSides();
+  ExpectFrozen("6dc90ca4ec021889", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs").FilterIntIn("k", {99}), {"k"}, {"k"},
+                  10.0)
+        .GroupBy({"k", "dv"}, {{AggOp::kSum, "lv", "s"}}, 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, EmptyKeyCrossJoinIntoGroupBy) {
+  PutKeyedSides();
+  ExpectFrozen("f036d23a42e9d237", [](Database& db) {
+    return Rel::Scan(db, "lhs")
+        .HashJoin(Rel::Scan(db, "rhs").Renamed(Schema{"rk", "dv", "u"}), {},
+                  {}, 10.0)
+        .GroupBy({"rk"}, {{AggOp::kSum, "lv", "s"}, {AggOp::kCount, "", "n"}},
+                 1.0);
+  });
+}
+
+TEST_F(JoinViewFrozen, OneJoinReadByThreeConsumers) {
+  // The same join output is grouped, filtered and used as the build side
+  // of a second join.
+  PutPoints(200, 3);
+  ExpectFrozen("269e8ce6fe912e69", [](Database& db) {
+    auto joined = Rel::Scan(db, "pts").HashJoin(
+        Rel::Scan(db, "mem"), {"data_id"}, {"data_id"}, 1e3, true);
+    joined.GroupBy({"clus_id", "dim_id"}, {{AggOp::kSum, "data_val", "s"}},
+                   1.0)
+        .Materialize("sums");
+    joined.FilterIntIn("dim_id", {0}).Materialize("firsts");
+    return joined.HashJoin(Rel::Scan(db, "mem").Renamed(
+                               Schema{"data_id", "clus2"}),
+                           {"data_id"}, {"data_id"}, 1e3);
+  });
+  ExpectStored("a3d7ddcf912001d8", "sums");
+  ExpectStored("9a6eefe662dca981", "firsts");
+}
+
 // ---- Compiled expressions and SQL ------------------------------------------
 
 class VmInterpParity : public FrozenRelTest {
