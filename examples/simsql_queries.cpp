@@ -83,8 +83,8 @@ int main() {
     }
     // Memberships would be refreshed by the multinomial_membership VG in
     // the full simulation; here we reuse them to exercise the recursion.
-    db.Put(Database::Versioned("membership", i),
-           *db.Get(Database::Versioned("membership", i - 1)));
+    db.PutBatch(Database::Versioned("membership", i),
+                db.GetColumnar(Database::Versioned("membership", i - 1)));
     std::printf("clus_prob[%d]: %zu rows, simulated %s\n", i,
                 r->actual_rows(),
                 FormatDuration(sim.elapsed_seconds() - before).c_str());

@@ -21,7 +21,6 @@ using models::GmmSuffStats;
 using models::Matrix;
 using models::Vector;
 using reldb::AggOp;
-using reldb::AsDouble;
 using reldb::AsInt;
 using reldb::ColType;
 using reldb::ColumnBatch;
@@ -63,17 +62,24 @@ class MembershipVg : public reldb::VgFunction {
     // the sampled cluster.
     out->cols.push_back(ColumnBatch::Column::Sized(idc.type, n_groups));
     out->cols.push_back(ColumnBatch::Column::Sized(ColType::kInt, n_groups));
+    // One point buffer per call, zeroed per group. In imputation mode the
+    // point is the censored one, read in place: Sample reads it before
+    // ImputeMissing rewrites it.
+    Vector x(dim_);
     for (std::size_t g = 0; g < n_groups; ++g) {
       const std::size_t lo = group_offsets[g];
       const std::size_t hi = group_offsets[g + 1];
-      // Fresh zero-initialized point per group.
-      Vector x(dim_);
-      for (std::size_t i = lo; i < hi; ++i) {
-        x[static_cast<std::size_t>(AsInt(dimc.At(i)))] = valc.AsDoubleAt(i);
-      }
       auto id = static_cast<std::size_t>(AsInt(idc.At(lo)));
-      if (censored_ != nullptr) x = (*censored_)[id].x;
-      std::size_t k = sampler_->Sample(rng, x, &scratch_);
+      const Vector* point = &x;
+      if (censored_ != nullptr) {
+        point = &(*censored_)[id].x;
+      } else {
+        x.Fill(0.0);
+        for (std::size_t i = lo; i < hi; ++i) {
+          x[static_cast<std::size_t>(AsInt(dimc.At(i)))] = valc.AsDoubleAt(i);
+        }
+      }
+      std::size_t k = sampler_->Sample(rng, *point, &scratch_);
       if (censored_ != nullptr && params_ != nullptr) {
         Status st = models::ImputeMissing(rng, params_->mu[k],
                                           params_->sigma[k],
@@ -285,20 +291,22 @@ GmmParams ReadModel(Database& db, int iteration, std::size_t k,
   p.pi = Vector(k);
   p.mu.assign(k, Vector(dim));
   p.sigma.assign(k, Matrix(dim, dim));
-  auto prob = db.Get(Database::Versioned("clus_prob", iteration));
-  for (const auto& row : prob->rows()) {
-    p.pi[static_cast<std::size_t>(AsInt(row[0]))] = AsDouble(row[1]);
+  const auto prob = db.GetColumnar(Database::Versioned("clus_prob", iteration));
+  for (std::size_t r = 0; r < prob->num_rows(); ++r) {
+    p.pi[static_cast<std::size_t>(AsInt(prob->col(0).At(r)))] =
+        prob->col(1).AsDoubleAt(r);
   }
-  auto model = db.Get(Database::Versioned("clus_model", iteration));
-  for (const auto& row : model->rows()) {
-    auto c = static_cast<std::size_t>(AsInt(row[0]));
-    auto kind = AsInt(row[1]);
-    auto d1 = static_cast<std::size_t>(AsInt(row[2]));
-    auto d2 = static_cast<std::size_t>(AsInt(row[3]));
+  const auto model =
+      db.GetColumnar(Database::Versioned("clus_model", iteration));
+  for (std::size_t r = 0; r < model->num_rows(); ++r) {
+    auto c = static_cast<std::size_t>(AsInt(model->col(0).At(r)));
+    auto kind = AsInt(model->col(1).At(r));
+    auto d1 = static_cast<std::size_t>(AsInt(model->col(2).At(r)));
+    auto d2 = static_cast<std::size_t>(AsInt(model->col(3).At(r)));
     if (kind == 0) {
-      p.mu[c][d1] = AsDouble(row[4]);
+      p.mu[c][d1] = model->col(4).AsDoubleAt(r);
     } else if (kind == 1) {
-      p.sigma[c](d1, d2) = AsDouble(row[4]);
+      p.sigma[c](d1, d2) = model->col(4).AsDoubleAt(r);
     }
   }
   return p;
@@ -463,13 +471,10 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
 
     if (!exp.super_vertex) {
       // Query 1: membership[i] -- data grouped per point through the
-      // multinomial_membership VG function, parameterized by the
-      // (broadcast) model tables. The paper's version is a six-table
-      // join; SimSQL runs it as a multi-job plan.
-      // The paper's version parameterizes the VG through a six-table join
-      // (data + the four model tables); SimSQL compiles it into a
-      // multi-job plan whose extra jobs and join handling we charge, while
-      // the small model tables broadcast-join.
+      // multinomial_membership VG function. The paper parameterizes the VG
+      // through a six-table join (data + the four model tables); SimSQL
+      // compiles it into a multi-job plan whose extra jobs and join
+      // handling we charge, while the small model tables broadcast-join.
       db.BeginQuery(Database::Versioned("membership", i));
       ChargeModelBroadcast(db, exp.k, exp.dim);
       db.ChargeExtraJob();  // join-plan stages beyond the first
@@ -541,7 +546,9 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
       auto pairs = joined.HashJoin(Rel::Scan(db, "data"), {"data_id"},
                                    {"data_id"}, scale,
                                    /*co_partitioned=*/true);
-      // pairs schema: data_id, dim_id, data_val, clus_id, dim_id2?, ...
+      // pairs has six columns, two names twice: data_id, dim_id, data_val,
+      // clus_id (joined), then dim_id, data_val (data). The Project picks
+      // them by index.
       constexpr std::size_t val1 = 2, val2 = 5;
       pairs
           .Project(Schema{"clus_id", "d1", "d2", "prod"},

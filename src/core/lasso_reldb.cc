@@ -19,7 +19,6 @@ using models::LassoState;
 using models::LassoSuffStats;
 using models::Vector;
 using reldb::AggOp;
-using reldb::AsDouble;
 using reldb::AsInt;
 using reldb::ColumnBatch;
 using reldb::Database;
@@ -204,9 +203,10 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
             .VgApply(ig_vg, {"rigid"}, 1.0, 60.0);
     tau.Materialize(Database::Versioned("tau", i));
     db.EndQuery();
-    for (const auto& row : db.Get(Database::Versioned("tau", i))->rows()) {
-      state->inv_tau2[static_cast<std::size_t>(AsInt(row[0]))] =
-          1.0 / std::max(AsDouble(row[1]), 1e-12);
+    const auto tau_cols = db.GetColumnar(Database::Versioned("tau", i));
+    for (std::size_t r = 0; r < tau_cols->num_rows(); ++r) {
+      state->inv_tau2[static_cast<std::size_t>(AsInt(tau_cols->col(0).At(r)))] =
+          1.0 / std::max(tau_cols->col(1).AsDoubleAt(r), 1e-12);
     }
 
     // beta[i]: assemble A = X^T X + D_tau^-1 from the p^2-row Gram view
@@ -226,8 +226,10 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
                                  models::BetaUpdateFlops(exp.p) / p);
     beta_rel.Materialize(Database::Versioned("beta", i));
     db.EndQuery();
-    for (const auto& row : db.Get(Database::Versioned("beta", i))->rows()) {
-      state->beta[static_cast<std::size_t>(AsInt(row[0]))] = AsDouble(row[1]);
+    const auto beta_cols = db.GetColumnar(Database::Versioned("beta", i));
+    for (std::size_t r = 0; r < beta_cols->num_rows(); ++r) {
+      state->beta[static_cast<std::size_t>(AsInt(beta_cols->col(0).At(r)))] =
+          beta_cols->col(1).AsDoubleAt(r);
     }
 
     // sigma[i]: the SSE pass over the data (scan + join with beta).

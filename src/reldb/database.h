@@ -25,11 +25,10 @@
 /// replicated storage between jobs, and nothing is pinned in RAM — which is
 /// why this engine can be slow but never runs out of memory.
 ///
-/// Every stored table holds its columnar form (ColumnBatch), which is what
-/// operators scan; the row form (Table) is only a read-back cache, built
-/// from the columns on the first Get. Put of a row Table types it on load
-/// and keeps only the columns: a column that mixes int and double values
-/// aborts (ColumnBatch::FromTable).
+/// Every stored table is held in its columnar form (ColumnBatch), which is
+/// what operators scan and drivers read back (GetColumnar). Put of a row
+/// Table types it on load and keeps only the columns: a column that mixes
+/// int and double values aborts (ColumnBatch::FromTable).
 
 namespace mlbench::reldb {
 
@@ -63,22 +62,15 @@ class Database {
   void PutBatch(const std::string& name,
                 std::shared_ptr<const ColumnBatch> cols) {
     MLBENCH_CHECK(cols != nullptr);
-    tables_[name] = StoredTable{std::move(cols), nullptr};
-  }
-
-  /// Read-only row view of a stored table (built from the columns and
-  /// cached on first use); the table must exist.
-  std::shared_ptr<const Table> Get(const std::string& name) {
-    StoredTable& st = Lookup(name);
-    if (st.rows == nullptr) {
-      st.rows = std::make_shared<const Table>(st.cols->ToTable());
-    }
-    return st.rows;
+    tables_[name] = std::move(cols);
   }
 
   /// A stored table's columnar form; the table must exist.
   std::shared_ptr<const ColumnBatch> GetColumnar(const std::string& name) {
-    return Lookup(name).cols;
+    auto it = tables_.find(name);
+    MLBENCH_CHECK_MSG(it != tables_.end(),
+                      ("no such table: " + name).c_str());
+    return it->second;
   }
 
   void Drop(const std::string& name) { tables_.erase(name); }
@@ -180,23 +172,11 @@ class Database {
     }
   }
 
-  /// One stored relation: its columns, plus the row form once built.
-  struct StoredTable {
-    std::shared_ptr<const ColumnBatch> cols;
-    std::shared_ptr<const Table> rows;
-  };
-
-  StoredTable& Lookup(const std::string& name) {
-    auto it = tables_.find(name);
-    MLBENCH_CHECK_MSG(it != tables_.end(),
-                      ("no such table: " + name).c_str());
-    return it->second;
-  }
-
   sim::ClusterSim* sim_;
   sim::RelDbCosts costs_;
   stats::Rng rng_;
-  std::unordered_map<std::string, StoredTable> tables_;
+  std::unordered_map<std::string, std::shared_ptr<const ColumnBatch>>
+      tables_;
   std::int64_t job_index_ = 0;
   Status fault_status_ = Status::OK();
 };

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/flat_index.h"
 #include "exec/parallel_for.h"
@@ -232,6 +237,40 @@ class KeyCode {
   std::vector<std::vector<std::int64_t>> ranks_;
 };
 
+/// Copies rows `rows[0..n)` of `src` into `dst` from slot `at` on, in the
+/// column's own type.
+void GatherRows(const Column& src, const std::uint32_t* rows, std::size_t n,
+                Column* dst, std::size_t at) {
+  if (src.type == ColType::kInt) {
+    for (std::size_t j = 0; j < n; ++j) dst->ints[at + j] = src.ints[rows[j]];
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      dst->doubles[at + j] = src.doubles[rows[j]];
+    }
+  }
+}
+
+/// Rows `rows[0..n)` of `src` as doubles, converted as AsDoubleAt does.
+void GatherDoubles(const Column& src, const std::uint32_t* rows,
+                   std::size_t n, double* dst) {
+  if (src.type == ColType::kInt) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dst[j] = static_cast<double>(src.ints[rows[j]]);
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) dst[j] = src.doubles[rows[j]];
+  }
+}
+
+/// A column of n copies of `v`, typed like it.
+Column ConstColumn(const Value& v, std::size_t n) {
+  if (std::holds_alternative<std::int64_t>(v)) {
+    return Column::Ints(
+        std::vector<std::int64_t>(n, std::get<std::int64_t>(v)));
+  }
+  return Column::Doubles(std::vector<double>(n, std::get<double>(v)));
+}
+
 /// Gathers the selected rows of `in` (per-chunk selection vectors, already
 /// in chunk-index order) into fresh typed columns. Each chunk writes a
 /// disjoint output range, so the fill parallelizes freely.
@@ -254,22 +293,475 @@ std::vector<Column> GatherColumns(
           const auto& rows = sel[static_cast<std::size_t>(p)];
           const std::size_t off = offsets[static_cast<std::size_t>(p)];
           for (std::size_t c = 0; c < in.num_cols(); ++c) {
-            const Column& src = in.col(c);
-            Column& dst = out[c];
-            if (src.type == ColType::kInt) {
-              for (std::size_t j = 0; j < rows.size(); ++j) {
-                dst.ints[off + j] = src.ints[rows[j]];
-              }
-            } else {
-              for (std::size_t j = 0; j < rows.size(); ++j) {
-                dst.doubles[off + j] = src.doubles[rows[j]];
-              }
-            }
+            GatherRows(in.col(c), rows.data(), rows.size(), &out[c], off);
           }
         }
       });
   return out;
 }
+
+/// Rewrites every column index of `e` through `map`. False when `map`
+/// returns a negative index (`e` is then partly rewritten).
+template <typename Map>
+bool MapColumns(ScalarExpr* e, const Map& map) {
+  if (e->kind == ScalarExpr::Kind::kCol ||
+      e->kind == ScalarExpr::Kind::kIntIn) {
+    const std::int64_t to = map(e->col);
+    if (to < 0) return false;
+    e->col = static_cast<std::size_t>(to);
+  }
+  for (ScalarExpr& kid : e->kids) {
+    if (!MapColumns(&kid, map)) return false;
+  }
+  return true;
+}
+
+/// Per-thread buffers for reading output rows [b, e) of a join view: each
+/// row's build and probe row, and one kRowGrain-row buffer per source,
+/// typed like it and viewed as one batch, for expressions to run on.
+struct ViewWindow {
+  std::vector<std::uint32_t> build_rows, probe_rows;
+  std::vector<std::shared_ptr<Column>> bufs;
+  ColumnBatch batch;
+  ExprScratch scratch;
+
+  std::size_t size() const { return build_rows.size(); }
+};
+
+/// Key code of a join-side row whose key holds a NaN: it equals nothing,
+/// so each output row it is part of groups alone. No real code reaches
+/// it (codes stay below a product of spans that fits in 64 bits).
+constexpr std::uint64_t kLone = std::numeric_limits<std::uint64_t>::max();
+
+/// Codes key columns `idx` of one join side, one code per side row, kLone
+/// for a NaN key. `*span` is one past the largest other code.
+std::vector<std::uint64_t> SideCodes(const ColumnBatch& side,
+                                     const std::vector<std::size_t>& idx,
+                                     std::uint64_t* span) {
+  const KeyCode code(side, idx);
+  std::vector<std::uint64_t> codes(side.num_rows());
+  std::uint64_t hi = 0;
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    bool lone = false;
+    for (std::size_t k : idx) {
+      const Column& c = side.col(k);
+      lone = lone || (c.type == ColType::kDouble && std::isnan(c.doubles[r]));
+    }
+    codes[r] = lone ? kLone : code.At(r);
+    if (!lone) hi = std::max(hi, codes[r]);
+  }
+  *span = hi + 1;
+  return codes;
+}
+
+/// Replaces the codes other than kLone by dense first-seen ranks; `*span`
+/// becomes one past the largest rank.
+void RankCodes(std::vector<std::uint64_t>* codes, std::uint64_t* span) {
+  common::FlatIndex dict;
+  std::uint64_t next = 0;
+  for (std::uint64_t& c : *codes) {
+    if (c == kLone) continue;
+    bool inserted = false;
+    std::size_t* slot = dict.FindOrInsert(c, &inserted);
+    if (inserted) *slot = next++;
+    c = *slot;
+  }
+  *span = std::max<std::uint64_t>(next, 1);
+}
+
+}  // namespace
+
+/// A join's output, not gathered (DESIGN.md §10, "Deferred join views and
+/// the streamed group-by"). Output row o belongs to the probe row p with
+/// offsets[p] <= o < offsets[p + 1] and is the (o - offsets[p])-th build
+/// member of p's key: probe row order, then build rows in insertion order.
+/// Each column reads one build or probe column in place (a source), is a
+/// constant, or is a ScalarExpr whose column indices name sources.
+class JoinView {
+ public:
+  /// The join's row mapping, shared by every view projected from it.
+  struct Match {
+    std::shared_ptr<const ColumnBatch> build, probe;
+    std::vector<std::uint32_t> members;  ///< build rows, grouped by key
+    std::vector<std::uint32_t> first;    ///< per probe row: its members
+    std::vector<std::size_t> offsets;    ///< per probe row + 1: output row
+  };
+  struct Source {
+    bool probe = false;
+    std::size_t col = 0;
+  };
+  struct Col {
+    enum class Kind : std::uint8_t { kSource, kConst, kExpr };
+    Kind kind = Kind::kSource;
+    std::size_t source = 0;                  ///< kSource
+    Value constant = std::int64_t{0};        ///< kConst
+    std::shared_ptr<const ScalarExpr> expr;  ///< kExpr, over sources
+    std::vector<std::size_t> reads;          ///< kExpr: the sources it reads
+  };
+
+  JoinView(std::shared_ptr<const Match> match, std::vector<Source> sources,
+           std::vector<Col> cols, Schema schema, double scale)
+      : match_(std::move(match)),
+        sources_(std::move(sources)),
+        cols_(std::move(cols)),
+        schema_(std::move(schema)),
+        scale_(scale) {
+    MLBENCH_CHECK(schema_.size() == cols_.size());
+    for (Col& c : cols_) {
+      if (c.kind != Col::Kind::kExpr) continue;
+      std::vector<bool> read(sources_.size(), false);
+      ScalarExpr scan = *c.expr;
+      MapColumns(&scan, [&](std::size_t s) {
+        read[s] = true;
+        return static_cast<std::int64_t>(s);
+      });
+      c.reads.clear();
+      for (std::size_t s = 0; s < read.size(); ++s) {
+        if (read[s]) c.reads.push_back(s);
+      }
+    }
+  }
+
+  const Schema& schema() const { return schema_; }
+  double scale() const { return scale_; }
+  std::size_t num_rows() const { return match_->offsets.back(); }
+  const Col& col(std::size_t c) const { return cols_[c]; }
+  const Source& source(std::size_t s) const { return sources_[s]; }
+  /// The build (false) or probe (true) side's columns.
+  const ColumnBatch& Side(bool probe) const {
+    return probe ? *match_->probe : *match_->build;
+  }
+  const Column& SourceColumn(std::size_t s) const {
+    return Side(sources_[s].probe).col(sources_[s].col);
+  }
+
+  /// The same rows and columns under a new schema.
+  std::shared_ptr<const JoinView> Renamed(Schema schema) const {
+    return std::make_shared<const JoinView>(match_, sources_, cols_,
+                                            std::move(schema), scale_);
+  }
+
+  /// The view a Project of `exprs` over this one yields, reading only the
+  /// sources its columns use. Null when an expression reads a column that
+  /// is not a source; that Project runs over the gathered view instead.
+  std::shared_ptr<const JoinView> Projected(
+      Schema schema, const std::vector<ColExpr>& exprs) const {
+    std::vector<std::int64_t> remap(sources_.size(), -1);
+    std::vector<Source> sources;
+    auto use = [&](std::size_t s) {
+      if (remap[s] < 0) {
+        remap[s] = static_cast<std::int64_t>(sources.size());
+        sources.push_back(sources_[s]);
+      }
+      return remap[s];
+    };
+    std::vector<Col> cols;
+    cols.reserve(exprs.size());
+    for (const ColExpr& e : exprs) {
+      Col c;
+      if (e.src >= 0) {
+        c = cols_[static_cast<std::size_t>(e.src)];
+        if (c.kind == Col::Kind::kSource) {
+          c.source = static_cast<std::size_t>(use(c.source));
+        } else if (c.kind == Col::Kind::kExpr) {
+          ScalarExpr x = *c.expr;
+          MapColumns(&x, use);
+          c.expr = std::make_shared<const ScalarExpr>(std::move(x));
+        }
+      } else if (e.is_const) {
+        c.kind = Col::Kind::kConst;
+        c.constant = e.constant;
+      } else {
+        ScalarExpr x = *e.expr;
+        const bool on_sources =
+            MapColumns(&x, [&](std::size_t v) -> std::int64_t {
+              const Col& in = cols_[v];
+              return in.kind == Col::Kind::kSource ? use(in.source) : -1;
+            });
+        if (!on_sources) return nullptr;
+        c.kind = Col::Kind::kExpr;
+        c.expr = std::make_shared<const ScalarExpr>(std::move(x));
+      }
+      cols.push_back(std::move(c));
+    }
+    return std::make_shared<const JoinView>(match_, std::move(sources),
+                                            std::move(cols), std::move(schema),
+                                            scale_);
+  }
+
+  /// Build (first) and probe (second) row of output row o.
+  std::pair<std::uint32_t, std::uint32_t> RowAt(std::size_t o) const {
+    const std::size_t p = ProbeRowOf(o);
+    return {match_->members[match_->first[p] + (o - match_->offsets[p])],
+            static_cast<std::uint32_t>(p)};
+  }
+
+  /// Points `w` at output rows [b, e): each row's build and probe row.
+  void LocateWindow(std::size_t b, std::size_t e, ViewWindow* w) const {
+    const std::size_t len = e - b;
+    w->build_rows.resize(len);
+    w->probe_rows.resize(len);
+    const std::vector<std::size_t>& off = match_->offsets;
+    std::size_t p = ProbeRowOf(b);
+    std::size_t m = b - off[p];
+    for (std::size_t i = 0; i < len; ++i) {
+      while (off[p] + m == off[p + 1]) {
+        ++p;
+        m = 0;
+      }
+      w->build_rows[i] = match_->members[match_->first[p] + m];
+      w->probe_rows[i] = static_cast<std::uint32_t>(p);
+      ++m;
+    }
+  }
+
+  /// Column c at the window's rows, as doubles.
+  void WindowDoubles(std::size_t c, ViewWindow* w, double* out) const {
+    const Col& col = cols_[c];
+    switch (col.kind) {
+      case Col::Kind::kSource:
+        GatherDoubles(SourceColumn(col.source), WindowRows(col.source, *w),
+                      w->size(), out);
+        return;
+      case Col::Kind::kConst:
+        std::fill_n(out, w->size(), AsDouble(col.constant));
+        return;
+      case Col::Kind::kExpr:
+        WindowExpr(col, w, out);
+        return;
+    }
+  }
+
+  /// Every row gathered into columns on the first call; later calls, from
+  /// any copy of the Rel, return the same batch. Rel operators run on one
+  /// thread, so the cache needs no lock.
+  std::shared_ptr<const ColumnBatch> Gathered() const {
+    if (gathered_ != nullptr) return gathered_;
+    const std::size_t n = num_rows();
+    std::vector<Column> out;
+    out.reserve(cols_.size());
+    for (const Col& c : cols_) {
+      switch (c.kind) {
+        case Col::Kind::kSource:
+          out.push_back(Column::Sized(SourceColumn(c.source).type, n));
+          break;
+        case Col::Kind::kConst:
+          out.push_back(ConstColumn(c.constant, n));
+          break;
+        case Col::Kind::kExpr:
+          out.push_back(Column::Sized(ColType::kDouble, n));
+          break;
+      }
+    }
+    const std::int64_t rows = static_cast<std::int64_t>(n);
+    exec::ParallelFor(
+        rows, exec::GrainFor(rows, exec::CostHint::kCheap),
+        [&](const exec::Chunk& chunk) {
+          thread_local ViewWindow w;
+          for (std::int64_t b = chunk.begin; b < chunk.end; b += kRowGrain) {
+            const std::int64_t e = std::min(b + kRowGrain, chunk.end);
+            LocateWindow(static_cast<std::size_t>(b),
+                         static_cast<std::size_t>(e), &w);
+            const std::size_t at = static_cast<std::size_t>(b);
+            for (std::size_t c = 0; c < cols_.size(); ++c) {
+              const Col& col = cols_[c];
+              if (col.kind == Col::Kind::kSource) {
+                GatherRows(SourceColumn(col.source),
+                           WindowRows(col.source, w), w.size(), &out[c], at);
+              } else if (col.kind == Col::Kind::kExpr) {
+                WindowExpr(col, &w, out[c].doubles.data() + at);
+              }  // constants are filled above
+            }
+          }
+        });
+    gathered_ =
+        std::make_shared<const ColumnBatch>(schema_, std::move(out), scale_);
+    return gathered_;
+  }
+
+ private:
+  /// The probe row whose output rows hold output row o.
+  std::size_t ProbeRowOf(std::size_t o) const {
+    const std::vector<std::size_t>& off = match_->offsets;
+    return static_cast<std::size_t>(
+               std::upper_bound(off.begin(), off.end(), o) - off.begin()) -
+           1;
+  }
+
+  /// The window's rows on source s's side.
+  const std::uint32_t* WindowRows(std::size_t s, const ViewWindow& w) const {
+    return sources_[s].probe ? w.probe_rows.data() : w.build_rows.data();
+  }
+
+  /// Evaluates expression column `c` over the window into `out`: gathers
+  /// the sources it reads into the window's buffers, then runs EvalBatch
+  /// on them.
+  void WindowExpr(const Col& c, ViewWindow* w, double* out) const {
+    bool rebuilt = w->bufs.size() != sources_.size();
+    w->bufs.resize(sources_.size());
+    for (std::size_t s = 0; s < sources_.size(); ++s) {
+      const ColType type = SourceColumn(s).type;
+      if (w->bufs[s] == nullptr || w->bufs[s]->type != type) {
+        w->bufs[s] =
+            std::make_shared<Column>(Column::Sized(type, kRowGrain));
+        rebuilt = true;
+      }
+    }
+    if (rebuilt) {
+      w->batch = ColumnBatch(
+          Schema{},
+          std::vector<std::shared_ptr<const Column>>(w->bufs.begin(),
+                                                     w->bufs.end()),
+          1.0);
+    }
+    for (std::size_t s : c.reads) {
+      GatherRows(SourceColumn(s), WindowRows(s, *w), w->size(),
+                 w->bufs[s].get(), 0);
+    }
+    EvalBatch(*c.expr, w->batch, 0, static_cast<std::int64_t>(w->size()), out,
+              &w->scratch);
+  }
+
+  std::shared_ptr<const Match> match_;
+  std::vector<Source> sources_;
+  std::vector<Col> cols_;
+  Schema schema_;
+  double scale_;
+  mutable std::shared_ptr<const ColumnBatch> gathered_;
+};
+
+namespace {
+
+/// GroupBy's input, read one window of rows at a time (DESIGN.md §10):
+/// each row's key code and each aggregate's input as doubles. A batch is
+/// read in place. A join view codes its keys from the key columns of the
+/// build and probe sides and gathers, per window, only the columns the
+/// aggregates read.
+class GroupInput {
+ public:
+  /// Aggregate input column of COUNT, which reads none.
+  static constexpr std::size_t kNoColumn =
+      std::numeric_limits<std::size_t>::max();
+
+  /// Per-thread window buffers, reused from window to window.
+  struct Window {
+    std::vector<std::uint64_t> codes;
+    std::vector<const double*> vals;        ///< per aggregate; null: COUNT
+    std::vector<std::vector<double>> bufs;  ///< per aggregate
+    ViewWindow rows;
+  };
+
+  /// Reads `batch`, or `view` when it is given; every key column of a view
+  /// must be a source. `acols[a]` is aggregate a's input column.
+  GroupInput(const ColumnBatch* batch, const JoinView* view,
+             const std::vector<std::size_t>& kidx,
+             std::vector<std::size_t> acols)
+      : batch_(batch), view_(view), acols_(std::move(acols)) {
+    if (view_ == nullptr) {
+      code_.emplace(*batch_, kidx);
+      return;
+    }
+    // A view's key code: each side's key columns code per side row
+    // (KeyCode), and an output row's code pairs its two rows' codes. A row
+    // with a NaN key codes past every pair, uniquely per output row.
+    std::vector<std::size_t> bidx, pidx;
+    for (std::size_t k : kidx) {
+      const JoinView::Source& src = view_->source(view_->col(k).source);
+      (src.probe ? pidx : bidx).push_back(src.col);
+    }
+    bcodes_ = SideCodes(view_->Side(false), bidx, &bspan_);
+    pcodes_ = SideCodes(view_->Side(true), pidx, &pspan_);
+    const std::uint64_t rows = view_->num_rows();
+    auto fits = [&] {
+      std::uint64_t top = 0;
+      return !__builtin_mul_overflow(bspan_, pspan_, &top) &&
+             !__builtin_add_overflow(top, rows, &top);
+    };
+    if (!fits()) {
+      // Ranks stay below each side's row count, and rows are
+      // uint32-indexed, so ranked codes always fit.
+      RankCodes(&bcodes_, &bspan_);
+      RankCodes(&pcodes_, &pspan_);
+      MLBENCH_CHECK(fits());
+    }
+    lone_base_ = bspan_ * pspan_;
+  }
+
+  /// Fills `w` for input rows [b, e).
+  void FillWindow(std::size_t b, std::size_t e, Window* w) const {
+    const std::size_t len = e - b;
+    w->codes.resize(len);
+    w->vals.resize(acols_.size());
+    w->bufs.resize(acols_.size());
+    if (view_ == nullptr) {
+      for (std::size_t i = 0; i < len; ++i) w->codes[i] = code_->At(b + i);
+      for (std::size_t a = 0; a < acols_.size(); ++a) {
+        if (acols_[a] == kNoColumn) {
+          w->vals[a] = nullptr;
+          continue;
+        }
+        const Column& c = batch_->col(acols_[a]);
+        if (c.type == ColType::kDouble) {
+          w->vals[a] = c.doubles.data() + b;  // in place
+          continue;
+        }
+        w->bufs[a].resize(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          w->bufs[a][i] = static_cast<double>(c.ints[b + i]);
+        }
+        w->vals[a] = w->bufs[a].data();
+      }
+      return;
+    }
+    view_->LocateWindow(b, e, &w->rows);
+    const std::uint32_t* lrows = w->rows.build_rows.data();
+    const std::uint32_t* prows = w->rows.probe_rows.data();
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint64_t x = bcodes_[lrows[i]];
+      const std::uint64_t y = pcodes_[prows[i]];
+      w->codes[i] =
+          x == kLone || y == kLone ? lone_base_ + b + i : y * bspan_ + x;
+    }
+    for (std::size_t a = 0; a < acols_.size(); ++a) {
+      if (acols_[a] == kNoColumn) {
+        w->vals[a] = nullptr;
+        continue;
+      }
+      w->bufs[a].resize(len);
+      view_->WindowDoubles(acols_[a], &w->rows, w->bufs[a].data());
+      w->vals[a] = w->bufs[a].data();
+    }
+  }
+
+  /// Key column k at input rows `rows`, type and bits.
+  Column KeyColumn(std::size_t k,
+                   const std::vector<std::uint32_t>& rows) const {
+    if (view_ == nullptr) {
+      const Column& src = batch_->col(k);
+      Column kc = Column::Sized(src.type, rows.size());
+      GatherRows(src, rows.data(), rows.size(), &kc, 0);
+      return kc;
+    }
+    const std::size_t s = view_->col(k).source;
+    std::vector<std::uint32_t> side_rows(rows.size());
+    for (std::size_t g = 0; g < rows.size(); ++g) {
+      const auto [l, p] = view_->RowAt(rows[g]);
+      side_rows[g] = view_->source(s).probe ? p : l;
+    }
+    const Column& src = view_->SourceColumn(s);
+    Column kc = Column::Sized(src.type, rows.size());
+    GatherRows(src, side_rows.data(), side_rows.size(), &kc, 0);
+    return kc;
+  }
+
+ private:
+  const ColumnBatch* batch_;
+  const JoinView* view_;
+  std::vector<std::size_t> acols_;
+  std::optional<KeyCode> code_;  ///< a batch's key code
+  std::vector<std::uint64_t> bcodes_, pcodes_;  ///< a view's side codes
+  std::uint64_t bspan_ = 1, pspan_ = 1, lone_base_ = 0;
+};
 
 }  // namespace
 
@@ -283,6 +775,25 @@ Rel Rel::Scan(Database& db, const std::string& name) {
 
 Rel Rel::FromColumns(Database& db, ColumnBatch batch) {
   return Rel(&db, std::make_shared<const ColumnBatch>(std::move(batch)));
+}
+
+std::shared_ptr<const ColumnBatch> Rel::Columns() const {
+  return view_ != nullptr ? view_->Gathered() : batch_;
+}
+
+Table Rel::ToTable() const { return Columns()->ToTable(); }
+
+const Schema& Rel::schema() const {
+  return view_ != nullptr ? view_->schema() : batch_->schema();
+}
+
+double Rel::scale() const {
+  return view_ != nullptr ? view_->scale() : batch_->scale();
+}
+
+double Rel::logical_rows() const {
+  if (view_ == nullptr) return batch_->logical_rows();
+  return static_cast<double>(view_->num_rows()) * view_->scale();
 }
 
 void Rel::ChargeTuples(double logical, double per_tuple_s) const {
@@ -304,7 +815,8 @@ void Rel::ChargeShuffle(double bytes) const {
 
 Rel Rel::Filter(const ScalarExpr& pred) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  const ColumnBatch& in = *batch_;
+  const std::shared_ptr<const ColumnBatch> input = Columns();
+  const ColumnBatch& in = *input;
   const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
   const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
   exec::ScratchVec<std::vector<std::uint32_t>> sel_lease;
@@ -324,7 +836,7 @@ Rel Rel::FilterAll() const {
   // Same charge as a Filter that keeps everything; the output is the
   // input relation, shared zero-copy (operators never mutate their inputs).
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  return Rel(db_, batch_);
+  return *this;
 }
 
 Rel Rel::FilterIntIn(const std::string& col,
@@ -334,7 +846,14 @@ Rel Rel::FilterIntIn(const std::string& col,
 
 Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  const ColumnBatch& in = *batch_;
+  if (view_ != nullptr) {
+    // Over a join view the columns compose: nothing is evaluated here.
+    if (auto projected = view_->Projected(out_schema, exprs)) {
+      return Rel(db_, std::move(projected));
+    }
+  }
+  const std::shared_ptr<const ColumnBatch> input = Columns();
+  const ColumnBatch& in = *input;
   const std::size_t n = in.num_rows();
   std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
   std::vector<std::size_t> expr_slots;
@@ -342,13 +861,8 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
     if (exprs[e].src >= 0) {
       out_cols[e] = in.col_ptr(static_cast<std::size_t>(exprs[e].src));
     } else if (exprs[e].is_const) {
-      const Value& v = exprs[e].constant;
-      Column c = std::holds_alternative<std::int64_t>(v)
-                     ? Column::Ints(std::vector<std::int64_t>(
-                           n, std::get<std::int64_t>(v)))
-                     : Column::Doubles(
-                           std::vector<double>(n, std::get<double>(v)));
-      out_cols[e] = std::make_shared<const Column>(std::move(c));
+      out_cols[e] =
+          std::make_shared<const Column>(ConstColumn(exprs[e].constant, n));
     } else {
       expr_slots.push_back(e);
     }
@@ -380,6 +894,7 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
 
 Rel Rel::Renamed(Schema out_schema) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
+  if (view_ != nullptr) return Rel(db_, view_->Renamed(std::move(out_schema)));
   return Rel(db_, std::make_shared<const ColumnBatch>(batch_->WithSchema(
                       std::move(out_schema), batch_->scale())));
 }
@@ -400,19 +915,27 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   auto ridx = ResolveAll(right.schema(), right_keys);
   MLBENCH_CHECK(lidx.size() == ridx.size());
 
-  // Output schema: all left columns, then right's non-key columns.
+  // Output columns: all left columns, then right's non-key columns, each
+  // a source read in place.
   std::vector<std::string> out_cols = schema().columns();
-  std::vector<std::size_t> right_keep;
+  std::vector<JoinView::Source> sources;
+  for (std::size_t c = 0; c < out_cols.size(); ++c) {
+    sources.push_back({false, c});
+  }
   for (std::size_t c = 0; c < right.schema().size(); ++c) {
     if (std::find(ridx.begin(), ridx.end(), c) == ridx.end()) {
-      right_keep.push_back(c);
+      sources.push_back({true, c});
       out_cols.push_back(right.schema().name(c));
     }
   }
-  Schema out_schema(std::move(out_cols));
+  std::vector<JoinView::Col> cols(sources.size());
+  for (std::size_t s = 0; s < cols.size(); ++s) cols[s].source = s;
 
-  const ColumnBatch& lb = *batch_;
-  const ColumnBatch& rb = *right.batch_;
+  auto match = std::make_shared<JoinView::Match>();
+  match->build = Columns();
+  match->probe = right.Columns();
+  const ColumnBatch& lb = *match->build;
+  const ColumnBatch& rb = *match->probe;
   const KeyCode code(lb, lidx, &rb, ridx);
   // Build over the left in scan order: each distinct key gets a slot in
   // first-seen order, and the CSR member lists (count, prefix-sum, fill in
@@ -440,80 +963,35 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   starts.push_back(total_members);
   std::vector<std::uint32_t> fill(starts.begin(), starts.end() - 1);
-  std::vector<std::uint32_t> members(nl);
+  match->members.resize(nl);
   for (std::size_t r = 0; r < nl; ++r) {
-    members[fill[row_slot[r]]++] = static_cast<std::uint32_t>(r);
+    match->members[fill[row_slot[r]]++] = static_cast<std::uint32_t>(r);
   }
-  struct Pair {
-    std::uint32_t l, r;
-  };
-  const std::int64_t n = static_cast<std::int64_t>(rb.num_rows());
-  const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
-  exec::ScratchVec<std::vector<Pair>> parts_lease;
-  std::vector<std::vector<Pair>>& parts = *parts_lease;
-  parts.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
-  for (auto& part : parts) part.clear();
-  exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-    auto& local = parts[static_cast<std::size_t>(chunk.index)];
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-      const std::size_t r = static_cast<std::size_t>(i);
-      std::uint64_t key = 0;
-      if (!code.ProbeAt(r, &key)) continue;
-      const std::size_t* slot = index.Find(key);
-      if (slot == nullptr) continue;
-      for (std::uint32_t m = starts[*slot]; m < starts[*slot + 1]; ++m) {
-        local.push_back(Pair{members[m], static_cast<std::uint32_t>(r)});
-      }
-    }
-  });
-  std::vector<std::size_t> offsets(parts.size() + 1, 0);
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    offsets[p + 1] = offsets[p] + parts[p].size();
-  }
-  const std::size_t total = offsets.back();
-  std::vector<Column> cols;
-  cols.reserve(lb.num_cols() + right_keep.size());
-  for (std::size_t c = 0; c < lb.num_cols(); ++c) {
-    cols.push_back(Column::Sized(lb.col(c).type, total));
-  }
-  for (std::size_t c : right_keep) {
-    cols.push_back(Column::Sized(rb.col(c).type, total));
-  }
-  exec::ParallelFor(
-      static_cast<std::int64_t>(parts.size()), 1, [&](const exec::Chunk& ch) {
-        for (std::int64_t p = ch.begin; p < ch.end; ++p) {
-          const auto& local = parts[static_cast<std::size_t>(p)];
-          const std::size_t off = offsets[static_cast<std::size_t>(p)];
-          for (std::size_t c = 0; c < lb.num_cols(); ++c) {
-            const Column& src = lb.col(c);
-            Column& dst = cols[c];
-            if (src.type == ColType::kInt) {
-              for (std::size_t j = 0; j < local.size(); ++j) {
-                dst.ints[off + j] = src.ints[local[j].l];
-              }
-            } else {
-              for (std::size_t j = 0; j < local.size(); ++j) {
-                dst.doubles[off + j] = src.doubles[local[j].l];
-              }
-            }
-          }
-          for (std::size_t k = 0; k < right_keep.size(); ++k) {
-            const Column& src = rb.col(right_keep[k]);
-            Column& dst = cols[lb.num_cols() + k];
-            if (src.type == ColType::kInt) {
-              for (std::size_t j = 0; j < local.size(); ++j) {
-                dst.ints[off + j] = src.ints[local[j].r];
-              }
-            } else {
-              for (std::size_t j = 0; j < local.size(); ++j) {
-                dst.doubles[off + j] = src.doubles[local[j].r];
-              }
-            }
-          }
-        }
-      });
-  Rel result(db_, std::make_shared<const ColumnBatch>(
-                      std::move(out_schema), std::move(cols), out_scale));
+  // Probe: each row finds its key's member list (each row writes its own
+  // slots, so chunks run freely); the match counts' prefix sum then
+  // places each probe row's output rows. No output row is gathered.
+  const std::size_t np = rb.num_rows();
+  std::vector<std::uint32_t>& first = match->first;
+  std::vector<std::size_t>& offsets = match->offsets;
+  first.assign(np, 0);
+  offsets.assign(np + 1, 0);
+  const std::int64_t n = static_cast<std::int64_t>(np);
+  exec::ParallelFor(n, exec::GrainFor(n, exec::CostHint::kNormal),
+                    [&](const exec::Chunk& chunk) {
+                      for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+                        const std::size_t r = static_cast<std::size_t>(i);
+                        std::uint64_t key = 0;
+                        if (!code.ProbeAt(r, &key)) continue;
+                        const std::size_t* slot = index.Find(key);
+                        if (slot == nullptr) continue;
+                        first[r] = starts[*slot];
+                        offsets[r + 1] = starts[*slot + 1] - starts[*slot];
+                      }
+                    });
+  for (std::size_t r = 0; r < np; ++r) offsets[r + 1] += offsets[r];
+  Rel result(db_, std::make_shared<const JoinView>(
+                      std::move(match), std::move(sources), std::move(cols),
+                      Schema(std::move(out_cols)), out_scale));
   // A non-co-partitioned join's output is written and read back.
   if (!co_partitioned) result.ChargeIo(result.SelfBytes() * 2.0);
   return result;
@@ -525,9 +1003,10 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   ChargeTuples(logical_rows(), db_->costs().group_by_tuple_s);
 
   auto kidx = ResolveAll(schema(), keys);
-  std::vector<std::size_t> aidx;
+  std::vector<std::size_t> acols;
   for (const auto& a : aggs) {
-    aidx.push_back(a.op == AggOp::kCount ? 0 : schema().IndexOf(a.col));
+    acols.push_back(a.op == AggOp::kCount ? GroupInput::kNoColumn
+                                          : schema().IndexOf(a.col));
   }
   const std::size_t naggs = aggs.size();
 
@@ -542,28 +1021,36 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   for (const auto& a : aggs) out_cols.push_back(a.out_name);
   Schema out_schema(std::move(out_cols));
 
+  // A join view streams when every key column is a source; a computed key
+  // column (no plan groups on one) gathers the view first.
+  std::shared_ptr<const ColumnBatch> batch = batch_;
+  const JoinView* view = view_.get();
+  if (view != nullptr &&
+      std::any_of(kidx.begin(), kidx.end(), [&](std::size_t k) {
+        return view->col(k).kind != JoinView::Col::Kind::kSource;
+      })) {
+    batch = view_->Gathered();
+    view = nullptr;
+  }
+  const GroupInput in(batch.get(), view, kidx, std::move(acols));
+
   // Each chunk aggregates its row range into private slots (recording key
   // first-occurrence order); chunk partials then fold in chunk-index
   // order. The chunking is a pure function of the row count, so both the
   // accumulators and the output's key order are identical at any thread
-  // count.
-  const ColumnBatch& in = *batch_;
-  const KeyCode code(in, kidx);
+  // count, and for a batch or a view of the same rows.
   struct ChunkGroups {
     std::vector<std::uint64_t> codes;  // per local slot, first-seen order
     std::vector<std::uint32_t> first;  // per local slot: its first row
     std::vector<Acc> accs;             // slot-major: accs[slot * naggs + a]
   };
-  std::vector<const Column*> acols(naggs, nullptr);  // nullptr: kCount
-  for (std::size_t a = 0; a < naggs; ++a) {
-    if (aggs[a].op != AggOp::kCount) acols[a] = &in.col(aidx[a]);
-  }
   // Chunks run in waves of kFoldWave, each folded before the next runs,
   // so only one wave's partials are ever live (and still in cache). The
   // waves start on chunk boundaries: chunks, and the fold order, are the
   // same as one ParallelFor over all rows.
   constexpr std::int64_t kFoldWave = 64;
-  const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
+  const std::int64_t n = static_cast<std::int64_t>(
+      view != nullptr ? view->num_rows() : batch->num_rows());
   std::vector<ChunkGroups> parts(static_cast<std::size_t>(
       std::min(exec::NumChunks(n, kRowGrain), kFoldWave)));
   // Global slots in first-seen order: code -> slot, each slot's first
@@ -574,30 +1061,33 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   for (std::int64_t wave = 0; wave < n; wave += kFoldWave * kRowGrain) {
     const std::int64_t wave_rows = std::min(n - wave, kFoldWave * kRowGrain);
     exec::ParallelFor(wave_rows, kRowGrain, [&](const exec::Chunk& chunk) {
-      // One code -> local slot index per thread, reused by every chunk it
-      // runs; Clear() is a generation bump.
+      // One code -> local slot index and one window per thread, reused by
+      // every chunk it runs; Clear() is a generation bump.
       thread_local common::FlatIndex index;
+      thread_local GroupInput::Window window;
       index.Clear();
       index.Reserve(static_cast<std::size_t>(kRowGrain));
+      const std::size_t begin = static_cast<std::size_t>(wave + chunk.begin);
+      in.FillWindow(begin, static_cast<std::size_t>(wave + chunk.end),
+                    &window);
       auto& local = parts[static_cast<std::size_t>(chunk.index)];
       local.codes.clear();
       local.first.clear();
       local.accs.clear();
-      for (std::int64_t i = wave + chunk.begin; i < wave + chunk.end; ++i) {
-        const std::size_t r = static_cast<std::size_t>(i);
-        const std::uint64_t key = code.At(r);
+      for (std::size_t i = 0; i < window.codes.size(); ++i) {
+        const std::uint64_t key = window.codes[i];
         bool inserted = false;
         std::size_t* slot = index.FindOrInsert(key, &inserted);
         if (inserted) {
           *slot = local.codes.size();
           local.codes.push_back(key);
-          local.first.push_back(static_cast<std::uint32_t>(r));
+          local.first.push_back(static_cast<std::uint32_t>(begin + i));
           local.accs.resize(local.accs.size() + naggs);
         }
         Acc* acc = &local.accs[*slot * naggs];
         for (std::size_t a = 0; a < naggs; ++a) {
           const double v =
-              acols[a] == nullptr ? 1.0 : acols[a]->AsDoubleAt(r);
+              window.vals[a] == nullptr ? 1.0 : window.vals[a][i];
           acc[a].sum += v;
           acc[a].count += 1;
           acc[a].min = std::min(acc[a].min, v);
@@ -635,18 +1125,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   const std::size_t ngroups = order.size();
   std::vector<Column> cols;
   cols.reserve(kidx.size() + naggs);
-  for (std::size_t k : kidx) {
-    const Column& src = in.col(k);
-    Column kc = Column::Sized(src.type, ngroups);
-    for (std::size_t g = 0; g < ngroups; ++g) {
-      if (src.type == ColType::kInt) {
-        kc.ints[g] = src.ints[order[g]];
-      } else {
-        kc.doubles[g] = src.doubles[order[g]];
-      }
-    }
-    cols.push_back(std::move(kc));
-  }
+  for (std::size_t k : kidx) cols.push_back(in.KeyColumn(k, order));
   for (std::size_t a = 0; a < naggs; ++a) {
     std::vector<double> av(ngroups);
     for (std::size_t g = 0; g < ngroups; ++g) {
@@ -657,7 +1136,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
           break;
         case AggOp::kCount:
           // Counts are logical: each actual row stands for `scale` rows.
-          av[g] = acc.count * in.scale();
+          av[g] = acc.count * scale();
           break;
         case AggOp::kAvg:
           av[g] = acc.sum / acc.count;
@@ -690,7 +1169,8 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
   auto gidx = ResolveAll(schema(), group_cols);
   vg.BindSchema(schema());
 
-  const ColumnBatch& in = *batch_;
+  const std::shared_ptr<const ColumnBatch> input = Columns();
+  const ColumnBatch& in = *input;
   const KeyCode code(in, gidx);
   // Columnar VG dispatch: every invocation group is one contiguous column
   // span, groups in first-seen order, rows in original order, so the
@@ -766,11 +1246,13 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
 Rel Rel::Union(const Rel& other) const {
   MLBENCH_CHECK(schema().size() == other.schema().size());
-  const ColumnBatch& a = *batch_;
-  const ColumnBatch& b = *other.batch_;
+  const std::shared_ptr<const ColumnBatch> left = Columns();
+  const std::shared_ptr<const ColumnBatch> right = other.Columns();
+  const ColumnBatch& a = *left;
+  const ColumnBatch& b = *right;
   // The empty-side shortcuts come before the type check: an empty
   // relation's columns default to kInt whatever they would hold.
-  if (b.num_rows() == 0) return Rel(db_, batch_);
+  if (b.num_rows() == 0) return Rel(db_, left);
   if (a.num_rows() == 0) {
     // Adopt the right side's columns under the left schema and scale.
     return Rel(db_, std::make_shared<const ColumnBatch>(
@@ -805,7 +1287,7 @@ Rel Rel::Union(const Rel& other) const {
 void Rel::Materialize(const std::string& name) const {
   ChargeIo(SelfBytes());
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  db_->PutBatch(name, batch_);
+  db_->PutBatch(name, Columns());
 }
 
 }  // namespace mlbench::reldb

@@ -21,11 +21,16 @@
 /// storage I/O for every materialization boundary — the cost structure of
 /// SimSQL-on-Hadoop the paper measures.
 ///
-/// Every relation is a typed ColumnBatch (column_batch.h), and operators
-/// run over it: selection-vector filters evaluated straight from the
-/// ScalarExpr tree (expr_vm.h), index-gather projects, and
-/// join/group-by/VG-group lookups of one 64-bit key code per row in a
-/// common::FlatIndex (KeyCode, rel.cc).
+/// Every relation is a typed ColumnBatch (column_batch.h) or a join's
+/// output not yet gathered (a join view, rel.cc), and operators run over
+/// it: selection-vector filters evaluated straight from the ScalarExpr
+/// tree (expr_vm.h), index-gather projects, and join/group-by/VG-group
+/// lookups of one 64-bit key code per row in a common::FlatIndex (KeyCode,
+/// rel.cc). HashJoin returns a join view; Project over a view composes
+/// its columns, GroupBy reads it one window of rows at a time, and every
+/// other operator gathers it once into columns, cached across copies of
+/// the Rel (DESIGN.md §10, "Deferred join views and the streamed
+/// group-by").
 /// Every key codes: int columns by value range, double columns by dense
 /// rank under SQL equality (-0.0 equals +0.0; NaN equals nothing), and an
 /// int key never equals a double one (DESIGN.md §10).
@@ -87,6 +92,8 @@ struct ColExpr {
   }
 };
 
+class JoinView;
+
 class Rel {
  public:
   /// Reads a stored table, charging the storage scan.
@@ -96,11 +103,11 @@ class Rel {
   static Rel FromColumns(Database& db, ColumnBatch batch);
 
   /// Row form of this relation, rebuilt from the columns on each call.
-  Table ToTable() const { return batch_->ToTable(); }
+  Table ToTable() const;
 
-  const Schema& schema() const { return batch_->schema(); }
-  double scale() const { return batch_->scale(); }
-  double logical_rows() const { return batch_->logical_rows(); }
+  const Schema& schema() const;
+  double scale() const;
+  double logical_rows() const;
   /// Keeps rows where the predicate is non-zero (narrow, pipelined). The
   /// predicate is evaluated over the typed arrays, one loop per tree node
   /// per chunk.
@@ -125,17 +132,21 @@ class Rel {
   Rel Renamed(Schema out_schema) const;
 
   /// Hash equi-join. Output columns are the left schema followed by the
-  /// right schema's non-key columns. `out_scale` gives the logical rows
-  /// each actual output row stands for. By default the join is a wide
-  /// operator (one more MR job, shuffles both inputs, materializes its
-  /// output); `co_partitioned = true` models a map-side join of inputs
-  /// already hashed on the key, which pipelines into the consumer.
+  /// right schema's non-key columns; rows come in right (probe) row order,
+  /// then matching left rows in left order. The output is a join view: no
+  /// output row is gathered until a consumer needs columns. `out_scale`
+  /// gives the logical rows each actual output row stands for. By default
+  /// the join is a wide operator (one more MR job, shuffles both inputs,
+  /// materializes its output); `co_partitioned = true` models a map-side
+  /// join of inputs already hashed on the key, which pipelines into the
+  /// consumer.
   Rel HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
                const std::vector<std::string>& right_keys, double out_scale,
                bool co_partitioned = false) const;
 
   /// Hash aggregation (wide: one MR job). Output columns are the keys
-  /// followed by one column per aggregate.
+  /// followed by one column per aggregate. Over a join view it gathers
+  /// only the columns it reads, one 1024-row window at a time.
   Rel GroupBy(const std::vector<std::string>& keys,
               const std::vector<Agg>& aggs, double out_scale) const;
 
@@ -155,6 +166,12 @@ class Rel {
  private:
   Rel(Database* db, std::shared_ptr<const ColumnBatch> b)
       : db_(db), batch_(std::move(b)) {}
+  Rel(Database* db, std::shared_ptr<const JoinView> v)
+      : db_(db), view_(std::move(v)) {}
+
+  /// This relation as columns: the batch itself, or the join view
+  /// gathered on first use.
+  std::shared_ptr<const ColumnBatch> Columns() const;
 
   /// Charges per-tuple CPU across the cluster for `logical` tuples.
   void ChargeTuples(double logical, double per_tuple_s) const;
@@ -170,7 +187,8 @@ class Rel {
   }
 
   Database* db_;
-  std::shared_ptr<const ColumnBatch> batch_;
+  std::shared_ptr<const ColumnBatch> batch_;  ///< null for a join view
+  std::shared_ptr<const JoinView> view_;      ///< null for a batch
 };
 
 }  // namespace mlbench::reldb

@@ -485,8 +485,8 @@ class JoinViewFrozen : public FrozenRelTest {
                   co_partitioned)
         .Project(Schema{"clus_id", "d1", "d2", "prod"},
                  {ColExpr::Col(3), ColExpr::Col(1), ColExpr::Col(4),
-                  ColExpr::Expr(
-                      ScalarExpr::Mul(ScalarExpr::Col(2), ScalarExpr::Col(5)))});
+                  ColExpr::Expr(ScalarExpr::Mul(ScalarExpr::Col(2),
+                                                ScalarExpr::Col(5)))});
   }
 
   /// lhs(k, lv, w) with three rows per k in 0..5, and rhs(k, dv, u) whose
@@ -678,8 +678,8 @@ TEST_F(VmInterpParity, FilterAllKeepsEverythingAndChargesLikeFilter) {
   sim::ClusterSim sim_b(sim::Ec2M2XLargeCluster(5));
   Database a(&sim_a, sim::RelDbCosts{}, 42);
   Database b(&sim_b, sim::RelDbCosts{}, 42);
-  a.Put("data", *db_.Get("data"));
-  b.Put("data", *db_.Get("data"));
+  a.PutBatch("data", db_.GetColumnar("data"));
+  b.PutBatch("data", db_.GetColumnar("data"));
   a.BeginQuery("all");
   Rel all = Rel::Scan(a, "data").FilterAll();
   a.EndQuery();

@@ -47,7 +47,7 @@ TEST_F(RelDbTest, VersionedNames) {
 TEST_F(RelDbTest, PutGetDrop) {
   EXPECT_TRUE(db_.Exists("data"));
   EXPECT_FALSE(db_.Exists("nope"));
-  EXPECT_EQ(db_.Get("data")->actual_rows(), 8u);
+  EXPECT_EQ(db_.GetColumnar("data")->num_rows(), 8u);
   db_.Drop("data");
   EXPECT_FALSE(db_.Exists("data"));
 }
@@ -157,7 +157,8 @@ TEST_F(RelDbTest, JoinThenGroupByPipeline) {
                    1.0);
   sums.Materialize("cluster_sums");
   db_.EndQuery();
-  EXPECT_EQ(db_.Get("cluster_sums")->actual_rows(), 4u);  // 2 clusters x 2 dims
+  EXPECT_EQ(db_.GetColumnar("cluster_sums")->num_rows(),
+            4u);  // 2 clusters x 2 dims
 }
 
 TEST_F(RelDbTest, UnionConcatenates) {
