@@ -648,6 +648,183 @@ TEST_F(JoinViewFrozen, OneJoinReadByThreeConsumers) {
   ExpectStored("9a6eefe662dca981", "firsts");
 }
 
+// ---- Aggregate values, key ranges and join member order --------------------
+//
+// MIN, MAX, AVG, COUNT and SUM over NaN, infinities and signed zeros across
+// several 1024-row chunks; five aggregates in one GroupBy; a narrow key
+// next to one spanning 2^40; and joins whose build keys repeat out of
+// order, so each probe row's output shows its members' insertion order.
+
+class AggKeyFrozen : public FrozenRelTest {
+ protected:
+  AggKeyFrozen() : FrozenRelTest(5) {}
+
+  /// special(k, v, id): 3000 rows over five groups. Group 0 holds only
+  /// NaN; group 1 signed zeros, -0.0 first; group 2 signed zeros, +0.0
+  /// first; groups 3 and 4 mix finite values, both infinities and NaN.
+  void PutSpecialValues() {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double mixed[] = {1.5, -inf, 0.0, -2.25, nan, inf, -0.0, 7.0, 0.125};
+    Table t(Schema{"k", "v", "id"}, 2.0);
+    for (std::int64_t i = 0; i < 3000; ++i) {
+      const std::int64_t k = (i * 7) % 5;
+      double v = 0;
+      switch (k) {
+        case 0:
+          v = nan;
+          break;
+        case 1:
+          v = (i / 5) % 3 == 0 ? -0.0 : 0.0;
+          break;
+        case 2:
+          v = (i / 5) % 4 == 0 ? 0.0 : -0.0;
+          break;
+        case 3:
+          v = mixed[(i / 5) % 9];
+          break;
+        default:
+          // No NaN and no -inf until the third chunk.
+          v = i < 2048 ? 0.5 * static_cast<double>(i % 13) - 3.0
+                       : mixed[(i / 3) % 9];
+          break;
+      }
+      t.Append(Tuple{k, v, i});
+    }
+    db_.Put("special", t);
+  }
+
+  /// nw(s, w, id, x): s spans 0..15, w spans [5, 5 + 2^40 - 1]; 2500 rows.
+  void PutNarrowAndWide() {
+    constexpr std::int64_t kWide = std::int64_t{1} << 40;
+    const std::int64_t ws[] = {5, 5 + kWide - 1, 5 + kWide / 3, 5,
+                               5 + kWide / 2};
+    Table t(Schema{"s", "w", "id", "x"}, 1.0);
+    for (std::int64_t i = 0; i < 2500; ++i) {
+      t.Append(Tuple{(i * 11) % 16, ws[(i / 16) % 5], i,
+                     0.375 * static_cast<double>((i * 13) % 29) - 4.0});
+    }
+    db_.Put("nw", t);
+  }
+
+  /// bld(k, b) whose keys repeat out of order, and prb(k, p) with keys
+  /// that match several, one or no build rows.
+  void PutRepeatedBuildKeys() {
+    Table bld(Schema{"k", "b"}, 1.0);
+    for (std::int64_t i = 0; i < 40; ++i) {
+      bld.Append(Tuple{(i * 7 + i / 9) % 6, 100 + i});
+    }
+    db_.Put("bld", bld);
+    Table prb(Schema{"k", "p"}, 1.0);
+    for (std::int64_t i = 0; i < 15; ++i) {
+      prb.Append(Tuple{(i * 5) % 9 - 1, 0.5 * static_cast<double>(i)});
+    }
+    db_.Put("prb", prb);
+  }
+};
+
+TEST_F(AggKeyFrozen, SpecialValuesPerAggregate) {
+  PutSpecialValues();
+  ExpectFrozen("c7f0427dd373aff2", [](Database& db) {
+    return Rel::Scan(db, "special")
+        .GroupBy({"k"},
+                 {{AggOp::kMin, "v", "lo"},
+                  {AggOp::kMax, "v", "hi"},
+                  {AggOp::kAvg, "v", "m"},
+                  {AggOp::kCount, "", "n"},
+                  {AggOp::kSum, "v", "s"}},
+                 1.0);
+  });
+}
+
+TEST_F(AggKeyFrozen, NaNSumsAcrossChunks) {
+  // A sum that is already NaN meets another NaN, within a chunk and in
+  // the fold of chunk partials: +NaN and -NaN inputs, and the NaN that
+  // -inf + inf makes.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t(Schema{"k", "v"}, 1.0);
+  for (std::int64_t i = 0; i < 2048; ++i) {
+    const bool second = i >= 1024;
+    const std::int64_t k = i % 4;
+    const std::int64_t j = (i % 1024) / 4;
+    double v = 0.25 * static_cast<double>(j % 7);
+    if (j == 3 || j == 5) {
+      // Groups 0 and 1: -inf + inf in the first chunk, a signed NaN in
+      // the second; groups 2 and 3 the other way round.
+      const bool infs = (k < 2) != second;
+      v = infs ? (j == 3 ? -inf : inf) : (k % 2 == 0 ? nan : -nan);
+    } else if (j == 9 && k % 2 == 1) {
+      v = second ? nan : -nan;  // a second NaN after the first
+    }
+    t.Append(Tuple{k, v});
+  }
+  db_.Put("nans", t);
+  ExpectFrozen("b0bebb24729d7c11", [](Database& db) {
+    return Rel::Scan(db, "nans").GroupBy(
+        {"k"}, {{AggOp::kSum, "v", "s"}, {AggOp::kAvg, "v", "m"}}, 1.0);
+  });
+}
+
+TEST_F(AggKeyFrozen, FiveAggregatesInOneGroupBy) {
+  PutNarrowAndWide();
+  ExpectFrozen("ca53c500d1932579", [](Database& db) {
+    return Rel::Scan(db, "nw").GroupBy(
+        {"s"},
+        {{AggOp::kAvg, "x", "m"},
+         {AggOp::kMax, "id", "hi"},
+         {AggOp::kSum, "x", "sx"},
+         {AggOp::kCount, "", "n"},
+         {AggOp::kMin, "x", "lo"}},
+        1.0);
+  });
+  // The same five over a join view, keys from both sides.
+  PutRepeatedBuildKeys();
+  ExpectFrozen("f53f6eb2e6aae695", [](Database& db) {
+    return Rel::Scan(db, "bld")
+        .HashJoin(Rel::Scan(db, "prb"), {"k"}, {"k"}, 1.0)
+        .GroupBy({"b", "p"},
+                 {{AggOp::kSum, "p", "s"},
+                  {AggOp::kCount, "", "n"},
+                  {AggOp::kAvg, "b", "m"},
+                  {AggOp::kMin, "p", "lo"},
+                  {AggOp::kMax, "b", "hi"}},
+                 1.0);
+  });
+}
+
+TEST_F(AggKeyFrozen, NarrowKeyNextToWideKey) {
+  PutNarrowAndWide();
+  ExpectFrozen("0a7237dc33fad2aa", [](Database& db) {
+    return Rel::Scan(db, "nw").GroupBy(
+        {"s", "w"}, {{AggOp::kSum, "x", "sx"}, {AggOp::kCount, "", "n"}},
+        1.0);
+  });
+  ExpectFrozen("894076f9b5750368", [](Database& db) {
+    return Rel::Scan(db, "nw").GroupBy({"w"}, {{AggOp::kMin, "x", "lo"}},
+                                       1.0);
+  });
+  ExpectFrozen("444fc0fa7ba2f5e3", [](Database& db) {
+    auto few = Rel::Scan(db, "nw").Filter(ScalarExpr::Compare(
+        ScalarExpr::CmpOp::kLt, ScalarExpr::Col(2), ScalarExpr::Const(90.0)));
+    return few.HashJoin(few.Renamed(Schema{"s", "w", "rid", "rx"}),
+                        {"s", "w"}, {"s", "w"}, 1.0);
+  });
+}
+
+TEST_F(AggKeyFrozen, JoinBuildKeysRepeat) {
+  PutRepeatedBuildKeys();
+  ExpectFrozen("5627ed4c41a46a1d", [](Database& db) {
+    return Rel::Scan(db, "bld").HashJoin(Rel::Scan(db, "prb"), {"k"}, {"k"},
+                                         1.0);
+  });
+  // Build on the probe table's side too: its keys repeat 0..7 and -1.
+  ExpectFrozen("dfc257fa226e0ba4", [](Database& db) {
+    return Rel::Scan(db, "prb").HashJoin(Rel::Scan(db, "bld"), {"k"}, {"k"},
+                                         1.0);
+  });
+}
+
 // ---- Compiled expressions and SQL ------------------------------------------
 
 class VmInterpParity : public FrozenRelTest {
