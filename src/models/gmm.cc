@@ -9,7 +9,15 @@ namespace mlbench::models {
 void GmmSuffStats::Add(const Vector& x) {
   n += 1;
   sum_x += x;
-  sum_outer += Matrix::Outer(x, x);
+  // The rank-1 update in place: each element is acc + x_i * x_j with the
+  // product rounded first, as adding a Matrix::Outer(x, x) temporary was.
+  const std::size_t d = x.size();
+  MLBENCH_CHECK(sum_outer.rows() == d && sum_outer.cols() == d);
+  double* acc = sum_outer.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    const double xi = x[i];
+    for (std::size_t j = 0; j < d; ++j) acc[i * d + j] += xi * x[j];
+  }
 }
 
 GmmSuffStats& GmmSuffStats::Merge(const GmmSuffStats& o) {

@@ -98,6 +98,10 @@ class KeyCode {
   /// Code of build row r.
   std::uint64_t At(std::size_t r) const { return Code(build_, r); }
 
+  /// One past the largest code: every build code, and every probe code
+  /// ProbeAt returns, is below it.
+  std::uint64_t span() const { return span_; }
+
   /// Code of probe row r; false when no build key equals its key. A probe
   /// key outside the build side's ranges is rejected before coding: coded
   /// in the build side's radix, it could alias a real key.
@@ -150,6 +154,7 @@ class KeyCode {
         return false;
       }
     }
+    span_ = product;
     return true;
   }
 
@@ -234,7 +239,95 @@ class KeyCode {
   KeyCols build_, probe_;
   std::vector<std::int64_t> lo_, hi_;
   std::vector<std::uint64_t> stride_;
+  std::uint64_t span_ = 1;
   std::vector<std::vector<std::int64_t>> ranks_;
+};
+
+/// Largest code range a SlotMap addresses directly: a 256 KiB uint32
+/// array, which stays in one core's L2 cache.
+constexpr std::uint64_t kDirectSpan = std::uint64_t{1} << 16;
+
+/// Key code -> slot, slots numbered in first-seen order. When the codes
+/// span no more values than there are rows to look up (and at most
+/// kDirectSpan), a uint32 array indexed by code holds the slots and a
+/// lookup is one load; otherwise a common::FlatIndex does. The choice is
+/// made once per operator call from those two numbers, and both ways
+/// number slots alike, so it changes no bit (DESIGN.md §10).
+class SlotMap {
+ public:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  SlotMap() = default;
+
+  /// A map that holds at most `max_codes` codes at a time, both of whose
+  /// tables take their full size now and never grow. A thread_local map
+  /// built on a thread's first GroupBy must not allocate later: a
+  /// thread-lifetime block allocated after the heap has grown sits above
+  /// memory freed before it, and the heap shrinks only from its top.
+  explicit SlotMap(std::size_t max_codes) {
+    index_.Reserve(max_codes);
+    dense_.reserve(kDirectSpan);
+  }
+
+  /// Readies an empty map (new, or emptied by Forget) for codes below
+  /// `span`, `rows` of which are to be looked up.
+  void Reset(std::uint64_t span, std::uint64_t rows) {
+    direct_ = span <= kDirectSpan && span <= rows;
+    if (!direct_) {
+      index_.Clear();
+    } else if (dense_.size() < span) {
+      dense_.resize(span, kNone);
+    }
+  }
+
+  /// slots[i] = the slot of codes[i], for i in [0, n). A code without one
+  /// gets slot *next, which then counts up, and on_new(i) runs.
+  template <class OnNew>
+  void Assign(const std::uint64_t* codes, std::size_t n, std::uint32_t* slots,
+              std::uint32_t* next, OnNew on_new) {
+    if (direct_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t& slot = dense_[codes[i]];
+        if (slot == kNone) {
+          slot = (*next)++;
+          on_new(i);
+        }
+        slots[i] = slot;
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      bool inserted = false;
+      std::size_t* slot = index_.FindOrInsert(codes[i], &inserted);
+      if (inserted) {
+        *slot = (*next)++;
+        on_new(i);
+      }
+      slots[i] = static_cast<std::uint32_t>(*slot);
+    }
+  }
+
+  /// The slot of `code`, or kNone.
+  std::uint32_t Find(std::uint64_t code) const {
+    if (direct_) return dense_[code];
+    const std::size_t* slot = index_.Find(code);
+    return slot == nullptr ? kNone : static_cast<std::uint32_t>(*slot);
+  }
+
+  /// Empties the map; `codes` holds every code that has a slot.
+  void Forget(const std::vector<std::uint64_t>& codes) {
+    if (direct_) {
+      for (std::uint64_t c : codes) dense_[c] = kNone;
+    } else {
+      index_.Clear();
+    }
+  }
+
+ private:
+  bool direct_ = false;
+  std::vector<std::uint32_t> dense_;  ///< per code: its slot, or kNone
+  common::FlatIndex index_;
 };
 
 /// Copies rows `rows[0..n)` of `src` into `dst` from slot `at` on, in the
@@ -633,32 +726,30 @@ class JoinView {
 namespace {
 
 /// GroupBy's input, read one window of rows at a time (DESIGN.md §10):
-/// each row's key code and each aggregate's input as doubles. A batch is
-/// read in place. A join view codes its keys from the key columns of the
-/// build and probe sides and gathers, per window, only the columns the
-/// aggregates read.
+/// each row's key code and each aggregate input column as doubles. A
+/// batch is read in place. A join view codes its keys from the key
+/// columns of the build and probe sides and gathers, per window, only the
+/// columns the aggregates read.
 class GroupInput {
  public:
-  /// Aggregate input column of COUNT, which reads none.
-  static constexpr std::size_t kNoColumn =
-      std::numeric_limits<std::size_t>::max();
-
   /// Per-thread window buffers, reused from window to window.
   struct Window {
     std::vector<std::uint64_t> codes;
-    std::vector<const double*> vals;        ///< per aggregate; null: COUNT
-    std::vector<std::vector<double>> bufs;  ///< per aggregate
+    std::vector<std::uint32_t> slots;       ///< per row: its group's slot
+    std::vector<const double*> vals;        ///< per input column
+    std::vector<std::vector<double>> bufs;  ///< per input column
     ViewWindow rows;
   };
 
   /// Reads `batch`, or `view` when it is given; every key column of a view
-  /// must be a source. `acols[a]` is aggregate a's input column.
+  /// must be a source. `cols` are the aggregates' input columns.
   GroupInput(const ColumnBatch* batch, const JoinView* view,
              const std::vector<std::size_t>& kidx,
-             std::vector<std::size_t> acols)
-      : batch_(batch), view_(view), acols_(std::move(acols)) {
+             std::vector<std::size_t> cols)
+      : batch_(batch), view_(view), cols_(std::move(cols)) {
     if (view_ == nullptr) {
       code_.emplace(*batch_, kidx);
+      span_ = code_->span();
       return;
     }
     // A view's key code: each side's key columns code per side row
@@ -685,22 +776,26 @@ class GroupInput {
       MLBENCH_CHECK(fits());
     }
     lone_base_ = bspan_ * pspan_;
+    auto lone = [](const std::vector<std::uint64_t>& codes) {
+      return std::find(codes.begin(), codes.end(), kLone) != codes.end();
+    };
+    span_ = lone(bcodes_) || lone(pcodes_) ? lone_base_ + rows : lone_base_;
   }
+
+  /// One past the largest key code.
+  std::uint64_t span() const { return span_; }
 
   /// Fills `w` for input rows [b, e).
   void FillWindow(std::size_t b, std::size_t e, Window* w) const {
     const std::size_t len = e - b;
     w->codes.resize(len);
-    w->vals.resize(acols_.size());
-    w->bufs.resize(acols_.size());
+    w->slots.resize(len);
+    w->vals.resize(cols_.size());
+    w->bufs.resize(cols_.size());
     if (view_ == nullptr) {
       for (std::size_t i = 0; i < len; ++i) w->codes[i] = code_->At(b + i);
-      for (std::size_t a = 0; a < acols_.size(); ++a) {
-        if (acols_[a] == kNoColumn) {
-          w->vals[a] = nullptr;
-          continue;
-        }
-        const Column& c = batch_->col(acols_[a]);
+      for (std::size_t a = 0; a < cols_.size(); ++a) {
+        const Column& c = batch_->col(cols_[a]);
         if (c.type == ColType::kDouble) {
           w->vals[a] = c.doubles.data() + b;  // in place
           continue;
@@ -722,13 +817,9 @@ class GroupInput {
       w->codes[i] =
           x == kLone || y == kLone ? lone_base_ + b + i : y * bspan_ + x;
     }
-    for (std::size_t a = 0; a < acols_.size(); ++a) {
-      if (acols_[a] == kNoColumn) {
-        w->vals[a] = nullptr;
-        continue;
-      }
+    for (std::size_t a = 0; a < cols_.size(); ++a) {
       w->bufs[a].resize(len);
-      view_->WindowDoubles(acols_[a], &w->rows, w->bufs[a].data());
+      view_->WindowDoubles(cols_[a], &w->rows, w->bufs[a].data());
       w->vals[a] = w->bufs[a].data();
     }
   }
@@ -757,11 +848,83 @@ class GroupInput {
  private:
   const ColumnBatch* batch_;
   const JoinView* view_;
-  std::vector<std::size_t> acols_;
+  std::vector<std::size_t> cols_;
   std::optional<KeyCode> code_;  ///< a batch's key code
   std::vector<std::uint64_t> bcodes_, pcodes_;  ///< a view's side codes
-  std::uint64_t bspan_ = 1, pspan_ = 1, lone_base_ = 0;
+  std::uint64_t bspan_ = 1, pspan_ = 1, lone_base_ = 0, span_ = 1;
 };
+
+/// What one GroupBy accumulator lane keeps per group (DESIGN.md §10):
+/// SUM reads a sum lane, COUNT the count lane, AVG both, MIN a min lane
+/// and MAX a max lane.
+enum class LaneOp : std::uint8_t { kSum, kCount, kMin, kMax };
+
+struct Lane {
+  LaneOp op;
+  std::size_t input;  ///< input column index; unused by kCount
+};
+
+/// The lane an aggregate's value reads; AVG also reads the count lane.
+LaneOp ValueLane(AggOp op) {
+  switch (op) {
+    case AggOp::kCount:
+      return LaneOp::kCount;
+    case AggOp::kMin:
+      return LaneOp::kMin;
+    case AggOp::kMax:
+      return LaneOp::kMax;
+    default:
+      return LaneOp::kSum;
+  }
+}
+
+/// A lane's value for a group that has folded nothing yet.
+double LaneIdentity(LaneOp op) {
+  switch (op) {
+    case LaneOp::kMin:
+      return std::numeric_limits<double>::infinity();
+    case LaneOp::kMax:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return 0;
+  }
+}
+
+/// Folds v[0..n) into `lane` in order: lane[slots[i]] op= v[i]. A count
+/// lane with no values counts one per row. The group's rows, or its chunk
+/// partials, fold in the order they come, so a group's bits depend only on
+/// that order. When a NaN meets a sum that is already NaN, the incoming
+/// NaN is kept, stated here rather than left to which operand of the
+/// addition the compiler puts first.
+void FoldLane(LaneOp op, const std::uint32_t* slots, std::size_t n,
+              const double* v, double* lane) {
+  switch (op) {
+    case LaneOp::kCount:
+      if (v == nullptr) {
+        for (std::size_t i = 0; i < n; ++i) lane[slots[i]] += 1;
+        return;
+      }
+      [[fallthrough]];
+    case LaneOp::kSum:
+      for (std::size_t i = 0; i < n; ++i) {
+        double& s = lane[slots[i]];
+        s = std::isnan(v[i]) ? v[i] : s + v[i];
+      }
+      return;
+    case LaneOp::kMin:
+      for (std::size_t i = 0; i < n; ++i) {
+        double& m = lane[slots[i]];
+        m = std::min(m, v[i]);
+      }
+      return;
+    case LaneOp::kMax:
+      for (std::size_t i = 0; i < n; ++i) {
+        double& m = lane[slots[i]];
+        m = std::max(m, v[i]);
+      }
+      return;
+  }
+}
 
 }  // namespace
 
@@ -941,19 +1104,16 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   // first-seen order, and the CSR member lists (count, prefix-sum, fill in
   // scan order) keep left insertion order within a key.
   const std::size_t nl = lb.num_rows();
-  common::FlatIndex index;
+  const std::size_t np = rb.num_rows();
+  std::vector<std::uint64_t> codes(nl);
+  for (std::size_t r = 0; r < nl; ++r) codes[r] = code.At(r);
+  SlotMap index;
+  index.Reset(code.span(), nl + np);
   std::vector<std::uint32_t> row_slot(nl);
-  std::vector<std::uint32_t> starts;
-  for (std::size_t r = 0; r < nl; ++r) {
-    bool inserted = false;
-    std::size_t* slot = index.FindOrInsert(code.At(r), &inserted);
-    if (inserted) {
-      *slot = starts.size();
-      starts.push_back(0);
-    }
-    row_slot[r] = static_cast<std::uint32_t>(*slot);
-    ++starts[*slot];
-  }
+  std::uint32_t nslots = 0;
+  index.Assign(codes.data(), nl, row_slot.data(), &nslots, [](std::size_t) {});
+  std::vector<std::uint32_t> starts(nslots + 1, 0);
+  for (std::uint32_t slot : row_slot) ++starts[slot];
   // Counts become start offsets; `fill` then walks each list forward.
   std::uint32_t total_members = 0;
   for (std::uint32_t& start : starts) {
@@ -961,7 +1121,6 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
     start = total_members;
     total_members += count;
   }
-  starts.push_back(total_members);
   std::vector<std::uint32_t> fill(starts.begin(), starts.end() - 1);
   match->members.resize(nl);
   for (std::size_t r = 0; r < nl; ++r) {
@@ -970,7 +1129,6 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   // Probe: each row finds its key's member list (each row writes its own
   // slots, so chunks run freely); the match counts' prefix sum then
   // places each probe row's output rows. No output row is gathered.
-  const std::size_t np = rb.num_rows();
   std::vector<std::uint32_t>& first = match->first;
   std::vector<std::size_t>& offsets = match->offsets;
   first.assign(np, 0);
@@ -982,10 +1140,10 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
                         const std::size_t r = static_cast<std::size_t>(i);
                         std::uint64_t key = 0;
                         if (!code.ProbeAt(r, &key)) continue;
-                        const std::size_t* slot = index.Find(key);
-                        if (slot == nullptr) continue;
-                        first[r] = starts[*slot];
-                        offsets[r + 1] = starts[*slot + 1] - starts[*slot];
+                        const std::uint32_t slot = index.Find(key);
+                        if (slot == SlotMap::kNone) continue;
+                        first[r] = starts[slot];
+                        offsets[r + 1] = starts[slot + 1] - starts[slot];
                       }
                     });
   for (std::size_t r = 0; r < np; ++r) offsets[r + 1] += offsets[r];
@@ -1003,19 +1161,33 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   ChargeTuples(logical_rows(), db_->costs().group_by_tuple_s);
 
   auto kidx = ResolveAll(schema(), keys);
-  std::vector<std::size_t> acols;
-  for (const auto& a : aggs) {
-    acols.push_back(a.op == AggOp::kCount ? GroupInput::kNoColumn
-                                          : schema().IndexOf(a.col));
-  }
   const std::size_t naggs = aggs.size();
-
-  struct Acc {
-    double sum = 0;
-    double count = 0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
+  // Each aggregate's lanes. Two aggregates share a lane of the same kind
+  // over the same column, and every count is the one count lane.
+  std::vector<std::size_t> inputs;
+  std::vector<Lane> lanes;
+  auto lane_of = [&](LaneOp op, const std::string& col) {
+    Lane lane{op, 0};
+    if (op != LaneOp::kCount) {
+      const std::size_t c = schema().IndexOf(col);
+      lane.input = static_cast<std::size_t>(
+          std::find(inputs.begin(), inputs.end(), c) - inputs.begin());
+      if (lane.input == inputs.size()) inputs.push_back(c);
+    }
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      if (lanes[l].op == op && lanes[l].input == lane.input) return l;
+    }
+    lanes.push_back(lane);
+    return lanes.size() - 1;
   };
+  std::vector<std::size_t> value_lane(naggs), count_lane(naggs);
+  for (std::size_t a = 0; a < naggs; ++a) {
+    value_lane[a] = lane_of(ValueLane(aggs[a].op), aggs[a].col);
+    if (aggs[a].op == AggOp::kAvg) {
+      count_lane[a] = lane_of(LaneOp::kCount, aggs[a].col);
+    }
+  }
+  const std::size_t nlanes = lanes.size();
 
   std::vector<std::string> out_cols = keys;
   for (const auto& a : aggs) out_cols.push_back(a.out_name);
@@ -1032,7 +1204,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
     batch = view_->Gathered();
     view = nullptr;
   }
-  const GroupInput in(batch.get(), view, kidx, std::move(acols));
+  const GroupInput in(batch.get(), view, kidx, inputs);
 
   // Each chunk aggregates its row range into private slots (recording key
   // first-occurrence order); chunk partials then fold in chunk-index
@@ -1042,7 +1214,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   struct ChunkGroups {
     std::vector<std::uint64_t> codes;  // per local slot, first-seen order
     std::vector<std::uint32_t> first;  // per local slot: its first row
-    std::vector<Acc> accs;             // slot-major: accs[slot * naggs + a]
+    std::vector<std::vector<double>> lanes;  // per lane, per local slot
   };
   // Chunks run in waves of kFoldWave, each folded before the next runs,
   // so only one wave's partials are ever live (and still in cache). The
@@ -1054,100 +1226,77 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   std::vector<ChunkGroups> parts(static_cast<std::size_t>(
       std::min(exec::NumChunks(n, kRowGrain), kFoldWave)));
   // Global slots in first-seen order: code -> slot, each slot's first
-  // row, and its accumulators.
-  common::FlatIndex slots;
+  // row, and its lanes.
+  SlotMap slots;
+  slots.Reset(in.span(), static_cast<std::uint64_t>(n));
+  std::uint32_t ngroups = 0;
   std::vector<std::uint32_t> order;
-  std::vector<Acc> accs;
+  std::vector<std::vector<double>> acc(nlanes);
+  std::vector<std::uint32_t> part_slots;
   for (std::int64_t wave = 0; wave < n; wave += kFoldWave * kRowGrain) {
     const std::int64_t wave_rows = std::min(n - wave, kFoldWave * kRowGrain);
     exec::ParallelFor(wave_rows, kRowGrain, [&](const exec::Chunk& chunk) {
-      // One code -> local slot index and one window per thread, reused by
-      // every chunk it runs; Clear() is a generation bump.
-      thread_local common::FlatIndex index;
+      // One code -> local slot map and one window per thread, reused by
+      // every chunk it runs and emptied after each.
+      thread_local SlotMap map(static_cast<std::size_t>(kRowGrain));
       thread_local GroupInput::Window window;
-      index.Clear();
-      index.Reserve(static_cast<std::size_t>(kRowGrain));
+      map.Reset(in.span(), static_cast<std::uint64_t>(n));
       const std::size_t begin = static_cast<std::size_t>(wave + chunk.begin);
       in.FillWindow(begin, static_cast<std::size_t>(wave + chunk.end),
                     &window);
       auto& local = parts[static_cast<std::size_t>(chunk.index)];
       local.codes.clear();
       local.first.clear();
-      local.accs.clear();
-      for (std::size_t i = 0; i < window.codes.size(); ++i) {
-        const std::uint64_t key = window.codes[i];
-        bool inserted = false;
-        std::size_t* slot = index.FindOrInsert(key, &inserted);
-        if (inserted) {
-          *slot = local.codes.size();
-          local.codes.push_back(key);
-          local.first.push_back(static_cast<std::uint32_t>(begin + i));
-          local.accs.resize(local.accs.size() + naggs);
-        }
-        Acc* acc = &local.accs[*slot * naggs];
-        for (std::size_t a = 0; a < naggs; ++a) {
-          const double v =
-              window.vals[a] == nullptr ? 1.0 : window.vals[a][i];
-          acc[a].sum += v;
-          acc[a].count += 1;
-          acc[a].min = std::min(acc[a].min, v);
-          acc[a].max = std::max(acc[a].max, v);
-        }
+      // Pass 1: codes to local slots. Pass 2: one loop per lane.
+      const std::size_t len = window.codes.size();
+      std::uint32_t nlocal = 0;
+      map.Assign(window.codes.data(), len, window.slots.data(), &nlocal,
+                 [&](std::size_t i) {
+                   local.codes.push_back(window.codes[i]);
+                   local.first.push_back(static_cast<std::uint32_t>(begin + i));
+                 });
+      map.Forget(local.codes);
+      local.lanes.resize(nlanes);
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        local.lanes[l].assign(nlocal, LaneIdentity(lanes[l].op));
+        FoldLane(lanes[l].op, window.slots.data(), len,
+                 lanes[l].op == LaneOp::kCount ? nullptr
+                                               : window.vals[lanes[l].input],
+                 local.lanes[l].data());
       }
     });
     // Fold the wave's chunks in chunk order, each chunk's slots in slot
-    // order, into the global first-seen order.
+    // order, into the global first-seen order. A new global slot starts
+    // at the lane's identity, and folding a partial into it yields the
+    // partial's own bits: a partial sum is never -0.0, a partial min or
+    // max never NaN.
     const std::size_t wave_chunks =
         static_cast<std::size_t>(exec::NumChunks(wave_rows, kRowGrain));
     for (std::size_t p = 0; p < wave_chunks; ++p) {
       const ChunkGroups& part = parts[p];
-      for (std::size_t g = 0; g < part.codes.size(); ++g) {
-        const Acc* src = &part.accs[g * naggs];
-        bool inserted = false;
-        std::size_t* slot = slots.FindOrInsert(part.codes[g], &inserted);
-        if (inserted) {
-          *slot = order.size();
-          order.push_back(part.first[g]);
-          accs.insert(accs.end(), src, src + naggs);
-          continue;
-        }
-        Acc* dst = &accs[*slot * naggs];
-        for (std::size_t a = 0; a < naggs; ++a) {
-          dst[a].sum += src[a].sum;
-          dst[a].count += src[a].count;
-          dst[a].min = std::min(dst[a].min, src[a].min);
-          dst[a].max = std::max(dst[a].max, src[a].max);
-        }
+      part_slots.resize(part.codes.size());
+      slots.Assign(part.codes.data(), part.codes.size(), part_slots.data(),
+                   &ngroups,
+                   [&](std::size_t g) { order.push_back(part.first[g]); });
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        acc[l].resize(ngroups, LaneIdentity(lanes[l].op));
+        FoldLane(lanes[l].op, part_slots.data(), part_slots.size(),
+                 part.lanes[l].data(), acc[l].data());
       }
     }
   }
   // A group's key columns are copied from its first row, type and bits.
-  const std::size_t ngroups = order.size();
   std::vector<Column> cols;
   cols.reserve(kidx.size() + naggs);
   for (std::size_t k : kidx) cols.push_back(in.KeyColumn(k, order));
   for (std::size_t a = 0; a < naggs; ++a) {
-    std::vector<double> av(ngroups);
-    for (std::size_t g = 0; g < ngroups; ++g) {
-      const Acc& acc = accs[g * naggs + a];
-      switch (aggs[a].op) {
-        case AggOp::kSum:
-          av[g] = acc.sum;
-          break;
-        case AggOp::kCount:
-          // Counts are logical: each actual row stands for `scale` rows.
-          av[g] = acc.count * scale();
-          break;
-        case AggOp::kAvg:
-          av[g] = acc.sum / acc.count;
-          break;
-        case AggOp::kMin:
-          av[g] = acc.min;
-          break;
-        case AggOp::kMax:
-          av[g] = acc.max;
-          break;
-      }
+    std::vector<double> av = acc[value_lane[a]];
+    if (aggs[a].op == AggOp::kCount) {
+      // Counts are logical: each actual row stands for `scale` rows.
+      for (double& v : av) v *= scale();
+    } else if (aggs[a].op == AggOp::kAvg) {
+      const std::vector<double>& count = acc[count_lane[a]];
+      for (std::size_t g = 0; g < ngroups; ++g) av[g] /= count[g];
     }
     cols.push_back(Column::Doubles(std::move(av)));
   }

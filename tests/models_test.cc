@@ -58,6 +58,30 @@ TEST(GmmTest, SuffStatsAddAndMerge) {
   EXPECT_DOUBLE_EQ(a.sum_outer(1, 1), 4.0 + 16.0 + 36.0);
 }
 
+TEST(GmmTest, SuffStatsAddMatchesOuterProductSum) {
+  // Add folds x x^T in place; it must give the bits of adding a
+  // Matrix::Outer(x, x) temporary, point by point, on random dimensions.
+  stats::Rng rng(26);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t d = 1 + rng.NextU64() % 13;
+    GmmSuffStats got(d);
+    Matrix want(d, d);
+    for (int p = 0; p < 50; ++p) {
+      Vector x(d);
+      for (std::size_t i = 0; i < d; ++i) {
+        x[i] = stats::SampleNormal(rng, 0.0, 1e3 * static_cast<double>(i + 1));
+      }
+      got.Add(x);
+      want += Matrix::Outer(x, x);
+    }
+    ASSERT_EQ(got.sum_outer.rows(), d);
+    EXPECT_EQ(std::memcmp(got.sum_outer.data(), want.data(),
+                          d * d * sizeof(double)),
+              0)
+        << "d = " << d;
+  }
+}
+
 TEST(GmmTest, MembershipPrefersNearCluster) {
   stats::Rng rng(2);
   GmmParams p;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -563,6 +564,89 @@ TEST_P(KeyEdgeTest, GroupByAcrossFoldWaves) {
   }
   const Table t = KeyedTable(keys, 1, "id");
   EXPECT_EQ(GroupBy(t, 1), ReferenceGroupBy(t, 1));
+}
+
+/// Columns `cols` of every row of `t`, each value as its type and bits,
+/// so -0.0, NaN payloads and every rounding compare exactly.
+std::vector<std::vector<std::uint64_t>> ColumnBits(
+    const Table& t, const std::vector<std::size_t>& cols) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const Tuple& row : t.rows()) {
+    std::vector<std::uint64_t> bits;
+    for (std::size_t c : cols) {
+      if (const auto* d = std::get_if<double>(&row[c])) {
+        bits.push_back(std::bit_cast<std::uint64_t>(*d));
+      } else {
+        bits.push_back(~static_cast<std::uint64_t>(AsInt(row[c])));
+      }
+    }
+    out.push_back(std::move(bits));
+  }
+  return out;
+}
+
+TEST_P(KeyEdgeTest, NarrowAndWideKeyRangesAgree) {
+  // The same rows keyed by k in [0, 37) and by kw = k + 2^40 for odd k:
+  // kw spans 2^40 values, so its slots must be hashed, while k's 37 codes
+  // can be addressed directly. The aggregates' bits, the group order and
+  // the join's member order must not tell the two apart. Values are not
+  // integers, so a different fold order would show in the sums.
+  constexpr std::int64_t kWide = std::int64_t{1} << 40;
+  Table t(Schema{"k", "kw", "id", "x"}, 1.0);
+  for (std::int64_t i = 0; i < 5000; ++i) {
+    const std::int64_t k = (i * 7 + i / 300) % 37;
+    t.Append(Tuple{k, k + (k % 2) * kWide, i,
+                   0.1 * static_cast<double>((i * 31) % 97) - 3.3});
+  }
+  db_.Put("t", t);
+  Table probe(Schema{"k", "kw", "pid"}, 1.0);
+  for (std::int64_t i = 0; i < 60; ++i) {
+    const std::int64_t k = (i * 11) % 41;  // 37..40 match nothing
+    probe.Append(Tuple{k, k + (k % 2) * kWide, 0.5 * static_cast<double>(i)});
+  }
+  db_.Put("probe", probe);
+  auto group = [&](const std::string& key) {
+    db_.BeginQuery("group");
+    auto out = Rel::Scan(db_, "t").GroupBy(
+        {key},
+        {{AggOp::kSum, "x", "s"},
+         {AggOp::kCount, "", "n"},
+         {AggOp::kAvg, "x", "m"},
+         {AggOp::kMin, "x", "lo"},
+         {AggOp::kMax, "x", "hi"}},
+        1.0);
+    db_.EndQuery();
+    return out.ToTable();
+  };
+  // Output columns: k, kw, id, x, then the probe's other key column and
+  // pid; id and pid name each output row's build and probe row. The view
+  // is also grouped on a key from each side.
+  auto join = [&](const std::string& key) {
+    db_.BeginQuery("join");
+    auto joined = Rel::Scan(db_, "t").HashJoin(Rel::Scan(db_, "probe"), {key},
+                                               {key}, 1.0);
+    Table grouped =
+        joined.GroupBy({key, "pid"}, {{AggOp::kSum, "x", "s"}}, 1.0)
+            .ToTable();
+    db_.EndQuery();
+    return std::make_pair(joined.ToTable(), std::move(grouped));
+  };
+  const Table narrow = group("k");
+  const Table wide = group("kw");
+  ASSERT_EQ(narrow.rows().size(), 37u);
+  EXPECT_EQ(ColumnBits(narrow, {1, 2, 3, 4, 5}),
+            ColumnBits(wide, {1, 2, 3, 4, 5}));
+  for (std::size_t g = 0; g < narrow.rows().size(); ++g) {
+    const std::int64_t k = AsInt(narrow.rows()[g][0]);
+    EXPECT_EQ(AsInt(wide.rows()[g][0]), k + (k % 2) * kWide) << g;
+  }
+  const auto [narrow_rows, narrow_groups] = join("k");
+  const auto [wide_rows, wide_groups] = join("kw");
+  ASSERT_FALSE(narrow_rows.rows().empty());
+  EXPECT_EQ(ColumnBits(narrow_rows, {2, 3, 5}),
+            ColumnBits(wide_rows, {2, 3, 5}));
+  EXPECT_EQ(ColumnBits(narrow_groups, {1, 2}),
+            ColumnBits(wide_groups, {1, 2}));
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, KeyEdgeTest, ::testing::Values(1, 4),

@@ -1,46 +1,61 @@
 #!/usr/bin/env python3
-"""Host wall time of the six figure benches at 1 and 4 pool threads.
+"""Host wall time of the figure benches in two build trees, interleaved.
 
-    python3 tools/fig_walltime.py BUILD_DIR --label NAME \
-        [--out BENCH_e2e.json] [--commit REV] [--stdout-dir DIR]
+    python3 tools/fig_walltime.py PARENT_BUILD CHANGE_BUILD \
+        [--labels parent,change] [--rounds N] [--figs fig1_gmm,...] \
+        [--threads 1,4] [--commits REV,REV] [--out BENCH_e2e.json] \
+        [--stdout-dir DIR]
 
-BUILD_DIR is a Release build tree holding bench/fig1_gmm ...
-bench/fig6_lda_spark_java. Each bench runs once at MLBENCH_THREADS=1 and
-once at MLBENCH_THREADS=4, one after another, and its wall seconds are
-recorded. The result is written into --out as the block named --label
-(for example "parent" or "change"), next to whatever other blocks the
-file already holds, so two trees measured back to back on one host end
-up side by side in one file. Each block also records nproc, the load
-average before and after, and the commit (--commit, else
-`git describe --always --dirty` of the current directory).
+PARENT_BUILD and CHANGE_BUILD are Release build trees holding bench/fig1_gmm
+... bench/fig6_lda_spark_java. For each bench and each pool size
+(MLBENCH_THREADS), the two trees' binaries run in alternation, --rounds
+times each, the tree that goes first swapping every round. Running them
+back to back keeps host load drift out of the comparison, which separate
+whole-tree passes let in. Each tree's wall seconds are recorded as
+min / median / max over its rounds.
 
-With --stdout-dir, each run's standard output is saved as
-DIR/<bench>.t<threads>.out, so two trees' tables can be diffed.
+The result replaces --out: one block per label (the first label names
+PARENT_BUILD), each with its commit (--commits, else `git describe` of
+the checkout the tree was configured from), plus nproc and the load
+average before and after. Build the two trees from checkouts at paths of
+equal length: the checkout path is compiled into the binaries, and a
+different length shifts code layout.
 
-A full run takes several minutes per tree; it is not part of CI.
+With --stdout-dir, the first round's standard output of each run is saved
+as DIR/<label>/<bench>.t<threads>.out, so the two trees' tables can be
+diffed.
+
+A full run takes several minutes per round; it is not part of CI.
 """
 
 import argparse
 import datetime
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 
 FIGS = ["fig1_gmm", "fig2_lasso", "fig3_hmm", "fig4_lda", "fig5_imputation",
         "fig6_lda_spark_java"]
-THREADS = [1, 4]
 
 
 def load_average():
     return [round(x, 2) for x in os.getloadavg()]
 
 
-def describe_commit():
+def describe_commit(build_dir):
+    """`git describe` of the checkout the build tree was configured from."""
+    source = build_dir
     try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    source = line.split("=", 1)[1].strip()
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             check=True, capture_output=True, text=True)
+                             cwd=source, check=True, capture_output=True,
+                             text=True)
         return out.stdout.strip()
     except (subprocess.CalledProcessError, OSError):
         return "unknown"
@@ -60,47 +75,81 @@ def run_fig(binary, threads, stdout_path):
     return wall
 
 
+def spread(walls):
+    return {"min": round(min(walls), 2),
+            "median": round(statistics.median(walls), 2),
+            "max": round(max(walls), 2),
+            "runs": [round(w, 2) for w in walls]}
+
+
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("build_dir")
-    parser.add_argument("--label", required=True)
+    parser.add_argument("parent_build")
+    parser.add_argument("change_build")
+    parser.add_argument("--labels", default="parent,change")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--figs", default=",".join(FIGS))
+    parser.add_argument("--threads", default="1,4")
+    parser.add_argument("--commits")
     parser.add_argument("--out", default="BENCH_e2e.json")
-    parser.add_argument("--commit")
     parser.add_argument("--stdout-dir")
     args = parser.parse_args()
 
+    labels = args.labels.split(",")
+    if len(labels) != 2 or labels[0] == labels[1]:
+        parser.error("--labels takes two different names")
+    trees = dict(zip(labels, [args.parent_build, args.change_build]))
+    commits = dict(zip(labels, args.commits.split(",") if args.commits else
+                       [describe_commit(trees[label]) for label in labels]))
+    figs = args.figs.split(",")
+    threads_list = [int(t) for t in args.threads.split(",")]
+    for fig in figs:
+        if fig not in FIGS:
+            parser.error(f"unknown bench {fig}")
     if args.stdout_dir:
-        os.makedirs(args.stdout_dir, exist_ok=True)
-    block = {
-        "commit": args.commit or describe_commit(),
-        "date": datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"),
-        "nproc": os.cpu_count(),
-        "loadavg_start": load_average(),
-        "wall_s": {},
-    }
-    for fig in FIGS:
-        binary = os.path.join(args.build_dir, "bench", fig)
-        block["wall_s"][fig] = {}
-        for threads in THREADS:
-            out = (os.path.join(args.stdout_dir, f"{fig}.t{threads}.out")
-                   if args.stdout_dir else None)
-            wall = run_fig(binary, threads, out)
-            block["wall_s"][fig][f"t{threads}"] = round(wall, 2)
-            print(f"{args.label} {fig} threads={threads} {wall:.2f} s",
-                  flush=True)
-    block["loadavg_end"] = load_average()
-    for threads in THREADS:
-        block[f"total_t{threads}_s"] = round(
-            sum(v[f"t{threads}"] for v in block["wall_s"].values()), 2)
+        for label in labels:
+            os.makedirs(os.path.join(args.stdout_dir, label), exist_ok=True)
 
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            doc = json.load(f)
-    doc.setdefault("what", "host wall seconds of bench/fig1-fig6 at "
-                   "MLBENCH_THREADS 1 and 4 (tools/fig_walltime.py)")
-    doc[args.label] = block
+    start_load = load_average()
+    walls = {label: {fig: {t: [] for t in threads_list} for fig in figs}
+             for label in labels}
+    for fig in figs:
+        for threads in threads_list:
+            for r in range(args.rounds):
+                order = labels if r % 2 == 0 else labels[::-1]
+                for label in order:
+                    out = None
+                    if args.stdout_dir and r == 0:
+                        out = os.path.join(args.stdout_dir, label,
+                                           f"{fig}.t{threads}.out")
+                    wall = run_fig(os.path.join(trees[label], "bench", fig),
+                                   threads, out)
+                    walls[label][fig][threads].append(wall)
+                    print(f"{label} {fig} threads={threads} round={r} "
+                          f"{wall:.2f} s", flush=True)
+
+    date = datetime.datetime.now(datetime.timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ")
+    doc = {
+        "what": "host wall seconds of the figure benches at MLBENCH_THREADS "
+                + " and ".join(str(t) for t in threads_list)
+                + ", two build trees interleaved per bench, min / median / "
+                "max over rounds (tools/fig_walltime.py)",
+        "date": date,
+        "nproc": os.cpu_count(),
+        "rounds": args.rounds,
+        "loadavg_start": start_load,
+        "loadavg_end": load_average(),
+    }
+    for label in labels:
+        block = {"commit": commits[label], "wall_s": {}}
+        for fig in figs:
+            block["wall_s"][fig] = {
+                f"t{t}": spread(walls[label][fig][t]) for t in threads_list}
+        for t in threads_list:
+            block[f"total_median_t{t}_s"] = round(
+                sum(block["wall_s"][fig][f"t{t}"]["median"] for fig in figs), 2)
+        doc[label] = block
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
