@@ -243,37 +243,40 @@ class KeyCode {
   std::vector<std::vector<std::int64_t>> ranks_;
 };
 
-/// Largest code range a SlotMap addresses directly: a 256 KiB uint32
-/// array, which stays in one core's L2 cache.
-constexpr std::uint64_t kDirectSpan = std::uint64_t{1} << 16;
+/// Largest code range a thread-lifetime SlotMap addresses directly: its
+/// array takes a fixed 256 KiB when the map is built.
+constexpr std::uint64_t kThreadDirectSpan = std::uint64_t{1} << 16;
 
 /// Key code -> slot, slots numbered in first-seen order. When the codes
-/// span no more values than there are rows to look up (and at most
-/// kDirectSpan), a uint32 array indexed by code holds the slots and a
-/// lookup is one load; otherwise a common::FlatIndex does. The choice is
-/// made once per operator call from those two numbers, and both ways
-/// number slots alike, so it changes no bit (DESIGN.md §10).
+/// span no more values than there are rows to look up, a uint32 array
+/// indexed by code holds the slots and a lookup is one load; otherwise a
+/// common::FlatIndex does. The choice is made once per operator call from
+/// those two numbers, and both ways number slots alike, so it changes no
+/// bit (DESIGN.md §10). A map that lives one call needs no other bound:
+/// its array takes at most 4 bytes per row looked up. Only a map that
+/// lives as long as its thread caps the span, at kThreadDirectSpan.
 class SlotMap {
  public:
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
 
+  /// A map for one operator call.
   SlotMap() = default;
 
-  /// A map that holds at most `max_codes` codes at a time, both of whose
-  /// tables take their full size now and never grow. A thread_local map
-  /// built on a thread's first GroupBy must not allocate later: a
+  /// A thread_local map that holds at most `max_codes` codes at a time,
+  /// both of whose tables take their full size now and never grow. Built
+  /// on a thread's first GroupBy, it must not allocate later: a
   /// thread-lifetime block allocated after the heap has grown sits above
   /// memory freed before it, and the heap shrinks only from its top.
-  explicit SlotMap(std::size_t max_codes) {
+  explicit SlotMap(std::size_t max_codes) : max_span_(kThreadDirectSpan) {
     index_.Reserve(max_codes);
-    dense_.reserve(kDirectSpan);
+    dense_.reserve(max_span_);
   }
 
   /// Readies an empty map (new, or emptied by Forget) for codes below
   /// `span`, `rows` of which are to be looked up.
   void Reset(std::uint64_t span, std::uint64_t rows) {
-    direct_ = span <= kDirectSpan && span <= rows;
+    direct_ = span <= rows && span <= max_span_;
     if (!direct_) {
       index_.Clear();
     } else if (dense_.size() < span) {
@@ -325,6 +328,7 @@ class SlotMap {
   }
 
  private:
+  std::uint64_t max_span_ = std::numeric_limits<std::uint64_t>::max();
   bool direct_ = false;
   std::vector<std::uint32_t> dense_;  ///< per code: its slot, or kNone
   common::FlatIndex index_;
@@ -427,10 +431,11 @@ struct ViewWindow {
 constexpr std::uint64_t kLone = std::numeric_limits<std::uint64_t>::max();
 
 /// Codes key columns `idx` of one join side, one code per side row, kLone
-/// for a NaN key. `*span` is one past the largest other code.
+/// for a NaN key. `*span` is one past the largest other code;
+/// `*lone_seen` is set when some row codes kLone.
 std::vector<std::uint64_t> SideCodes(const ColumnBatch& side,
                                      const std::vector<std::size_t>& idx,
-                                     std::uint64_t* span) {
+                                     std::uint64_t* span, bool* lone_seen) {
   const KeyCode code(side, idx);
   std::vector<std::uint64_t> codes(side.num_rows());
   std::uint64_t hi = 0;
@@ -442,6 +447,7 @@ std::vector<std::uint64_t> SideCodes(const ColumnBatch& side,
     }
     codes[r] = lone ? kLone : code.At(r);
     if (!lone) hi = std::max(hi, codes[r]);
+    *lone_seen = *lone_seen || lone;
   }
   *span = hi + 1;
   return codes;
@@ -754,14 +760,16 @@ class GroupInput {
     }
     // A view's key code: each side's key columns code per side row
     // (KeyCode), and an output row's code pairs its two rows' codes. A row
-    // with a NaN key codes past every pair, uniquely per output row.
+    // with a NaN key codes past every pair, uniquely per output row (so
+    // the span passes the row count, and such a view groups hashed).
     std::vector<std::size_t> bidx, pidx;
     for (std::size_t k : kidx) {
       const JoinView::Source& src = view_->source(view_->col(k).source);
       (src.probe ? pidx : bidx).push_back(src.col);
     }
-    bcodes_ = SideCodes(view_->Side(false), bidx, &bspan_);
-    pcodes_ = SideCodes(view_->Side(true), pidx, &pspan_);
+    bool lone = false;
+    bcodes_ = SideCodes(view_->Side(false), bidx, &bspan_, &lone);
+    pcodes_ = SideCodes(view_->Side(true), pidx, &pspan_, &lone);
     const std::uint64_t rows = view_->num_rows();
     auto fits = [&] {
       std::uint64_t top = 0;
@@ -776,10 +784,7 @@ class GroupInput {
       MLBENCH_CHECK(fits());
     }
     lone_base_ = bspan_ * pspan_;
-    auto lone = [](const std::vector<std::uint64_t>& codes) {
-      return std::find(codes.begin(), codes.end(), kLone) != codes.end();
-    };
-    span_ = lone(bcodes_) || lone(pcodes_) ? lone_base_ + rows : lone_base_;
+    span_ = lone ? lone_base_ + rows : lone_base_;
   }
 
   /// One past the largest key code.

@@ -2,28 +2,26 @@
 """Host wall time of the figure benches in two build trees, interleaved.
 
     python3 tools/fig_walltime.py PARENT_BUILD CHANGE_BUILD \
-        [--labels parent,change] [--rounds N] [--figs fig1_gmm,...] \
-        [--threads 1,4] [--commits REV,REV] [--out BENCH_e2e.json] \
+        [--figs fig1_gmm,...] [--commits REV,REV] [--out BENCH_e2e.json] \
         [--stdout-dir DIR]
 
 PARENT_BUILD and CHANGE_BUILD are Release build trees holding bench/fig1_gmm
 ... bench/fig6_lda_spark_java. For each bench and each pool size
-(MLBENCH_THREADS), the two trees' binaries run in alternation, --rounds
-times each, the tree that goes first swapping every round. Running them
-back to back keeps host load drift out of the comparison, which separate
-whole-tree passes let in. Each tree's wall seconds are recorded as
-min / median / max over its rounds.
+(MLBENCH_THREADS 1 and 4), the two trees' binaries run in alternation,
+three times each, the tree that goes first swapping every round. Running
+them back to back keeps host load drift out of the comparison, which
+separate whole-tree passes let in. Each tree's wall seconds are recorded
+as min / median / max over its rounds.
 
-The result replaces --out: one block per label (the first label names
-PARENT_BUILD), each with its commit (--commits, else `git describe` of
-the checkout the tree was configured from), plus nproc and the load
-average before and after. Build the two trees from checkouts at paths of
-equal length: the checkout path is compiled into the binaries, and a
-different length shifts code layout.
+The result replaces --out: a "parent" and a "change" block, each with its
+commit (--commits, else `git describe` of the checkout the tree was
+configured from), plus nproc and the load average before and after. Build
+the two trees from checkouts at paths of equal length: the checkout path
+is compiled into the binaries, and a different length shifts code layout.
 
 With --stdout-dir, the first round's standard output of each run is saved
-as DIR/<label>/<bench>.t<threads>.out, so the two trees' tables can be
-diffed.
+as DIR/{parent,change}/<bench>.t<threads>.out, so the two trees' tables
+can be diffed.
 
 A full run takes several minutes per round; it is not part of CI.
 """
@@ -39,6 +37,9 @@ import time
 
 FIGS = ["fig1_gmm", "fig2_lasso", "fig3_hmm", "fig4_lda", "fig5_imputation",
         "fig6_lda_spark_java"]
+THREADS = [1, 4]
+ROUNDS = 3
+LABELS = ["parent", "change"]
 
 
 def load_average():
@@ -86,37 +87,33 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("parent_build")
     parser.add_argument("change_build")
-    parser.add_argument("--labels", default="parent,change")
-    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--figs", default=",".join(FIGS))
-    parser.add_argument("--threads", default="1,4")
     parser.add_argument("--commits")
     parser.add_argument("--out", default="BENCH_e2e.json")
     parser.add_argument("--stdout-dir")
     args = parser.parse_args()
 
-    labels = args.labels.split(",")
-    if len(labels) != 2 or labels[0] == labels[1]:
-        parser.error("--labels takes two different names")
-    trees = dict(zip(labels, [args.parent_build, args.change_build]))
-    commits = dict(zip(labels, args.commits.split(",") if args.commits else
-                       [describe_commit(trees[label]) for label in labels]))
+    trees = dict(zip(LABELS, [args.parent_build, args.change_build]))
+    commits = dict(zip(LABELS, args.commits.split(",") if args.commits else
+                       [describe_commit(trees[label]) for label in LABELS]))
     figs = args.figs.split(",")
-    threads_list = [int(t) for t in args.threads.split(",")]
     for fig in figs:
         if fig not in FIGS:
             parser.error(f"unknown bench {fig}")
+        for tree in trees.values():
+            if not os.path.isfile(os.path.join(tree, "bench", fig)):
+                parser.error(f"{tree} has no bench/{fig}")
     if args.stdout_dir:
-        for label in labels:
+        for label in LABELS:
             os.makedirs(os.path.join(args.stdout_dir, label), exist_ok=True)
 
     start_load = load_average()
-    walls = {label: {fig: {t: [] for t in threads_list} for fig in figs}
-             for label in labels}
+    walls = {label: {fig: {t: [] for t in THREADS} for fig in figs}
+             for label in LABELS}
     for fig in figs:
-        for threads in threads_list:
-            for r in range(args.rounds):
-                order = labels if r % 2 == 0 else labels[::-1]
+        for threads in THREADS:
+            for r in range(ROUNDS):
+                order = LABELS if r % 2 == 0 else LABELS[::-1]
                 for label in order:
                     out = None
                     if args.stdout_dir and r == 0:
@@ -132,21 +129,21 @@ def main():
         "%Y-%m-%dT%H:%M:%SZ")
     doc = {
         "what": "host wall seconds of the figure benches at MLBENCH_THREADS "
-                + " and ".join(str(t) for t in threads_list)
+                + " and ".join(str(t) for t in THREADS)
                 + ", two build trees interleaved per bench, min / median / "
                 "max over rounds (tools/fig_walltime.py)",
         "date": date,
         "nproc": os.cpu_count(),
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "loadavg_start": start_load,
         "loadavg_end": load_average(),
     }
-    for label in labels:
+    for label in LABELS:
         block = {"commit": commits[label], "wall_s": {}}
         for fig in figs:
             block["wall_s"][fig] = {
-                f"t{t}": spread(walls[label][fig][t]) for t in threads_list}
-        for t in threads_list:
+                f"t{t}": spread(walls[label][fig][t]) for t in THREADS}
+        for t in THREADS:
             block[f"total_median_t{t}_s"] = round(
                 sum(block["wall_s"][fig][f"t{t}"]["median"] for fig in figs), 2)
         doc[label] = block
