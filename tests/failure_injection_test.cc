@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -428,6 +429,199 @@ TEST(FaultRecovery, RelDbPermanentShuffleFailureLatches) {
       << db.fault_status().ToString();
   // RelDb pins no RAM, so the ledger is trivially consistent.
   EXPECT_DOUBLE_EQ(sim.used_bytes(0) + sim.used_bytes(1), 0.0);
+}
+
+// ---- Frozen recovery digests ------------------------------------------------
+//
+// Each case drives one engine through an explicit plan and digests what the
+// run left behind: the status code, every RecoveryEvent (kind, site, unit,
+// machine, bits of its recovery seconds) and every history() PhaseRecord
+// (name plus the bits of its four doubles). Status message text is left
+// out. The digests were recorded while each engine still carried its own
+// copy of the fault-to-charge translation, so a match shows that the
+// shared sim::ApplyScheduledFaults and sim::Rollback charge exactly what
+// those copies did. Every plan is explicit, so an ambient MLBENCH_FAULT_*
+// environment cannot move a digest.
+//
+// Per engine: "mixed" holds a recoverable crash, a straggler with factor
+// above reldb's 2x speculation cap and a recoverable send failure, on
+// distinct (unit, machine) pairs; "crash" and "send" each exhaust the
+// retry budget, after an earlier recoverable fault and before a later
+// one that a latched or ended run must never reach.
+
+std::uint64_t Fnv(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t FnvF64(std::uint64_t h, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return Fnv(h, &bits, sizeof(bits));
+}
+
+std::uint64_t FnvStr(std::uint64_t h, const std::string& s) {
+  return Fnv(h, s.c_str(), s.size() + 1);  // NUL ends the field
+}
+
+std::uint64_t DigestFaultRun(const Status& st, const sim::ClusterSim& sim) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto code = static_cast<std::uint8_t>(st.code());
+  h = Fnv(h, &code, 1);
+  for (const auto& ev : sim.faults()->recoveries()) {
+    const auto kind = static_cast<std::uint8_t>(ev.kind);
+    h = Fnv(h, &kind, 1);
+    h = FnvStr(h, ev.site);
+    h = Fnv(h, &ev.unit, sizeof(ev.unit));
+    h = Fnv(h, &ev.machine, sizeof(ev.machine));
+    h = FnvF64(h, ev.recovery_seconds);
+  }
+  for (const auto& ph : sim.history()) {
+    h = FnvStr(h, ph.name);
+    h = FnvF64(h, ph.seconds);
+    h = FnvF64(h, ph.max_cpu_seconds);
+    h = FnvF64(h, ph.network_seconds);
+    h = FnvF64(h, ph.fixed_seconds);
+  }
+  return h;
+}
+
+struct FrozenCase {
+  const char* name;
+  sim::FaultPlan plan;
+  std::uint64_t digest;
+};
+
+sim::FaultPlan MixedPlan() {
+  sim::FaultPlan plan;
+  plan.AddCrash(/*unit=*/3, /*machine=*/0, /*count=*/2);
+  plan.AddStraggler(/*unit=*/1, /*machine=*/2, /*factor=*/3.0);
+  plan.AddSendFailure(/*unit=*/2, /*machine=*/1, /*count=*/2);
+  return plan;
+}
+
+sim::FaultPlan ExhaustedCrashPlan() {
+  sim::FaultPlan plan;
+  plan.AddStraggler(/*unit=*/2, /*machine=*/0, /*factor=*/3.0);
+  plan.AddCrash(/*unit=*/2, /*machine=*/1, /*count=*/5);
+  plan.AddSendFailure(/*unit=*/4, /*machine=*/0, /*count=*/1);
+  return plan;
+}
+
+sim::FaultPlan ExhaustedSendPlan() {
+  sim::FaultPlan plan;
+  plan.AddCrash(/*unit=*/1, /*machine=*/1, /*count=*/1);
+  plan.AddSendFailure(/*unit=*/2, /*machine=*/2, /*count=*/4);
+  plan.AddStraggler(/*unit=*/4, /*machine=*/1, /*factor=*/3.0);
+  return plan;
+}
+
+// Runs `run` on a fresh three-machine cluster under each case's plan and
+// checks its digest; prints the digest on a mismatch.
+template <typename RunFn>
+void CheckFrozen(const std::vector<FrozenCase>& cases, RunFn run) {
+  for (const auto& c : cases) {
+    sim::ClusterSim sim(sim::Ec2M2XLargeCluster(3));
+    InstallPlan(&sim, c.plan);
+    Status st = run(&sim);
+    EXPECT_EQ(DigestFaultRun(st, sim), c.digest)
+        << c.name << ": 0x" << std::hex << DigestFaultRun(st, sim);
+  }
+}
+
+TEST(FaultRecoveryFrozen, RelDb) {
+  CheckFrozen(
+      {{"mixed", MixedPlan(), 0x54478963bd95700aULL},
+       {"crash", ExhaustedCrashPlan(), 0x06e00e5a195ca2adULL},
+       {"send", ExhaustedSendPlan(), 0xd9a177674de39426ULL}},
+      [](sim::ClusterSim* sim) {
+        reldb::Database db(sim, sim::RelDbCosts{}, /*seed=*/7);
+        for (int q = 0; q < 5; ++q) {
+          db.BeginQuery("q" + std::to_string(q));
+          for (int m = 0; m < sim->machines(); ++m) {
+            sim->ChargeCpu(m, 2.0 + m + q);
+            sim->ChargeNetwork(m, 1.0e8 * (m + 1));
+          }
+          if (q == 1) db.ChargeExtraJob();
+          db.EndQuery();
+        }
+        return db.fault_status();
+      });
+}
+
+TEST(FaultRecoveryFrozen, Dataflow) {
+  CheckFrozen(
+      {{"mixed", MixedPlan(), 0xffd0c70b10fa83b8ULL},
+       {"crash", ExhaustedCrashPlan(), 0xe217bc0d1d50637dULL},
+       {"send", ExhaustedSendPlan(), 0x1ddd32f896ad4662ULL}},
+      [](sim::ClusterSim* sim) {
+        dataflow::ContextOptions opts;
+        opts.scale = 1.0e4;
+        dataflow::Context ctx(sim, opts);
+        auto rdd = dataflow::Generate<long long>(
+            ctx, 32, [](int p, long long i) { return p * 32 + i; }, 8);
+        rdd.Cache();
+        auto pairs = rdd.Map([](const long long& x) {
+          return std::pair<int, long long>(static_cast<int>(x % 5), x);
+        });
+        for (int pass = 0; pass < 3; ++pass) {
+          EXPECT_TRUE(rdd.CountActual().ok());
+          auto reduced = dataflow::ReduceByKey(
+              pairs, [](long long* acc, const long long& x) { *acc += x; });
+          EXPECT_TRUE(reduced.Collect().ok());
+        }
+        return ctx.fault_status();
+      });
+}
+
+TEST(FaultRecoveryFrozen, Bsp) {
+  CheckFrozen(
+      {{"mixed", MixedPlan(), 0x4ca041da377df1fdULL},
+       {"crash", ExhaustedCrashPlan(), 0x376784bb478376a8ULL},
+       {"send", ExhaustedSendPlan(), 0x52ff5b7529d4ee5fULL}},
+      [](sim::ClusterSim* sim) {
+        bsp::BspEngine<int, double> engine(sim);
+        engine.SetCheckpointInterval(2);
+        for (int i = 0; i < 9; ++i) engine.AddVertex(i, 0, 1.0e3, 4096);
+        EXPECT_TRUE(engine.Boot().ok());
+        auto ring = [](bsp::BspEngine<int, double>::Vertex& v,
+                       const std::vector<double>&,
+                       bsp::BspEngine<int, double>::Context& ctx) {
+          ctx.Send((v.id + 1) % 9, 1.0, 1.0e6);
+        };
+        Status st;
+        for (int s = 0; s < 6 && st.ok(); ++s) {
+          st = engine.RunSuperstep(ring, {});
+        }
+        return st;
+      });
+}
+
+TEST(FaultRecoveryFrozen, Gas) {
+  CheckFrozen(
+      {{"mixed", MixedPlan(), 0x27cf0d7ec425b4faULL},
+       {"crash", ExhaustedCrashPlan(), 0x7fc4fd887eed7d35ULL},
+       {"send", ExhaustedSendPlan(), 0xfdd84b98709ada93ULL}},
+      [](sim::ClusterSim* sim) {
+        gas::Graph<GasV> graph;
+        for (int i = 0; i < 9; ++i) {
+          graph.AddVertex(i, GasV{}, 1.0e3, 4096, 256);
+        }
+        for (std::size_t i = 0; i < 9; ++i) graph.AddEdge(i, (i + 1) % 9);
+        gas::GasEngine<GasV> engine(sim, &graph);
+        engine.SetSnapshotInterval(2);
+        EXPECT_TRUE(engine.Boot().ok());
+        NoopGasProgram<GasV> prog;
+        Status st;
+        for (int s = 0; s < 6 && st.ok(); ++s) {
+          st = engine.RunSweep<double>(prog);
+        }
+        return st;
+      });
 }
 
 }  // namespace
