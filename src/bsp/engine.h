@@ -143,7 +143,11 @@ class BspEngine {
 
   BspEngine(sim::ClusterSim* sim, sim::BspCosts costs = {},
             sim::Language lang = sim::Language::kJava)
-      : sim_(sim), costs_(costs), lang_(sim::GetLanguageModel(lang)) {}
+      : sim_(sim),
+        costs_(costs),
+        lang_(sim::GetLanguageModel(lang)),
+        rollback_("bsp:recovery", sim->spec().machine.disk_bytes_per_sec,
+                  costs.job_launch_s) {}
 
   sim::ClusterSim& sim() { return *sim_; }
   const sim::BspCosts& costs() const { return costs_; }
@@ -188,7 +192,7 @@ class BspEngine {
   /// back to the last checkpoint and replays the supersteps since. `n` <=
   /// 0 (the default) disables checkpoint writes — a crash then restarts
   /// the whole computation, Giraph's behavior with checkpointing off.
-  void SetCheckpointInterval(int n) { checkpoint_interval_ = n; }
+  void SetCheckpointInterval(int n) { rollback_.set_interval(n); }
 
   /// Machine hosting a vertex slot (hash placement, as Giraph's default
   /// HashPartitioner). Boot() memoizes the placement per slot; the hash
@@ -235,14 +239,14 @@ class BspEngine {
     inbox_meta_.assign(vertices_.size(), {});
     // Per-machine graph-state footprint, for checkpoint write / reload
     // charges during recovery.
-    machine_state_bytes_.assign(static_cast<std::size_t>(sim_->machines()),
-                                0.0);
+    std::vector<double> state_bytes(
+        static_cast<std::size_t>(sim_->machines()), 0.0);
     for (std::size_t i = 0; i < vertices_.size(); ++i) {
       const auto& v = vertices_[i];
-      machine_state_bytes_[static_cast<std::size_t>(MachineOf(i))] +=
+      state_bytes[static_cast<std::size_t>(MachineOf(i))] +=
           v.scale * v.state_bytes;
     }
-    wall_since_checkpoint_.clear();
+    rollback_.Reset(std::move(state_bytes));
     booted_ = true;
     return Status::OK();
   }
@@ -266,64 +270,17 @@ class BspEngine {
     sim_->ChargeFixed(costs_.superstep_barrier_s);
 
     // Checkpoint write: each worker flushes its partition to DFS and the
-    // barrier waits for the slowest writer. Superstep 0's checkpoint
-    // records the freshly loaded graph.
-    if (checkpoint_interval_ > 0 &&
-        superstep_ % checkpoint_interval_ == 0) {
-      for (int m = 0; m < sim_->machines(); ++m) {
-        sim_->ChargeCpu(m,
-                        machine_state_bytes_[static_cast<std::size_t>(m)] /
-                            sim_->spec().machine.disk_bytes_per_sec);
-      }
-      wall_since_checkpoint_.clear();
-    }
+    // barrier waits for the slowest writer.
+    rollback_.Checkpoint(*sim_, superstep_);
 
     // Fault schedule for this superstep. Stragglers and send retries
     // stretch this phase; a crash pays a rollback-and-replay recovery
-    // phase after the barrier (below). All queries are pure hashes of
-    // (seed, superstep, machine), so fault handling is thread-invariant.
-    sim::FaultInjector* inj = sim_->faults();
-    const bool faults_on = inj != nullptr && inj->active();
-    const std::int64_t unit = superstep_;
-    int worst_crash = 0;
-    int crash_machine = -1;
-    if (faults_on) {
-      const sim::FaultPlan& plan = inj->plan();
-      const sim::RetryPolicy& retry = inj->retry();
-      for (int m = 0; m < sim_->machines(); ++m) {
-        if (int crashes = plan.CrashCountAt(unit, m); crashes > 0) {
-          if (retry.Exhausted(crashes)) {
-            sim_->EndPhase();
-            return Status::Unavailable(
-                "worker on machine " + std::to_string(m) + " failed " +
-                std::to_string(crashes) + " attempts of superstep " +
-                std::to_string(unit));
-          }
-          if (crashes > worst_crash) {
-            worst_crash = crashes;
-            crash_machine = m;
-          }
-        }
-        if (double f = plan.StragglerFactorAt(unit, m); f > 1.0) {
-          sim_->ScalePhaseCpu(m, f);
-          inj->RecordRecovery(
-              {sim::FaultKind::kStraggler, "bsp:superstep", unit, m, 0.0});
-        }
-        if (int sends = plan.SendFailureCountAt(unit, m); sends > 0) {
-          if (retry.Exhausted(sends)) {
-            sim_->EndPhase();
-            return Status::Unavailable(
-                "messages from machine " + std::to_string(m) + " failed " +
-                std::to_string(sends) + " attempts in superstep " +
-                std::to_string(unit));
-          }
-          sim_->ScalePhaseNet(m, 1.0 + static_cast<double>(sends));
-          double backoff = retry.BackoffSeconds(sends);
-          sim_->ChargeFixed(backoff);
-          inj->RecordRecovery({sim::FaultKind::kSendFailure, "bsp:superstep",
-                               unit, m, backoff});
-        }
-      }
+    // phase after the barrier (below).
+    const sim::UnitFaults faults =
+        sim::ApplyScheduledFaults(*sim_, superstep_, kRecovery);
+    if (!faults.status.ok()) {
+      sim_->EndPhase();
+      return faults.status;
     }
 
     // Residency: last superstep's combined message buffers (in heap, or a
@@ -469,32 +426,12 @@ class BspEngine {
     for (auto& [name, agg] : next_aggregates_) agg_bytes += agg.bytes;
     sim_->ChargeNetworkAll(agg_bytes);
 
-    double wall = sim_->EndPhase();
-    wall_since_checkpoint_.push_back(wall);
+    rollback_.LogUnit(sim_->EndPhase());
 
-    // Crash recovery: Giraph restarts the job from the last checkpoint —
-    // workers relaunch, reload the checkpointed graph from DFS, and
-    // replay every superstep since (this one included). With
-    // checkpointing off that means replaying from superstep 0. The
-    // replay is charged, never re-executed, so RNG streams and results
-    // are untouched.
-    if (faults_on && worst_crash > 0 && st.ok()) {
-      const sim::RetryPolicy& retry = inj->retry();
-      sim_->BeginPhase("bsp:recovery");
-      sim_->ChargeFixed(retry.BackoffSeconds(worst_crash) +
-                        costs_.job_launch_s);
-      for (int m = 0; m < sim_->machines(); ++m) {
-        sim_->ChargeCpu(m,
-                        machine_state_bytes_[static_cast<std::size_t>(m)] /
-                            sim_->spec().machine.disk_bytes_per_sec);
-      }
-      double replay = 0;
-      for (double w : wall_since_checkpoint_) replay += w;
-      sim_->ChargeFixed(replay * static_cast<double>(worst_crash));
-      double rt = sim_->EndPhase();
-      inj->RecordRecovery({sim::FaultKind::kCrash, "bsp:superstep", unit,
-                           crash_machine, rt});
-    }
+    // Crash recovery: Giraph restarts the job from the last checkpoint
+    // (from superstep 0 with checkpointing off): workers relaunch, reload
+    // the checkpointed graph from DFS, and replay every superstep since.
+    if (st.ok()) rollback_.Recover(*sim_, kRecovery, superstep_, faults);
 
     ++superstep_;
     return st;
@@ -515,6 +452,12 @@ class BspEngine {
 
  private:
   friend class Context;
+
+  /// Giraph's recovery: a crash rolls the job back to its last
+  /// checkpoint; no speculation, so a straggler holds the barrier.
+  static constexpr sim::RecoveryModel kRecovery{
+      "bsp:superstep", sim::RecoveryModel::Crash::kRollback,
+      sim::RecoveryModel::Straggler::kWait};
 
   struct Aggregate {
     std::vector<double> value;
@@ -656,12 +599,8 @@ class BspEngine {
   bool booted_ = false;
   double peer_bytes_ = 0;
   int superstep_ = 0;
-  int checkpoint_interval_ = 0;
-  /// Graph-state bytes per machine (checkpoint write / reload charges).
-  std::vector<double> machine_state_bytes_;
-  /// Wall time of each superstep since the last checkpoint: the replay
-  /// bill a crash pays.
-  std::vector<double> wall_since_checkpoint_;
+  /// Checkpoint writes and crash restarts; reloads read DFS at disk speed.
+  sim::Rollback rollback_;
 
   /// Message double-buffer: compute reads inbox_, delivery fills
   /// next_inbox_; RunSuperstep swaps them so inner vectors keep their

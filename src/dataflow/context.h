@@ -276,55 +276,23 @@ class Context {
     if (it != caches_.end()) it->second->DropPending(partition);
   }
 
-  /// Spark-faithful recovery for job `job_index_` (then advances it).
-  /// Crash: the executor's tasks re-run and its cached partitions are
-  /// lost; lineage recomputes them lazily (charged on next access).
-  /// Straggler: Spark 0.7 shipped with speculation off — the wave waits.
-  /// Send failure: shuffle fetches re-request, with backoff.
+  /// Spark's recovery: a crashed executor's tasks re-run and its cached
+  /// partitions are lost, to be recomputed from lineage on next access;
+  /// Spark 0.7 shipped with speculation off, so a straggling wave waits;
+  /// shuffle fetches re-request with backoff.
+  static constexpr sim::RecoveryModel kRecovery{
+      "dataflow:job", sim::RecoveryModel::Crash::kRerunShare,
+      sim::RecoveryModel::Straggler::kWait};
+
+  /// Applies job `job_index_`'s faults (then advances it), latching the
+  /// first permanent failure.
   void ApplyJobFaults() {
     const std::int64_t job = job_index_++;
-    sim::FaultInjector* inj = sim_->faults();
-    if (inj == nullptr || !inj->active() || !fault_status_.ok()) return;
-    const sim::FaultPlan& plan = inj->plan();
-    const sim::RetryPolicy& retry = inj->retry();
-    for (int m = 0; m < machines(); ++m) {
-      if (int crashes = plan.CrashCountAt(job, m); crashes > 0) {
-        if (retry.Exhausted(crashes)) {
-          fault_status_ = Status::Unavailable(
-              "executor on machine " + std::to_string(m) + " failed " +
-              std::to_string(crashes) + " attempts of job " +
-              std::to_string(job));
-          return;
-        }
-        double lost = 0;
-        for (auto& [id, holder] : caches_) lost += holder->EvictMachine(m);
-        (void)lost;
-        sim_->ScalePhaseCpu(m, 1.0 + static_cast<double>(crashes));
-        double backoff = retry.BackoffSeconds(crashes);
-        sim_->ChargeFixed(backoff);
-        inj->RecordRecovery(
-            {sim::FaultKind::kCrash, "dataflow:job", job, m, backoff});
-      }
-      if (double f = plan.StragglerFactorAt(job, m); f > 1.0) {
-        sim_->ScalePhaseCpu(m, f);
-        inj->RecordRecovery(
-            {sim::FaultKind::kStraggler, "dataflow:job", job, m, 0.0});
-      }
-      if (int sends = plan.SendFailureCountAt(job, m); sends > 0) {
-        if (retry.Exhausted(sends)) {
-          fault_status_ = Status::Unavailable(
-              "shuffle fetches from machine " + std::to_string(m) +
-              " failed " + std::to_string(sends) + " attempts in job " +
-              std::to_string(job));
-          return;
-        }
-        sim_->ScalePhaseNet(m, 1.0 + static_cast<double>(sends));
-        double backoff = retry.BackoffSeconds(sends);
-        sim_->ChargeFixed(backoff);
-        inj->RecordRecovery(
-            {sim::FaultKind::kSendFailure, "dataflow:job", job, m, backoff});
-      }
-    }
+    if (!fault_status_.ok()) return;
+    fault_status_ =
+        sim::ApplyScheduledFaults(*sim_, job, kRecovery, [this](int m) {
+          for (auto& [id, holder] : caches_) holder->EvictMachine(m);
+        }).status;
   }
 
   sim::ClusterSim* sim_;

@@ -89,7 +89,10 @@ template <typename VData>
 class GasEngine {
  public:
   GasEngine(sim::ClusterSim* sim, Graph<VData>* graph, sim::GasCosts costs = {})
-      : sim_(sim), graph_(graph), costs_(costs) {}
+      : sim_(sim),
+        graph_(graph),
+        costs_(costs),
+        rollback_("gas:recovery", costs.ingest_bytes_per_sec, 0.0) {}
 
   sim::ClusterSim& sim() { return *sim_; }
   Graph<VData>& graph() { return *graph_; }
@@ -101,7 +104,7 @@ class GasEngine {
   /// exists, from the raw input otherwise) and replays the sweeps since.
   /// `n` <= 0 (the default) disables snapshot writes, GraphLab's default
   /// configuration: a crash then loses all sweeps run so far.
-  void SetSnapshotInterval(int n) { snapshot_interval_ = n; }
+  void SetSnapshotInterval(int n) { rollback_.set_interval(n); }
 
   /// Starts the engine: checks cluster bootability and pins the graph
   /// (vertex state + adjacency) in cluster RAM.
@@ -138,8 +141,7 @@ class GasEngine {
       graph_bytes_ = 0;
       return st;
     }
-    machine_graph_bytes_ = std::move(machine_bytes);
-    wall_since_snapshot_.clear();
+    rollback_.Reset(std::move(machine_bytes));
     booted_ = true;
     return Status::OK();
   }
@@ -171,64 +173,20 @@ class GasEngine {
 
     // Snapshot write: every machine flushes its graph partition to
     // distributed storage inside the sweep (GraphLab stops the world to
-    // snapshot). Sweep 0's snapshot doubles as the initial consistent
-    // image. Charged whenever snapshotting is on, faults or not — the
+    // snapshot). Charged whenever snapshotting is on, faults or not — the
     // overhead-vs-interval tradeoff is part of the fault model.
     const std::int64_t unit = sweep_index_++;
-    if (snapshot_interval_ > 0 && unit % snapshot_interval_ == 0) {
-      for (int m = 0; m < machines; ++m) {
-        sim_->ChargeCpu(m, machine_graph_bytes_[m] /
-                               sim_->spec().machine.disk_bytes_per_sec);
-      }
-      wall_since_snapshot_.clear();
-    }
+    rollback_.Checkpoint(*sim_, unit);
 
-    // Fault schedule for this sweep. GraphLab has no speculative
-    // execution and no per-task retry inside a sweep: a straggler simply
-    // holds the async engine's locks longer, a failed view transfer is
-    // retried by the RPC layer, and a machine crash kills the whole job
-    // (recovery is charged after the sweep completes, below).
-    sim::FaultInjector* inj = sim_->faults();
-    const bool faults_on = inj != nullptr && inj->active();
-    int worst_crash = 0;
-    int crash_machine = -1;
-    if (faults_on) {
-      const sim::FaultPlan& plan = inj->plan();
-      const sim::RetryPolicy& retry = inj->retry();
-      for (int m = 0; m < machines; ++m) {
-        if (int crashes = plan.CrashCountAt(unit, m); crashes > 0) {
-          if (retry.Exhausted(crashes)) {
-            sim_->EndPhase();
-            return Status::Unavailable(
-                "machine " + std::to_string(m) + " failed " +
-                std::to_string(crashes) + " restarts of GAS sweep " +
-                std::to_string(unit));
-          }
-          if (crashes > worst_crash) {
-            worst_crash = crashes;
-            crash_machine = m;
-          }
-        }
-        if (double f = plan.StragglerFactorAt(unit, m); f > 1.0) {
-          sim_->ScalePhaseCpu(m, f);
-          inj->RecordRecovery(
-              {sim::FaultKind::kStraggler, "gas:sweep", unit, m, 0.0});
-        }
-        if (int sends = plan.SendFailureCountAt(unit, m); sends > 0) {
-          if (retry.Exhausted(sends)) {
-            sim_->EndPhase();
-            return Status::Unavailable(
-                "machine " + std::to_string(m) + " view transfer failed " +
-                std::to_string(sends) + " attempts in GAS sweep " +
-                std::to_string(unit));
-          }
-          sim_->ScalePhaseNet(m, 1.0 + static_cast<double>(sends));
-          double backoff = retry.BackoffSeconds(sends);
-          sim_->ChargeFixed(backoff);
-          inj->RecordRecovery(
-              {sim::FaultKind::kSendFailure, "gas:sweep", unit, m, backoff});
-        }
-      }
+    // Fault schedule for this sweep. A straggler holds the async engine's
+    // locks longer, a failed view transfer is retried by the RPC layer,
+    // and a machine crash kills the whole job (recovery is charged after
+    // the sweep completes, below).
+    const sim::UnitFaults faults =
+        sim::ApplyScheduledFaults(*sim_, unit, kRecovery);
+    if (!faults.status.ok()) {
+      sim_->EndPhase();
+      return faults.status;
     }
 
     // Phase 1 of the model: the engine activates all vertices and
@@ -421,28 +379,13 @@ class GasEngine {
       sim_->ChargeNetwork(m, net_bytes_total / machines);
     }
     for (int m = 0; m < machines; ++m) sim_->Free(m, view_bytes[m]);
-    double wall = sim_->EndPhase();
-    wall_since_snapshot_.push_back(wall);
+    rollback_.LogUnit(sim_->EndPhase());
 
-    // Crash recovery: GraphLab aborts the whole job when a machine dies.
-    // The restart re-ingests the graph on every machine (from the last
-    // snapshot if snapshotting is on, from the raw input otherwise) and
-    // replays the sweeps since that snapshot. Recovery is charge-only: it
-    // never re-runs user code, so RNG draws and results are untouched.
-    if (faults_on && worst_crash > 0) {
-      sim_->BeginPhase("gas:recovery");
-      sim_->ChargeFixed(inj->retry().BackoffSeconds(worst_crash));
-      for (int m = 0; m < machines; ++m) {
-        sim_->ChargeCpu(m, machine_graph_bytes_[m] /
-                               costs_.ingest_bytes_per_sec);
-      }
-      double replay = 0;
-      for (double w : wall_since_snapshot_) replay += w;
-      sim_->ChargeFixed(replay * worst_crash);
-      double rt = sim_->EndPhase();
-      inj->RecordRecovery(
-          {sim::FaultKind::kCrash, "gas:sweep", unit, crash_machine, rt});
-    }
+    // Crash recovery: GraphLab aborts the whole job when a machine dies;
+    // the restart re-ingests the graph on every machine (from the last
+    // snapshot, or from the raw input with snapshotting off) and replays
+    // the sweeps since.
+    rollback_.Recover(*sim_, kRecovery, unit, faults);
     return Status::OK();
   }
 
@@ -508,21 +451,21 @@ class GasEngine {
   /// pool. The edge-chunk grain itself comes from exec::GrainFor (safe:
   /// see the GatherBatch contract).
   static constexpr std::int64_t kEdgeParallelThreshold = 512;
+  /// GraphLab's recovery: a crash restarts the whole job from its last
+  /// snapshot; no speculation and no per-task retry inside a sweep.
+  static constexpr sim::RecoveryModel kRecovery{
+      "gas:sweep", sim::RecoveryModel::Crash::kRollback,
+      sim::RecoveryModel::Straggler::kWait};
 
   sim::ClusterSim* sim_;
   Graph<VData>* graph_;
   sim::GasCosts costs_;
   bool booted_ = false;
   double graph_bytes_ = 0;
-  /// Sweeps between snapshot writes; <= 0 disables snapshotting.
-  int snapshot_interval_ = 0;
   /// Fault-schedule unit of the next sweep (counts every RunSweep call).
   std::int64_t sweep_index_ = 0;
-  /// Graph-partition bytes per machine (snapshot write / reload charges).
-  std::vector<double> machine_graph_bytes_;
-  /// Wall time of each sweep since the last snapshot: the replay cost a
-  /// crash pays on restart.
-  std::vector<double> wall_since_snapshot_;
+  /// Snapshot writes and crash restarts; a restart re-ingests the graph.
+  sim::Rollback rollback_;
   /// Memoized sum of vertex scales, keyed on graph version + 1 (0 =
   /// unset); see RunSweep.
   double logical_vertices_cache_ = 0;

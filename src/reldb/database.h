@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include <algorithm>
-
 #include "common/status.h"
 #include "reldb/column_batch.h"
 #include "reldb/table.h"
@@ -118,57 +116,19 @@ class Database {
   const Status& fault_status() const { return fault_status_; }
 
  private:
-  /// Hadoop-faithful recovery for MR job `job_index_` (then advances it).
-  /// Serial by construction: jobs are launched from driver / operator
-  /// code, never inside a parallel chunk.
+  /// Hadoop's recovery: failed tasks re-run from their replicated inputs,
+  /// stragglers get a speculative backup copy, shuffle fetches retry.
+  static constexpr sim::RecoveryModel kRecovery{
+      "reldb:job", sim::RecoveryModel::Crash::kRerunShare,
+      sim::RecoveryModel::Straggler::kSpeculate};
+
+  /// Applies MR job `job_index_`'s faults (then advances it), latching
+  /// the first permanent failure. Serial by construction: jobs are
+  /// launched from driver / operator code, never inside a parallel chunk.
   void ApplyJobFaults() {
     const std::int64_t job = job_index_++;
-    sim::FaultInjector* inj = sim_->faults();
-    if (inj == nullptr || !inj->active() || !fault_status_.ok()) return;
-    const sim::FaultPlan& plan = inj->plan();
-    const sim::RetryPolicy& retry = inj->retry();
-    for (int m = 0; m < sim_->machines(); ++m) {
-      if (int crashes = plan.CrashCountAt(job, m); crashes > 0) {
-        if (retry.Exhausted(crashes)) {
-          fault_status_ = Status::Unavailable(
-              "machine " + std::to_string(m) + " failed " +
-              std::to_string(crashes) + " attempts of MR job " +
-              std::to_string(job));
-          return;
-        }
-        // The JobTracker reschedules the dead machine's map/reduce tasks;
-        // each failed attempt re-executes that machine's share of the job
-        // from its replicated inputs, plus detection/backoff time.
-        sim_->ScalePhaseCpu(m, 1.0 + static_cast<double>(crashes));
-        double backoff = retry.BackoffSeconds(crashes);
-        sim_->ChargeFixed(backoff);
-        inj->RecordRecovery({sim::FaultKind::kCrash, "reldb:job", job, m,
-                             backoff});
-      }
-      if (double f = plan.StragglerFactorAt(job, m); f > 1.0) {
-        // Speculative execution: a backup copy of the slow machine's
-        // tasks launches on a neighbor; the stage finishes when either
-        // copy does, capping the effective slow-down at 2x.
-        sim_->ScalePhaseCpu(m, std::min(f, 2.0));
-        sim_->MirrorPhaseCpu(m, (m + 1) % sim_->machines(), 1.0);
-        inj->RecordRecovery(
-            {sim::FaultKind::kStraggler, "reldb:job", job, m, 0.0});
-      }
-      if (int sends = plan.SendFailureCountAt(job, m); sends > 0) {
-        if (retry.Exhausted(sends)) {
-          fault_status_ = Status::Unavailable(
-              "machine " + std::to_string(m) + " shuffle failed " +
-              std::to_string(sends) + " attempts in MR job " +
-              std::to_string(job));
-          return;
-        }
-        // Failed shuffle fetches re-transfer this machine's map output.
-        sim_->ScalePhaseNet(m, 1.0 + static_cast<double>(sends));
-        double backoff = retry.BackoffSeconds(sends);
-        sim_->ChargeFixed(backoff);
-        inj->RecordRecovery({sim::FaultKind::kSendFailure, "reldb:job", job,
-                             m, backoff});
-      }
+    if (fault_status_.ok()) {
+      fault_status_ = sim::ApplyScheduledFaults(*sim_, job, kRecovery).status;
     }
   }
 

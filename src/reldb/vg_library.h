@@ -137,38 +137,6 @@ class NormalVg : public VgFunction {
   std::size_t id_c_ = 0, m_c_ = 0, v_c_ = 0;
 };
 
-/// InverseGamma: one row (shape, rate) -> one row (value).
-class InverseGammaVg : public VgFunction {
- public:
-  InverseGammaVg(std::string shape_col, std::string rate_col)
-      : shape_col_(std::move(shape_col)), rate_col_(std::move(rate_col)) {}
-  std::string name() const override { return "InvGamma"; }
-  Schema output_schema() const override { return {"value"}; }
-  void BindSchema(const Schema& schema) override {
-    s_c_ = schema.IndexOf(shape_col_);
-    r_c_ = schema.IndexOf(rate_col_);
-  }
-  void SampleBatch(const ColumnBatch& params,
-                   const std::vector<std::uint32_t>& group_offsets,
-                   stats::Rng& rng, VgBatchOut* out) override {
-    // Per-row draws over contiguous groups: one pass, same RNG order.
-    (void)group_offsets;
-    const ColumnBatch::Column& sc = params.col(s_c_);
-    const ColumnBatch::Column& rc = params.col(r_c_);
-    const std::size_t n = params.num_rows();
-    out->cols.push_back(ColumnBatch::Column::Sized(ColType::kDouble, n));
-    std::vector<double>& value = out->cols[0].doubles;
-    for (std::size_t r = 0; r < n; ++r) {
-      value[r] =
-          stats::SampleInverseGamma(rng, sc.AsDoubleAt(r), rc.AsDoubleAt(r));
-    }
-  }
-
- private:
-  std::string shape_col_, rate_col_;
-  std::size_t s_c_ = 0, r_c_ = 0;
-};
-
 /// InverseGaussian: each row (id, mu, lambda) -> row (out_id, value)
 /// (the Bayesian Lasso's tau update, paper Section 6.2).
 class InverseGaussianVg : public VgFunction {

@@ -114,12 +114,13 @@ class ClusterSim {
 
   // ---- Fault hooks ---------------------------------------------------------
   //
-  // Engines consult the installed FaultInjector at unit boundaries (job,
-  // superstep, sweep) and translate faults into the per-phase adjustments
-  // below. All three adjusters are serial-only (never under a bound
-  // ledger) and affect only the *current* phase; when none are applied
-  // EndPhase's arithmetic is untouched, keeping fault-free runs
-  // bit-identical to builds that never call them.
+  // The three per-phase adjusters below have one caller,
+  // sim::ApplyScheduledFaults (faults.h), which every engine runs at its
+  // unit boundaries (job, superstep, sweep) with its RecoveryModel. They
+  // are serial-only (never under a bound ledger) and affect only the
+  // *current* phase; when none are applied EndPhase's arithmetic is
+  // untouched, keeping fault-free runs bit-identical to builds that never
+  // call them.
 
   /// Installs (or clears, with nullptr) the shared fault schedule.
   void SetFaultInjector(std::shared_ptr<FaultInjector> faults);

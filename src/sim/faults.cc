@@ -1,8 +1,11 @@
 #include "sim/faults.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+
+#include "sim/cluster_sim.h"
 
 namespace mlbench::sim {
 
@@ -145,10 +148,100 @@ double FaultInjector::total_recovery_seconds() const {
   return total;
 }
 
+UnitFaults ApplyScheduledFaults(ClusterSim& sim, std::int64_t unit,
+                                const RecoveryModel& model,
+                                const std::function<void(int)>& on_crash) {
+  UnitFaults out;
+  FaultInjector* inj = sim.faults();
+  if (inj == nullptr || !inj->active()) return out;
+  const FaultPlan& plan = inj->plan();
+  const RetryPolicy& retry = inj->retry();
+  const int machines = sim.machines();
+  auto exhausted = [&](const std::string& what, int failures) {
+    return Status::Unavailable(what + " " + std::to_string(failures) +
+                               " times in " + model.site + " " +
+                               std::to_string(unit));
+  };
+  for (int m = 0; m < machines; ++m) {
+    if (int crashes = plan.CrashCountAt(unit, m); crashes > 0) {
+      if (retry.Exhausted(crashes)) {
+        out.status =
+            exhausted("machine " + std::to_string(m) + " crashed", crashes);
+        return out;
+      }
+      if (crashes > out.worst_crash) {
+        out.worst_crash = crashes;
+        out.crash_machine = m;
+      }
+      if (model.crash == RecoveryModel::Crash::kRerunShare) {
+        // The scheduler reschedules the dead machine's tasks; each failed
+        // attempt re-executes its share of the phase from replicated
+        // inputs, plus detection/backoff time.
+        if (on_crash) on_crash(m);
+        sim.ScalePhaseCpu(m, 1.0 + static_cast<double>(crashes));
+        double backoff = retry.BackoffSeconds(crashes);
+        sim.ChargeFixed(backoff);
+        inj->RecordRecovery({FaultKind::kCrash, model.site, unit, m, backoff});
+      }
+    }
+    if (double f = plan.StragglerFactorAt(unit, m); f > 1.0) {
+      if (model.straggler == RecoveryModel::Straggler::kSpeculate) {
+        sim.ScalePhaseCpu(m, std::min(f, 2.0));
+        sim.MirrorPhaseCpu(m, (m + 1) % machines, 1.0);
+      } else {
+        sim.ScalePhaseCpu(m, f);
+      }
+      inj->RecordRecovery({FaultKind::kStraggler, model.site, unit, m, 0.0});
+    }
+    if (int sends = plan.SendFailureCountAt(unit, m); sends > 0) {
+      if (retry.Exhausted(sends)) {
+        out.status = exhausted(
+            "sends from machine " + std::to_string(m) + " failed", sends);
+        return out;
+      }
+      // Failed sends re-transfer this machine's outbound bytes.
+      sim.ScalePhaseNet(m, 1.0 + static_cast<double>(sends));
+      double backoff = retry.BackoffSeconds(sends);
+      sim.ChargeFixed(backoff);
+      inj->RecordRecovery(
+          {FaultKind::kSendFailure, model.site, unit, m, backoff});
+    }
+  }
+  return out;
+}
+
+void Rollback::Checkpoint(ClusterSim& sim, std::int64_t unit) {
+  if (interval_ <= 0 || unit % interval_ != 0) return;
+  for (int m = 0; m < sim.machines(); ++m) {
+    sim.ChargeCpu(m, state_bytes_[static_cast<std::size_t>(m)] /
+                         sim.spec().machine.disk_bytes_per_sec);
+  }
+  walls_.clear();
+}
+
+void Rollback::Recover(ClusterSim& sim, const RecoveryModel& model,
+                       std::int64_t unit, const UnitFaults& faults) {
+  if (faults.worst_crash <= 0) return;
+  FaultInjector* inj = sim.faults();
+  sim.BeginPhase(phase_);
+  sim.ChargeFixed(inj->retry().BackoffSeconds(faults.worst_crash) +
+                  relaunch_s_);
+  for (int m = 0; m < sim.machines(); ++m) {
+    sim.ChargeCpu(m, state_bytes_[static_cast<std::size_t>(m)] /
+                         reload_bytes_per_sec_);
+  }
+  double replay = 0;
+  for (double w : walls_) replay += w;
+  sim.ChargeFixed(replay * static_cast<double>(faults.worst_crash));
+  double rt = sim.EndPhase();
+  inj->RecordRecovery(
+      {FaultKind::kCrash, model.site, unit, faults.crash_machine, rt});
+}
+
 std::shared_ptr<FaultInjector> FaultSpec::MakeInjector() const {
   if (!Enabled()) return nullptr;
-  FaultPlan plan = use_explicit_plan ? explicit_plan
-                                     : FaultPlan::Seeded(seed, rates);
+  FaultPlan plan = !explicit_plan.empty() ? explicit_plan
+                                          : FaultPlan::Seeded(seed, rates);
   return std::make_shared<FaultInjector>(std::move(plan), retry);
 }
 

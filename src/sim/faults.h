@@ -1,11 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/status.h"
 
 /// \file faults.h
 /// Seeded, deterministic fault injection for the cluster simulator.
@@ -14,8 +17,8 @@
 /// they run: Hadoop re-executes failed tasks and speculatively duplicates
 /// stragglers, Spark recomputes lost cached partitions from lineage,
 /// Giraph checkpoints supersteps, and GraphLab snapshots vertex state.
-/// This header provides the shared fault schedule those recovery paths
-/// consume.
+/// This header provides the shared fault schedule and the recovery code
+/// all four engines run; each engine contributes a RecoveryModel literal.
 ///
 /// Determinism contract (see DESIGN.md §12):
 ///  * Faults are scheduled in *simulated* coordinates — MapReduce job K,
@@ -29,6 +32,8 @@
 ///    all fault work behind FaultInjector::active().
 
 namespace mlbench::sim {
+
+class ClusterSim;
 
 enum class FaultKind : std::uint8_t {
   kCrash,        ///< machine fails mid-unit; platform-specific recovery
@@ -159,6 +164,88 @@ class FaultInjector {
   std::vector<RecoveryEvent> recoveries_;
 };
 
+/// How one platform recovers from the faults of a unit (MR job, superstep,
+/// sweep). DESIGN.md §12 tabulates the four engines' literals.
+struct RecoveryModel {
+  enum class Crash : std::uint8_t {
+    kRerunShare,  ///< the crashed machine's share re-runs in the phase
+    kRollback,    ///< the job restarts after the unit (see Rollback)
+  };
+  enum class Straggler : std::uint8_t {
+    kWait,       ///< the phase waits for the slow machine
+    kSpeculate,  ///< a backup copy on machine (m+1) % M caps it at 2x
+  };
+
+  const char* site;  ///< RecoveryEvent::site, e.g. "reldb:job"
+  Crash crash;
+  Straggler straggler;
+};
+
+/// What ApplyScheduledFaults found in one unit.
+struct UnitFaults {
+  Status status;  ///< Unavailable once a retry budget is exhausted
+  int worst_crash = 0;     ///< largest recoverable crash count, 0 if none
+  int crash_machine = -1;  ///< first machine with that count
+};
+
+/// Turns unit `unit`'s scheduled faults into charges on `sim`'s open
+/// phase and logs a RecoveryEvent per recovery. Per machine, in order: a
+/// crash, then a straggler, then a send failure. Stops at the first
+/// exhausted retry budget, keeping the charges made so far. `on_crash(m)`
+/// runs before a kRerunShare crash is charged. A no-op unless an active
+/// FaultInjector is installed, so fault-free runs stay bit-identical.
+/// Serial only: call it at a unit boundary.
+[[nodiscard]] UnitFaults ApplyScheduledFaults(
+    ClusterSim& sim, std::int64_t unit, const RecoveryModel& model,
+    const std::function<void(int)>& on_crash = nullptr);
+
+/// Checkpoint-and-replay recovery, shared by BSP (Giraph checkpoints) and
+/// GAS (GraphLab snapshots). Every `interval` units each machine writes its
+/// state to disk inside the unit's phase. A crash restarts the job after
+/// the unit: backoff and relaunch, every machine reloads its state, and
+/// the units since the last checkpoint replay once per failed attempt.
+/// Replay is charged, never re-executed, so results are untouched.
+class Rollback {
+ public:
+  /// `phase` names the recovery phase. A restart reloads state at
+  /// `reload_bytes_per_sec` and pays `relaunch_s` on top of the backoff.
+  Rollback(std::string phase, double reload_bytes_per_sec, double relaunch_s)
+      : phase_(std::move(phase)),
+        reload_bytes_per_sec_(reload_bytes_per_sec),
+        relaunch_s_(relaunch_s) {}
+
+  /// Units between checkpoints; <= 0 (the default) writes none, so a
+  /// crash replays every unit run so far.
+  void set_interval(int n) { interval_ = n; }
+
+  /// At boot: sets the per-machine bytes a checkpoint writes and a restart
+  /// reloads, and clears the replay log.
+  void Reset(std::vector<double> state_bytes) {
+    state_bytes_ = std::move(state_bytes);
+    walls_.clear();
+  }
+
+  /// In unit `unit`'s open phase: charges the checkpoint write if one is
+  /// due. Unit 0's checkpoint records the loaded state.
+  void Checkpoint(ClusterSim& sim, std::int64_t unit);
+
+  /// Logs the wall time of a unit whose phase has closed.
+  void LogUnit(double wall) { walls_.push_back(wall); }
+
+  /// After the unit's phase: if `faults` holds a recoverable crash,
+  /// charges the restart as its own phase and logs the event.
+  void Recover(ClusterSim& sim, const RecoveryModel& model, std::int64_t unit,
+               const UnitFaults& faults);
+
+ private:
+  std::string phase_;
+  double reload_bytes_per_sec_;
+  double relaunch_s_;
+  int interval_ = 0;
+  std::vector<double> state_bytes_;
+  std::vector<double> walls_;  ///< unit walls since the last checkpoint
+};
+
 /// Config-level fault knobs, carried by core::ExperimentConfig and wired
 /// to engine options by the drivers.
 struct FaultSpec {
@@ -179,11 +266,11 @@ struct FaultSpec {
   /// slowly. Both are deterministic per request index via HashChance.
   double conn_drop = 0;
   double slow_client = 0;
-  /// Explicit faults merged on top of the seeded schedule (tests).
+  /// Explicit faults (tests). When non-empty they replace the seeded
+  /// schedule: `seed` and `rates` are then ignored.
   FaultPlan explicit_plan;
-  bool use_explicit_plan = false;
 
-  bool Enabled() const { return !rates.empty() || use_explicit_plan; }
+  bool Enabled() const { return !rates.empty() || !explicit_plan.empty(); }
 
   /// Builds the plan/injector this spec describes; null when disabled.
   std::shared_ptr<FaultInjector> MakeInjector() const;

@@ -133,7 +133,6 @@ TEST(FailureInjection, BspSuperstepOomFreesWorkingSet) {
 
 void InstallPlan(sim::ClusterSim* sim, const sim::FaultPlan& plan) {
   sim::FaultSpec spec;
-  spec.use_explicit_plan = true;
   spec.explicit_plan = plan;
   sim->SetFaultInjector(spec.MakeInjector());
 }

@@ -116,7 +116,7 @@ TEST(FaultSpecTest, DisabledSpecMakesNoInjector) {
 
 TEST(FaultSpecTest, ExplicitPlanWinsWhenRequested) {
   sim::FaultSpec spec;
-  spec.use_explicit_plan = true;
+  spec.rates.crash = 1.0;  // the seeded schedule would crash everywhere
   spec.explicit_plan.AddCrash(0, 0, 1);
   ASSERT_TRUE(spec.Enabled());
   auto inj = spec.MakeInjector();

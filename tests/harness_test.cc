@@ -122,7 +122,6 @@ TEST(RunHarnessTest, FailingStepKeepsCompletedTimingsAndInit) {
 
 TEST(RunHarnessTest, FailedRunsCarryTheInjectorsRecoveryStats) {
   ExperimentConfig config = Config(3);
-  config.faults.use_explicit_plan = true;
   config.faults.explicit_plan.AddCrash(/*unit=*/0, /*machine=*/0);
   ASSERT_TRUE(config.faults.Enabled());
 
