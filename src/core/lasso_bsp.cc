@@ -163,6 +163,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   // The chain runs at actual-sample scale, matching the Gram statistics.
   double sse_scale = 1.0;
   (void)n_logical;
+  models::Matrix beta_work;
   RunResult result = harness.Run([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x1A54u + iter);
 
@@ -186,7 +187,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
                                                     stt.beta[j]);
           }
           auto beta = models::SampleBeta(mrng, stats, stt.inv_tau2,
-                                         stt.sigma2);
+                                         stt.sigma2, &beta_work);
           if (beta.ok()) stt.beta = *beta;
           LassoMsg msg;
           msg.payload = stt.beta;

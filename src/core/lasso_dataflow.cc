@@ -114,6 +114,7 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
   if (!state.ok()) return harness.Fail(state.status());
 
   // ---- Iterations -----------------------------------------------------------
+  models::Matrix beta_work;
   RunResult result = harness.Run([&](int /*iter*/) -> Status {
     // Driver: tau and beta updates (local linalg at driver language cost).
     ctx.BeginJob("lasso:driver", exp.config.machines);
@@ -121,7 +122,8 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
       state->inv_tau2[j] =
           models::SampleInvTau2(rng, hyper, state->sigma2, state->beta[j]);
     }
-    auto beta = models::SampleBeta(rng, stats, state->inv_tau2, state->sigma2);
+    auto beta = models::SampleBeta(rng, stats, state->inv_tau2, state->sigma2,
+                                   &beta_work);
     if (!beta.ok()) {
       ctx.EndJob();
       return beta.status();

@@ -15,6 +15,7 @@ namespace {
 using models::LassoHyper;
 using models::LassoState;
 using models::LassoSuffStats;
+using models::Matrix;
 using models::Vector;
 
 struct VData {
@@ -41,9 +42,10 @@ struct Gathered {
 class LassoProgram : public gas::GasProgram<VData, Gathered> {
  public:
   LassoProgram(const LassoHyper& hyper, const LassoSuffStats* stats,
-               std::uint64_t seed, int iteration, double y_avg)
+               std::uint64_t seed, int iteration, double y_avg,
+               Matrix* beta_work)
       : hyper_(hyper), stats_(stats), seed_(seed), iteration_(iteration),
-        y_avg_(y_avg) {}
+        y_avg_(y_avg), beta_work_(beta_work) {}
 
   // Gather over one CSR span. One length-p inv_tau2 vector per span (not
   // per edge) receives the span's model contributions as one-hot scatters
@@ -120,7 +122,8 @@ class LassoProgram : public gas::GasProgram<VData, Gathered> {
         auto& st = *v.data.state;
         if (!g.inv_tau2.empty()) st.inv_tau2 = g.inv_tau2;
         for (auto& t : st.inv_tau2) t = std::max(t, 1e-12);
-        auto beta = models::SampleBeta(rng, *stats_, st.inv_tau2, st.sigma2);
+        auto beta = models::SampleBeta(rng, *stats_, st.inv_tau2, st.sigma2,
+                                       beta_work_);
         if (beta.ok()) st.beta = *beta;
         st.sigma2 = models::SampleSigma2(rng, hyper_, *stats_, st.beta,
                                          st.inv_tau2, g.sse * sse_scale_);
@@ -139,6 +142,7 @@ class LassoProgram : public gas::GasProgram<VData, Gathered> {
   std::uint64_t seed_;
   int iteration_;
   double y_avg_;
+  Matrix* beta_work_;  ///< the center's beta factor, kept across iterations
   double sse_scale_ = 1.0;
 };
 
@@ -239,8 +243,10 @@ RunResult RunLassoGas(const LassoExperiment& exp,
     graph.vertex(model_slots[j]).data.inv_tau2 = center_state->inv_tau2[j];
   }
 
+  Matrix beta_work;
   RunResult result = harness.Run([&](int iter) -> Status {
-    LassoProgram program(hyper, &stats, exp.config.seed, iter, y_avg);
+    LassoProgram program(hyper, &stats, exp.config.seed, iter, y_avg,
+                         &beta_work);
     // The chain runs at actual-sample scale, matching the Gram statistics.
     program.set_sse_scale(1.0);
     Status st = engine.RunSweep<Gathered>(program, "lasso iteration");

@@ -34,8 +34,12 @@ using Column = reldb::ColumnBatch::Column;
 class BetaVg : public reldb::VgFunction {
  public:
   BetaVg(const LassoSuffStats* stats, const Vector* inv_tau2, double sigma2,
-         std::uint64_t seed)
-      : stats_(stats), inv_tau2_(inv_tau2), sigma2_(sigma2), seed_(seed) {}
+         std::uint64_t seed, models::Matrix* work)
+      : stats_(stats),
+        inv_tau2_(inv_tau2),
+        sigma2_(sigma2),
+        seed_(seed),
+        work_(work) {}
   std::string name() const override { return "lasso_beta"; }
   Schema output_schema() const override { return {"rigid", "beta"}; }
   void SampleBatch(const reldb::ColumnBatch& params,
@@ -48,7 +52,8 @@ class BetaVg : public reldb::VgFunction {
     // parameter rows and the shared stream.
     for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g) {
       stats::Rng rng(seed_);
-      auto beta = models::SampleBeta(rng, *stats_, *inv_tau2_, sigma2_);
+      auto beta =
+          models::SampleBeta(rng, *stats_, *inv_tau2_, sigma2_, work_);
       MLBENCH_CHECK_MSG(beta.ok(), beta.status().ToString().c_str());
       for (std::size_t j = 0; j < beta->size(); ++j) {
         rigid.push_back(static_cast<std::int64_t>(j));
@@ -66,6 +71,7 @@ class BetaVg : public reldb::VgFunction {
   const Vector* inv_tau2_;
   double sigma2_;
   std::uint64_t seed_;
+  models::Matrix* work_;  ///< the beta draw's factor, kept across iterations
 };
 
 }  // namespace
@@ -165,6 +171,7 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
   }());
 
   // ---- Iterations -----------------------------------------------------------
+  models::Matrix beta_work;
   RunResult result = harness.Run([&](int iter) -> Status {
     const int i = iter + 1;
 
@@ -218,7 +225,7 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
                            db.costs().group_by_tuple_s));
     sim.ChargeParallelCpu(p * p * db.costs().vg_tuple_s);  // VG params in
     BetaVg beta_vg(&stats, &state->inv_tau2, state->sigma2,
-                   exp.config.seed ^ (0xBE7A + i));
+                   exp.config.seed ^ (0xBE7A + i), &beta_work);
     Table seed_t(Schema{"one"}, 1.0);
     seed_t.Append(Tuple{std::int64_t{1}});
     auto beta_rel = Rel::FromColumns(db, ColumnBatch::FromTable(seed_t))

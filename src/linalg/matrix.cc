@@ -141,11 +141,10 @@ double QuadraticForm(const Matrix& a, const Vector& x) {
 
 namespace {
 
-/// Cholesky register tile: kTileRows x kTileCols accumulators of L stay in
-/// registers while a stretch of k streams past.
+/// Cholesky register tile: kTileRows x kCols accumulators of L stay in
+/// registers while a stretch of k streams past. The tile width kCols is
+/// set by the build (Sse2Tiles, Avx2Tiles below).
 constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileCols = 6;
-static_assert(kCholeskyBlock % kTileCols == 0);
 /// Finished columns k < j0 are applied to a column block kChunkK at a time,
 /// so a chunk's panel and row segments stay cache-resident across tiles.
 constexpr std::size_t kChunkK = 256;
@@ -154,28 +153,32 @@ constexpr std::size_t kChunkK = 256;
 /// moves no bit; it only sizes the work per chunk.
 constexpr std::size_t kChunkMadds = std::size_t{1} << 18;
 
-/// The packed columns of one column block [j0, j0 + kCholeskyBlock):
-/// element (t, k, c) holds l(j0 + t * kTileCols + c, k). Tile-major, so the
-/// panel of one column tile over a run of k is contiguous.
+/// The packed columns of one column block [j0, j0 + kCholeskyBlock), for
+/// tiles kCols wide: element (t, k, c) holds l(j0 + t * kCols + c, k).
+/// Tile-major, so the panel of one column tile over a run of k is
+/// contiguous.
+template <std::size_t kCols>
 struct Panel {
+  static_assert(kCholeskyBlock % kCols == 0);
   double* data;
   std::size_t kdim;  ///< k rows held per column tile
 
   double* At(std::size_t t, std::size_t k) const {
-    return data + (t * kdim + k) * kTileCols;
+    return data + (t * kdim + k) * kCols;
   }
 };
 
 /// Copies l(j0 + c, k) for k in [kb, ke) and c in [0, jb) into the panel,
 /// skipping every element on or above the diagonal (k >= j0 + c), which no
 /// tile reads.
+template <std::size_t kCols>
 void PackPanel(const double* m, std::size_t n, std::size_t j0, std::size_t jb,
-               std::size_t kb, std::size_t ke, const Panel& panel) {
+               std::size_t kb, std::size_t ke, const Panel<kCols>& panel) {
   for (std::size_t c = 0; c < jb; ++c) {
     const double* row = m + (j0 + c) * n;
     const std::size_t end = std::min(ke, j0 + c);
     for (std::size_t k = kb; k < end; ++k) {
-      panel.At(c / kTileCols, k)[c % kTileCols] = row[k];
+      panel.At(c / kCols, k)[c % kCols] = row[k];
     }
   }
 }
@@ -187,21 +190,36 @@ void PackPanel(const double* m, std::size_t n, std::size_t j0, std::size_t jb,
 /// diagonal triangle of L: column j + c subtracts its already-finished
 /// left neighbours, still k ascending, and divides by l(j + c, j + c).
 /// `kFull` tiles have compile-time extents, so the accumulators unroll
-/// into registers; edge tiles take `ni` and `nj`.
-template <bool kFull, bool kSolve>
-void CholeskyTile(double* m, std::size_t n, std::size_t i0, std::size_t ni,
-                  std::size_t j, std::size_t nj, const double* p,
-                  std::size_t kb, std::size_t ke) {
+/// into registers; edge tiles take `ni` and `nj`. Always inlined, so it is
+/// compiled for the instruction set of the build that calls it.
+template <std::size_t kCols, bool kFull, bool kSolve>
+[[gnu::always_inline]] inline void CholeskyTile(
+    double* m, std::size_t n, std::size_t i0, std::size_t ni, std::size_t j,
+    std::size_t nj, const double* p, std::size_t kb, std::size_t ke) {
   const std::size_t rows = kFull ? kTileRows : ni;
-  const std::size_t cols = kFull ? kTileCols : nj;
-  double acc[kTileRows][kTileCols];
+  const std::size_t cols = kFull ? kCols : nj;
+  double acc[kTileRows][kCols];
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) acc[r][c] = m[(i0 + r) * n + j + c];
   }
-  for (std::size_t k = kb; k < ke; ++k, p += kTileCols) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double a = m[(i0 + r) * n + k];
-      for (std::size_t c = 0; c < cols; ++c) acc[r][c] -= a * p[c];
+  // Full tiles unroll the update completely (the pragmas name at least
+  // every extent), so the accumulators stay in registers at either width;
+  // the compiler's default unrolling stops short of the 4 x 12 tile.
+  if constexpr (kFull) {
+    for (std::size_t k = kb; k < ke; ++k, p += kCols) {
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        const double a = m[(i0 + r) * n + k];
+#pragma GCC unroll 12
+        for (std::size_t c = 0; c < kCols; ++c) acc[r][c] -= a * p[c];
+      }
+    }
+  } else {
+    for (std::size_t k = kb; k < ke; ++k, p += kCols) {
+      for (std::size_t r = 0; r < ni; ++r) {
+        const double a = m[(i0 + r) * n + k];
+        for (std::size_t c = 0; c < nj; ++c) acc[r][c] -= a * p[c];
+      }
     }
   }
   if (kSolve) {
@@ -218,27 +236,57 @@ void CholeskyTile(double* m, std::size_t n, std::size_t i0, std::size_t ni,
   }
 }
 
-/// Runs CholeskyTile over every column tile of the block [j0, j0 + jb) for
-/// the row tile at i0: over k in [kb, ke), or, with kSolve, over k in
-/// [kb, j) for the tile at column j, followed by its solve.
-template <bool kSolve>
-void CholeskyRowTile(double* m, std::size_t n, std::size_t i0,
-                     std::size_t j0, std::size_t jb, const Panel& panel,
-                     std::size_t kb, std::size_t ke) {
-  const std::size_t ni = std::min(kTileRows, n - i0);
-  for (std::size_t t = 0; t * kTileCols < jb; ++t) {
-    const std::size_t j = j0 + t * kTileCols;
-    const std::size_t nj = std::min(kTileCols, j0 + jb - j);
-    // The solve updates over the block's columns left of the tile only.
-    const std::size_t end = kSolve ? j : ke;
-    const double* p = panel.At(t, kb);
-    if (ni == kTileRows && nj == kTileCols) {
-      CholeskyTile<true, kSolve>(m, n, i0, ni, j, nj, p, kb, end);
-    } else {
-      CholeskyTile<false, kSolve>(m, n, i0, ni, j, nj, p, kb, end);
+/// Runs CholeskyTile over the row tiles at i0 in [begin, end), each over
+/// every column tile of the block [j0, j0 + jb): over k in [kb, ke), or,
+/// with kSolve, over k in [kb, j) for the tile at column j, followed by
+/// its solve.
+template <std::size_t kCols, bool kSolve>
+[[gnu::always_inline]] inline void CholeskyRowTiles(
+    double* m, std::size_t n, std::size_t begin, std::size_t end,
+    std::size_t j0, std::size_t jb, const Panel<kCols>& panel, std::size_t kb,
+    std::size_t ke) {
+  for (std::size_t i0 = begin; i0 < end; i0 += kTileRows) {
+    const std::size_t ni = std::min(kTileRows, n - i0);
+    for (std::size_t t = 0; t * kCols < jb; ++t) {
+      const std::size_t j = j0 + t * kCols;
+      const std::size_t nj = std::min(kCols, j0 + jb - j);
+      // The solve updates over the block's columns left of the tile only.
+      const std::size_t stop = kSolve ? j : ke;
+      const double* p = panel.At(t, kb);
+      if (ni == kTileRows && nj == kCols) {
+        CholeskyTile<kCols, true, kSolve>(m, n, i0, ni, j, nj, p, kb, stop);
+      } else {
+        CholeskyTile<kCols, false, kSolve>(m, n, i0, ni, j, nj, p, kb, stop);
+      }
     }
   }
 }
+
+/// The two builds of the row tiles, from the one source above. SSE2 holds
+/// two doubles per register, so a 4 x 6 tile's 24 accumulators fill 12 of
+/// its 16 registers; AVX2 holds four, and a 4 x 12 tile fills 12 of 16.
+/// Neither target enables FMA, so both builds run the same multiplies,
+/// subtracts and divides on every element (DESIGN.md, "Cholesky kernel").
+struct Sse2Tiles {
+  static constexpr std::size_t kCols = 6;
+  template <bool kSolve>
+  static void Run(double* m, std::size_t n, std::size_t begin,
+                  std::size_t end, std::size_t j0, std::size_t jb,
+                  const Panel<kCols>& panel, std::size_t kb, std::size_t ke) {
+    CholeskyRowTiles<kCols, kSolve>(m, n, begin, end, j0, jb, panel, kb, ke);
+  }
+};
+
+struct Avx2Tiles {
+  static constexpr std::size_t kCols = 12;
+  template <bool kSolve>
+  [[gnu::target("avx2")]] static void Run(
+      double* m, std::size_t n, std::size_t begin, std::size_t end,
+      std::size_t j0, std::size_t jb, const Panel<kCols>& panel,
+      std::size_t kb, std::size_t ke) {
+    CholeskyRowTiles<kCols, kSolve>(m, n, begin, end, j0, jb, panel, kb, ke);
+  }
+};
 
 /// Runs `fn(begin, end)` over the rows [r0, n), split across the pool into
 /// runs of whole row tiles (the last one ragged) of at least kChunkMadds,
@@ -256,20 +304,42 @@ void ForRowTiles(std::size_t r0, std::size_t n, std::size_t tile_madds,
   });
 }
 
-}  // namespace
-
-Result<Matrix> Cholesky(Matrix a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("Cholesky requires a square matrix");
+/// The column loop over columns [j0, below) of the n x n matrix `m`,
+/// applying only those columns: `sqrt` on the diagonal, a divide below it,
+/// and a zero at each mirror element above it. A matrix no wider than one
+/// block is this loop alone.
+Status FactorDiagonalBlock(double* m, std::size_t n, std::size_t j0,
+                           std::size_t below) {
+  for (std::size_t j = j0; j < below; ++j) {
+    double* lj = m + j * n;
+    double d = lj[j];
+    for (std::size_t k = j0; k < j; ++k) d -= lj[k] * lj[k];
+    if (d <= 0.0 || !std::isfinite(d)) {
+      return Status::InvalidArgument("matrix is not positive definite");
+    }
+    lj[j] = std::sqrt(d);
+    for (std::size_t i = j + 1; i < below; ++i) {
+      double* li = m + i * n;
+      double s = li[j];
+      for (std::size_t k = j0; k < j; ++k) s -= li[k] * lj[k];
+      li[j] = s / lj[j];
+      lj[i] = 0.0;  // the mirror element, above the diagonal
+    }
   }
-  const std::size_t n = a.rows();
-  double* m = a.data();
-  std::vector<double> scratch;
-  if (n > kCholeskyBlock) scratch.resize(n * kCholeskyBlock);
+  return Status::OK();
+}
+
+/// The blocked factorization of the n x n matrix `m` in place, n wider
+/// than one block, with the row tiles of `Tiles`. The tile width sets only
+/// which elements a tile holds, never the operations on any one element.
+template <class Tiles>
+Status FactorBlocked(double* m, std::size_t n) {
+  constexpr std::size_t kCols = Tiles::kCols;
+  std::vector<double> scratch(n * kCholeskyBlock);
   for (std::size_t j0 = 0; j0 < n; j0 += kCholeskyBlock) {
     const std::size_t jb = std::min(kCholeskyBlock, n - j0);
     const std::size_t below = j0 + jb;
-    const Panel panel{scratch.data(), below};
+    const Panel<kCols> panel{scratch.data(), below};
     // Step 1: subtract the finished columns k < j0 from rows i >= j0 of
     // the block, one k chunk after another. Tiles of the block's own rows
     // also write a few elements above the diagonal; step 2 zeroes them
@@ -280,31 +350,12 @@ Result<Matrix> Cholesky(Matrix a) {
       ForRowTiles(j0, n, madds, [&](std::size_t begin, std::size_t end) {
         for (std::size_t kb = 0; kb < j0; kb += kChunkK) {
           const std::size_t ke = std::min(j0, kb + kChunkK);
-          for (std::size_t i0 = begin; i0 < end; i0 += kTileRows) {
-            CholeskyRowTile<false>(m, n, i0, j0, jb, panel, kb, ke);
-          }
+          Tiles::template Run<false>(m, n, begin, end, j0, jb, panel, kb, ke);
         }
       });
     }
-    // Step 2: factor the block. Its diagonal triangle is the column loop
-    // over the block's own columns; a matrix no wider than one block is
-    // this loop alone.
-    for (std::size_t j = j0; j < below; ++j) {
-      double* lj = m + j * n;
-      double d = lj[j];
-      for (std::size_t k = j0; k < j; ++k) d -= lj[k] * lj[k];
-      if (d <= 0.0 || !std::isfinite(d)) {
-        return Status::InvalidArgument("matrix is not positive definite");
-      }
-      lj[j] = std::sqrt(d);
-      for (std::size_t i = j + 1; i < below; ++i) {
-        double* li = m + i * n;
-        double s = li[j];
-        for (std::size_t k = j0; k < j; ++k) s -= li[k] * lj[k];
-        li[j] = s / lj[j];
-        lj[i] = 0.0;  // the mirror element, above the diagonal
-      }
-    }
+    // Step 2: factor the block's diagonal triangle.
+    MLBENCH_RETURN_NOT_OK(FactorDiagonalBlock(m, n, j0, below));
     // The rows below the block solve against it in register tiles: each
     // column tile updates over the block's columns to its left, then
     // finishes against its own triangle.
@@ -315,12 +366,38 @@ Result<Matrix> Cholesky(Matrix a) {
       PackPanel(m, n, j0, jb, j0, below, panel);
       const std::size_t madds = kTileRows * jb * jb / 2;  // per row tile
       ForRowTiles(below, n, madds, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i0 = begin; i0 < end; i0 += kTileRows) {
-          CholeskyRowTile<true>(m, n, i0, j0, jb, panel, j0, below);
-        }
+        Tiles::template Run<true>(m, n, begin, end, j0, jb, panel, j0, below);
       });
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+TileIsa HostTileIsa() {
+  static const TileIsa isa = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? TileIsa::kAvx2 : TileIsa::kSse2;
+  }();
+  return isa;
+}
+
+Status CholeskyInPlace(Matrix* a, TileIsa isa) {
+  if (a->rows() != a->cols()) {
+    return Status::InvalidArgument("Cholesky requires a square matrix");
+  }
+  const std::size_t n = a->rows();
+  if (n <= kCholeskyBlock) return FactorDiagonalBlock(a->data(), n, 0, n);
+  if (isa == TileIsa::kAvx2) {
+    MLBENCH_CHECK(HostTileIsa() == TileIsa::kAvx2);
+    return FactorBlocked<Avx2Tiles>(a->data(), n);
+  }
+  return FactorBlocked<Sse2Tiles>(a->data(), n);
+}
+
+Result<Matrix> Cholesky(Matrix a) {
+  MLBENCH_RETURN_NOT_OK(CholeskyInPlace(&a));
   return a;
 }
 

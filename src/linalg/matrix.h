@@ -90,15 +90,31 @@ double QuadraticForm(const Matrix& a, const Vector& x);
 /// by the plain column loop, with no scratch and no pool dispatch.
 inline constexpr std::size_t kCholeskyBlock = 60;
 
+/// The instruction sets the register-tile kernels are built for: this
+/// file's Cholesky tile and the lasso Gram tile (models/lasso.h). Each
+/// tile has one source, compiled once per target; neither target enables
+/// FMA, and every build gives the same bits.
+enum class TileIsa { kSse2, kAvx2 };
+
+/// kAvx2 when the host runs AVX2, else kSse2. Decided on the first call,
+/// then fixed for the process.
+TileIsa HostTileIsa();
+
 /// Cholesky factor L (lower triangular, a = L L^T) of an SPD matrix,
 /// computed in place: `a` is overwritten with L and its upper triangle
 /// zeroed, so callers that are done with `a` should move it in. Only the
 /// lower triangle of `a` is read. Bit-identical to the column loop at any
-/// pool size: every l(i, j) starts from a(i, j), subtracts l(i, k) l(j, k)
-/// for k = 0 .. j-1 in order, then takes sqrt (i == j) or divides by
-/// l(j, j). Fails with InvalidArgument at the first column whose pivot is
-/// not positive and finite, as that loop does.
+/// pool size and on either tile build: every l(i, j) starts from a(i, j),
+/// subtracts l(i, k) l(j, k) for k = 0 .. j-1 in order, then takes sqrt
+/// (i == j) or divides by l(j, j). Fails with InvalidArgument at the first
+/// column whose pivot is not positive and finite, as that loop does.
 Result<Matrix> Cholesky(Matrix a);
+
+/// Cholesky on `*a` in place, with the register tiles built for `isa`
+/// (which the host must run). On failure `*a` holds a partial factor.
+/// Lets a caller reuse one matrix across factorizations, and tests run
+/// each tile build directly.
+Status CholeskyInPlace(Matrix* a, TileIsa isa = HostTileIsa());
 
 /// Solves a x = b for SPD a via Cholesky.
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b);

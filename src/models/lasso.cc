@@ -28,10 +28,12 @@ constexpr std::size_t kBlockBytes = 256 * 1024;
 /// tile [i0, i0 + ni) x [j0, j0 + nj) of the p x p `xtx`, each element in
 /// point order. `kFull` tiles have compile-time extents, so the
 /// accumulators unroll into registers; edge tiles take `ni` and `nj`.
+/// Always inlined, so it is compiled for the instruction set of the build
+/// that calls it.
 template <bool kFull>
-void GramTile(const double* x, std::size_t count, std::size_t i0,
-              std::size_t ni, std::size_t j0, std::size_t nj, std::size_t p,
-              double* xtx) {
+[[gnu::always_inline]] inline void GramTile(
+    const double* x, std::size_t count, std::size_t i0, std::size_t ni,
+    std::size_t j0, std::size_t nj, std::size_t p, double* xtx) {
   const std::size_t rows = kFull ? kTileRows : ni;
   const std::size_t cols = kFull ? kTileCols : nj;
   double acc[kTileRows][kTileCols];
@@ -60,8 +62,10 @@ void GramTile(const double* x, std::size_t count, std::size_t i0,
 /// into the mirror square of the lower triangle. In a diagonal square the
 /// tiles that straddle the diagonal also sum a few lower elements; the
 /// copy overwrites them, so no result ever reads the lower triangle.
-void GramSquare(const double* x, std::size_t count, std::size_t bi,
-                std::size_t bj, std::size_t p, double* xtx) {
+[[gnu::always_inline]] inline void GramSquare(const double* x,
+                                              std::size_t count,
+                                              std::size_t bi, std::size_t bj,
+                                              std::size_t p, double* xtx) {
   const std::size_t ie = std::min(p, bi + kSquare);
   const std::size_t je = std::min(p, bj + kSquare);
   for (std::size_t i0 = bi; i0 < ie; i0 += kTileRows) {
@@ -83,6 +87,22 @@ void GramSquare(const double* x, std::size_t count, std::size_t bi,
   }
 }
 
+/// The two builds of GramSquare, from the one source above. The 4 x 8
+/// tile's 32 accumulators fill 16 SSE2 registers or 8 AVX2 ones. Neither
+/// target enables FMA, and lanes hold different elements, so both builds
+/// run the same multiplies and adds on every element in point order.
+void GramSquareSse2(const double* x, std::size_t count, std::size_t bi,
+                    std::size_t bj, std::size_t p, double* xtx) {
+  GramSquare(x, count, bi, bj, p, xtx);
+}
+
+[[gnu::target("avx2")]] void GramSquareAvx2(const double* x,
+                                            std::size_t count, std::size_t bi,
+                                            std::size_t bj, std::size_t p,
+                                            double* xtx) {
+  GramSquare(x, count, bi, bj, p, xtx);
+}
+
 std::size_t BlockPoints(std::size_t p) {
   return std::max(kTileRows,
                   kBlockBytes / (sizeof(double) * std::max<std::size_t>(p, 1)));
@@ -91,7 +111,8 @@ std::size_t BlockPoints(std::size_t p) {
 }  // namespace
 
 void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
-                          std::size_t p, LassoSuffStats* stats) {
+                          std::size_t p, LassoSuffStats* stats,
+                          linalg::TileIsa isa) {
   if (stats->xtx.rows() == 0) {
     stats->xtx = Matrix(p, p);
     stats->xty = Vector(p);
@@ -101,6 +122,10 @@ void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
   const std::size_t block = BlockPoints(p);
   const std::size_t side = (p + kSquare - 1) / kSquare;
   const auto squares = static_cast<std::int64_t>(side * (side + 1) / 2);
+  MLBENCH_CHECK(isa == linalg::TileIsa::kSse2 ||
+                linalg::HostTileIsa() == linalg::TileIsa::kAvx2);
+  const auto square =
+      isa == linalg::TileIsa::kAvx2 ? GramSquareAvx2 : GramSquareSse2;
   for (std::size_t k0 = 0; k0 < count; k0 += block) {
     const std::size_t nk = std::min(block, count - k0);
     // Squares write disjoint elements (each its own upper square and its
@@ -110,7 +135,7 @@ void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
       std::size_t s = static_cast<std::size_t>(chunk.index);
       std::size_t row = 0;
       while (s >= side - row) s -= side - row++;
-      GramSquare(x + k0 * p, nk, row * kSquare, (row + s) * kSquare, p, xtx);
+      square(x + k0 * p, nk, row * kSquare, (row + s) * kSquare, p, xtx);
     });
   }
   for (std::size_t k = 0; k < count; ++k) {
@@ -170,11 +195,19 @@ double SampleInvTau2(stats::Rng& rng, const LassoHyper& hyper, double sigma2,
 }
 
 Result<Vector> SampleBeta(stats::Rng& rng, const LassoSuffStats& stats,
-                          const Vector& inv_tau2, double sigma2) {
+                          const Vector& inv_tau2, double sigma2,
+                          Matrix* work) {
   const std::size_t p = inv_tau2.size();
-  Matrix a = stats.xtx;
-  for (std::size_t j = 0; j < p; ++j) a(j, j) += inv_tau2[j];
-  MLBENCH_ASSIGN_OR_RETURN(Matrix l, linalg::Cholesky(std::move(a)));
+  if (work->rows() != p) *work = Matrix(p, p);
+  // The lower triangle of A, all that Cholesky reads.
+  for (std::size_t i = 0; i < p; ++i) {
+    const double* g = stats.xtx.data() + i * p;
+    double* a = work->data() + i * p;
+    std::copy(g, g + i, a);
+    a[i] = g[i] + inv_tau2[i];
+  }
+  MLBENCH_RETURN_NOT_OK(linalg::CholeskyInPlace(work));
+  const Matrix& l = *work;
   // Mean: A^-1 X^T y.
   Vector mean = linalg::BackSubstituteTransposed(
       l, linalg::ForwardSubstitute(l, stats.xty));

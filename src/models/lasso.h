@@ -44,12 +44,14 @@ struct LassoSuffStats {
 /// triangle of X^T X is computed, in register tiles that stream the
 /// points a cache block at a time, and each square of it is mirrored into
 /// the lower triangle while it is in cache. The result is bit-identical
-/// to `count` full p x p rank-1 updates, one per point: every element
-/// sums the same products in point order, and x_i * x_j == x_j * x_i
-/// exactly. Entries must be finite (an exact-zero x_i then adds +-0,
-/// which never changes an accumulator).
+/// to `count` full p x p rank-1 updates, one per point, on either tile
+/// build (`isa`, which the host must run): every element sums the same
+/// products in point order, and x_i * x_j == x_j * x_i exactly. Entries
+/// must be finite (an exact-zero x_i then adds +-0, which never changes
+/// an accumulator).
 void AccumulateLassoBlock(const double* x, const double* y, std::size_t count,
-                          std::size_t p, LassoSuffStats* stats);
+                          std::size_t p, LassoSuffStats* stats,
+                          linalg::TileIsa isa = linalg::HostTileIsa());
 
 /// Accumulates one (x, y) pair: AccumulateLassoBlock on a single point.
 void AccumulateLasso(const Vector& x, double y, LassoSuffStats* stats);
@@ -81,8 +83,12 @@ double SampleInvTau2(stats::Rng& rng, const LassoHyper& hyper, double sigma2,
                      double beta_j);
 
 /// beta ~ Normal(A^-1 X^T y, sigma^2 A^-1), A = X^T X + D_tau^-1.
+/// `work` is the p x p matrix A is factored in; a caller keeps it across
+/// draws, so a draw copies only the lower triangle of X^T X into it and
+/// allocates no matrix. Its contents between draws mean nothing.
 Result<Vector> SampleBeta(stats::Rng& rng, const LassoSuffStats& stats,
-                          const Vector& inv_tau2, double sigma2);
+                          const Vector& inv_tau2, double sigma2,
+                          Matrix* work);
 
 /// sigma^2 ~ InvGamma((1+n+p)/2, (2 + SSE + sum beta_j^2/tau_j^2)/2).
 double SampleSigma2(stats::Rng& rng, const LassoHyper& hyper,

@@ -248,6 +248,82 @@ TEST(CholeskyKernel, MatchesScalarReferenceBitForBit) {
   exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
 }
 
+// Factors `a` in place with each tile build, straight through
+// CholeskyInPlace rather than the host's choice. Both must agree on
+// ok-ness and leave the same bits in every element: on success the
+// factor, on failure the partial factor up to the failing column. The
+// failing cases below hold one NaN at most, so no two different NaNs
+// meet in an operation and even the partial factor's NaNs match.
+::testing::AssertionResult SameOnBothBuilds(const Matrix& a) {
+  Matrix sse2 = a;
+  Matrix avx2 = a;
+  const Status s = CholeskyInPlace(&sse2, TileIsa::kSse2);
+  const Status v = CholeskyInPlace(&avx2, TileIsa::kAvx2);
+  if (s.ok() != v.ok()) {
+    return ::testing::AssertionFailure() << "n=" << a.rows() << ": SSE2 ok="
+                                         << s.ok() << ", AVX2 ok=" << v.ok();
+  }
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double x = sse2(i, j);
+      const double y = avx2(i, j);
+      if (std::memcmp(&x, &y, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "n=" << n << " ok=" << s.ok() << ": l(" << i << ", " << j
+               << ") = " << y << " on AVX2, " << x << " on SSE2";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CholeskyKernel, Avx2BuildMatchesSse2BuildBitForBit) {
+  if (HostTileIsa() != TileIsa::kAvx2) {
+    GTEST_SKIP() << "host has no AVX2, so the AVX2 tile build cannot run";
+  }
+  const std::size_t w = kCholeskyBlock;
+  for (int threads : {1, 4}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    // Sizes on both sides of the block width, ragged against both tile
+    // widths (6 and 12), up to the Bayesian Lasso's p = 1000.
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{5}, std::size_t{10}, w - 1, w, w + 1,
+                          2 * w + 3, std::size_t{257}, std::size_t{1000}}) {
+      EXPECT_TRUE(SameOnBothBuilds(DominantSpd(n, 31 + n)));
+    }
+    EXPECT_TRUE(SameOnBothBuilds(RandomSpd(2 * w + 3, 5)));
+
+    // A non-positive pivot at a column that is no block or tile edge:
+    // both builds factor the leading q columns to the same bits and fail
+    // at column q.
+    const std::size_t q = 2 * w + 7;
+    Matrix bad = DominantSpd(257, 3);
+    bad(q, q) = -1.0;
+    Matrix lead = Leading(bad, q);
+    EXPECT_TRUE(CholeskyInPlace(&lead, TileIsa::kAvx2).ok());
+    EXPECT_TRUE(SameOnBothBuilds(Leading(bad, q)));
+    Matrix past = Leading(bad, q + 1);
+    EXPECT_FALSE(CholeskyInPlace(&past, TileIsa::kAvx2).ok());
+    EXPECT_TRUE(SameOnBothBuilds(Leading(bad, q + 1)));
+    EXPECT_TRUE(SameOnBothBuilds(bad));
+
+    // A NaN below the diagonal poisons row r, which fails at column r.
+    const std::size_t r = 3 * w + 2;
+    Matrix nan = DominantSpd(257, 4);
+    nan(r, 5) = std::numeric_limits<double>::quiet_NaN();
+    lead = Leading(nan, r);
+    EXPECT_TRUE(CholeskyInPlace(&lead, TileIsa::kAvx2).ok());
+    EXPECT_TRUE(SameOnBothBuilds(Leading(nan, r)));
+    past = Leading(nan, r + 1);
+    EXPECT_FALSE(CholeskyInPlace(&past, TileIsa::kAvx2).ok());
+    EXPECT_TRUE(SameOnBothBuilds(Leading(nan, r + 1)));
+    EXPECT_TRUE(SameOnBothBuilds(nan));
+  }
+  exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+}
+
 // Column c of L^-T L^-1 by the textbook substitutions, into fresh vectors.
 Vector ReferenceInverseColumn(const Matrix& l, std::size_t c) {
   const std::size_t n = l.rows();

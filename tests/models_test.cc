@@ -194,42 +194,69 @@ bool Symmetric(const LassoSuffStats& s, std::size_t p) {
   return true;
 }
 
+// n points of dimension p, x[k * p, k * p + p) for point k, holding exact
+// zeros of both signs, negatives and positives, and their responses.
+struct GramInput {
+  std::vector<double> xs;
+  std::vector<double> ys;
+};
+
+GramInput MakeGramInput(std::size_t p, std::size_t n) {
+  stats::Rng rng(11 + p);
+  GramInput in{std::vector<double>(n * p), std::vector<double>(n)};
+  for (auto& v : in.xs) {
+    double u = rng.NextDouble();
+    v = u < 0.15  ? 0.0
+        : u < 0.2 ? -0.0
+                  : stats::SampleNormal(rng, 0.0, 2.0);
+  }
+  for (auto& y : in.ys) y = stats::SampleNormal(rng, 0.0, 3.0);
+  return in;
+}
+
+// Call schedules that split n points unevenly, one point at a time
+// included.
+std::vector<std::vector<std::size_t>> GramSchedules(std::size_t n) {
+  return {{n},
+          {1, 5, 33, 2, n - 41},
+          {13, 13, 13, 13, n - 52},
+          std::vector<std::size_t>(n, 1)};
+}
+
+LassoSuffStats AccumulateInCalls(const GramInput& in, std::size_t p,
+                                 const std::vector<std::size_t>& schedule,
+                                 linalg::TileIsa isa) {
+  LassoSuffStats got;
+  std::size_t k0 = 0;
+  for (std::size_t len : schedule) {
+    AccumulateLassoBlock(in.xs.data() + k0 * p, in.ys.data() + k0, len, p,
+                         &got, isa);
+    k0 += len;
+  }
+  EXPECT_EQ(k0, in.ys.size());
+  return got;
+}
+
+// p values whose tile edges do not divide p.
+constexpr std::size_t kGramDims[] = {1, 7, 37, 1003};
+
+std::size_t GramPoints(std::size_t p) { return p > 100 ? 70 : 150; }
+
 TEST(LassoGramKernel, BlockCallsMatchScalarReferenceBitForBit) {
   // The Gram squares run on the pool; their bits must not depend on its
   // size.
   for (int threads : {1, 4}) {
     exec::ThreadPool::SetGlobalThreads(threads);
     SCOPED_TRACE("pool threads " + std::to_string(threads));
-    // p values whose tile edges do not divide p, and call schedules that
-    // split n unevenly, one point at a time included.
-    for (std::size_t p : {1u, 7u, 37u, 1003u}) {
-      const std::size_t n = p > 100 ? 70 : 150;
-      stats::Rng rng(11 + p);
-      std::vector<double> xs(n * p);
-      std::vector<double> ys(n);
-      for (auto& v : xs) {
-        // Exact zeros of both signs, negatives and positives.
-        double u = rng.NextDouble();
-        v = u < 0.15  ? 0.0
-            : u < 0.2 ? -0.0
-                      : stats::SampleNormal(rng, 0.0, 2.0);
-      }
-      for (auto& y : ys) y = stats::SampleNormal(rng, 0.0, 3.0);
+    for (std::size_t p : kGramDims) {
+      const std::size_t n = GramPoints(p);
+      const GramInput in = MakeGramInput(p, n);
       LassoSuffStats want;
-      ReferenceGram(xs, ys, p, &want);
+      ReferenceGram(in.xs, in.ys, p, &want);
 
-      const std::vector<std::vector<std::size_t>> schedules = {
-          {n}, {1, 5, 33, 2, n - 41}, {13, 13, 13, 13, n - 52},
-          std::vector<std::size_t>(n, 1)};
-      for (const auto& schedule : schedules) {
-        LassoSuffStats got;
-        std::size_t k0 = 0;
-        for (std::size_t len : schedule) {
-          AccumulateLassoBlock(xs.data() + k0 * p, ys.data() + k0, len, p,
-                               &got);
-          k0 += len;
-        }
-        ASSERT_EQ(k0, n);
+      for (const auto& schedule : GramSchedules(n)) {
+        LassoSuffStats got =
+            AccumulateInCalls(in, p, schedule, linalg::HostTileIsa());
         EXPECT_TRUE(SameBits(got, want, p))
             << "p=" << p << " calls=" << schedule.size();
         EXPECT_TRUE(Symmetric(got, p))
@@ -241,15 +268,40 @@ TEST(LassoGramKernel, BlockCallsMatchScalarReferenceBitForBit) {
       LassoSuffStats one;
       LassoGram gram(p);
       for (std::size_t k = 0; k < n; ++k) {
-        Vector x(std::vector<double>(xs.begin() + k * p,
-                                     xs.begin() + (k + 1) * p));
-        AccumulateLasso(x, ys[k], &one);
-        gram.Add(x, ys[k]);
+        Vector x(std::vector<double>(in.xs.begin() + k * p,
+                                     in.xs.begin() + (k + 1) * p));
+        AccumulateLasso(x, in.ys[k], &one);
+        gram.Add(x, in.ys[k]);
       }
       EXPECT_TRUE(SameBits(one, want, p)) << "p=" << p;
       LassoSuffStats streamed = gram.Finish();
       EXPECT_TRUE(SameBits(streamed, want, p)) << "p=" << p;
       EXPECT_TRUE(Symmetric(streamed, p)) << "p=" << p;
+    }
+  }
+  exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+}
+
+TEST(LassoGramKernel, Avx2BuildMatchesSse2BuildBitForBit) {
+  if (linalg::HostTileIsa() != linalg::TileIsa::kAvx2) {
+    GTEST_SKIP() << "host has no AVX2, so the AVX2 tile build cannot run";
+  }
+  // Each build is called directly, not through the host's choice. The
+  // inputs are finite (the kernel's premise), so no NaN meets another.
+  for (int threads : {1, 4}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    for (std::size_t p : kGramDims) {
+      const std::size_t n = GramPoints(p);
+      const GramInput in = MakeGramInput(p, n);
+      for (const auto& schedule : GramSchedules(n)) {
+        LassoSuffStats sse2 =
+            AccumulateInCalls(in, p, schedule, linalg::TileIsa::kSse2);
+        LassoSuffStats avx2 =
+            AccumulateInCalls(in, p, schedule, linalg::TileIsa::kAvx2);
+        EXPECT_TRUE(SameBits(avx2, sse2, p))
+            << "p=" << p << " calls=" << schedule.size();
+      }
     }
   }
   exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
@@ -291,12 +343,13 @@ TEST(LassoTest, ChainRecoversSparseSignal) {
   }
   auto state = InitLasso(rng, hyper);
   ASSERT_TRUE(state.ok());
+  Matrix work;
   for (int iter = 0; iter < 50; ++iter) {
     for (std::size_t j = 0; j < p; ++j) {
       state->inv_tau2[j] =
           SampleInvTau2(rng, hyper, state->sigma2, state->beta[j]);
     }
-    auto beta = SampleBeta(rng, stats, state->inv_tau2, state->sigma2);
+    auto beta = SampleBeta(rng, stats, state->inv_tau2, state->sigma2, &work);
     ASSERT_TRUE(beta.ok());
     state->beta = *beta;
     double sse = ResidualSumOfSquares(stats, state->beta);
